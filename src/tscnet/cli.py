@@ -8,13 +8,12 @@ environment variable when set; --seed always wins over it.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import autonet, features, ingest, kmeans, pipeline, svgplot
+from . import autonet, features, kmeans, pipeline, svgplot
 from .errors import TscnetError
 
 K_SWEEP_SVG = "k_sweep.svg"
@@ -145,16 +144,6 @@ def _resolve_seed(args: argparse.Namespace) -> int:
         raise TscnetError(f"TSC_SEED must be an integer, got {env!r}")
 
 
-def _load_table(args: argparse.Namespace):
-    import datetime as dt
-
-    tickers = None
-    if args.tickers is not None:
-        tickers = ingest.parse_ticker_list(args.tickers.read_text(encoding="utf-8"))
-    start = args.start_date if args.start_date is not None else dt.date.min
-    return ingest.load_price_table(args.prices, tickers, start)
-
-
 def _warn(messages) -> None:
     for msg in messages:
         print(f"warning: {msg}", file=sys.stderr)
@@ -178,10 +167,10 @@ def _infer_clusters(net: autonet.DenseNetwork, override: int | None) -> int:
 
 def cmd_label(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    table, warns = _load_table(args)
+    table, warns = pipeline.load_table(args.prices, args.tickers, args.start_date)
     _warn(warns)
     sink: list[str] = []
-    records, model = pipeline.stage1_label(
+    records, model, _ = pipeline.stage1_label(
         table,
         k=args.k,
         seed=seed,
@@ -202,15 +191,14 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 def cmd_select_k(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    table, warns = _load_table(args)
+    table, warns = pipeline.load_table(args.prices, args.tickers, args.start_date)
     _warn(warns)
     feats, feat_warns = features.build_feature_table(table, args.trading_days)
     _warn(feat_warns)
-    points = pipeline.feature_matrix(feats)
-    best_k, sweep = kmeans.select_k(points, args.k_min, args.k_max, seed=seed)
+    best, sweep = kmeans.select_k(pipeline.feature_matrix(feats), args.k_min, args.k_max, seed=seed)
     for k, score in sweep:
         print(f"k={k} silhouette={score:.12g}")
-    print(f"best k={best_k}")
+    print(f"best k={best.k}")
     if args.out is not None:
         kmeans.write_sweep_csv(sweep, args.out)
     return 0
@@ -229,20 +217,17 @@ def cmd_train(args: argparse.Namespace) -> int:
         batch_size=args.batch,
         seed=seed,
     )
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    model_path = args.out_dir / pipeline.MODEL_FILE
-    loss_path = args.out_dir / pipeline.LOSS_CSV
-    try:
-        autonet.save_model(net, model_path)
-        pipeline.write_loss_csv(history, loss_path)
-    except Exception:
-        model_path.unlink(missing_ok=True)
-        loss_path.unlink(missing_ok=True)
-        raise
+    paths = pipeline.write_files(
+        args.out_dir,
+        {
+            pipeline.MODEL_FILE: functools.partial(autonet.save_model, net),
+            pipeline.LOSS_CSV: functools.partial(pipeline.write_loss_csv, history),
+        },
+    )
     print(f"parameters={autonet.count_parameters(net)}")
     print(f"final_loss={history.final_loss():.12g}")
-    print(f"model={model_path}")
-    print(f"loss_csv={loss_path}")
+    print(f"model={paths[pipeline.MODEL_FILE]}")
+    print(f"loss_csv={paths[pipeline.LOSS_CSV]}")
     return 0
 
 
@@ -250,8 +235,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     net = autonet.load_model(args.model)
     records = _records_from_csv(args.labels)
     num_clusters = _infer_clusters(net, args.k)
-    X = np.array([[r.volatility, r.ret] for r in records], dtype=float)
-    raw, _ = autonet.forward(net, X)
+    raw, _ = autonet.forward(net, pipeline.feature_matrix(records))
     raw = raw[:, 0]
     predicted = autonet.round_labels(raw, num_clusters)
     lines = ["ticker,volatility,return,raw_output,predicted"]
@@ -312,78 +296,38 @@ def cmd_report(args: argparse.Namespace) -> int:
     net = autonet.load_model(model_path)
     num_clusters = _infer_clusters(net, None)
     losses = pipeline.read_loss_csv(loss_path)
+    sweep_path = out / pipeline.SWEEP_CSV
+    sweep = kmeans.read_sweep_csv(sweep_path) if sweep_path.exists() else None
+    predicted = autonet.predict_labels(net, pipeline.feature_matrix(records), num_clusters)
 
-    X = np.array([[r.volatility, r.ret] for r in records], dtype=float)
-    raw, _ = autonet.forward(net, X)
-    predicted = autonet.round_labels(raw[:, 0], num_clusters)
-    misses = [int(p) != rec.cluster for p, rec in zip(predicted, records)]
-    legend_k = max(num_clusters, max(r.cluster for r in records) + 1)
-
-    written: list[Path] = []
-
-    def emit_text(name: str, text: str) -> None:
-        path = out / name
-        path.write_text(text, encoding="utf-8")
-        written.append(path)
-
-    try:
-        sweep_path = out / pipeline.SWEEP_CSV
-        if sweep_path.exists():
-            sweep = kmeans.read_sweep_csv(sweep_path)
-            emit_text(
-                K_SWEEP_SVG,
-                svgplot.line_chart(
-                    [k for k, _ in sweep],
-                    [s for _, s in sweep],
-                    "Silhouette by cluster count",
-                    "k",
-                    "mean silhouette",
-                ),
-            )
-        emit_text(
-            LOSS_SVG,
-            svgplot.line_chart(
-                [e for e, _ in losses],
-                [v for _, v in losses],
-                "Training loss",
-                "epoch",
-                "MSE",
-            ),
+    texts: dict[str, str] = {}
+    if sweep is not None:
+        texts[K_SWEEP_SVG] = svgplot.line_chart(
+            [k for k, _ in sweep],
+            [s for _, s in sweep],
+            "Silhouette by cluster count",
+            "k",
+            "mean silhouette",
         )
-        emit_text(
-            pipeline.SCATTER_KMEANS_SVG,
-            svgplot.scatter_chart(
-                [(r.volatility, r.ret, r.cluster, m) for r, m in zip(records, misses)],
-                "KMeans clustering",
-                "annualized volatility",
-                "annualized return",
-                legend_k,
-            ),
+    texts[LOSS_SVG] = svgplot.line_chart(
+        [e for e, _ in losses],
+        [v for _, v in losses],
+        "Training loss",
+        "epoch",
+        "MSE",
+    )
+    texts.update(pipeline.scatter_charts(records, predicted, num_clusters))
+    point_lines = ["ticker,volatility,return,kmeans,predicted,missed"]
+    for rec, p in zip(records, predicted):
+        point_lines.append(
+            f"{rec.ticker},{rec.volatility:.12g},{rec.ret:.12g},{rec.cluster},{p},{int(p != rec.cluster)}"
         )
-        emit_text(
-            pipeline.SCATTER_AUTONET_SVG,
-            svgplot.scatter_chart(
-                [
-                    (r.volatility, r.ret, int(p), m)
-                    for r, p, m in zip(records, predicted, misses)
-                ],
-                "Autoencoder clustering",
-                "annualized volatility",
-                "annualized return",
-                legend_k,
-            ),
-        )
-        point_lines = ["ticker,volatility,return,kmeans,predicted,missed"]
-        for rec, p, m in zip(records, predicted, misses):
-            point_lines.append(
-                f"{rec.ticker},{rec.volatility:.12g},{rec.ret:.12g},{rec.cluster},{int(p)},{int(m)}"
-            )
-        emit_text(SCATTER_POINTS_CSV, "\n".join(point_lines) + "\n")
-    except Exception:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-    for path in written:
+    texts[SCATTER_POINTS_CSV] = "\n".join(point_lines) + "\n"
+
+    paths = pipeline.write_files(out, texts)
+    if sweep is None:
+        (out / K_SWEEP_SVG).unlink(missing_ok=True)
+    for path in paths.values():
         print(f"wrote {path}")
     return 0
 

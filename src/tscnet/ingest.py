@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass, field
 
 from .errors import EmptyList, FormatError, NoData
@@ -108,7 +109,9 @@ def _parse_row(row: list[str], lineno: int) -> tuple[str, dt.date, float]:
         close = float(row[2])
     except ValueError as exc:
         raise FormatError(f"line {lineno}: bad price {row[2]!r}") from exc
-    if not close > 0:
+    if not math.isfinite(close):
+        raise FormatError(f"line {lineno}: non-finite price {row[2]!r}")
+    if close <= 0:
         raise FormatError(f"line {lineno}: non-positive price {close}")
     return ticker, date, close
 
@@ -190,3 +193,27 @@ def write_price_table(table: PriceTable, path) -> None:
         for series in table:
             for date, close in zip(series.dates, series.closes):
                 fh.write(f"{series.ticker},{date.isoformat()},{close!r}\n")
+
+
+def read_pairs_csv(path, header: str) -> list[tuple[int, float]]:
+    """Read ``int,float`` rows under the exact ``header`` line.
+
+    Blank lines are skipped. A bad header or row, or no row at all, raises
+    FormatError naming the path and the line.
+    """
+    out = []
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        found = fh.readline().rstrip("\n")
+        if found != header:
+            raise FormatError(f"{path}: bad header {found!r}, expected {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            try:
+                left, right = line.rstrip("\n").split(",")
+                out.append((int(left), float(right)))
+            except ValueError:
+                raise FormatError(f"{path} line {lineno}: bad row {line.rstrip()!r}") from None
+    if not out:
+        raise FormatError(f"{path}: no rows under {header!r}")
+    return out

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadK, EmptyCentroids, NonFinitePoint, SingleCluster
+from .ingest import read_pairs_csv
 from .rng import Xorshift64Star, derive_seed
 
 DEFAULT_RESTARTS = 10
@@ -222,23 +223,24 @@ def select_k(
     k_max: int = 10,
     seed: int = 7,
     restarts: int = DEFAULT_RESTARTS,
-) -> tuple[int, list[tuple[int, float]]]:
-    """Fit every k in [k_min, k_max], return (best k, full (k, silhouette) table).
+) -> tuple[KMeansModel, list[tuple[int, float]]]:
+    """Fit every k in [k_min, k_max], return (best model, full (k, silhouette) table).
 
-    Best k maximizes silhouette; ties go to the smallest k.
+    The best model maximizes silhouette; ties go to the smallest k. It is the
+    fit ``kmeans_fit(points, best.k, seed, restarts)`` returns, so callers
+    need not refit it.
     """
     n = len(points)
     if not 2 <= k_min <= k_max <= n - 1:
         raise BadK(f"need 2 <= k_min <= k_max <= {n - 1}, got [{k_min}, {k_max}]")
     table = []
-    best_k = None
-    best_score = -np.inf
+    best = None
     for k in range(k_min, k_max + 1):
         model = kmeans_fit(points, k, seed=seed, restarts=restarts)
         table.append((k, model.silhouette))
-        if model.silhouette > best_score:
-            best_k, best_score = k, model.silhouette
-    return best_k, table
+        if best is None or model.silhouette > best.silhouette:
+            best = model
+    return best, table
 
 
 def relabel_by_return(model: KMeansModel) -> KMeansModel:
@@ -271,13 +273,5 @@ def write_sweep_csv(table, path) -> None:
 
 
 def read_sweep_csv(path) -> list[tuple[int, float]]:
-    """Read a ``k,silhouette`` table back."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines or lines[0] != "k,silhouette":
-        raise ValueError(f"not a k-sweep table: {path}")
-    out = []
-    for line in lines[1:]:
-        k_str, score_str = line.split(",")
-        out.append((int(k_str), float(score_str)))
-    return out
+    """Read a ``k,silhouette`` table back; malformed lines raise FormatError."""
+    return read_pairs_csv(path, "k,silhouette")

@@ -16,6 +16,7 @@ stage surface as :class:`PipelineError` tagged with the stage name.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -93,9 +94,20 @@ class EvaluationReport:
     cluster_bounds: dict[int, tuple[float, float, float, float]]
 
 
-def feature_matrix(feats: list[features.FeatureVector]) -> np.ndarray:
-    """Stack feature vectors as an (n, 2) array of (volatility, ret) rows."""
-    return np.array([[f.volatility, f.ret] for f in feats], dtype=float)
+def feature_matrix(rows) -> np.ndarray:
+    """Stack rows with ``.volatility`` and ``.ret`` as an (n, 2) array."""
+    return np.array([[r.volatility, r.ret] for r in rows], dtype=float)
+
+
+def load_table(prices_path, tickers_path, start_date) -> tuple[ingest.PriceTable, list[str]]:
+    """Load a prices CSV, keeping the symbols in ``tickers_path`` when given
+    and the rows from ``start_date`` on when given. Returns (table, warnings).
+    """
+    tickers = None
+    if tickers_path is not None:
+        tickers = ingest.parse_ticker_list(Path(tickers_path).read_text(encoding="utf-8"))
+    start = start_date if start_date is not None else dt.date.min
+    return ingest.load_price_table(prices_path, tickers, start)
 
 
 def _records_from(feats, model: kmeans.KMeansModel) -> list[LabeledRecord]:
@@ -115,37 +127,37 @@ def stage1_label(
     restarts: int = kmeans.DEFAULT_RESTARTS,
     canonical: bool = False,
     warn_sink: list[str] | None = None,
-) -> tuple[list[LabeledRecord], kmeans.KMeansModel]:
+) -> tuple[list[LabeledRecord], kmeans.KMeansModel, list[tuple[int, float]] | None]:
     """Features plus k-means labels for every usable ticker, in ticker order.
 
-    ``k`` is an integer or "auto"; auto sweeps [k_min, min(k_max, n-1)] and
-    keeps the silhouette maximizer. ``canonical`` renumbers clusters by
-    descending mean return. Tickers dropped for short series are reported
-    into ``warn_sink`` when given.
+    Returns (records, fitted model, sweep). ``k`` is an integer or "auto";
+    auto sweeps [k_min, min(k_max, n-1)], keeps the silhouette maximizer and
+    returns the (k, silhouette) table as ``sweep``, which is None for a fixed
+    k. ``canonical`` renumbers clusters by descending mean return. Tickers
+    dropped for short series are reported into ``warn_sink`` when given.
     """
     feats, warnings = features.build_feature_table(table, trading_days)
     if warn_sink is not None:
         warn_sink.extend(warnings)
-    points = feature_matrix(feats)
-    chosen = _resolve_k(points, k, k_min, k_max, seed, restarts)[0]
-    model = kmeans.kmeans_fit(points, chosen, seed=seed, restarts=restarts)
+    model, sweep = _resolve_k(feature_matrix(feats), k, k_min, k_max, seed, restarts)
     if canonical:
         model = kmeans.relabel_by_return(model)
-    return _records_from(feats, model), model
+    return _records_from(feats, model), model, sweep
 
 
-def _resolve_k(points, k, k_min, k_max, seed, restarts) -> tuple[int, list[tuple[int, float]] | None]:
-    """Fixed k passes through; "auto" runs the silhouette sweep."""
+def _resolve_k(points, k, k_min, k_max, seed, restarts) -> tuple[kmeans.KMeansModel, list[tuple[int, float]] | None]:
+    """(fitted model, sweep): a fixed k is fitted once with no sweep; "auto"
+    runs the silhouette sweep and keeps its best fit.
+    """
     if k == AUTO:
         n = len(points)
         hi = min(k_max, n - 1)
         if k_min > hi:
             raise BadK(f"auto-k needs k_min <= min(k_max, n-1); got k_min={k_min}, n={n}")
-        best_k, sweep = kmeans.select_k(points, k_min, hi, seed=seed, restarts=restarts)
-        return best_k, sweep
+        return kmeans.select_k(points, k_min, hi, seed=seed, restarts=restarts)
     if not isinstance(k, int):
         raise BadK(f"k must be an integer or {AUTO!r}, got {k!r}")
-    return k, None
+    return kmeans.kmeans_fit(points, k, seed=seed, restarts=restarts), None
 
 
 def split(
@@ -221,7 +233,7 @@ def stage2_train(
     """
     if not train_records:
         raise EmptyDataset("no training records")
-    X = np.array([[r.volatility, r.ret] for r in train_records], dtype=float)
+    X = feature_matrix(train_records)
     y = np.array([[float(r.cluster)] for r in train_records], dtype=float)
     net = autonet.build_autoencoder(2, encoder_widths, num_clusters, 1, seed=seed)
     history = autonet.train(net, X, y, epochs=epochs, batch_size=batch_size, seed=seed, lr=lr)
@@ -250,8 +262,7 @@ def evaluate(
     """Score network label predictions against the k-means reference labels."""
     if not test_records:
         raise EmptyDataset("no test records")
-    X = np.array([[r.volatility, r.ret] for r in test_records], dtype=float)
-    raw, _ = autonet.forward(net, X)
+    raw, _ = autonet.forward(net, feature_matrix(test_records))
     raw = raw[:, 0]
     predicted = autonet.round_labels(raw, num_clusters)
     rows = tuple(
@@ -304,16 +315,8 @@ def write_loss_csv(history: autonet.TrainHistory, path) -> None:
 
 
 def read_loss_csv(path) -> list[tuple[int, float]]:
-    """Read an ``epoch,loss`` curve back."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines or lines[0] != "epoch,loss":
-        raise ValueError(f"not a loss curve: {path}")
-    out = []
-    for line in lines[1:]:
-        epoch_str, loss_str = line.split(",")
-        out.append((int(epoch_str), float(loss_str)))
-    return out
+    """Read an ``epoch,loss`` curve back; malformed lines raise FormatError."""
+    return ingest.read_pairs_csv(path, "epoch,loss")
 
 
 CONFIG_KEYS = (
@@ -459,11 +462,53 @@ def _stage(name: str, fn, *args, **kwargs):
         raise PipelineError(name, exc) from exc
 
 
-def _scatter_points(records, labels, misses):
-    return [
-        (rec.volatility, rec.ret, int(lab), bool(miss))
-        for rec, lab, miss in zip(records, labels, misses)
-    ]
+def scatter_charts(records, predicted, num_clusters: int) -> dict[str, str]:
+    """The k-means and autoencoder scatter SVGs, keyed by file name.
+
+    Records whose predicted label differs from their k-means label are
+    marked as misses in both. The legend lists max(num_clusters, largest
+    k-means label + 1) clusters.
+    """
+    legend_k = max(num_clusters, max(r.cluster for r in records) + 1)
+    misses = [int(p) != r.cluster for p, r in zip(predicted, records)]
+    charts = {}
+    for name, title, labels in (
+        (SCATTER_KMEANS_SVG, "KMeans clustering", [r.cluster for r in records]),
+        (SCATTER_AUTONET_SVG, "Autoencoder clustering", predicted),
+    ):
+        charts[name] = svgplot.scatter_chart(
+            [(r.volatility, r.ret, int(lab), m) for r, lab, m in zip(records, labels, misses)],
+            title,
+            "annualized volatility",
+            "annualized return",
+            legend_k,
+        )
+    return charts
+
+
+def write_files(out_dir, writers) -> dict[str, Path]:
+    """Create ``out_dir`` and write each file of ``writers``, in order.
+
+    ``writers`` maps a file name to its text or to a callable that writes
+    the file at the path it is given. Returns the paths by name. If any
+    write fails, every file this call started is removed and the error
+    propagates.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    paths: dict[str, Path] = {}
+    try:
+        for name, write in writers.items():
+            paths[name] = out / name
+            if isinstance(write, str):
+                paths[name].write_text(write, encoding="utf-8")
+            else:
+                write(paths[name])
+    except Exception:
+        for path in paths.values():
+            path.unlink(missing_ok=True)
+        raise
+    return paths
 
 
 def run_pipeline(config: PipelineConfig, stratify: bool = False) -> PipelineResult:
@@ -471,37 +516,23 @@ def run_pipeline(config: PipelineConfig, stratify: bool = False) -> PipelineResu
 
     All stages run before any file is written; a failure while writing
     removes whatever this run had already created. The manifest lists every
-    artifact as ``<sha256>  <name>``, sorted by name.
+    artifact as ``<sha256>  <name>``, sorted by name. A fixed-k run removes
+    a ``k_sweep.csv`` left in ``out_dir`` by an earlier auto-k run.
     """
-    warnings: list[str] = []
-
-    def load_table():
-        tickers = None
-        if config.tickers_path is not None:
-            tickers = ingest.parse_ticker_list(config.tickers_path.read_text(encoding="utf-8"))
-        start = config.start_date if config.start_date is not None else dt.date.min
-        table, warns = ingest.load_price_table(config.prices_path, tickers, start)
-        warnings.extend(warns)
-        return table
-
-    table = _stage("ingest", load_table)
-
-    def build_features():
-        feats, warns = features.build_feature_table(table, config.trading_days)
-        warnings.extend(warns)
-        return feats
-
-    feats = _stage("features", build_features)
-    points = feature_matrix(feats)
-
-    def fit():
-        chosen, sweep = _resolve_k(points, config.k, config.k_min, config.k_max, config.seed, kmeans.DEFAULT_RESTARTS)
-        model = kmeans.kmeans_fit(points, chosen, seed=config.seed)
-        return model, sweep
-
-    model, sweep = _stage("kmeans", fit)
-    records = _records_from(feats, model)
-
+    table, warnings = _stage(
+        "ingest", load_table, config.prices_path, config.tickers_path, config.start_date
+    )
+    records, model, sweep = _stage(
+        "label",
+        stage1_label,
+        table,
+        k=config.k,
+        seed=config.seed,
+        trading_days=config.trading_days,
+        k_min=config.k_min,
+        k_max=config.k_max,
+        warn_sink=warnings,
+    )
     train_set, test_set = _stage(
         "split", split, records, SplitSpec(config.test_fraction, config.seed), stratify
     )
@@ -517,60 +548,21 @@ def run_pipeline(config: PipelineConfig, stratify: bool = False) -> PipelineResu
     report = _stage("evaluate", evaluate, net, test_set, model.k)
 
     def emit():
-        raw_all, _ = autonet.forward(net, points)
-        predicted_all = autonet.round_labels(raw_all[:, 0], model.k)
-        misses = [int(p) != rec.cluster for p, rec in zip(predicted_all, records)]
-
-        out = config.out_dir
-        out.mkdir(parents=True, exist_ok=True)
-        written: list[Path] = []
-
-        def target(name: str) -> Path:
-            p = out / name
-            written.append(p)
-            return p
-
-        artifacts: dict[str, Path] = {}
-        try:
-            features.write_labels_csv(records, target(LABELS_CSV))
-            artifacts[LABELS_CSV] = out / LABELS_CSV
-            autonet.save_model(net, target(MODEL_FILE))
-            artifacts[MODEL_FILE] = out / MODEL_FILE
-            if sweep is not None:
-                kmeans.write_sweep_csv(sweep, target(SWEEP_CSV))
-                artifacts[SWEEP_CSV] = out / SWEEP_CSV
-            write_loss_csv(history, target(LOSS_CSV))
-            artifacts[LOSS_CSV] = out / LOSS_CSV
-            write_evaluation_csv(report, target(EVAL_CSV))
-            artifacts[EVAL_CSV] = out / EVAL_CSV
-
-            km_svg = svgplot.scatter_chart(
-                _scatter_points(records, [r.cluster for r in records], misses),
-                "KMeans clustering",
-                "annualized volatility",
-                "annualized return",
-                model.k,
-            )
-            target(SCATTER_KMEANS_SVG).write_text(km_svg, encoding="utf-8")
-            artifacts[SCATTER_KMEANS_SVG] = out / SCATTER_KMEANS_SVG
-
-            net_svg = svgplot.scatter_chart(
-                _scatter_points(records, predicted_all, misses),
-                "Autoencoder clustering",
-                "annualized volatility",
-                "annualized return",
-                model.k,
-            )
-            target(SCATTER_AUTONET_SVG).write_text(net_svg, encoding="utf-8")
-            artifacts[SCATTER_AUTONET_SVG] = out / SCATTER_AUTONET_SVG
-
-            manifest_path = out / MANIFEST_FILE
-            written.append(manifest_path)
-            write_manifest(artifacts, manifest_path)
-        except Exception:
-            for p in written:
-                p.unlink(missing_ok=True)
-            raise
+        predicted = autonet.predict_labels(net, feature_matrix(records), model.k)
+        writers = {
+            LABELS_CSV: functools.partial(features.write_labels_csv, records),
+            MODEL_FILE: functools.partial(autonet.save_model, net),
+        }
+        if sweep is not None:
+            writers[SWEEP_CSV] = functools.partial(kmeans.write_sweep_csv, sweep)
+        writers[LOSS_CSV] = functools.partial(write_loss_csv, history)
+        writers[EVAL_CSV] = functools.partial(write_evaluation_csv, report)
+        writers.update(scatter_charts(records, predicted, model.k))
+        artifacts = {name: config.out_dir / name for name in writers}
+        writers[MANIFEST_FILE] = functools.partial(write_manifest, artifacts)
+        manifest_path = write_files(config.out_dir, writers)[MANIFEST_FILE]
+        if sweep is None:
+            (config.out_dir / SWEEP_CSV).unlink(missing_ok=True)
         return artifacts, manifest_path
 
     artifacts, manifest_path = _stage("emit", emit)

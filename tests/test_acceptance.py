@@ -223,8 +223,8 @@ def test_criterion_07_k_selection():
         for cx, cy in BLOB_CENTERS:
             for _ in range(10):
                 pts.append((cx + BLOB_SIGMA * gen.normal(), cy + BLOB_SIGMA * gen.normal()))
-        best_k, _ = select_k(np.array(pts), 2, 10, seed=seed)
-        correct += best_k == 4
+        best, _ = select_k(np.array(pts), 2, 10, seed=seed)
+        correct += best.k == 4
     elapsed = time.perf_counter() - t0
     ok = correct >= 95
     _report(7, "k_selection", ok, f"{correct}/100 seeds chose k=4, {elapsed:.2f}s")

@@ -327,6 +327,28 @@ class TestReport:
         assert not (out_dir / K_SWEEP_SVG).exists()
         assert sum(1 for line in stdout.splitlines() if line.startswith("wrote ")) == 4
 
+    def test_fixed_k_rerun_drops_stale_sweep_chart(self, run_dir, workdir, tmp_path, capsys):
+        run_cli(capsys, ["report", "--out-dir", str(run_dir)])
+        assert (run_dir / K_SWEEP_SVG).exists()
+        config = write_config(tmp_path / "fixed.cfg", workdir["prices"], run_dir, k=3)
+        run_cli(capsys, ["run", str(config)])
+        assert not (run_dir / SWEEP_CSV).exists()
+        stdout, _ = run_cli(capsys, ["report", "--out-dir", str(run_dir)])
+        assert not (run_dir / K_SWEEP_SVG).exists()
+        assert sum(1 for line in stdout.splitlines() if line.startswith("wrote ")) == 4
+
+    @pytest.mark.parametrize("name, text, where", [
+        (LOSS_CSV, "epoch,loss\n1,0.5,9\n", "loss.csv line 2"),
+        (SWEEP_CSV, "k,silhouette\n2,abc\n", "k_sweep.csv line 2"),
+        (LOSS_CSV, "epoch,loss\n", "loss.csv: no rows"),
+    ])
+    def test_malformed_input_is_one_error_line(self, run_dir, capsys, name, text, where):
+        (run_dir / name).write_text(text, encoding="utf-8")
+        _, stderr = run_cli(capsys, ["report", "--out-dir", str(run_dir)], expect=1)
+        assert stderr.startswith("error: ") and where in stderr
+        assert len(stderr.splitlines()) == 1
+        assert not (run_dir / LOSS_SVG).exists()
+
     def test_missing_artifacts(self, tmp_path, capsys):
         _, stderr = run_cli(capsys, ["report", "--out-dir", str(tmp_path)], expect=1)
         assert "missing artifact" in stderr

@@ -121,6 +121,12 @@ class TestLoadPriceTable:
         with pytest.raises(FormatError, match="non-positive"):
             load_price_table(_write(tmp_path, "ticker,date,adj_close\nAAA,2019-01-02,-4\n"))
 
+    @pytest.mark.parametrize("price", ["inf", "-inf", "nan", "1e999"])
+    def test_non_finite_price(self, tmp_path, price):
+        text = f"ticker,date,adj_close\nAAA,2019-01-02,1.0\nAAA,2019-01-03,{price}\n"
+        with pytest.raises(FormatError, match="line 3: non-finite price"):
+            load_price_table(_write(tmp_path, text))
+
     def test_duplicate_date_keeps_last(self, tmp_path):
         text = (
             "ticker,date,adj_close\n"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_blob_points
-from tscnet.errors import BadK, EmptyCentroids, NonFinitePoint, SingleCluster
+from tscnet.errors import BadK, EmptyCentroids, FormatError, NonFinitePoint, SingleCluster
 from tscnet.kmeans import (
     KMeansModel,
     assign,
@@ -222,15 +222,23 @@ class TestSilhouette:
 class TestSelectK:
     def test_finds_four_blobs(self):
         X, _ = make_blob_points(seed=6)
-        best_k, table = select_k(X, 2, 10, seed=7)
-        assert best_k == 4
+        best, table = select_k(X, 2, 10, seed=7)
+        assert best.k == 4
         assert [k for k, _ in table] == list(range(2, 11))
 
     def test_best_is_smallest_argmax(self):
         X, _ = make_blob_points(seed=8)
-        best_k, table = select_k(X, 2, 8, seed=7)
+        best, table = select_k(X, 2, 8, seed=7)
         scores = [s for _, s in table]
-        assert best_k == min(k for k, s in table if s == max(scores))
+        assert best.k == min(k for k, s in table if s == max(scores))
+
+    def test_best_model_is_the_direct_fit(self):
+        X, _ = make_blob_points(seed=6)
+        best, _ = select_k(X, 2, 6, seed=7, restarts=3)
+        direct = kmeans_fit(X, best.k, seed=7, restarts=3)
+        assert np.array_equal(best.centroids, direct.centroids)
+        assert np.array_equal(best.assignments, direct.assignments)
+        assert (best.wcss, best.silhouette) == (direct.wcss, direct.silhouette)
 
     def test_preconditions(self):
         X, _ = make_blob_points(seed=9)  # 40 points
@@ -272,7 +280,7 @@ class TestSweepCsv:
     def test_reject_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError, match="bad header"):
             read_sweep_csv(path)
 
 

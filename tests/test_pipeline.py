@@ -1,5 +1,6 @@
 """Pipeline tests: splitting, staged fitting, evaluation, config, artifacts."""
 
+import datetime as dt
 import hashlib
 import math
 
@@ -14,6 +15,7 @@ from tscnet.errors import (
     BadConfig,
     BadK,
     EmptyDataset,
+    FormatError,
     PipelineError,
 )
 from tscnet.ingest import load_price_table
@@ -33,6 +35,7 @@ from tscnet.pipeline import (
     SplitSpec,
     evaluate,
     label_accuracy,
+    load_table,
     parse_config,
     read_loss_csv,
     run_pipeline,
@@ -40,6 +43,7 @@ from tscnet.pipeline import (
     stage1_label,
     stage2_train,
     write_evaluation_csv,
+    write_files,
     write_loss_csv,
 )
 
@@ -147,7 +151,7 @@ class TestSplit:
 class TestStage1:
     def test_blob_labels_recover_truth(self, blob_table):
         table, targets = blob_table
-        records, model = stage1_label(table, k=4, seed=7)
+        records, model, _ = stage1_label(table, k=4, seed=7)
         assert model.k == 4
         assert len(records) == 70
         truth = {t: min(range(4), key=lambda c: (BLOB_CENTERS[c][0] - v) ** 2 + (BLOB_CENTERS[c][1] - r) ** 2)
@@ -164,19 +168,26 @@ class TestStage1:
 
     def test_auto_k_picks_four(self, blob_table):
         table, _ = blob_table
-        records, model = stage1_label(table, k=AUTO, seed=7)
+        records, model, _ = stage1_label(table, k=AUTO, seed=7)
         assert model.k == 4
         assert model.silhouette is not None
         assert {r.cluster for r in records} == {0, 1, 2, 3}
 
+    def test_sweep_only_for_auto_k(self, blob_table):
+        table, _ = blob_table
+        _, model, sweep = stage1_label(table, k=AUTO, seed=7, k_max=6)
+        assert [k for k, _ in sweep] == [2, 3, 4, 5, 6]
+        assert dict(sweep)[model.k] == model.silhouette
+        assert stage1_label(table, k=4, seed=7)[2] is None
+
     def test_records_sorted_by_ticker(self, blob_table):
         table, _ = blob_table
-        records, _ = stage1_label(table, k=4, seed=7)
+        records, _, _ = stage1_label(table, k=4, seed=7)
         assert [r.ticker for r in records] == sorted(r.ticker for r in records)
 
     def test_canonical_orders_clusters_by_return(self, blob_table):
         table, _ = blob_table
-        records, model = stage1_label(table, k=4, seed=7, canonical=True)
+        records, model, _ = stage1_label(table, k=4, seed=7, canonical=True)
         means = {}
         for rec in records:
             means.setdefault(rec.cluster, []).append(rec.ret)
@@ -207,7 +218,7 @@ class TestStage1:
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         table, _ = load_price_table(path)
         sink: list[str] = []
-        records, _ = stage1_label(table, k=2, seed=7, warn_sink=sink)
+        records, _, _ = stage1_label(table, k=2, seed=7, warn_sink=sink)
         assert {r.ticker for r in records} == {"AAA", "BBB", "CCC"}
         assert any(w.startswith("SHT:") for w in sink)
 
@@ -224,7 +235,7 @@ class TestStage2:
 
     def test_blobs_reach_low_loss(self, blob_table):
         table, _ = blob_table
-        records, _ = stage1_label(table, k=4, seed=7)
+        records, _, _ = stage1_label(table, k=4, seed=7)
         train_recs, test_recs = split(records, SplitSpec(0.33, 7))
         net, history = stage2_train(train_recs, num_clusters=4, epochs=1000, seed=7)
         assert history.final_loss() < 0.05
@@ -291,7 +302,7 @@ class TestEvaluate:
 
     def test_cluster_bounds_contain_members(self, blob_table):
         table, _ = blob_table
-        records, _ = stage1_label(table, k=4, seed=7)
+        records, _, _ = stage1_label(table, k=4, seed=7)
         net = linear_net(0.0, 1.0, 0.0)
         report = evaluate(net, records, num_clusters=4)
         for row in report.rows:
@@ -332,13 +343,19 @@ class TestCsvWriters:
     def test_loss_csv_rejects_garbage(self, tmp_path):
         path = tmp_path / "loss.csv"
         path.write_text("epoch,loss\none,0.5\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError, match="line 2"):
+            read_loss_csv(path)
+
+    def test_loss_csv_rejects_extra_field(self, tmp_path):
+        path = tmp_path / "loss.csv"
+        path.write_text("epoch,loss\n1,0.5\n\n2,0.25,9\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"loss\.csv line 4"):
             read_loss_csv(path)
 
     def test_loss_csv_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "loss.csv"
         path.write_text("loss,epoch\n0.5,1\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(FormatError, match="bad header"):
             read_loss_csv(path)
 
 
@@ -479,6 +496,21 @@ class TestRunPipeline:
         assert result.chosen_k == 4
         assert result.sweep is not None
 
+    def test_fixed_k_rerun_removes_stale_sweep(self, tmp_path, prices):
+        out = tmp_path / "out"
+        run_pipeline(self.run_config(prices, out, k=AUTO))
+        assert (out / SWEEP_CSV).exists()
+        result = run_pipeline(self.run_config(prices, out, k=3))
+        assert not (out / SWEEP_CSV).exists()
+        assert SWEEP_CSV not in result.manifest_path.read_text(encoding="utf-8")
+
+    def test_clustering_failure_tagged_label(self, tmp_path, prices):
+        with pytest.raises(PipelineError) as exc:
+            run_pipeline(self.run_config(prices, tmp_path / "out", k=71))
+        assert exc.value.stage == "label"
+        assert str(exc.value).startswith("[label] ")
+        assert not (tmp_path / "out").exists()
+
     def test_manifest_hashes_verify(self, tmp_path, prices):
         result = run_pipeline(self.run_config(prices, tmp_path / "out"))
         for line in result.manifest_path.read_text(encoding="utf-8").splitlines():
@@ -519,3 +551,45 @@ class TestRunPipeline:
         assert len(result.report.rows) == 24
         net = load_model(result.artifacts[MODEL_FILE])
         assert net.widths() == [2, 100, 50, 20, 4, 20, 50, 100, 1]
+
+
+class TestLoadTable:
+    def test_ticker_file_and_start_date(self, tmp_path):
+        prices = tmp_path / "prices.csv"
+        prices.write_text(
+            "ticker,date,adj_close\n"
+            "AAA,2020-01-01,1.0\nAAA,2020-01-02,2.0\nAAA,2020-01-03,3.0\n"
+            "BBB,2020-01-02,1.0\nBBB,2020-01-03,2.0\n",
+            encoding="utf-8",
+        )
+        keep = tmp_path / "keep.txt"
+        keep.write_text("AAA\n", encoding="utf-8")
+        table, warnings = load_table(prices, keep, dt.date(2020, 1, 2))
+        assert table.tickers() == ["AAA"]
+        assert table["AAA"].closes == (2.0, 3.0)
+        assert warnings == ["BBB: excluded, not in ticker filter"]
+
+    def test_no_filters_loads_everything(self, blob_prices_csv):
+        table, _ = load_table(blob_prices_csv, None, None)
+        assert len(table) == 70
+
+
+class TestWriteFiles:
+    def test_writes_text_and_callables_in_order(self, tmp_path):
+        paths = write_files(tmp_path / "new", {
+            "a.txt": "alpha\n",
+            "b.txt": lambda p: p.write_text("beta\n", encoding="utf-8"),
+        })
+        assert list(paths) == ["a.txt", "b.txt"]
+        assert paths["a.txt"].read_text(encoding="utf-8") == "alpha\n"
+        assert paths["b.txt"].read_text(encoding="utf-8") == "beta\n"
+
+    def test_failure_removes_started_files(self, tmp_path):
+        def broken(path):
+            path.write_text("half", encoding="utf-8")
+            raise OSError("disk full")
+
+        (tmp_path / "keep.txt").write_text("old", encoding="utf-8")
+        with pytest.raises(OSError, match="disk full"):
+            write_files(tmp_path, {"a.txt": "alpha", "b.txt": broken, "c.txt": "never"})
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.txt"]
