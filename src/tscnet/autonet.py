@@ -27,6 +27,8 @@ from .errors import (
     ModelFormatError,
     NonFiniteInput,
     ShapeMismatch,
+    TscnetError,
+    reading_utf8,
 )
 from .rng import Xorshift64Star
 
@@ -89,10 +91,6 @@ class DenseNetwork:
     @property
     def input_width(self) -> int:
         return self.layers[0].spec.input_width
-
-    @property
-    def output_width(self) -> int:
-        return self.layers[-1].spec.output_width
 
     def widths(self) -> list[int]:
         return [self.input_width] + [layer.spec.output_width for layer in self.layers]
@@ -326,7 +324,9 @@ def train(
     With batch_size >= n the whole dataset forms one batch and the sample
     order is never touched; with smaller batches the row order is reshuffled
     each epoch from a stream seeded once at the start. Either way a fixed
-    (seed, data, hyperparameters) tuple reproduces weights bitwise.
+    (seed, data, hyperparameters) tuple reproduces weights bitwise. A
+    non-finite epoch-end loss stops training with a TscnetError naming the
+    epoch.
     """
     Xa = np.asarray(X, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -349,7 +349,7 @@ def train(
     single_batch = batch_size >= n
 
     losses = []
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         if not single_batch:
             idx = list(range(n))
             rng.shuffle(idx)
@@ -362,6 +362,8 @@ def train(
             adam_step(params, flat_grads, state)
         out, _ = forward(net, Xa)
         losses.append(mse_loss(out, ya))
+        if not math.isfinite(losses[-1]):
+            raise TscnetError(f"training diverged: loss {losses[-1]} at epoch {epoch}")
     return TrainHistory(losses=tuple(losses), epochs=epochs, batch_size=batch_size, seed=seed)
 
 
@@ -369,10 +371,13 @@ def round_labels(raw, num_clusters: int) -> np.ndarray:
     """Map raw network outputs to labels: |round half to even|, clamp to [0, C-1].
 
     The absolute value folds the symmetric output range back onto valid
-    labels; the clamp covers outputs past either end.
+    labels; the clamp covers outputs past either end. NaN or infinite
+    outputs raise NonFiniteInput.
     """
     if num_clusters < 2:
         raise ValueError(f"num_clusters must be >= 2, got {num_clusters}")
+    if not np.all(np.isfinite(raw)):
+        raise NonFiniteInput("raw network outputs contain NaN or infinity")
     rounded = np.abs(np.rint(np.asarray(raw, dtype=float)))
     return np.clip(rounded, 0, num_clusters - 1).astype(int)
 
@@ -410,7 +415,7 @@ def _parse_floats(line: str, count: int, what: str) -> np.ndarray:
 
 def load_model(path) -> DenseNetwork:
     """Read a model saved by :func:`save_model`; predictions round-trip bitwise."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh, reading_utf8(path):
         lines = [line.rstrip("\n") for line in fh]
     lines = [line for line in lines if line.strip() != ""]
     if not lines or lines[0].strip() != MODEL_HEADER:

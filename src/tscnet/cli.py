@@ -39,16 +39,6 @@ def _k_value(text: str):
     return _positive_int(text)
 
 
-def _fraction(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"expected a fraction in (0, 1), got {value}")
-    return value
-
-
 def _iso_date(text: str):
     import datetime as dt
 
@@ -165,37 +155,44 @@ def _infer_clusters(net: autonet.DenseNetwork, override: int | None) -> int:
     return sigmoid_widths[0]
 
 
-def cmd_label(args: argparse.Namespace) -> int:
+def _stage1(args: argparse.Namespace, k: int | str, canonical: bool = False):
+    """Stage 1 on the prices named by the ingest flags: (records, model, sweep).
+
+    Warnings from loading and from featurizing go to stderr as they arise.
+    """
     seed = _resolve_seed(args)
     table, warns = pipeline.load_table(args.prices, args.tickers, args.start_date)
     _warn(warns)
     sink: list[str] = []
-    records, model, _ = pipeline.stage1_label(
+    result = pipeline.stage1_label(
         table,
-        k=args.k,
+        k=k,
         seed=seed,
         trading_days=args.trading_days,
         k_min=args.k_min,
         k_max=args.k_max,
-        canonical=args.canonical_labels,
+        canonical=canonical,
         warn_sink=sink,
     )
     _warn(sink)
-    features.write_labels_csv(records, args.out)
+    return result
+
+
+def _k_line(model: kmeans.KMeansModel) -> str:
     if model.silhouette is None:
-        print(f"k={model.k}")
-    else:
-        print(f"k={model.k} silhouette={model.silhouette:.12g}")
+        return f"k={model.k}"
+    return f"k={model.k} silhouette={model.silhouette:.12g}"
+
+
+def cmd_label(args: argparse.Namespace) -> int:
+    records, model, _ = _stage1(args, args.k, args.canonical_labels)
+    features.write_labels_csv(records, args.out)
+    print(_k_line(model))
     return 0
 
 
 def cmd_select_k(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
-    table, warns = pipeline.load_table(args.prices, args.tickers, args.start_date)
-    _warn(warns)
-    feats, feat_warns = features.build_feature_table(table, args.trading_days)
-    _warn(feat_warns)
-    best, sweep = kmeans.select_k(pipeline.feature_matrix(feats), args.k_min, args.k_max, seed=seed)
+    _, best, sweep = _stage1(args, pipeline.AUTO)
     for k, score in sweep:
         print(f"k={k} silhouette={score:.12g}")
     print(f"best k={best.k}")
@@ -234,14 +231,11 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_predict(args: argparse.Namespace) -> int:
     net = autonet.load_model(args.model)
     records = _records_from_csv(args.labels)
-    num_clusters = _infer_clusters(net, args.k)
-    raw, _ = autonet.forward(net, pipeline.feature_matrix(records))
-    raw = raw[:, 0]
-    predicted = autonet.round_labels(raw, num_clusters)
+    report = pipeline.evaluate(net, records, _infer_clusters(net, args.k))
     lines = ["ticker,volatility,return,raw_output,predicted"]
-    for rec, r_out, label in zip(records, raw, predicted):
+    for row in report.rows:
         lines.append(
-            f"{rec.ticker},{rec.volatility:.12g},{rec.ret:.12g},{r_out:.16e},{int(label)}"
+            f"{row.ticker},{row.volatility:.12g},{row.ret:.12g},{row.raw_output:.16e},{row.predicted}"
         )
     if args.out is None:
         for line in lines:
@@ -270,10 +264,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = pipeline.parse_config(args.config)
     result = pipeline.run_pipeline(config, stratify=args.stratify)
     _warn(result.warnings)
-    if result.model.silhouette is None:
-        print(f"k={result.chosen_k}")
-    else:
-        print(f"k={result.chosen_k} silhouette={result.model.silhouette:.12g}")
+    print(_k_line(result.model))
     print(f"train={len(result.records) - len(result.report.rows)} test={len(result.report.rows)}")
     print(f"final_loss={result.history.final_loss():.12g}")
     print(f"accuracy={result.report.accuracy:.12g}")

@@ -4,6 +4,8 @@ Every error raised by tscnet derives from ``TscnetError`` so callers (and the
 CLI) can distinguish data problems from programming errors.
 """
 
+import contextlib
+
 
 class TscnetError(Exception):
     """Base class for all tscnet errors."""
@@ -15,7 +17,16 @@ class EmptyList(TscnetError):
 
 
 class FormatError(TscnetError):
-    """A price file had a bad header or an unparseable row."""
+    """An input file had a bad header, an unparseable row or non-UTF-8 bytes."""
+
+
+@contextlib.contextmanager
+def reading_utf8(path):
+    """Re-raise a UnicodeDecodeError from the block as a FormatError naming ``path``."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 class NoData(TscnetError):
@@ -38,10 +49,6 @@ class BadK(TscnetError):
 
 class NonFinitePoint(TscnetError):
     """Feature points must be finite."""
-
-
-class EmptyCentroids(TscnetError):
-    """Nearest-centroid assignment needs at least one centroid."""
 
 
 class SingleCluster(TscnetError):

@@ -22,20 +22,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, NonPositivePrice, TooShort
+from .errors import FormatError, NonPositivePrice, TooShort, reading_utf8
 from .ingest import PriceTable
 
 TRADING_DAYS = 252
 
 LABELS_HEADER = ["ticker", "volatility", "return", "cluster"]
-
-
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Daily log returns for one ticker; length is len(prices) - 1."""
-
-    ticker: str
-    values: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -69,19 +61,14 @@ def sample_std(values) -> float:
     return float(np.std(v, ddof=1))
 
 
-def annualize(returns: ReturnSeries, trading_days: int = TRADING_DAYS) -> FeatureVector:
-    """Annualized feature vector from a return series."""
-    v = np.asarray(returns.values, dtype=float)
+def annualize(ticker: str, returns, trading_days: int = TRADING_DAYS) -> FeatureVector:
+    """Annualized feature vector from one ticker's daily log returns."""
+    v = np.asarray(returns, dtype=float)
     if v.size < 2:
-        raise TooShort(f"{returns.ticker}: need at least 2 returns, got {v.size}")
+        raise TooShort(f"{ticker}: need at least 2 returns, got {v.size}")
     vol = sample_std(v) * math.sqrt(trading_days)
     ret = float(np.mean(v)) * trading_days
-    return FeatureVector(returns.ticker, vol, ret)
-
-
-def returns_for(series) -> ReturnSeries:
-    """Log-return series for one PriceSeries."""
-    return ReturnSeries(series.ticker, tuple(log_returns(series.closes)))
+    return FeatureVector(ticker, vol, ret)
 
 
 def build_feature_table(
@@ -96,7 +83,7 @@ def build_feature_table(
     warnings = []
     for series in table:
         try:
-            features.append(annualize(returns_for(series), trading_days))
+            features.append(annualize(series.ticker, log_returns(series.closes), trading_days))
         except TooShort as exc:
             warnings.append(f"{series.ticker}: excluded, {exc}")
     return features, warnings
@@ -117,7 +104,7 @@ def write_labels_csv(records, path) -> None:
 def read_labels_csv(path) -> list[tuple[str, float, float, int]]:
     """Read ``ticker,volatility,return,cluster`` rows back."""
     out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, reading_utf8(path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != LABELS_HEADER:

@@ -16,7 +16,7 @@ import datetime as dt
 import math
 from dataclasses import dataclass, field
 
-from .errors import EmptyList, FormatError, NoData
+from .errors import EmptyList, FormatError, NoData, reading_utf8
 
 PRICES_HEADER = ["ticker", "date", "adj_close"]
 
@@ -140,7 +140,7 @@ def load_price_table(
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
         raise FormatError(f"cannot open {path}: {exc}") from exc
-    with fh:
+    with fh, reading_utf8(path):
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -186,23 +186,15 @@ def load_price_table(
     return table, warnings
 
 
-def write_price_table(table: PriceTable, path) -> None:
-    """Write a PriceTable in the prices CSV format (bitwise round-trip safe)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(PRICES_HEADER) + "\n")
-        for series in table:
-            for date, close in zip(series.dates, series.closes):
-                fh.write(f"{series.ticker},{date.isoformat()},{close!r}\n")
-
-
 def read_pairs_csv(path, header: str) -> list[tuple[int, float]]:
     """Read ``int,float`` rows under the exact ``header`` line.
 
     Blank lines are skipped. A bad header or row, or no row at all, raises
-    FormatError naming the path and the line.
+    FormatError naming the path and the line; non-UTF-8 bytes raise it
+    naming the path.
     """
     out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open(path, "r", encoding="utf-8", newline="") as fh, reading_utf8(path):
         found = fh.readline().rstrip("\n")
         if found != header:
             raise FormatError(f"{path}: bad header {found!r}, expected {header!r}")

@@ -17,11 +17,11 @@ hold exactly rather than within tol.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadK, EmptyCentroids, NonFinitePoint, SingleCluster
+from .errors import BadK, NonFinitePoint, SingleCluster
 from .ingest import read_pairs_csv
 from .rng import Xorshift64Star, derive_seed
 
@@ -49,15 +49,6 @@ class KMeansModel:
     seed: int
     iterations_run: int
     wcss_history: tuple[float, ...]
-
-
-def assign(point, centroids) -> int:
-    """Index of the nearest centroid; ties break toward the lowest index."""
-    c = np.asarray(centroids, dtype=float)
-    if c.size == 0:
-        raise EmptyCentroids("no centroids to assign to")
-    d2 = np.sum((c - np.asarray(point, dtype=float)) ** 2, axis=1)
-    return int(np.argmin(d2))
 
 
 def _assign_all(X: np.ndarray, centroids: np.ndarray):
@@ -252,16 +243,7 @@ def relabel_by_return(model: KMeansModel) -> KMeansModel:
     order = np.argsort(-model.centroids[:, 1], kind="stable")
     mapping = np.empty(model.k, dtype=int)
     mapping[order] = np.arange(model.k)
-    return KMeansModel(
-        k=model.k,
-        centroids=model.centroids[order],
-        assignments=mapping[model.assignments],
-        wcss=model.wcss,
-        silhouette=model.silhouette,
-        seed=model.seed,
-        iterations_run=model.iterations_run,
-        wcss_history=model.wcss_history,
-    )
+    return replace(model, centroids=model.centroids[order], assignments=mapping[model.assignments])
 
 
 def write_sweep_csv(table, path) -> None:

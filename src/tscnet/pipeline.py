@@ -19,13 +19,13 @@ import datetime as dt
 import functools
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import autonet, features, ingest, kmeans, svgplot
-from .errors import BadConfig, BadK, EmptyDataset, PipelineError
+from .errors import BadConfig, BadK, EmptyDataset, PipelineError, reading_utf8
 from .rng import Xorshift64Star
 
 AUTO = "auto"
@@ -81,17 +81,11 @@ class EvalRow:
 
 @dataclass(frozen=True)
 class EvaluationReport:
-    """Per-record comparison of network predictions against k-means labels.
-
-    ``cluster_bounds`` maps each k-means label present in the test set to
-    (vol_min, vol_max, ret_min, ret_max) over its rows; disagreements near a
-    shared bound sit on a cluster border.
-    """
+    """Per-record comparison of network predictions against k-means labels."""
 
     rows: tuple[EvalRow, ...]
     accuracy: float
     disagreements: tuple[EvalRow, ...]
-    cluster_bounds: dict[int, tuple[float, float, float, float]]
 
 
 def feature_matrix(rows) -> np.ndarray:
@@ -105,7 +99,8 @@ def load_table(prices_path, tickers_path, start_date) -> tuple[ingest.PriceTable
     """
     tickers = None
     if tickers_path is not None:
-        tickers = ingest.parse_ticker_list(Path(tickers_path).read_text(encoding="utf-8"))
+        with reading_utf8(tickers_path):
+            tickers = ingest.parse_ticker_list(Path(tickers_path).read_text(encoding="utf-8"))
     start = start_date if start_date is not None else dt.date.min
     return ingest.load_price_table(prices_path, tickers, start)
 
@@ -278,20 +273,10 @@ def evaluate(
         for i, rec in enumerate(test_records)
     )
     accuracy = label_accuracy([row.predicted for row in rows], [row.kmeans for row in rows])
-    bounds: dict[int, tuple[float, float, float, float]] = {}
-    for label in sorted({row.kmeans for row in rows}):
-        members = [row for row in rows if row.kmeans == label]
-        bounds[label] = (
-            min(m.volatility for m in members),
-            max(m.volatility for m in members),
-            min(m.ret for m in members),
-            max(m.ret for m in members),
-        )
     return EvaluationReport(
         rows=rows,
         accuracy=accuracy,
         disagreements=tuple(row for row in rows if row.missed),
-        cluster_bounds=bounds,
     )
 
 
@@ -317,22 +302,6 @@ def write_loss_csv(history: autonet.TrainHistory, path) -> None:
 def read_loss_csv(path) -> list[tuple[int, float]]:
     """Read an ``epoch,loss`` curve back; malformed lines raise FormatError."""
     return ingest.read_pairs_csv(path, "epoch,loss")
-
-
-CONFIG_KEYS = (
-    "prices_path",
-    "tickers_path",
-    "start_date",
-    "k",
-    "k_min",
-    "k_max",
-    "seed",
-    "epochs",
-    "batch_size",
-    "test_fraction",
-    "trading_days",
-    "out_dir",
-)
 
 
 @dataclass(frozen=True)
@@ -372,15 +341,17 @@ def parse_config(path) -> PipelineConfig:
     """Parse a key-value config file (``key = value`` or ``key: value`` lines).
 
     Blank lines and ``#`` comments are ignored. Relative paths resolve
-    against the config file's directory. Unknown or duplicate keys are
-    rejected.
+    against the config file's directory. The keys are the field names of
+    PipelineConfig; unknown or duplicate keys are rejected.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with reading_utf8(path):
+            text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise BadConfig(f"cannot read config {path}: {exc}") from exc
     base = path.resolve().parent
+    known = {f.name for f in fields(PipelineConfig)}
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -394,7 +365,7 @@ def parse_config(path) -> PipelineConfig:
             raise BadConfig(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key = key.strip()
         value = value.strip()
-        if key not in CONFIG_KEYS:
+        if key not in known:
             raise BadConfig(f"line {lineno}: unknown key {key!r}")
         if key in raw:
             raise BadConfig(f"line {lineno}: duplicate key {key!r}")
@@ -442,7 +413,6 @@ class PipelineResult:
     """Everything a run produced, with artifact paths keyed by file name."""
 
     config: PipelineConfig
-    chosen_k: int
     records: list[LabeledRecord]
     model: kmeans.KMeansModel
     sweep: list[tuple[int, float]] | None
@@ -568,7 +538,6 @@ def run_pipeline(config: PipelineConfig, stratify: bool = False) -> PipelineResu
     artifacts, manifest_path = _stage("emit", emit)
     return PipelineResult(
         config=config,
-        chosen_k=model.k,
         records=records,
         model=model,
         sweep=sweep,

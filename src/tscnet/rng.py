@@ -82,17 +82,3 @@ class Xorshift64Star:
         for i in range(len(seq) - 1, 0, -1):
             j = self.below(i + 1)
             seq[i], seq[j] = seq[j], seq[i]
-
-    def normal(self) -> float:
-        """Standard normal via Box-Muller (two uniforms per call, no cache).
-
-        Only used by fixture/demo data generators; the training stack itself
-        is uniform-only.
-        """
-        import math
-
-        u1 = self.random()
-        while u1 == 0.0:
-            u1 = self.random()
-        u2 = self.random()
-        return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)

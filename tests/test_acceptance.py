@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import BLOB_CENTERS, BLOB_SIGMA, blob_targets, write_prices_csv
+from conftest import BLOB_CENTERS, BLOB_SIGMA, blob_targets, normal, write_prices_csv
 from test_autonet import numeric_gradients
 from test_kmeans import exhaustive_best_wcss, oracle_silhouette
 from tscnet.autonet import (
@@ -222,7 +222,7 @@ def test_criterion_07_k_selection():
         pts = []
         for cx, cy in BLOB_CENTERS:
             for _ in range(10):
-                pts.append((cx + BLOB_SIGMA * gen.normal(), cy + BLOB_SIGMA * gen.normal()))
+                pts.append((cx + BLOB_SIGMA * normal(gen), cy + BLOB_SIGMA * normal(gen)))
         best, _ = select_k(np.array(pts), 2, 10, seed=seed)
         correct += best.k == 4
     elapsed = time.perf_counter() - t0
@@ -235,7 +235,7 @@ def test_criterion_08_end_to_end_training():
     gen = Xorshift64Star(42)
     sizes = (18, 18, 17, 17)
     pts = [
-        (cx + BLOB_SIGMA * gen.normal(), cy + BLOB_SIGMA * gen.normal())
+        (cx + BLOB_SIGMA * normal(gen), cy + BLOB_SIGMA * normal(gen))
         for (cx, cy), m in zip(BLOB_CENTERS, sizes)
         for _ in range(m)
     ]
@@ -315,7 +315,7 @@ def test_criterion_10_replication_harness(tmp_path):
     result = run_pipeline(config)
     silhouette_score = result.model.silhouette
     detail = (
-        f"k={result.chosen_k}"
+        f"k={result.model.k}"
         f" silhouette={silhouette_score:.4f}"
         f" final_loss={result.history.final_loss():.4e}"
         f" accuracy={result.report.accuracy:.4f}"

@@ -38,6 +38,7 @@ from tscnet.errors import (
     ModelFormatError,
     NonFiniteInput,
     ShapeMismatch,
+    TscnetError,
 )
 from tscnet.rng import Xorshift64Star, derive_seed
 
@@ -388,6 +389,13 @@ class TestTrain:
         with pytest.raises(ShapeMismatch):
             train(net, np.zeros((3, 2)), np.zeros((2, 1)), epochs=1, batch_size=4, seed=7)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_names_first_non_finite_epoch(self):
+        # the first epoch-end loss overflows to inf; every later one would be nan
+        net = build_autoencoder(2, (8,), 2, 1, seed=0)
+        with pytest.raises(TscnetError, match=r"loss inf at epoch 1$"):
+            train(net, [[0.2, 0.1], [0.3, 0.5]], [0.0, 1.0], epochs=5, lr=1e300)
+
 
 class TestRoundLabels:
     def test_half_to_even_and_clamp(self):
@@ -397,6 +405,11 @@ class TestRoundLabels:
     def test_num_clusters_validation(self):
         with pytest.raises(ValueError):
             round_labels([0.1], 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(NonFiniteInput):
+            round_labels([0.4, bad], 4)
 
     def test_predict_labels_through_identity_net(self):
         net = DenseNetwork([make_layer([[1.0]], [0.0], "linear")])

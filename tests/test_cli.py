@@ -157,6 +157,26 @@ class TestSelectK:
         best = max(sweep, key=lambda pair: pair[1])
         assert best[0] == 4
 
+    @pytest.fixture()
+    def six_tickers(self, tmp_path):
+        prices = tmp_path / "six.csv"
+        write_prices_csv(prices, blob_targets(seed=5)[:6])
+        return prices
+
+    def test_k_max_clamped_to_n_minus_one(self, six_tickers, tmp_path, capsys):
+        stdout, _ = run_cli(capsys, ["select-k", "--prices", str(six_tickers),
+                                     "--k-min", "2", "--k-max", "10"])
+        lines = stdout.splitlines()
+        assert [line.split()[0] for line in lines[:-1]] == [f"k={k}" for k in range(2, 6)]
+        label_out, _ = run_cli(capsys, ["label", "--prices", str(six_tickers), "--k", "auto",
+                                        "--out", str(tmp_path / "labels.csv")])
+        assert lines[-1] == f"best {label_out.split()[0]}"
+
+    def test_k_min_above_n_minus_one(self, six_tickers, capsys):
+        _, stderr = run_cli(capsys, ["select-k", "--prices", str(six_tickers),
+                                     "--k-min", "6"], expect=1)
+        assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1
+
 
 class TestTrain:
     def test_reports_parameters_and_writes_files(self, workdir, capsys):
@@ -272,6 +292,18 @@ class TestRun:
         _, stderr = run_cli(capsys, ["run", str(tmp_path / "absent.cfg")], expect=1)
         assert stderr.startswith("error:")
 
+    @pytest.mark.parametrize("corrupt", ["prices", "config"])
+    def test_non_utf8_input_is_one_error_line(self, workdir, tmp_path, capsys, corrupt):
+        prices = tmp_path / "prices.csv"
+        prices.write_bytes(workdir["prices"].read_bytes())
+        config = write_config(tmp_path / "run.cfg", prices, tmp_path / "out")
+        bad = {"prices": prices, "config": config}[corrupt]
+        bad.write_bytes(bad.read_bytes() + b"\xff\xfe\n")
+        _, stderr = run_cli(capsys, ["run", str(config)], expect=1)
+        assert stderr.startswith("error: ") and f"{bad}: not UTF-8" in stderr
+        assert len(stderr.splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
     def test_bad_config_key(self, workdir, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("prices_path = p.csv\nvibe = excellent\n", encoding="utf-8")
@@ -341,9 +373,16 @@ class TestReport:
         (LOSS_CSV, "epoch,loss\n1,0.5,9\n", "loss.csv line 2"),
         (SWEEP_CSV, "k,silhouette\n2,abc\n", "k_sweep.csv line 2"),
         (LOSS_CSV, "epoch,loss\n", "loss.csv: no rows"),
+        (LABELS_CSV, b"\xff\xfe", "labels.csv: not UTF-8"),
+        (MODEL_FILE, b"\xff\xfe", "model.tscnet: not UTF-8"),
+        (LOSS_CSV, b"\xff\xfe", "loss.csv: not UTF-8"),
+        (SWEEP_CSV, b"\xff\xfe", "k_sweep.csv: not UTF-8"),
     ])
     def test_malformed_input_is_one_error_line(self, run_dir, capsys, name, text, where):
-        (run_dir / name).write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            (run_dir / name).write_bytes(text)
+        else:
+            (run_dir / name).write_text(text, encoding="utf-8")
         _, stderr = run_cli(capsys, ["report", "--out-dir", str(run_dir)], expect=1)
         assert stderr.startswith("error: ") and where in stderr
         assert len(stderr.splitlines()) == 1

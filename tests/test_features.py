@@ -16,12 +16,10 @@ from tscnet.features import (
     LABELS_HEADER,
     TRADING_DAYS,
     FeatureVector,
-    ReturnSeries,
     annualize,
     build_feature_table,
     log_returns,
     read_labels_csv,
-    returns_for,
     sample_std,
     write_labels_csv,
 )
@@ -98,24 +96,24 @@ class TestSampleStd:
 class TestAnnualize:
     def test_formulas(self):
         values = (0.001, -0.002, 0.0005, 0.0031, -0.0007)
-        fv = annualize(ReturnSeries("AAA", values))
+        fv = annualize("AAA", values)
         assert fv.ticker == "AAA"
         assert fv.volatility == pytest.approx(oracle_std(list(values)) * math.sqrt(252), rel=1e-12)
         assert fv.ret == pytest.approx(sum(values) / len(values) * 252, rel=1e-12)
 
     def test_custom_trading_days(self):
         values = (0.01, -0.01, 0.02)
-        fv = annualize(ReturnSeries("AAA", values), trading_days=10)
+        fv = annualize("AAA", values, trading_days=10)
         assert fv.volatility == pytest.approx(oracle_std(list(values)) * math.sqrt(10), rel=1e-12)
         assert fv.ret == pytest.approx(sum(values) / 3 * 10, rel=1e-12)
 
     def test_volatility_non_negative(self):
-        fv = annualize(ReturnSeries("AAA", (0.05, -0.03, 0.01)))
+        fv = annualize("AAA", (0.05, -0.03, 0.01))
         assert fv.volatility >= 0.0
 
     def test_needs_two_returns(self):
         with pytest.raises(TooShort):
-            annualize(ReturnSeries("AAA", (0.01,)))
+            annualize("AAA", (0.01,))
 
 
 def _series(ticker, closes, start=dt.date(2019, 1, 2)):
@@ -133,11 +131,6 @@ class TestBuildFeatureTable:
         assert [f.ticker for f in feats] == ["AAA", "BBB"]
         rets = oracle_log_returns([50.0, 51.0, 50.2])
         assert feats[1].volatility == pytest.approx(oracle_std(rets) * math.sqrt(252), rel=1e-12)
-
-    def test_returns_for(self):
-        rs = returns_for(_series("AAA", [100.0, 110.0, 105.0]))
-        assert rs.ticker == "AAA"
-        assert list(rs.values) == pytest.approx(oracle_log_returns([100.0, 110.0, 105.0]))
 
     def test_two_price_ticker_warned_and_skipped(self):
         # one return cannot produce a sample std

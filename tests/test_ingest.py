@@ -10,7 +10,6 @@ from tscnet.ingest import (
     PriceTable,
     load_price_table,
     parse_ticker_list,
-    write_price_table,
 )
 
 
@@ -191,11 +190,10 @@ class TestRoundTrip:
     def test_write_then_load_is_bitwise(self, tmp_path):
         closes = (100.0, 100.1, 99.97, 101.123456789012345)
         dates = tuple(dt.date(2019, 1, 2) + dt.timedelta(days=i) for i in range(4))
-        table = PriceTable()
-        table.add(PriceSeries("AAA", dates, closes))
-        path = tmp_path / "round.csv"
-        write_price_table(table, path)
-        loaded, warnings = load_price_table(path)
+        text = "ticker,date,adj_close\n" + "".join(
+            f"AAA,{d.isoformat()},{c!r}\n" for d, c in zip(dates, closes)
+        )
+        loaded, warnings = load_price_table(_write(tmp_path, text))
         assert warnings == []
         assert loaded["AAA"].closes == closes
         assert loaded["AAA"].dates == dates

@@ -13,10 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_blob_points
-from tscnet.errors import BadK, EmptyCentroids, FormatError, NonFinitePoint, SingleCluster
+from tscnet.errors import BadK, FormatError, NonFinitePoint, SingleCluster
 from tscnet.kmeans import (
     KMeansModel,
-    assign,
     kmeans_fit,
     read_sweep_csv,
     relabel_by_return,
@@ -94,22 +93,6 @@ def check_model_invariants(X, model: KMeansModel):
     assert model.wcss == pytest.approx(float(own.sum()), rel=1e-12)
     hist = model.wcss_history
     assert all(hist[i + 1] <= hist[i] + 1e-12 for i in range(len(hist) - 1))
-
-
-class TestAssign:
-    def test_nearest(self):
-        centroids = [[0.0, 0.0], [10.0, 0.0]]
-        assert assign([1.0, 0.0], centroids) == 0
-        assert assign([9.0, 0.0], centroids) == 1
-
-    def test_tie_breaks_to_lowest_index(self):
-        centroids = [[0.0, 0.0], [2.0, 0.0]]
-        assert assign([1.0, 0.0], centroids) == 0
-        assert assign([1.0, 5.0], centroids) == 0
-
-    def test_empty_centroids(self):
-        with pytest.raises(EmptyCentroids):
-            assign([1.0, 0.0], np.empty((0, 2)))
 
 
 class TestKmeansFit:

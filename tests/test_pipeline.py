@@ -300,16 +300,6 @@ class TestEvaluate:
         assert report.rows[0].raw_output == pytest.approx(1.0, abs=1e-15)
         assert report.rows[0].predicted == 1
 
-    def test_cluster_bounds_contain_members(self, blob_table):
-        table, _ = blob_table
-        records, _, _ = stage1_label(table, k=4, seed=7)
-        net = linear_net(0.0, 1.0, 0.0)
-        report = evaluate(net, records, num_clusters=4)
-        for row in report.rows:
-            vol_min, vol_max, ret_min, ret_max = report.cluster_bounds[row.kmeans]
-            assert vol_min <= row.volatility <= vol_max
-            assert ret_min <= row.ret <= ret_max
-
     def test_empty_rejected(self):
         with pytest.raises(EmptyDataset):
             evaluate(linear_net(0.0, 1.0, 0.0), [], num_clusters=4)
@@ -487,13 +477,13 @@ class TestRunPipeline:
         manifest = result.manifest_path.read_text(encoding="utf-8").splitlines()
         assert len(manifest) == 6
         assert result.sweep is None
-        assert result.chosen_k == 4
+        assert result.model.k == 4
 
     def test_auto_k_adds_sweep(self, tmp_path, prices):
         result = run_pipeline(self.run_config(prices, tmp_path / "out", k=AUTO))
         assert SWEEP_CSV in result.artifacts
         assert len(result.artifacts) == 7
-        assert result.chosen_k == 4
+        assert result.model.k == 4
         assert result.sweep is not None
 
     def test_fixed_k_rerun_removes_stale_sweep(self, tmp_path, prices):
@@ -572,6 +562,12 @@ class TestLoadTable:
     def test_no_filters_loads_everything(self, blob_prices_csv):
         table, _ = load_table(blob_prices_csv, None, None)
         assert len(table) == 70
+
+    def test_non_utf8_ticker_file(self, tmp_path, blob_prices_csv):
+        keep = tmp_path / "keep.txt"
+        keep.write_bytes(b"T000\n\xff\xfe\n")
+        with pytest.raises(FormatError, match=r"keep\.txt: not UTF-8"):
+            load_table(blob_prices_csv, keep, None)
 
 
 class TestWriteFiles:

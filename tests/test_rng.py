@@ -11,6 +11,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import normal
 from tscnet.rng import Xorshift64Star, derive_seed, splitmix64
 
 
@@ -112,7 +113,7 @@ def test_derive_seed_streams_are_distinct():
 
 def test_normal_moments():
     rng = Xorshift64Star(17)
-    draws = [rng.normal() for _ in range(4000)]
+    draws = [normal(rng) for _ in range(4000)]
     mean = sum(draws) / len(draws)
     var = sum((d - mean) ** 2 for d in draws) / (len(draws) - 1)
     assert abs(mean) < 0.08
