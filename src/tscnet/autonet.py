@@ -92,9 +92,6 @@ class DenseNetwork:
     def input_width(self) -> int:
         return self.layers[0].spec.input_width
 
-    def widths(self) -> list[int]:
-        return [self.input_width] + [layer.spec.output_width for layer in self.layers]
-
 
 def _glorot_layer(spec: LayerSpec, rng: Xorshift64Star) -> DenseLayer:
     limit = math.sqrt(6.0 / (spec.input_width + spec.output_width))
@@ -349,21 +346,23 @@ def train(
     single_batch = batch_size >= n
 
     losses = []
-    for epoch in range(1, epochs + 1):
-        if not single_batch:
-            idx = list(range(n))
-            rng.shuffle(idx)
-            order = np.array(idx)
-        for start in range(0, n, batch_size):
-            rows = order[start : start + batch_size]
-            _, cache = forward(net, Xa[rows])
-            grads = backward(net, cache, ya[rows])
-            flat_grads = [g for pair in grads for g in pair]
-            adam_step(params, flat_grads, state)
-        out, _ = forward(net, Xa)
-        losses.append(mse_loss(out, ya))
-        if not math.isfinite(losses[-1]):
-            raise TscnetError(f"training diverged: loss {losses[-1]} at epoch {epoch}")
+    # a diverging run overflows before the epoch-end check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, epochs + 1):
+            if not single_batch:
+                idx = list(range(n))
+                rng.shuffle(idx)
+                order = np.array(idx)
+            for start in range(0, n, batch_size):
+                rows = order[start : start + batch_size]
+                _, cache = forward(net, Xa[rows])
+                grads = backward(net, cache, ya[rows])
+                flat_grads = [g for pair in grads for g in pair]
+                adam_step(params, flat_grads, state)
+            out, _ = forward(net, Xa)
+            losses.append(mse_loss(out, ya))
+            if not math.isfinite(losses[-1]):
+                raise TscnetError(f"training diverged: loss {losses[-1]} at epoch {epoch}")
     return TrainHistory(losses=tuple(losses), epochs=epochs, batch_size=batch_size, seed=seed)
 
 

@@ -8,7 +8,6 @@ environment variable when set; --seed always wins over it.
 from __future__ import annotations
 
 import argparse
-import functools
 import os
 import sys
 from pathlib import Path
@@ -19,6 +18,7 @@ from .errors import TscnetError
 K_SWEEP_SVG = "k_sweep.svg"
 LOSS_SVG = "loss.svg"
 SCATTER_POINTS_CSV = "scatter_points.csv"
+POINTS_HEADER = ("ticker", "volatility", "return", "kmeans", "predicted", "missed")
 
 DEFAULT_SEED = 7
 
@@ -139,11 +139,6 @@ def _warn(messages) -> None:
         print(f"warning: {msg}", file=sys.stderr)
 
 
-def _records_from_csv(path) -> list[pipeline.LabeledRecord]:
-    rows = features.read_labels_csv(path)
-    return [pipeline.LabeledRecord(t, v, r, c) for t, v, r, c in rows]
-
-
 def _infer_clusters(net: autonet.DenseNetwork, override: int | None) -> int:
     if override is not None:
         return override
@@ -186,7 +181,7 @@ def _k_line(model: kmeans.KMeansModel) -> str:
 
 def cmd_label(args: argparse.Namespace) -> int:
     records, model, _ = _stage1(args, args.k, args.canonical_labels)
-    features.write_labels_csv(records, args.out)
+    pipeline.write_files(args.out.parent, {args.out.name: pipeline.labels_csv(records)})
     print(_k_line(model))
     return 0
 
@@ -197,13 +192,13 @@ def cmd_select_k(args: argparse.Namespace) -> int:
         print(f"k={k} silhouette={score:.12g}")
     print(f"best k={best.k}")
     if args.out is not None:
-        kmeans.write_sweep_csv(sweep, args.out)
+        pipeline.write_files(args.out.parent, {args.out.name: pipeline.sweep_csv(sweep)})
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
-    records = _records_from_csv(args.labels)
+    records = pipeline.read_labels_csv(args.labels)
     num_clusters = args.k if args.k is not None else max(r.cluster for r in records) + 1
     if num_clusters < 2:
         raise TscnetError(f"need at least 2 clusters, got {num_clusters}")
@@ -217,8 +212,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     paths = pipeline.write_files(
         args.out_dir,
         {
-            pipeline.MODEL_FILE: functools.partial(autonet.save_model, net),
-            pipeline.LOSS_CSV: functools.partial(pipeline.write_loss_csv, history),
+            pipeline.MODEL_FILE: lambda path: autonet.save_model(net, path),
+            pipeline.LOSS_CSV: pipeline.loss_csv(history),
         },
     )
     print(f"parameters={autonet.count_parameters(net)}")
@@ -230,29 +225,26 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     net = autonet.load_model(args.model)
-    records = _records_from_csv(args.labels)
+    records = pipeline.read_labels_csv(args.labels)
     report = pipeline.evaluate(net, records, _infer_clusters(net, args.k))
-    lines = ["ticker,volatility,return,raw_output,predicted"]
-    for row in report.rows:
-        lines.append(
-            f"{row.ticker},{row.volatility:.12g},{row.ret:.12g},{row.raw_output:.16e},{row.predicted}"
-        )
+    text = pipeline.csv_text(pipeline.EVAL_HEADER[:5], (
+        f"{row.ticker},{row.volatility:.12g},{row.ret:.12g},{row.raw_output:.16e},{row.predicted}"
+        for row in report.rows
+    ))
     if args.out is None:
-        for line in lines:
-            print(line)
+        print(text, end="")
     else:
-        args.out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        pipeline.write_files(args.out.parent, {args.out.name: text})
         print(f"predictions={args.out}")
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     net = autonet.load_model(args.model)
-    records = _records_from_csv(args.labels)
-    num_clusters = _infer_clusters(net, args.k)
-    report = pipeline.evaluate(net, records, num_clusters)
+    records = pipeline.read_labels_csv(args.labels)
+    report = pipeline.evaluate(net, records, _infer_clusters(net, args.k))
     if args.out is not None:
-        pipeline.write_evaluation_csv(report, args.out)
+        pipeline.write_files(args.out.parent, {args.out.name: pipeline.evaluation_csv(report)})
     print(f"accuracy={report.accuracy:.12g}")
     print(f"disagreements={len(report.disagreements)}")
     for row in report.disagreements:
@@ -283,12 +275,12 @@ def cmd_report(args: argparse.Namespace) -> int:
         if not required.exists():
             raise TscnetError(f"missing artifact: {required}")
 
-    records = _records_from_csv(labels_path)
+    records = pipeline.read_labels_csv(labels_path)
     net = autonet.load_model(model_path)
     num_clusters = _infer_clusters(net, None)
-    losses = pipeline.read_loss_csv(loss_path)
+    losses = pipeline.read_csv(loss_path, pipeline.LOSS_COLUMNS)
     sweep_path = out / pipeline.SWEEP_CSV
-    sweep = kmeans.read_sweep_csv(sweep_path) if sweep_path.exists() else None
+    sweep = pipeline.read_csv(sweep_path, pipeline.SWEEP_COLUMNS) if sweep_path.exists() else None
     predicted = autonet.predict_labels(net, pipeline.feature_matrix(records), num_clusters)
 
     texts: dict[str, str] = {}
@@ -308,12 +300,10 @@ def cmd_report(args: argparse.Namespace) -> int:
         "MSE",
     )
     texts.update(pipeline.scatter_charts(records, predicted, num_clusters))
-    point_lines = ["ticker,volatility,return,kmeans,predicted,missed"]
-    for rec, p in zip(records, predicted):
-        point_lines.append(
-            f"{rec.ticker},{rec.volatility:.12g},{rec.ret:.12g},{rec.cluster},{p},{int(p != rec.cluster)}"
-        )
-    texts[SCATTER_POINTS_CSV] = "\n".join(point_lines) + "\n"
+    texts[SCATTER_POINTS_CSV] = pipeline.csv_text(POINTS_HEADER, (
+        f"{rec.ticker},{rec.volatility:.12g},{rec.ret:.12g},{rec.cluster},{p},{int(p != rec.cluster)}"
+        for rec, p in zip(records, predicted)
+    ))
 
     paths = pipeline.write_files(out, texts)
     if sweep is None:

@@ -76,6 +76,11 @@ class ModelFormatError(TscnetError):
     """A saved model file could not be parsed."""
 
 
+# svgplot
+class PlotRange(TscnetError):
+    """Values too far apart to place on one chart axis."""
+
+
 # pipeline
 class BadConfig(TscnetError):
     """Pipeline configuration missing or malformed."""

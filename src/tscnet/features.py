@@ -16,18 +16,15 @@ the raw <volatility, ret> pair is the clustering space.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, NonPositivePrice, TooShort, reading_utf8
+from .errors import NonPositivePrice, TooShort
 from .ingest import PriceTable
 
 TRADING_DAYS = 252
-
-LABELS_HEADER = ["ticker", "volatility", "return", "cluster"]
 
 
 @dataclass(frozen=True)
@@ -76,8 +73,9 @@ def build_feature_table(
 ) -> tuple[list[FeatureVector], list[str]]:
     """One FeatureVector per ticker, in ticker order.
 
-    Tickers too short to feature (cannot happen for a valid PriceTable, but
-    guarded anyway) are excluded with a warning rather than failing the batch.
+    A ticker too short to feature is excluded with a warning rather than
+    failing the batch: one with exactly 2 price rows passes ingest but has a
+    single return, too few for a sample standard deviation.
     """
     features = []
     warnings = []
@@ -88,34 +86,3 @@ def build_feature_table(
             warnings.append(f"{series.ticker}: excluded, {exc}")
     return features, warnings
 
-
-def write_labels_csv(records, path) -> None:
-    """Write labeled feature rows as ``ticker,volatility,return,cluster``.
-
-    ``records`` is any iterable of objects with ticker/volatility/ret/cluster
-    attributes. Floats carry 12 significant digits.
-    """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(LABELS_HEADER) + "\n")
-        for r in records:
-            fh.write(f"{r.ticker},{r.volatility:.12g},{r.ret:.12g},{r.cluster}\n")
-
-
-def read_labels_csv(path) -> list[tuple[str, float, float, int]]:
-    """Read ``ticker,volatility,return,cluster`` rows back."""
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh, reading_utf8(path):
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != LABELS_HEADER:
-            raise FormatError(f"{path}: bad header {header!r}, expected {LABELS_HEADER!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise FormatError(f"{path} line {lineno}: expected 4 fields")
-            try:
-                out.append((row[0], float(row[1]), float(row[2]), int(row[3])))
-            except ValueError as exc:
-                raise FormatError(f"{path} line {lineno}: {exc}") from exc
-    return out

@@ -185,27 +185,3 @@ def load_price_table(
         raise NoData(f"{path}: no ticker with at least 2 usable rows")
     return table, warnings
 
-
-def read_pairs_csv(path, header: str) -> list[tuple[int, float]]:
-    """Read ``int,float`` rows under the exact ``header`` line.
-
-    Blank lines are skipped. A bad header or row, or no row at all, raises
-    FormatError naming the path and the line; non-UTF-8 bytes raise it
-    naming the path.
-    """
-    out = []
-    with open(path, "r", encoding="utf-8", newline="") as fh, reading_utf8(path):
-        found = fh.readline().rstrip("\n")
-        if found != header:
-            raise FormatError(f"{path}: bad header {found!r}, expected {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                left, right = line.rstrip("\n").split(",")
-                out.append((int(left), float(right)))
-            except ValueError:
-                raise FormatError(f"{path} line {lineno}: bad row {line.rstrip()!r}") from None
-    if not out:
-        raise FormatError(f"{path}: no rows under {header!r}")
-    return out

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import BadK, NonFinitePoint, SingleCluster
-from .ingest import read_pairs_csv
 from .rng import Xorshift64Star, derive_seed
 
 DEFAULT_RESTARTS = 10
@@ -245,15 +244,3 @@ def relabel_by_return(model: KMeansModel) -> KMeansModel:
     mapping[order] = np.arange(model.k)
     return replace(model, centroids=model.centroids[order], assignments=mapping[model.assignments])
 
-
-def write_sweep_csv(table, path) -> None:
-    """Write a ``k,silhouette`` score table (the optimal-k sweep data)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("k,silhouette\n")
-        for k, score in table:
-            fh.write(f"{k},{score:.12g}\n")
-
-
-def read_sweep_csv(path) -> list[tuple[int, float]]:
-    """Read a ``k,silhouette`` table back; malformed lines raise FormatError."""
-    return read_pairs_csv(path, "k,silhouette")

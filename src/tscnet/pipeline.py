@@ -16,7 +16,6 @@ stage surface as :class:`PipelineError` tagged with the stage name.
 from __future__ import annotations
 
 import datetime as dt
-import functools
 import hashlib
 import math
 from dataclasses import dataclass, fields
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autonet, features, ingest, kmeans, svgplot
-from .errors import BadConfig, BadK, EmptyDataset, PipelineError, reading_utf8
+from .errors import BadConfig, BadK, EmptyDataset, FormatError, PipelineError, reading_utf8
 from .rng import Xorshift64Star
 
 AUTO = "auto"
@@ -39,7 +38,11 @@ SCATTER_KMEANS_SVG = "scatter_kmeans.svg"
 SCATTER_AUTONET_SVG = "scatter_autoencoder.svg"
 MANIFEST_FILE = "manifest.txt"
 
-EVAL_HEADER = ["ticker", "volatility", "return", "raw_output", "predicted", "kmeans", "missed"]
+# artifact CSVs that are read back: column name -> field type
+LABELS_COLUMNS = {"ticker": str, "volatility": float, "return": float, "cluster": int}
+SWEEP_COLUMNS = {"k": int, "silhouette": float}
+LOSS_COLUMNS = {"epoch": int, "loss": float}
+EVAL_HEADER = ("ticker", "volatility", "return", "raw_output", "predicted", "kmeans", "missed")
 
 DEFAULT_ENCODER_WIDTHS = (100, 50, 20)
 
@@ -280,30 +283,6 @@ def evaluate(
     )
 
 
-def write_evaluation_csv(report: EvaluationReport, path) -> None:
-    """Write per-record evaluation rows; ``missed`` is 0/1."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(EVAL_HEADER) + "\n")
-        for row in report.rows:
-            fh.write(
-                f"{row.ticker},{row.volatility:.12g},{row.ret:.12g},"
-                f"{row.raw_output:.16e},{row.predicted},{row.kmeans},{int(row.missed)}\n"
-            )
-
-
-def write_loss_csv(history: autonet.TrainHistory, path) -> None:
-    """Write the per-epoch loss curve as ``epoch,loss`` (epochs 1-based)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("epoch,loss\n")
-        for epoch, loss in enumerate(history.losses, start=1):
-            fh.write(f"{epoch},{loss:.16e}\n")
-
-
-def read_loss_csv(path) -> list[tuple[int, float]]:
-    """Read an ``epoch,loss`` curve back; malformed lines raise FormatError."""
-    return ingest.read_pairs_csv(path, "epoch,loss")
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
     """Parsed run configuration; defaults follow the canonical study setup."""
@@ -412,7 +391,6 @@ def parse_config(path) -> PipelineConfig:
 class PipelineResult:
     """Everything a run produced, with artifact paths keyed by file name."""
 
-    config: PipelineConfig
     records: list[LabeledRecord]
     model: kmeans.KMeansModel
     sweep: list[tuple[int, float]] | None
@@ -456,13 +434,87 @@ def scatter_charts(records, predicted, num_clusters: int) -> dict[str, str]:
     return charts
 
 
+def csv_text(header, lines) -> str:
+    """A CSV document: the ``header`` names, then each of ``lines``, LF-terminated."""
+    return "".join(f"{line}\n" for line in (",".join(header), *lines))
+
+
+def labels_csv(records) -> str:
+    """``ticker,volatility,return,cluster`` rows; floats carry 12 significant digits."""
+    return csv_text(
+        LABELS_COLUMNS, (f"{r.ticker},{r.volatility:.12g},{r.ret:.12g},{r.cluster}" for r in records)
+    )
+
+
+def sweep_csv(sweep) -> str:
+    """The ``k,silhouette`` table of an auto-k sweep."""
+    return csv_text(SWEEP_COLUMNS, (f"{k},{score:.12g}" for k, score in sweep))
+
+
+def loss_csv(history: autonet.TrainHistory) -> str:
+    """The per-epoch loss curve as ``epoch,loss`` (epochs 1-based)."""
+    return csv_text(LOSS_COLUMNS, (f"{e},{loss:.16e}" for e, loss in enumerate(history.losses, start=1)))
+
+
+def evaluation_csv(report: EvaluationReport) -> str:
+    """Per-record evaluation rows; ``missed`` is 0/1."""
+    return csv_text(EVAL_HEADER, (
+        f"{row.ticker},{row.volatility:.12g},{row.ret:.12g},"
+        f"{row.raw_output:.16e},{row.predicted},{row.kmeans},{int(row.missed)}"
+        for row in report.rows
+    ))
+
+
+def _parse_field(kind, text: str):
+    value = kind(text)
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    if kind is int and value < 0:
+        raise ValueError(f"negative value {text!r}")
+    return value
+
+
+def read_csv(path, columns) -> list[tuple]:
+    """Rows of a comma-separated file whose header line names ``columns``.
+
+    ``columns`` maps each column name to its field type: str, int (>= 0) or
+    float (finite). LF and CRLF line ends are accepted and blank lines are
+    skipped. A bad header or row, or no row at all, raises FormatError naming
+    the path and the line; non-UTF-8 bytes raise it naming the path.
+    """
+    expected = ",".join(columns)
+    rows = []
+    with open(path, "r", encoding="utf-8", newline="") as fh, reading_utf8(path):
+        found = fh.readline().rstrip("\r\n")
+        if found != expected:
+            raise FormatError(f"{path}: bad header {found!r}, expected {expected!r}")
+        for lineno, line in enumerate(fh, start=2):
+            if not line.strip():
+                continue
+            fields = line.rstrip("\r\n").split(",")
+            if len(fields) != len(columns):
+                raise FormatError(f"{path} line {lineno}: expected {len(columns)} fields, got {len(fields)}")
+            try:
+                rows.append(tuple(_parse_field(kind, text) for kind, text in zip(columns.values(), fields)))
+            except ValueError as exc:
+                raise FormatError(f"{path} line {lineno}: {exc}") from None
+    if not rows:
+        raise FormatError(f"{path}: no rows under {expected!r}")
+    return rows
+
+
+def read_labels_csv(path) -> list[LabeledRecord]:
+    """The records of a labels CSV."""
+    return [LabeledRecord(*row) for row in read_csv(path, LABELS_COLUMNS)]
+
+
 def write_files(out_dir, writers) -> dict[str, Path]:
     """Create ``out_dir`` and write each file of ``writers``, in order.
 
-    ``writers`` maps a file name to its text or to a callable that writes
-    the file at the path it is given. Returns the paths by name. If any
-    write fails, every file this call started is removed and the error
-    propagates.
+    ``writers`` maps a file name to its text, written as UTF-8 with LF line
+    ends, or to a callable that writes the file at the path it is given.
+    Returns the paths by name. If any write fails, every file this call
+    started is removed and the error propagates.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -471,7 +523,7 @@ def write_files(out_dir, writers) -> dict[str, Path]:
         for name, write in writers.items():
             paths[name] = out / name
             if isinstance(write, str):
-                paths[name].write_text(write, encoding="utf-8")
+                paths[name].write_text(write, encoding="utf-8", newline="\n")
             else:
                 write(paths[name])
     except Exception:
@@ -520,16 +572,16 @@ def run_pipeline(config: PipelineConfig, stratify: bool = False) -> PipelineResu
     def emit():
         predicted = autonet.predict_labels(net, feature_matrix(records), model.k)
         writers = {
-            LABELS_CSV: functools.partial(features.write_labels_csv, records),
-            MODEL_FILE: functools.partial(autonet.save_model, net),
+            LABELS_CSV: labels_csv(records),
+            MODEL_FILE: lambda path: autonet.save_model(net, path),
         }
         if sweep is not None:
-            writers[SWEEP_CSV] = functools.partial(kmeans.write_sweep_csv, sweep)
-        writers[LOSS_CSV] = functools.partial(write_loss_csv, history)
-        writers[EVAL_CSV] = functools.partial(write_evaluation_csv, report)
+            writers[SWEEP_CSV] = sweep_csv(sweep)
+        writers[LOSS_CSV] = loss_csv(history)
+        writers[EVAL_CSV] = evaluation_csv(report)
         writers.update(scatter_charts(records, predicted, model.k))
         artifacts = {name: config.out_dir / name for name in writers}
-        writers[MANIFEST_FILE] = functools.partial(write_manifest, artifacts)
+        writers[MANIFEST_FILE] = lambda path: write_manifest(artifacts, path)
         manifest_path = write_files(config.out_dir, writers)[MANIFEST_FILE]
         if sweep is None:
             (config.out_dir / SWEEP_CSV).unlink(missing_ok=True)
@@ -537,7 +589,6 @@ def run_pipeline(config: PipelineConfig, stratify: bool = False) -> PipelineResu
 
     artifacts, manifest_path = _stage("emit", emit)
     return PipelineResult(
-        config=config,
         records=records,
         model=model,
         sweep=sweep,
@@ -551,9 +602,5 @@ def run_pipeline(config: PipelineConfig, stratify: bool = False) -> PipelineResu
 
 def write_manifest(artifacts: dict[str, Path], path) -> None:
     """Write ``<sha256>  <name>`` lines, sorted by artifact name."""
-    lines = []
-    for name in sorted(artifacts):
-        digest = hashlib.sha256(artifacts[name].read_bytes()).hexdigest()
-        lines.append(f"{digest}  {name}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    lines = (f"{hashlib.sha256(artifacts[n].read_bytes()).hexdigest()}  {n}\n" for n in sorted(artifacts))
+    Path(path).write_text("".join(lines), encoding="utf-8", newline="\n")

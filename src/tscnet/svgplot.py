@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from xml.sax.saxutils import escape
 
+from .errors import PlotRange
+
 WIDTH = 640
 HEIGHT = 420
 MARGIN_LEFT = 64
@@ -21,7 +23,7 @@ MARGIN_RIGHT = 20
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 48
 
-# color-blind-friendly 10-cluster palette
+# color-blind-friendly 10-color palette, reused in order past 10 clusters
 PALETTE = (
     "#4477aa",
     "#ee6677",
@@ -82,6 +84,8 @@ class _Frame:
     def __init__(self, xs, ys):
         self.x_lo, self.x_hi = _pad_range(min(xs), max(xs))
         self.y_lo, self.y_hi = _pad_range(min(ys), max(ys))
+        if not math.isfinite(self.x_hi - self.x_lo) or not math.isfinite(self.y_hi - self.y_lo):
+            raise PlotRange("chart values span more than a float can hold")
         self.px_lo = MARGIN_LEFT
         self.px_hi = WIDTH - MARGIN_RIGHT
         self.py_lo = HEIGHT - MARGIN_BOTTOM
@@ -165,13 +169,13 @@ def scatter_chart(points, title: str, x_label: str, y_label: str, num_clusters: 
 
     ``points`` is an iterable of (x, y, label, miss). Markers with miss=True
     get class="miss" and a dark outline ring. A legend lists every cluster id
-    in [0, num_clusters).
+    in [0, num_clusters). Colors cycle through PALETTE past its 10 entries.
     """
     pts = [(float(x), float(y), int(lab), bool(miss)) for x, y, lab, miss in points]
     if not pts:
         raise ValueError("no points to plot")
-    if num_clusters < 1 or num_clusters > len(PALETTE):
-        raise ValueError(f"num_clusters must be in [1, {len(PALETTE)}], got {num_clusters}")
+    if num_clusters < 1:
+        raise ValueError(f"num_clusters must be >= 1, got {num_clusters}")
     frame = _Frame([p[0] for p in pts], [p[1] for p in pts])
     body = _axes(frame, title, x_label, y_label)
     for x, y, lab, miss in pts:
@@ -186,7 +190,7 @@ def scatter_chart(points, title: str, x_label: str, y_label: str, num_clusters: 
     lx = WIDTH - MARGIN_RIGHT - 110
     ly = MARGIN_TOP + 12
     for c in range(num_clusters):
-        body.append(f'<circle cx="{lx}" cy="{ly + 16 * c}" r="4" fill="{PALETTE[c]}"/>')
+        body.append(f'<circle cx="{lx}" cy="{ly + 16 * c}" r="4" fill="{PALETTE[c % len(PALETTE)]}"/>')
         body.append(
             f'<text x="{lx + 10}" y="{ly + 16 * c + 4}" font-size="11" font-family="sans-serif">'
             f"cluster {c}</text>"

@@ -31,6 +31,11 @@ def normal(rng: Xorshift64Star) -> float:
     return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
+def widths(net) -> list[int]:
+    """Input width, then each layer's output width."""
+    return [net.input_width] + [layer.spec.output_width for layer in net.layers]
+
+
 def make_blob_points(seed: int, per_cluster=10, centers=BLOB_CENTERS, sigma=BLOB_SIGMA):
     """Gaussian blob sample: (points array, true cluster ids)."""
     gen = Xorshift64Star(derive_seed(seed, 0xB10B))

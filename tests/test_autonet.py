@@ -7,10 +7,13 @@ recurrence.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from conftest import widths
 
 from tscnet.autonet import (
     AdamState,
@@ -98,7 +101,7 @@ def make_layer(weights, biases, activation):
 class TestConstruction:
     def test_canonical_architecture(self):
         net = build_autoencoder(seed=7)
-        assert net.widths() == [2, 100, 50, 20, 4, 20, 50, 100, 1]
+        assert widths(net) == [2, 100, 50, 20, 4, 20, 50, 100, 1]
         acts = [layer.spec.activation for layer in net.layers]
         assert acts == ["relu", "relu", "relu", "sigmoid", "relu", "relu", "relu", "linear"]
         assert parameter_counts(net) == [300, 5050, 1020, 84, 100, 1050, 5100, 101]
@@ -106,7 +109,7 @@ class TestConstruction:
 
     def test_minimal_network(self):
         net = build_autoencoder(1, [1], 1, 1, seed=7)
-        assert net.widths() == [1, 1, 1, 1, 1]
+        assert widths(net) == [1, 1, 1, 1, 1]
         assert len(net.layers) == 4
 
     def test_mirror_arithmetic(self):
@@ -181,9 +184,9 @@ class TestForward:
         for n in (1, 3, 17):
             out, cache = forward(net, np.zeros((n, 2)))
             assert out.shape == (n, 1)
-            widths = net.widths()[1:]
-            assert [a.shape for a in cache.activations] == [(n, w) for w in widths]
-            assert [z.shape for z in cache.pre_activations] == [(n, w) for w in widths]
+            layer_widths = widths(net)[1:]
+            assert [a.shape for a in cache.activations] == [(n, w) for w in layer_widths]
+            assert [z.shape for z in cache.pre_activations] == [(n, w) for w in layer_widths]
 
     def test_wrong_width_rejected(self):
         net = build_autoencoder(seed=7)
@@ -389,12 +392,14 @@ class TestTrain:
         with pytest.raises(ShapeMismatch):
             train(net, np.zeros((3, 2)), np.zeros((2, 1)), epochs=1, batch_size=4, seed=7)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_names_first_non_finite_epoch(self):
-        # the first epoch-end loss overflows to inf; every later one would be nan
+        # the first epoch-end loss overflows to inf; every later one would be nan.
+        # NumPy's overflow warnings would print before the error, so none may escape.
         net = build_autoencoder(2, (8,), 2, 1, seed=0)
-        with pytest.raises(TscnetError, match=r"loss inf at epoch 1$"):
-            train(net, [[0.2, 0.1], [0.3, 0.5]], [0.0, 1.0], epochs=5, lr=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TscnetError, match=r"loss inf at epoch 1$"):
+                train(net, [[0.2, 0.1], [0.3, 0.5]], [0.0, 1.0], epochs=5, lr=1e300)
 
 
 class TestRoundLabels:
@@ -428,7 +433,7 @@ class TestModelFile:
         path = tmp_path / "model.tscnet"
         save_model(net, path)
         loaded = load_model(path)
-        assert loaded.widths() == net.widths()
+        assert widths(loaded) == widths(net)
         for la, lb in zip(net.layers, loaded.layers):
             assert la.spec == lb.spec
             assert np.array_equal(la.weights, lb.weights)

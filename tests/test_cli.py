@@ -10,7 +10,6 @@ import pytest
 
 from conftest import blob_targets, write_prices_csv
 from tscnet.cli import K_SWEEP_SVG, LOSS_SVG, SCATTER_POINTS_CSV, main
-from tscnet.kmeans import read_sweep_csv
 from tscnet.pipeline import (
     EVAL_CSV,
     LABELS_CSV,
@@ -19,7 +18,9 @@ from tscnet.pipeline import (
     MODEL_FILE,
     SCATTER_AUTONET_SVG,
     SCATTER_KMEANS_SVG,
+    SWEEP_COLUMNS,
     SWEEP_CSV,
+    read_csv,
 )
 
 
@@ -152,7 +153,7 @@ class TestSelectK:
         lines = stdout.splitlines()
         assert lines[-1] == "best k=4"
         assert sum(1 for line in lines if line.startswith("k=")) == 7
-        sweep = read_sweep_csv(sweep_csv)
+        sweep = read_csv(sweep_csv, SWEEP_COLUMNS)
         assert [k for k, _ in sweep] == list(range(2, 9))
         best = max(sweep, key=lambda pair: pair[1])
         assert best[0] == 4
@@ -214,6 +215,19 @@ class TestTrain:
         _, stderr = run_cli(capsys, ["train", "--labels", str(tmp_path / "absent.csv"),
                                      "--out-dir", str(tmp_path / "out")], expect=1)
         assert stderr.startswith("error:")
+
+    @pytest.mark.parametrize("rows, where", [
+        ("AAA,nan,0.1,0\nBBB,0.3,0.1,1\n", "labels.csv line 2: non-finite"),
+        ("AAA,0.2,0.5,0\nBBB,0.3,0.1,-3\n", "labels.csv line 3: negative"),
+        ("", "labels.csv: no rows"),
+    ])
+    def test_bad_labels_are_one_error_line(self, tmp_path, capsys, rows, where):
+        labels = tmp_path / "labels.csv"
+        labels.write_text("ticker,volatility,return,cluster\n" + rows, encoding="utf-8")
+        _, stderr = run_cli(capsys, ["train", "--labels", str(labels), "--epochs", "1",
+                                     "--out-dir", str(tmp_path / "out")], expect=1)
+        assert stderr.startswith("error: ") and where in stderr
+        assert len(stderr.splitlines()) == 1
 
 
 class TestPredict:
@@ -304,6 +318,14 @@ class TestRun:
         assert len(stderr.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
+    def test_more_clusters_than_palette_colors(self, workdir, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        config = write_config(tmp_path / "run.cfg", workdir["prices"], out_dir, k=11, epochs=5)
+        stdout, _ = run_cli(capsys, ["run", str(config)])
+        assert stdout.startswith("k=11 ")
+        svg = (out_dir / SCATTER_KMEANS_SVG).read_text(encoding="utf-8")
+        assert ">cluster 10</text>" in svg
+
     def test_bad_config_key(self, workdir, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("prices_path = p.csv\nvibe = excellent\n", encoding="utf-8")
@@ -377,6 +399,10 @@ class TestReport:
         (MODEL_FILE, b"\xff\xfe", "model.tscnet: not UTF-8"),
         (LOSS_CSV, b"\xff\xfe", "loss.csv: not UTF-8"),
         (SWEEP_CSV, b"\xff\xfe", "k_sweep.csv: not UTF-8"),
+        (LOSS_CSV, "epoch,loss\n1,0.5\n2,inf\n", "loss.csv line 3: non-finite"),
+        (LOSS_CSV, "epoch,loss\n1,0.5\n2,nan\n", "loss.csv line 3: non-finite"),
+        (LABELS_CSV, "ticker,volatility,return,cluster\nAAA,0.2,0.1,-3\n",
+         "labels.csv line 2: negative"),
     ])
     def test_malformed_input_is_one_error_line(self, run_dir, capsys, name, text, where):
         if isinstance(text, bytes):
@@ -387,6 +413,14 @@ class TestReport:
         assert stderr.startswith("error: ") and where in stderr
         assert len(stderr.splitlines()) == 1
         assert not (run_dir / LOSS_SVG).exists()
+
+    def test_cluster_past_palette_in_labels(self, run_dir, capsys):
+        labels = run_dir / LABELS_CSV
+        labels.write_text(labels.read_text(encoding="utf-8") + "ZZZ,0.3,0.2,12\n",
+                          encoding="utf-8")
+        run_cli(capsys, ["report", "--out-dir", str(run_dir)])
+        svg = (run_dir / SCATTER_KMEANS_SVG).read_text(encoding="utf-8")
+        assert ">cluster 12</text>" in svg
 
     def test_missing_artifacts(self, tmp_path, capsys):
         _, stderr = run_cli(capsys, ["report", "--out-dir", str(tmp_path)], expect=1)

@@ -13,17 +13,15 @@ from hypothesis import given, strategies as st
 
 from tscnet.errors import FormatError, NonPositivePrice, TooShort
 from tscnet.features import (
-    LABELS_HEADER,
     TRADING_DAYS,
     FeatureVector,
     annualize,
     build_feature_table,
     log_returns,
-    read_labels_csv,
     sample_std,
-    write_labels_csv,
 )
 from tscnet.ingest import PriceSeries, PriceTable
+from tscnet.pipeline import LABELS_COLUMNS, LabeledRecord, labels_csv, read_labels_csv
 
 
 def oracle_log_returns(prices):
@@ -149,14 +147,19 @@ class TestLabelsCsv:
             FeatureRecord("BBB", 0.5, -0.25, 0),
         ]
         path = tmp_path / "labels.csv"
-        write_labels_csv(records, path)
+        path.write_text(labels_csv(records), encoding="utf-8")
         text = path.read_text(encoding="utf-8")
-        assert text.splitlines()[0] == ",".join(LABELS_HEADER)
+        assert text.splitlines()[0] == ",".join(LABELS_COLUMNS)
         rows = read_labels_csv(path)
-        assert [r[0] for r in rows] == ["AAA", "BBB"]
-        assert rows[0][1] == pytest.approx(0.21345678901234, rel=1e-11)
-        assert rows[0][3] == 2
-        assert rows[1][2] == -0.25
+        assert [r.ticker for r in rows] == ["AAA", "BBB"]
+        assert rows[0].volatility == pytest.approx(0.21345678901234, rel=1e-11)
+        assert rows[0].cluster == 2
+        assert rows[1].ret == -0.25
+
+    def test_crlf_line_ends(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_bytes(b"ticker,volatility,return,cluster\r\nAAA,0.5,-0.25,1\r\n")
+        assert read_labels_csv(path) == [LabeledRecord("AAA", 0.5, -0.25, 1)]
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -166,13 +169,13 @@ class TestLabelsCsv:
 
     def test_bad_row(self, tmp_path):
         path = tmp_path / "labels.csv"
-        path.write_text(",".join(LABELS_HEADER) + "\nAAA,1.0,2.0\n", encoding="utf-8")
+        path.write_text(",".join(LABELS_COLUMNS) + "\nAAA,1.0,2.0\n", encoding="utf-8")
         with pytest.raises(FormatError):
             read_labels_csv(path)
 
 
 class FeatureRecord:
-    """Minimal stand-in with the attribute shape write_labels_csv expects."""
+    """Minimal stand-in with the attribute shape labels_csv expects."""
 
     def __init__(self, ticker, volatility, ret, cluster):
         self.ticker = ticker

@@ -14,15 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_blob_points
 from tscnet.errors import BadK, FormatError, NonFinitePoint, SingleCluster
-from tscnet.kmeans import (
-    KMeansModel,
-    kmeans_fit,
-    read_sweep_csv,
-    relabel_by_return,
-    select_k,
-    silhouette,
-    write_sweep_csv,
-)
+from tscnet.kmeans import KMeansModel, kmeans_fit, relabel_by_return, select_k, silhouette
+from tscnet.pipeline import SWEEP_COLUMNS, read_csv, sweep_csv
 from tscnet.rng import Xorshift64Star, derive_seed
 
 
@@ -254,9 +247,9 @@ class TestSweepCsv:
     def test_round_trip(self, tmp_path):
         table = [(2, 0.41231), (3, 0.5), (4, 0.564123456789)]
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(table, path)
+        path.write_text(sweep_csv(table), encoding="utf-8")
         assert path.read_text(encoding="utf-8").splitlines()[0] == "k,silhouette"
-        back = read_sweep_csv(path)
+        back = read_csv(path, SWEEP_COLUMNS)
         assert [k for k, _ in back] == [2, 3, 4]
         assert back[2][1] == pytest.approx(0.564123456789, rel=1e-11)
 
@@ -264,7 +257,7 @@ class TestSweepCsv:
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n", encoding="utf-8")
         with pytest.raises(FormatError, match="bad header"):
-            read_sweep_csv(path)
+            read_csv(path, SWEEP_COLUMNS)
 
 
 @settings(deadline=None, max_examples=40)

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BLOB_CENTERS, blob_targets, write_prices_csv
+from conftest import BLOB_CENTERS, blob_targets, widths, write_prices_csv
 from tscnet.autonet import DenseLayer, DenseNetwork, LayerSpec, TrainHistory, load_model
 from tscnet.autonet import count_parameters
 from tscnet.errors import (
@@ -24,6 +24,7 @@ from tscnet.pipeline import (
     AUTO,
     EVAL_CSV,
     LABELS_CSV,
+    LOSS_COLUMNS,
     LOSS_CSV,
     MANIFEST_FILE,
     MODEL_FILE,
@@ -34,17 +35,17 @@ from tscnet.pipeline import (
     PipelineConfig,
     SplitSpec,
     evaluate,
+    evaluation_csv,
     label_accuracy,
     load_table,
+    loss_csv,
     parse_config,
-    read_loss_csv,
+    read_csv,
     run_pipeline,
     split,
     stage1_label,
     stage2_train,
-    write_evaluation_csv,
     write_files,
-    write_loss_csv,
 )
 
 
@@ -311,7 +312,7 @@ class TestCsvWriters:
         records = [LabeledRecord("AAA", 0.31, 1.07, 1), LabeledRecord("BBB", 0.11, 2.9, 2)]
         report = evaluate(net, records, num_clusters=4)
         path = tmp_path / "evaluation.csv"
-        write_evaluation_csv(report, path)
+        path.write_text(evaluation_csv(report), encoding="utf-8")
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "ticker,volatility,return,raw_output,predicted,kmeans,missed"
         assert len(lines) == 3
@@ -324,29 +325,29 @@ class TestCsvWriters:
         losses = (3.25, 1.0 / 3.0, 0.125e-5)
         history = TrainHistory(losses=losses, epochs=3, batch_size=8, seed=7)
         path = tmp_path / "loss.csv"
-        write_loss_csv(history, path)
+        path.write_text(loss_csv(history), encoding="utf-8")
         lines = path.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "epoch,loss"
         assert lines[1].startswith("1,")
-        assert read_loss_csv(path) == [(1, 3.25), (2, 1.0 / 3.0), (3, 0.125e-5)]
+        assert read_csv(path, LOSS_COLUMNS) == [(1, 3.25), (2, 1.0 / 3.0), (3, 0.125e-5)]
 
     def test_loss_csv_rejects_garbage(self, tmp_path):
         path = tmp_path / "loss.csv"
         path.write_text("epoch,loss\none,0.5\n", encoding="utf-8")
         with pytest.raises(FormatError, match="line 2"):
-            read_loss_csv(path)
+            read_csv(path, LOSS_COLUMNS)
 
     def test_loss_csv_rejects_extra_field(self, tmp_path):
         path = tmp_path / "loss.csv"
         path.write_text("epoch,loss\n1,0.5\n\n2,0.25,9\n", encoding="utf-8")
         with pytest.raises(FormatError, match=r"loss\.csv line 4"):
-            read_loss_csv(path)
+            read_csv(path, LOSS_COLUMNS)
 
     def test_loss_csv_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "loss.csv"
         path.write_text("loss,epoch\n0.5,1\n", encoding="utf-8")
         with pytest.raises(FormatError, match="bad header"):
-            read_loss_csv(path)
+            read_csv(path, LOSS_COLUMNS)
 
 
 class TestParseConfig:
@@ -540,7 +541,7 @@ class TestRunPipeline:
         assert len(result.history.losses) == 40
         assert len(result.report.rows) == 24
         net = load_model(result.artifacts[MODEL_FILE])
-        assert net.widths() == [2, 100, 50, 20, 4, 20, 50, 100, 1]
+        assert widths(net) == [2, 100, 50, 20, 4, 20, 50, 100, 1]
 
 
 class TestLoadTable:

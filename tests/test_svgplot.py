@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from tscnet.errors import PlotRange
 from tscnet.svgplot import PALETTE, line_chart, scatter_chart
 
 
@@ -52,6 +53,10 @@ class TestLineChart:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             line_chart([1, 2], [1], "t", "x", "y")
+
+    def test_span_past_float_range_rejected(self):
+        with pytest.raises(PlotRange):
+            line_chart([1, 2], [1e308, -1e308], "t", "x", "y")
 
 
 class TestScatterChart:
@@ -103,5 +108,12 @@ class TestScatterChart:
     def test_cluster_count_bounds(self):
         with pytest.raises(ValueError):
             scatter_chart(self.POINTS, "t", "x", "y", 0)
-        with pytest.raises(ValueError):
-            scatter_chart(self.POINTS, "t", "x", "y", len(PALETTE) + 1)
+
+    def test_legend_cycles_palette_past_ten_clusters(self):
+        k = len(PALETTE) + 1
+        svg = scatter_chart(self.POINTS + [(0.4, 0.2, k - 1, False)], "t", "x", "y", k)
+        fills = [c.get("fill") for c in parse(svg).iter("{http://www.w3.org/2000/svg}circle")]
+        # 5 points + 2 rings, the cluster-10 point, then one legend swatch per cluster
+        assert fills[7] == PALETTE[0]
+        assert fills[-k:] == [PALETTE[c % len(PALETTE)] for c in range(k)]
+        assert f">cluster {k - 1}</text>" in svg
