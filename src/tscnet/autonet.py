@@ -186,7 +186,9 @@ class ForwardCache:
 def forward(net: DenseNetwork, batch) -> tuple[np.ndarray, ForwardCache]:
     """Run a batch through the network; returns (outputs, cache).
 
-    ``batch`` is (n, input_width); outputs are (n, output_width).
+    ``batch`` is (n, input_width); outputs are (n, output_width). Weights
+    large enough to overflow give NaN or infinite outputs without a NumPy
+    warning; :func:`round_labels` and the training loss check reject them.
     """
     X = np.asarray(batch, dtype=float)
     if X.ndim == 1:
@@ -197,11 +199,12 @@ def forward(net: DenseNetwork, batch) -> tuple[np.ndarray, ForwardCache]:
         raise NonFiniteInput("batch contains NaN or infinity")
     cache = ForwardCache(inputs=X)
     a = X
-    for layer in net.layers:
-        z = a @ layer.weights.T + layer.biases
-        a = _activate(layer.spec.activation, z)
-        cache.pre_activations.append(z)
-        cache.activations.append(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layer in net.layers:
+            z = a @ layer.weights.T + layer.biases
+            a = _activate(layer.spec.activation, z)
+            cache.pre_activations.append(z)
+            cache.activations.append(a)
     return a, cache
 
 

@@ -8,12 +8,13 @@ environment variable when set; --seed always wins over it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from pathlib import Path
 
 from . import autonet, features, kmeans, pipeline, svgplot
-from .errors import TscnetError
+from .errors import PlotRange, TscnetError
 
 K_SWEEP_SVG = "k_sweep.svg"
 LOSS_SVG = "loss.svg"
@@ -266,6 +267,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _charting(source: Path):
+    """Re-raise a PlotRange from the block naming the file its values came from."""
+    try:
+        yield
+    except PlotRange as exc:
+        raise PlotRange(f"{source}: {exc}") from None
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     out: Path = args.out_dir
     labels_path = out / pipeline.LABELS_CSV
@@ -284,22 +294,25 @@ def cmd_report(args: argparse.Namespace) -> int:
     predicted = autonet.predict_labels(net, pipeline.feature_matrix(records), num_clusters)
 
     texts: dict[str, str] = {}
-    if sweep is not None:
-        texts[K_SWEEP_SVG] = svgplot.line_chart(
-            [k for k, _ in sweep],
-            [s for _, s in sweep],
-            "Silhouette by cluster count",
-            "k",
-            "mean silhouette",
+    with _charting(sweep_path):
+        if sweep is not None:
+            texts[K_SWEEP_SVG] = svgplot.line_chart(
+                [k for k, _ in sweep],
+                [s for _, s in sweep],
+                "Silhouette by cluster count",
+                "k",
+                "mean silhouette",
+            )
+    with _charting(loss_path):
+        texts[LOSS_SVG] = svgplot.line_chart(
+            [e for e, _ in losses],
+            [v for _, v in losses],
+            "Training loss",
+            "epoch",
+            "MSE",
         )
-    texts[LOSS_SVG] = svgplot.line_chart(
-        [e for e, _ in losses],
-        [v for _, v in losses],
-        "Training loss",
-        "epoch",
-        "MSE",
-    )
-    texts.update(pipeline.scatter_charts(records, predicted, num_clusters))
+    with _charting(labels_path):
+        texts.update(pipeline.scatter_charts(records, predicted, num_clusters))
     texts[SCATTER_POINTS_CSV] = pipeline.csv_text(POINTS_HEADER, (
         f"{rec.ticker},{rec.volatility:.12g},{rec.ret:.12g},{rec.cluster},{p},{int(p != rec.cluster)}"
         for rec, p in zip(records, predicted)

@@ -26,7 +26,8 @@ class PriceSeries:
     """One ticker's date-ordered adjusted closes.
 
     Invariants: dates strictly increasing, closes positive, len >= 2, and
-    len(dates) == len(closes).
+    len(dates) == len(closes). The ticker is printable and holds no comma,
+    so it fits in one field of the artifact CSVs.
     """
 
     ticker: str
@@ -36,6 +37,8 @@ class PriceSeries:
     def __post_init__(self):
         if not self.ticker:
             raise FormatError("empty ticker symbol")
+        if "," in self.ticker or not self.ticker.isprintable():
+            raise FormatError(f"ticker {self.ticker!r} holds a comma or a non-printable character")
         if len(self.dates) != len(self.closes):
             raise FormatError(f"{self.ticker}: {len(self.dates)} dates vs {len(self.closes)} closes")
         if len(self.dates) < 2:
@@ -146,24 +149,31 @@ def load_price_table(
             header = next(reader)
         except StopIteration:
             raise FormatError(f"{path}: empty file") from None
+        except csv.Error as exc:
+            raise FormatError(f"{path} line 1: {exc}") from None
         if header != PRICES_HEADER:
             raise FormatError(f"{path}: bad header {header!r}, expected {PRICES_HEADER!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            ticker, date, close = _parse_row(row, lineno)
-            if wanted is not None and ticker not in wanted:
-                if ticker not in filtered_out:
-                    filtered_out.append(ticker)
-                continue
-            # register the ticker even if every row is filtered out, so the
-            # exclusion warning below can name it
-            per = rows.setdefault(ticker, {})
-            if date < start_date:
-                continue
-            if date in per:
-                dupes.add(ticker)
-            per[date] = close
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                ticker, date, close = _parse_row(row, lineno)
+                if wanted is not None and ticker not in wanted:
+                    if ticker not in filtered_out:
+                        filtered_out.append(ticker)
+                    continue
+                # register the ticker even if every row is filtered out, so the
+                # exclusion warning below can name it
+                per = rows.setdefault(ticker, {})
+                if date < start_date:
+                    continue
+                if date in per:
+                    dupes.add(ticker)
+                per[date] = close
+        except csv.Error as exc:
+            raise FormatError(f"{path} line {reader.line_num}: {exc}") from None
+        except FormatError as exc:
+            raise FormatError(f"{path} {exc}") from None
 
     warnings = [f"{t}: excluded, not in ticker filter" for t in filtered_out]
     for t in sorted(dupes):

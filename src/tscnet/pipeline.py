@@ -18,6 +18,7 @@ from __future__ import annotations
 import datetime as dt
 import hashlib
 import math
+import os
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -302,8 +303,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         if self.k != AUTO:
-            if not isinstance(self.k, int) or self.k < 1:
-                raise BadConfig(f"k must be a positive integer or {AUTO!r}, got {self.k!r}")
+            # the autoencoder's labels need at least 2 clusters
+            if not isinstance(self.k, int) or self.k < 2:
+                raise BadConfig(f"k must be an integer >= 2 or {AUTO!r}, got {self.k!r}")
         if not 2 <= self.k_min <= self.k_max:
             raise BadConfig(f"need 2 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
         if self.epochs < 1 or self.batch_size < 1:
@@ -508,38 +510,50 @@ def read_labels_csv(path) -> list[LabeledRecord]:
     return [LabeledRecord(*row) for row in read_csv(path, LABELS_COLUMNS)]
 
 
-def write_files(out_dir, writers) -> dict[str, Path]:
+def write_files(out_dir, writers, manifest: str | None = None) -> dict[str, Path]:
     """Create ``out_dir`` and write each file of ``writers``, in order.
 
     ``writers`` maps a file name to its text, written as UTF-8 with LF line
     ends, or to a callable that writes the file at the path it is given.
-    Returns the paths by name. If any write fails, every file this call
-    started is removed and the error propagates.
+    When ``manifest`` names a file, it is written last by
+    :func:`write_manifest` and lists every other file. Each file is written
+    under a temporary name in ``out_dir`` and renamed into place only after
+    every write has succeeded, so a failed write leaves the files already
+    there untouched; a failed rename (say, onto a directory) can still leave
+    the earlier renames done. Returns the final paths by name. On any
+    failure the temporary files are removed and the error propagates.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
+    staged: dict[str, Path] = {}
     try:
         for name, write in writers.items():
-            paths[name] = out / name
+            staged[name] = out / f".{name}.tmp"
             if isinstance(write, str):
-                paths[name].write_text(write, encoding="utf-8", newline="\n")
+                staged[name].write_text(write, encoding="utf-8", newline="\n")
             else:
-                write(paths[name])
-    except Exception:
-        for path in paths.values():
+                write(staged[name])
+        if manifest is not None:
+            artifacts = dict(staged)
+            staged[manifest] = out / f".{manifest}.tmp"
+            write_manifest(artifacts, staged[manifest])
+        for name, path in staged.items():
+            os.replace(path, out / name)
+    except BaseException:
+        for path in staged.values():
             path.unlink(missing_ok=True)
         raise
-    return paths
+    return {name: out / name for name in staged}
 
 
 def run_pipeline(config: PipelineConfig, stratify: bool = False) -> PipelineResult:
     """Execute Stage I and Stage II and emit the artifact bundle.
 
-    All stages run before any file is written; a failure while writing
-    removes whatever this run had already created. The manifest lists every
-    artifact as ``<sha256>  <name>``, sorted by name. A fixed-k run removes
-    a ``k_sweep.csv`` left in ``out_dir`` by an earlier auto-k run.
+    All stages run before any file is written, and a failed write leaves
+    the files already in ``out_dir`` as they were (see :func:`write_files`).
+    The manifest lists every artifact as ``<sha256>  <name>``, sorted by
+    name. A fixed-k run removes a ``k_sweep.csv`` left in ``out_dir`` by an
+    earlier auto-k run.
     """
     table, warnings = _stage(
         "ingest", load_table, config.prices_path, config.tickers_path, config.start_date
@@ -580,12 +594,10 @@ def run_pipeline(config: PipelineConfig, stratify: bool = False) -> PipelineResu
         writers[LOSS_CSV] = loss_csv(history)
         writers[EVAL_CSV] = evaluation_csv(report)
         writers.update(scatter_charts(records, predicted, model.k))
-        artifacts = {name: config.out_dir / name for name in writers}
-        writers[MANIFEST_FILE] = lambda path: write_manifest(artifacts, path)
-        manifest_path = write_files(config.out_dir, writers)[MANIFEST_FILE]
+        paths = write_files(config.out_dir, writers, manifest=MANIFEST_FILE)
         if sweep is None:
             (config.out_dir / SWEEP_CSV).unlink(missing_ok=True)
-        return artifacts, manifest_path
+        return {name: paths[name] for name in writers}, paths[MANIFEST_FILE]
 
     artifacts, manifest_path = _stage("emit", emit)
     return PipelineResult(

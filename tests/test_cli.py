@@ -143,6 +143,13 @@ class TestLabel:
         )
         assert stderr.startswith("error:")
 
+    def test_oversized_csv_field_is_one_error_line(self, tmp_path, capsys):
+        prices = tmp_path / "prices.csv"
+        prices.write_text("ticker,date,adj_close\n" + "A" * 200_000 + ",2019-01-02,1.0\n", encoding="utf-8")
+        _, stderr = run_cli(capsys, ["label", "--prices", str(prices), "--out", str(tmp_path / "x.csv")],
+                            expect=1)
+        assert stderr == f"error: {prices} line 2: field larger than field limit (131072)\n"
+
 
 class TestSelectK:
     def test_sweep_output(self, workdir, tmp_path, capsys):
@@ -403,6 +410,10 @@ class TestReport:
         (LOSS_CSV, "epoch,loss\n1,0.5\n2,nan\n", "loss.csv line 3: non-finite"),
         (LABELS_CSV, "ticker,volatility,return,cluster\nAAA,0.2,0.1,-3\n",
          "labels.csv line 2: negative"),
+        (LOSS_CSV, "epoch,loss\n1,1e308\n2,-1e308\n", "loss.csv: chart values span"),
+        (SWEEP_CSV, "k,silhouette\n2,1e308\n3,-1e308\n", "k_sweep.csv: chart values span"),
+        (LABELS_CSV, "ticker,volatility,return,cluster\nAAA,1e308,0.1,0\nBBB,-1e308,0.1,1\n",
+         "labels.csv: chart values span"),
     ])
     def test_malformed_input_is_one_error_line(self, run_dir, capsys, name, text, where):
         if isinstance(text, bytes):

@@ -66,6 +66,16 @@ class TestPriceSeries:
         with pytest.raises(FormatError):
             PriceSeries("AAA", (dt.date(2019, 1, 2), dt.date(2019, 1, 3)), (1.0, 0.0))
 
+    @pytest.mark.parametrize("ticker", ["A,B", "A\nB", "A\rB", "A\x00B"])
+    def test_ticker_must_fit_one_csv_field(self, ticker):
+        with pytest.raises(FormatError, match="comma or a non-printable"):
+            PriceSeries(ticker, (dt.date(2019, 1, 2), dt.date(2019, 1, 3)), (1.0, 2.0))
+
+    def test_quoted_ticker_with_comma_rejected_on_load(self, tmp_path):
+        path = _write(tmp_path, 'ticker,date,adj_close\n"A,B",2019-01-02,1.0\n"A,B",2019-01-03,2.0\n')
+        with pytest.raises(FormatError, match="'A,B'"):
+            load_price_table(path)
+
     def test_table_rejects_duplicate_ticker(self):
         s = PriceSeries("AAA", (dt.date(2019, 1, 2), dt.date(2019, 1, 3)), (1.0, 2.0))
         table = PriceTable()
@@ -111,6 +121,16 @@ class TestLoadPriceTable:
     def test_bad_date(self, tmp_path):
         with pytest.raises(FormatError, match="bad date"):
             load_price_table(_write(tmp_path, "ticker,date,adj_close\nAAA,02/01/2019,1.0\n"))
+
+    def test_row_error_names_file(self, tmp_path):
+        path = _write(tmp_path, "ticker,date,adj_close\nAAA,2019-01-02,1.0\nAAA,someday,2.0\n")
+        with pytest.raises(FormatError, match=r"prices\.csv line 3: bad date"):
+            load_price_table(path)
+
+    def test_oversized_field_is_format_error(self, tmp_path):
+        path = _write(tmp_path, "ticker,date,adj_close\nAAA,2019-01-02,1.0\n" + "A" * 200_000 + ",2019-01-03,1\n")
+        with pytest.raises(FormatError, match=r"prices\.csv line 3: field larger than field limit"):
+            load_price_table(path)
 
     def test_bad_price(self, tmp_path):
         with pytest.raises(FormatError, match="bad price"):

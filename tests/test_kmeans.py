@@ -2,11 +2,14 @@
 
 Oracles here are independent of the implementation: the silhouette oracle is
 a direct transcription of the definition in pure Python loops, and small
-instances are checked against exhaustive enumeration of all partitions.
+instances are checked against exhaustive enumeration of all partitions. The
+streamed silhouette is also held bit for bit to the per-point NumPy loop it
+replaced.
 """
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -44,6 +47,41 @@ def oracle_silhouette(points, labels):
         if denom > 0:
             total += (b - a) / denom
     return total / n
+
+
+def reference_silhouette(points, labels):
+    """The per-point silhouette loop over a full n x n distance matrix.
+
+    Each cluster's distances from point i are masked out of row i and summed
+    with ``np.sum``; the scores are added in index order.
+    """
+    X = np.asarray(points, dtype=float)
+    lab = np.asarray(labels)
+    d2 = np.sum((X[:, None, :] - X[None, :, :]) ** 2, axis=2)
+    dist = np.sqrt(np.maximum(d2, 0.0))
+    masks = {int(u): lab == u for u in np.unique(lab)}
+    sizes = {u: int(m.sum()) for u, m in masks.items()}
+    total = 0.0
+    for i in range(len(X)):
+        own = int(lab[i])
+        if sizes[own] == 1:
+            continue
+        a = dist[i][masks[own]].sum() / (sizes[own] - 1)
+        b = min(dist[i][masks[u]].mean() for u in sizes if u != own)
+        m = max(a, b)
+        if m > 0.0:
+            total += (b - a) / m
+    return float(total / len(X))
+
+
+def random_points(seed, n, d=2):
+    gen = Xorshift64Star(seed)
+    return np.array([[gen.random() for _ in range(d)] for _ in range(n)])
+
+
+def random_labels(seed, n, values):
+    gen = Xorshift64Star(seed)
+    return [values[gen.below(len(values))] for _ in range(n)]
 
 
 def exhaustive_best_wcss(X, kmax):
@@ -174,9 +212,7 @@ class TestSilhouette:
     def test_hand_case_with_singleton(self):
         pts = [[0.0, 0.0], [0.0, 1.0], [10.0, 0.0]]
         labels = [0, 0, 1]
-        assert silhouette(np.array(pts), labels) == pytest.approx(
-            oracle_silhouette(pts, labels), abs=1e-14
-        )
+        assert silhouette(np.array(pts), labels) == oracle_silhouette(pts, labels)
 
     def test_well_separated_blobs_near_one(self):
         X, truth = make_blob_points(seed=4)
@@ -193,6 +229,57 @@ class TestSilhouette:
     def test_all_singletons_scores_zero(self):
         X = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         assert silhouette(X, [0, 1, 2]) == 0.0
+
+
+class TestSilhouetteMatchesReference:
+    """The row-block silhouette returns the per-point loop's float exactly."""
+
+    def test_several_row_blocks(self):
+        # 1600 points: 655 rows per 8 MiB block, so two full blocks and a partial one
+        X, truth = make_blob_points(seed=12, per_cluster=400)
+        for labels in (truth, random_labels(1, len(X), [0, 1, 2, 3, 4])):
+            assert silhouette(X, labels) == reference_silhouette(X, labels)
+
+    def test_fitted_sweep_labelings(self):
+        X, _ = make_blob_points(seed=13, per_cluster=60)
+        for k in range(2, 11):
+            labels = kmeans_fit(X, k, seed=7, restarts=2).assignments
+            assert silhouette(X, labels) == reference_silhouette(X, labels)
+
+    def test_singleton_clusters(self):
+        X = random_points(2, 40)
+        labels = random_labels(3, 40, [0, 1])
+        labels[5], labels[17] = 2, 3
+        assert silhouette(X, labels) == reference_silhouette(X, labels)
+
+    def test_duplicate_points(self):
+        # clusters 0 and 1 sit on one point, so a = b = 0 there
+        X = np.array([[1.0, 1.0]] * 7 + [[2.0, 3.0]] * 5 + [[2.0, 3.5]])
+        labels = [0, 1, 0, 1, 0, 1, 0, 2, 2, 3, 2, 3, 3]
+        assert silhouette(X, labels) == reference_silhouette(X, labels)
+
+    def test_non_contiguous_label_values(self):
+        X = random_points(4, 120)
+        labels = random_labels(5, 120, [0, 3, 7])
+        assert silhouette(X, labels) == reference_silhouette(X, labels)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_other_dimensions(self, d):
+        X = random_points(6 + d, 150, d)
+        labels = random_labels(8, 150, [0, 1, 2, 3])
+        assert silhouette(X, labels) == reference_silhouette(X, labels)
+
+    def test_memory_bounded(self):
+        # a full 6000 x 6000 x 2 difference array alone would take 576 MB
+        X = random_points(9, 6000)
+        labels = random_labels(10, 6000, [0, 1, 2, 3, 4])
+        tracemalloc.start()
+        try:
+            silhouette(X, labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 class TestSelectK:
@@ -286,4 +373,4 @@ def test_silhouette_label_permutation_invariant(seed):
         labels[0], labels[1] = 0, 1
     perm = [2, 0, 1]
     permuted = [perm[lab] for lab in labels]
-    assert silhouette(pts, labels) == pytest.approx(silhouette(pts, permuted), abs=1e-12)
+    assert silhouette(pts, labels) == silhouette(pts, permuted)

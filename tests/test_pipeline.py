@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import BLOB_CENTERS, blob_targets, widths, write_prices_csv
+from tscnet import autonet
 from tscnet.autonet import DenseLayer, DenseNetwork, LayerSpec, TrainHistory, load_model
 from tscnet.autonet import count_parameters
 from tscnet.errors import (
@@ -435,6 +436,7 @@ class TestPipelineConfigValidation:
         base = dict(prices_path=tmp_path / "p.csv")
         for kwargs in (
             dict(k=0),
+            dict(k=1),
             dict(k="sometimes"),
             dict(k_min=1),
             dict(k_min=9, k_max=3),
@@ -522,6 +524,19 @@ class TestRunPipeline:
         for name in (LABELS_CSV, MODEL_FILE, LOSS_CSV, EVAL_CSV):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
+    def test_failed_rerun_keeps_previous_bundle(self, tmp_path, prices, monkeypatch):
+        out = tmp_path / "out"
+        run_pipeline(self.run_config(prices, out))
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+        def refuse(net, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(autonet, "save_model", refuse)
+        with pytest.raises(PipelineError, match=r"\[emit\] disk full"):
+            run_pipeline(self.run_config(prices, out, seed=8))
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
     def test_missing_prices_fails_in_ingest(self, tmp_path):
         config = PipelineConfig(prices_path=tmp_path / "absent.csv", out_dir=tmp_path / "out")
         with pytest.raises(PipelineError) as exc:
@@ -580,6 +595,24 @@ class TestWriteFiles:
         assert list(paths) == ["a.txt", "b.txt"]
         assert paths["a.txt"].read_text(encoding="utf-8") == "alpha\n"
         assert paths["b.txt"].read_text(encoding="utf-8") == "beta\n"
+
+    def test_manifest_hashes_the_new_bytes(self, tmp_path):
+        (tmp_path / "a.txt").write_text("old", encoding="utf-8")
+        paths = write_files(tmp_path, {"a.txt": "new"}, manifest="m.txt")
+        digest = hashlib.sha256(b"new").hexdigest()
+        assert paths["m.txt"].read_text(encoding="utf-8") == f"{digest}  a.txt\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "m.txt"]
+
+    def test_failure_keeps_existing_files(self, tmp_path):
+        def broken(path):
+            path.write_text("half", encoding="utf-8")
+            raise OSError("disk full")
+
+        (tmp_path / "a.txt").write_text("old", encoding="utf-8")
+        with pytest.raises(OSError, match="disk full"):
+            write_files(tmp_path, {"a.txt": "alpha", "b.txt": broken}, manifest="m.txt")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
+        assert (tmp_path / "a.txt").read_text(encoding="utf-8") == "old"
 
     def test_failure_removes_started_files(self, tmp_path):
         def broken(path):
