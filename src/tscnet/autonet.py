@@ -35,9 +35,9 @@ from .rng import Xorshift64Star
 ACTIVATIONS = ("relu", "sigmoid", "linear")
 
 DEFAULT_LR = 0.001
-DEFAULT_BETA1 = 0.9
-DEFAULT_BETA2 = 0.999
-DEFAULT_EPS = 1e-8
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 MODEL_HEADER = "tscnet v1"
 
@@ -246,21 +246,11 @@ def backward(net: DenseNetwork, cache: ForwardCache, target) -> list[tuple[np.nd
 class AdamState:
     """First/second-moment accumulators plus the step counter for Adam."""
 
-    def __init__(
-        self,
-        params: list[np.ndarray],
-        lr: float = DEFAULT_LR,
-        beta1: float = DEFAULT_BETA1,
-        beta2: float = DEFAULT_BETA2,
-        eps: float = DEFAULT_EPS,
-    ):
+    def __init__(self, params: list[np.ndarray], lr: float = DEFAULT_LR):
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
         self.t = 0
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
 
 def adam_step(
@@ -278,14 +268,14 @@ def adam_step(
         if p.shape != g.shape:
             raise ShapeMismatch(f"param {p.shape} vs grad {g.shape}")
     state.t += 1
-    c1 = 1.0 - state.beta1**state.t
-    c2 = 1.0 - state.beta2**state.t
+    c1 = 1.0 - BETA1**state.t
+    c2 = 1.0 - BETA2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
     return params, state
 
 

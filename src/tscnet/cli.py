@@ -72,17 +72,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
 
-    p = sub.add_parser("label", help="compute features, fit k-means, write the labels CSV")
+    p = sub.add_parser("label", help="compute features, fit k-means, write return-ordered labels")
     _add_ingest_flags(p)
     p.add_argument("--k", type=_k_value, default=pipeline.AUTO, help="cluster count or 'auto' (default)")
     p.add_argument("--k-min", type=_positive_int, default=2, help="sweep lower bound for auto k")
     p.add_argument("--k-max", type=_positive_int, default=10, help="sweep upper bound for auto k")
     _add_seed_flag(p)
-    p.add_argument(
-        "--canonical-labels",
-        action="store_true",
-        help="renumber clusters by descending mean return",
-    )
     p.add_argument("--out", required=True, type=Path, help="labels CSV to write")
 
     p = sub.add_parser("select-k", help="silhouette sweep over a k range")
@@ -151,7 +146,7 @@ def _infer_clusters(net: autonet.DenseNetwork, override: int | None) -> int:
     return sigmoid_widths[0]
 
 
-def _stage1(args: argparse.Namespace, k: int | str, canonical: bool = False):
+def _stage1(args: argparse.Namespace, k: int | str):
     """Stage 1 on the prices named by the ingest flags: (records, model, sweep).
 
     Warnings from loading and from featurizing go to stderr as they arise.
@@ -167,7 +162,6 @@ def _stage1(args: argparse.Namespace, k: int | str, canonical: bool = False):
         trading_days=args.trading_days,
         k_min=args.k_min,
         k_max=args.k_max,
-        canonical=canonical,
         warn_sink=sink,
     )
     _warn(sink)
@@ -181,7 +175,7 @@ def _k_line(model: kmeans.KMeansModel) -> str:
 
 
 def cmd_label(args: argparse.Namespace) -> int:
-    records, model, _ = _stage1(args, args.k, args.canonical_labels)
+    records, model, _ = _stage1(args, args.k)
     pipeline.write_files(args.out.parent, {args.out.name: pipeline.labels_csv(records)})
     print(_k_line(model))
     return 0

@@ -1,9 +1,9 @@
 """End-to-end orchestration of the two clustering stages.
 
 Stage I turns a price table into ⟨volatility, ret⟩ features and k-means
-cluster labels. Stage II splits the labeled records, trains the autoencoder
-to regress the numeric label, and scores the held-out records against their
-k-means labels.
+cluster labels, numbered by descending mean return. Stage II splits the
+labeled records, trains the autoencoder to regress the label, and scores the
+held-out records against their k-means labels.
 
 :func:`run_pipeline` drives both stages from a parsed config and emits the
 artifact bundle: labels CSV, model file, k-sweep CSV (auto-k runs only),
@@ -123,8 +123,6 @@ def stage1_label(
     trading_days: int = features.TRADING_DAYS,
     k_min: int = 2,
     k_max: int = 10,
-    restarts: int = kmeans.DEFAULT_RESTARTS,
-    canonical: bool = False,
     warn_sink: list[str] | None = None,
 ) -> tuple[list[LabeledRecord], kmeans.KMeansModel, list[tuple[int, float]] | None]:
     """Features plus k-means labels for every usable ticker, in ticker order.
@@ -132,19 +130,24 @@ def stage1_label(
     Returns (records, fitted model, sweep). ``k`` is an integer or "auto";
     auto sweeps [k_min, min(k_max, n-1)], keeps the silhouette maximizer and
     returns the (k, silhouette) table as ``sweep``, which is None for a fixed
-    k. ``canonical`` renumbers clusters by descending mean return. Tickers
-    dropped for short series are reported into ``warn_sink`` when given.
+    k. Tickers dropped for short series are reported into ``warn_sink`` when
+    given.
+
+    Clusters are numbered by descending mean return
+    (:func:`kmeans.relabel_by_return`): cluster 0 has the highest return, so
+    the id Stage II regresses falls as return rises. This orders the target
+    along return only: two clusters that differ only in volatility get
+    adjacent ids in no geometric order, and the target can still fold there.
     """
     feats, warnings = features.build_feature_table(table, trading_days)
     if warn_sink is not None:
         warn_sink.extend(warnings)
-    model, sweep = _resolve_k(feature_matrix(feats), k, k_min, k_max, seed, restarts)
-    if canonical:
-        model = kmeans.relabel_by_return(model)
+    model, sweep = _resolve_k(feature_matrix(feats), k, k_min, k_max, seed)
+    model = kmeans.relabel_by_return(model)
     return _records_from(feats, model), model, sweep
 
 
-def _resolve_k(points, k, k_min, k_max, seed, restarts) -> tuple[kmeans.KMeansModel, list[tuple[int, float]] | None]:
+def _resolve_k(points, k, k_min, k_max, seed) -> tuple[kmeans.KMeansModel, list[tuple[int, float]] | None]:
     """(fitted model, sweep): a fixed k is fitted once with no sweep; "auto"
     runs the silhouette sweep and keeps its best fit.
     """
@@ -153,10 +156,10 @@ def _resolve_k(points, k, k_min, k_max, seed, restarts) -> tuple[kmeans.KMeansMo
         hi = min(k_max, n - 1)
         if k_min > hi:
             raise BadK(f"auto-k needs k_min <= min(k_max, n-1); got k_min={k_min}, n={n}")
-        return kmeans.select_k(points, k_min, hi, seed=seed, restarts=restarts)
+        return kmeans.select_k(points, k_min, hi, seed=seed)
     if not isinstance(k, int):
         raise BadK(f"k must be an integer or {AUTO!r}, got {k!r}")
-    return kmeans.kmeans_fit(points, k, seed=seed, restarts=restarts), None
+    return kmeans.kmeans_fit(points, k, seed=seed), None
 
 
 def split(
@@ -219,23 +222,23 @@ def _stratified_indices(records, test_size, rng):
 def stage2_train(
     train_records: list[LabeledRecord],
     num_clusters: int,
-    encoder_widths: tuple[int, ...] = DEFAULT_ENCODER_WIDTHS,
     epochs: int = 1000,
     batch_size: int = 1024,
     seed: int = 7,
-    lr: float = autonet.DEFAULT_LR,
 ) -> tuple[autonet.DenseNetwork, autonet.TrainHistory]:
     """Train the autoencoder to regress cluster ids from ⟨volatility, ret⟩.
 
-    Targets are the raw integer labels as floats (the output layer is one
-    unit wide); the latent width equals ``num_clusters``.
+    Targets are the records' cluster ids as floats (the output layer is one
+    unit wide); the latent width equals ``num_clusters``. Records from
+    :func:`stage1_label` carry return-ordered ids; a labels file is taken
+    with whatever numbering it has.
     """
     if not train_records:
         raise EmptyDataset("no training records")
     X = feature_matrix(train_records)
     y = np.array([[float(r.cluster)] for r in train_records], dtype=float)
-    net = autonet.build_autoencoder(2, encoder_widths, num_clusters, 1, seed=seed)
-    history = autonet.train(net, X, y, epochs=epochs, batch_size=batch_size, seed=seed, lr=lr)
+    net = autonet.build_autoencoder(2, DEFAULT_ENCODER_WIDTHS, num_clusters, 1, seed=seed)
+    history = autonet.train(net, X, y, epochs=epochs, batch_size=batch_size, seed=seed)
     return net, history
 
 
@@ -286,7 +289,7 @@ def evaluate(
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Parsed run configuration; defaults follow the canonical study setup."""
+    """Parsed run configuration; defaults follow the paper's study setup."""
 
     prices_path: Path
     out_dir: Path = Path("out")
@@ -323,7 +326,8 @@ def parse_config(path) -> PipelineConfig:
 
     Blank lines and ``#`` comments are ignored. Relative paths resolve
     against the config file's directory. The keys are the field names of
-    PipelineConfig; unknown or duplicate keys are rejected.
+    PipelineConfig; unknown or duplicate keys are rejected. Every error
+    names the config file.
     """
     path = Path(path)
     try:
@@ -331,7 +335,13 @@ def parse_config(path) -> PipelineConfig:
             text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise BadConfig(f"cannot read config {path}: {exc}") from exc
-    base = path.resolve().parent
+    try:
+        return _config_from(text, path.resolve().parent)
+    except BadConfig as exc:
+        raise BadConfig(f"{path}: {exc}") from None
+
+
+def _config_from(text: str, base: Path) -> PipelineConfig:
     known = {f.name for f in fields(PipelineConfig)}
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -519,9 +529,10 @@ def write_files(out_dir, writers, manifest: str | None = None) -> dict[str, Path
     :func:`write_manifest` and lists every other file. Each file is written
     under a temporary name in ``out_dir`` and renamed into place only after
     every write has succeeded, so a failed write leaves the files already
-    there untouched; a failed rename (say, onto a directory) can still leave
-    the earlier renames done. Returns the final paths by name. On any
-    failure the temporary files are removed and the error propagates.
+    there untouched. Before the first rename every target must be absent or
+    a regular file, else OSError names it and nothing is renamed. Returns
+    the final paths by name. On any failure the temporary files are removed
+    and the error propagates.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -537,6 +548,9 @@ def write_files(out_dir, writers, manifest: str | None = None) -> dict[str, Path
             artifacts = dict(staged)
             staged[manifest] = out / f".{manifest}.tmp"
             write_manifest(artifacts, staged[manifest])
+        for name in staged:
+            if (out / name).exists() and not (out / name).is_file():
+                raise OSError(f"cannot replace {out / name}: not a regular file")
         for name, path in staged.items():
             os.replace(path, out / name)
     except BaseException:

@@ -124,15 +124,22 @@ class TestLabel:
         assert a.read_bytes() == b.read_bytes()
 
     def test_canonical_orders_by_return(self, workdir, tmp_path, capsys):
+        # seed 7's raw k-means++ numbering on this fixture is not return-monotone
         out = tmp_path / "labels.csv"
-        run_cli(capsys, ["label", "--prices", str(workdir["prices"]), "--k", "4",
-                         "--seed", "7", "--canonical-labels", "--out", str(out)])
-        means: dict[int, list[float]] = {}
-        for line in out.read_text(encoding="utf-8").splitlines()[1:]:
-            _, _, ret, cluster = line.split(",")
-            means.setdefault(int(cluster), []).append(float(ret))
-        ordered = [sum(means[c]) / len(means[c]) for c in sorted(means)]
-        assert ordered == sorted(ordered, reverse=True)
+        for k in ("4", "auto"):
+            run_cli(capsys, ["label", "--prices", str(workdir["prices"]), "--k", k,
+                             "--seed", "7", "--out", str(out)])
+            means: dict[int, list[float]] = {}
+            for line in out.read_text(encoding="utf-8").splitlines()[1:]:
+                _, _, ret, cluster = line.split(",")
+                means.setdefault(int(cluster), []).append(float(ret))
+            ordered = [sum(means[c]) / len(means[c]) for c in sorted(means)]
+            assert len(ordered) == 4
+            assert ordered == sorted(ordered, reverse=True)
+        with pytest.raises(SystemExit) as exc:
+            main(["label", "--prices", str(workdir["prices"]), "--canonical-labels",
+                  "--out", str(out)])
+        assert exc.value.code == 2
 
     def test_missing_prices_file(self, tmp_path, capsys):
         stdout, stderr = run_cli(
@@ -308,6 +315,21 @@ class TestRun:
         config = write_config(tmp_path / "run.cfg", workdir["prices"], tmp_path / "out")
         stdout, _ = run_cli(capsys, ["run", str(config), "--stratify"])
         assert "train=46 test=24" in stdout.splitlines()
+
+    def test_rerun_onto_directory_keeps_previous_bundle(self, workdir, tmp_path, capsys):
+        out_dir = tmp_path / "out"
+        run_cli(capsys, ["run", str(write_config(tmp_path / "a.cfg", workdir["prices"], out_dir))])
+        (out_dir / EVAL_CSV).unlink()
+        (out_dir / EVAL_CSV).mkdir()
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()}
+        # another seed, so the model and the loss the rerun would write differ
+        config = write_config(tmp_path / "b.cfg", workdir["prices"], out_dir, seed=8)
+        _, stderr = run_cli(capsys, ["run", str(config)], expect=1)
+        assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1
+        assert str(out_dir / EVAL_CSV) in stderr
+        after = {p.name: p.read_bytes() for p in out_dir.iterdir() if p.is_file()}
+        assert after == before
+        assert not list(out_dir.glob(".*.tmp"))
 
     def test_missing_config(self, tmp_path, capsys):
         _, stderr = run_cli(capsys, ["run", str(tmp_path / "absent.cfg")], expect=1)

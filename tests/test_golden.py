@@ -4,6 +4,11 @@ Criterion 9 compares two runs of the same build, so it cannot see a change
 that moves output bytes. These digests pin every file a fixed-k and an
 auto-k run leave behind, plus `run`'s stdout with the temp path masked. A
 change that moves any of them must re-pin it and say why.
+
+Re-pinned once, when Stage 1 began numbering clusters by descending mean
+return: the labels, the model, the loss, the evaluation, the scatter files
+and the manifests moved. `k_sweep.csv` and `k_sweep.svg` kept their digests,
+because the silhouette does not depend on the numbering.
 """
 
 import hashlib
@@ -16,7 +21,7 @@ from tscnet.cli import main
 RUN_STDOUT = (
     "k=4 silhouette=0.871128843809\n"
     "train=46 test=24\n"
-    "final_loss=1.40135708994\n"
+    "final_loss=1.36332859657\n"
     "accuracy=0.25\n"
     "artifact evaluation.csv\n"
     "{sweep}"
@@ -29,14 +34,14 @@ RUN_STDOUT = (
 )
 
 SHARED = {
-    "evaluation.csv": "012b50149921c967fb27c7f6196cd937ab9a10a0d161432ab044d82a3d0071af",
-    "labels.csv": "560d26cdee073e1b26e615c0d608611278ef748d2396acc08416a576b42660a8",
-    "loss.csv": "fd402dd63f55847b50bc737efcc2c1e17f39fe6d3395ce6c45303dcffebdfd5a",
-    "loss.svg": "40628b21d718abcc935f98ccc6cd96ae3aefa41d8337d825bd4789516369c183",
-    "model.tscnet": "c5c47a770a19695d51fbc2eddbc47a106ea8b5af9f5ca93a3b959c2d732336da",
-    "scatter_autoencoder.svg": "66de6fed476b38d7bff385d6d197115a6f45c1351dc0d1762139c1159dffaecb",
-    "scatter_kmeans.svg": "d1beba1d37f6929168dc6869bed2456e617e7990f48123f824ea3e0deb926e84",
-    "scatter_points.csv": "dbb76da512448de89ebfce77d90ea420acf31b6d3f214f180a648e1001e09955",
+    "evaluation.csv": "b35894d411e2a002923166bf92f3cd5bd680f254d182c828ba16aaddb8e87165",
+    "labels.csv": "3e3a2b268e671ebd95d089c43e79371f3bee0eb5ad6b946cdf42e95156dc7c0e",
+    "loss.csv": "21379ebd0b881edfb66f64c5b13b7c1fe3306c9d620a790708fcfa0f89d9f65a",
+    "loss.svg": "f8647028896cf911d979b4736bd8966fa6b119d31eeb6607fcc4b1935d79e3d8",
+    "model.tscnet": "f1b7ab54fed86b33fa7964a4b98ffe7250a81058da83c731f0ea060b36ba8333",
+    "scatter_autoencoder.svg": "92c191608755fe477347863aec2a64e25a72014c2798027e4c15d6921ad5bda2",
+    "scatter_kmeans.svg": "fdfc90a4028cc2b99b8bd42e274eb3d004a9b8909df97e226676c6fc3abad18b",
+    "scatter_points.csv": "ad656c6993bf683446527423d41362184f60e5f37dba63a1fb11b824ca0586cd",
 }
 
 GOLDEN = {
@@ -44,7 +49,7 @@ GOLDEN = {
         "stdout": RUN_STDOUT.format(sweep=""),
         "files": {
             **SHARED,
-            "manifest.txt": "0b7065c7b07b0c7ec4c04d16b9516cc4160e5fb6887270dc61184fb5414010c7",
+            "manifest.txt": "2bcef3dff0f64a694579aeea4ac9d3f4635c345fe5f225d0bdbc0a4351172d90",
         },
     },
     "auto": {
@@ -53,7 +58,7 @@ GOLDEN = {
             **SHARED,
             "k_sweep.csv": "09705d9aeaa67a42cdd63a803d0dc9ff7916c66a29fe37b5b7f36cfd51f9d704",
             "k_sweep.svg": "9026d10ffa64551158f33650a9f6544421107de0024f9e26a5d788e464a3e5ed",
-            "manifest.txt": "a20477dd8efdde3940b792d4030bd2b509e9b9c1f83d2ee4736b0bf1e0670810",
+            "manifest.txt": "c403a6ec4463af4c7f3e8f66da80e1c395d2af2f8a9894d117bc6334ddb7ab25",
         },
     },
 }
