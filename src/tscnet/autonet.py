@@ -9,6 +9,11 @@ layers, a sigmoid latent layer whose width equals the number of clusters,
 the mirrored decoder in relu, and a final linear layer. Weight matrices are
 stored as (output_width, input_width); a layer computes ``a = act(x @ W.T + b)``.
 
+During :func:`train` every weight and bias lives in one contiguous float64
+vector: ``train`` copies them into it and rebinds each layer's ``weights``
+and ``biases`` to reshaped views of that vector, so one Adam update over the
+vector updates the whole network.
+
 Initialization is uniform on +/-sqrt(6 / (fan_in + fan_out)) with zero
 biases, drawn row-major from the package's deterministic generator, so a
 fixed seed yields bitwise-identical networks everywhere.
@@ -166,12 +171,15 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _activation_grad(name: str, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+def _activation_backward(name: str, delta: np.ndarray, z: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the pre-activation ``z``, given ``delta`` w.r.t. the output ``a``."""
     if name == "relu":
-        return (z > 0.0).astype(float)
+        grad = (z > 0.0).astype(float)
+        grad *= delta
+        return grad
     if name == "sigmoid":
-        return a * (1.0 - a)
-    return np.ones_like(z)
+        return delta * (a * (1.0 - a))
+    return delta
 
 
 @dataclass
@@ -201,7 +209,8 @@ def forward(net: DenseNetwork, batch) -> tuple[np.ndarray, ForwardCache]:
     a = X
     with np.errstate(over="ignore", invalid="ignore"):
         for layer in net.layers:
-            z = a @ layer.weights.T + layer.biases
+            z = a @ layer.weights.T
+            z += layer.biases
             a = _activate(layer.spec.activation, z)
             cache.pre_activations.append(z)
             cache.activations.append(a)
@@ -235,7 +244,7 @@ def backward(net: DenseNetwork, cache: ForwardCache, target) -> list[tuple[np.nd
         z = cache.pre_activations[idx]
         a = cache.activations[idx]
         a_prev = cache.activations[idx - 1] if idx > 0 else cache.inputs
-        dz = delta * _activation_grad(layer.spec.activation, z, a)
+        dz = _activation_backward(layer.spec.activation, delta, z, a)
         grads.append((dz.T @ a_prev, dz.sum(axis=0)))
         if idx > 0:
             delta = dz @ layer.weights
@@ -292,12 +301,22 @@ class TrainHistory:
         return self.losses[-1]
 
 
-def _flat_params(net: DenseNetwork) -> list[np.ndarray]:
-    params = []
+def _bind_flat(net: DenseNetwork) -> np.ndarray:
+    """Copy every weight and bias into one vector; rebind the layers to views of it.
+
+    Layer order, weights before biases, each array row-major: the order in
+    which :func:`train` concatenates the gradients of :func:`backward`.
+    """
+    theta = np.concatenate(
+        [arr.ravel() for layer in net.layers for arr in (layer.weights, layer.biases)], dtype=float
+    )
+    pos = 0
     for layer in net.layers:
-        params.append(layer.weights)
-        params.append(layer.biases)
-    return params
+        for attr in ("weights", "biases"):
+            arr = getattr(layer, attr)
+            setattr(layer, attr, theta[pos : pos + arr.size].reshape(arr.shape))
+            pos += arr.size
+    return theta
 
 
 def train(
@@ -314,9 +333,15 @@ def train(
     With batch_size >= n the whole dataset forms one batch and the sample
     order is never touched; with smaller batches the row order is reshuffled
     each epoch from a stream seeded once at the start. Either way a fixed
-    (seed, data, hyperparameters) tuple reproduces weights bitwise. A
-    non-finite epoch-end loss stops training with a TscnetError naming the
-    epoch.
+    (seed, data, hyperparameters) tuple reproduces weights bitwise. Non-finite
+    targets raise NonFiniteInput up front; a non-finite epoch-end loss stops
+    training with a TscnetError naming the epoch.
+
+    The parameters are trained as one vector: each layer's ``weights`` and
+    ``biases`` are rebound to views of it, so arrays taken from the layers
+    before the call are no longer updated. With one full batch, each
+    epoch-end forward pass, which gives the epoch's loss, is also the next
+    epoch's training forward, so an epoch costs one forward and one backward.
     """
     Xa = np.asarray(X, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -328,31 +353,39 @@ def train(
         raise EmptyDataset("no training samples")
     if len(Xa) != len(ya):
         raise ShapeMismatch(f"{len(Xa)} inputs vs {len(ya)} targets")
+    if not np.all(np.isfinite(ya)):
+        raise NonFiniteInput("targets contain NaN or infinity")
     if epochs < 1 or batch_size < 1:
         raise ValueError("epochs and batch_size must be >= 1")
 
     n = len(Xa)
-    params = _flat_params(net)
-    state = AdamState(params, lr=lr)
+    theta = _bind_flat(net)
+    state = AdamState([theta], lr=lr)
     rng = Xorshift64Star(seed)
-    order = np.arange(n)
     single_batch = batch_size >= n
+
+    def step(cache: ForwardCache, target: np.ndarray) -> None:
+        grads = backward(net, cache, target)
+        adam_step([theta], [np.concatenate([g.ravel() for pair in grads for g in pair])], state)
 
     losses = []
     # a diverging run overflows before the epoch-end check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
+        cache = forward(net, Xa)[1] if single_batch else None
         for epoch in range(1, epochs + 1):
-            if not single_batch:
+            if single_batch:
+                step(cache, ya)
+            else:
                 idx = list(range(n))
                 rng.shuffle(idx)
                 order = np.array(idx)
-            for start in range(0, n, batch_size):
-                rows = order[start : start + batch_size]
-                _, cache = forward(net, Xa[rows])
-                grads = backward(net, cache, ya[rows])
-                flat_grads = [g for pair in grads for g in pair]
-                adam_step(params, flat_grads, state)
-            out, _ = forward(net, Xa)
+                for start in range(0, n, batch_size):
+                    rows = order[start : start + batch_size]
+                    step(forward(net, Xa[rows])[1], ya[rows])
+            # the old cache is freed only once the new one exists; freeing it
+            # first lets malloc hand its pages back and fault them in again
+            # every epoch, which cost more than the forward this loop saves
+            out, cache = forward(net, Xa)
             losses.append(mse_loss(out, ya))
             if not math.isfinite(losses[-1]):
                 raise TscnetError(f"training diverged: loss {losses[-1]} at epoch {epoch}")

@@ -3,7 +3,8 @@
 The forward oracle below evaluates the network neuron by neuron with
 scalar math, sharing no array code with the implementation. Gradients are
 checked against central finite differences; Adam against a hand-unrolled
-recurrence.
+recurrence. Training is checked bit for bit against ``reference_train``,
+the per-array loop that ran two forward passes per full-batch epoch.
 """
 
 import math
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import widths
+from conftest import make_blob_points, widths
 
+from tscnet import autonet
 from tscnet.autonet import (
     AdamState,
     DenseLayer,
@@ -96,6 +98,80 @@ def make_layer(weights, biases, activation):
     w = np.asarray(weights, dtype=float)
     b = np.asarray(biases, dtype=float)
     return DenseLayer(LayerSpec(w.shape[1], w.shape[0], activation), w, b)
+
+
+def reference_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def reference_train(net, X, y, epochs, batch_size, seed, lr=0.001):
+    """The per-array training loop; returns the epoch-end losses.
+
+    Every epoch runs a training forward per batch and then a full-data
+    forward for the loss, so a full-batch epoch runs the same forward twice.
+    Adam updates each of the layers' own weight and bias arrays in turn.
+    Forward and backward are written out as ``z = a @ W.T + b``, with a 0/1
+    float mask for the relu gradient and a ones mask for the linear one.
+    """
+
+    def fwd(batch):
+        zs, acts = [], []
+        a = batch
+        for layer in net.layers:
+            z = a @ layer.weights.T + layer.biases
+            if layer.spec.activation == "relu":
+                a = np.maximum(z, 0.0)
+            elif layer.spec.activation == "sigmoid":
+                a = reference_sigmoid(z)
+            else:
+                a = z
+            zs.append(z)
+            acts.append(a)
+        return zs, acts
+
+    def grads(batch, target):
+        zs, acts = fwd(batch)
+        delta = 2.0 * (acts[-1] - target) / acts[-1].size
+        out = []
+        for idx in range(len(net.layers) - 1, -1, -1):
+            layer = net.layers[idx]
+            if layer.spec.activation == "relu":
+                gate = (zs[idx] > 0.0).astype(float)
+            elif layer.spec.activation == "sigmoid":
+                gate = acts[idx] * (1.0 - acts[idx])
+            else:
+                gate = np.ones_like(zs[idx])
+            dz = delta * gate
+            a_prev = acts[idx - 1] if idx > 0 else batch
+            out[:0] = [dz.T @ a_prev, dz.sum(axis=0)]
+            if idx > 0:
+                delta = dz @ layer.weights
+        return out
+
+    Xa = np.asarray(X, dtype=float)
+    ya = np.asarray(y, dtype=float).reshape(len(Xa), -1)
+    n = len(Xa)
+    params = [arr for layer in net.layers for arr in (layer.weights, layer.biases)]
+    state = AdamState(params, lr=lr)
+    rng = Xorshift64Star(seed)
+    order = np.arange(n)
+    losses = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(epochs):
+            if batch_size < n:
+                idx = list(range(n))
+                rng.shuffle(idx)
+                order = np.array(idx)
+            for start in range(0, n, batch_size):
+                rows = order[start : start + batch_size]
+                adam_step(params, grads(Xa[rows], ya[rows]), state)
+            losses.append(mse_loss(fwd(Xa)[1][-1], ya))
+    return tuple(losses)
 
 
 class TestConstruction:
@@ -400,6 +476,90 @@ class TestTrain:
             warnings.simplefilter("error")
             with pytest.raises(TscnetError, match=r"loss inf at epoch 1$"):
                 train(net, [[0.2, 0.1], [0.3, 0.5]], [0.0, 1.0], epochs=5, lr=1e300)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_targets_rejected_before_training(self, bad):
+        # bad input, not a diverging run: the network is left as it was
+        net = build_autoencoder(2, (8,), 2, 1, seed=0)
+        before = [layer.weights.copy() for layer in net.layers]
+        with pytest.raises(NonFiniteInput, match="targets contain NaN or infinity"):
+            train(net, [[0.2, 0.1], [0.3, 0.5]], [0.0, bad], epochs=5)
+        for layer, weights in zip(net.layers, before):
+            assert np.array_equal(layer.weights, weights)
+
+
+class TestTrainMatchesReference:
+    """One flat Adam vector and the reused full-batch forward give the reference loop's bits."""
+
+    @staticmethod
+    def assert_matches(per_cluster, latent=4, batch_sizes=(1024,), epochs=25):
+        X, truth = make_blob_points(seed=17, per_cluster=per_cluster)
+        y = np.array(truth, dtype=float)
+        net = build_autoencoder(2, (100, 50, 20), latent, 1, seed=11)
+        ref = build_autoencoder(2, (100, 50, 20), latent, 1, seed=11)
+        for call, batch_size in enumerate(batch_sizes):
+            history = train(net, X, y, epochs=epochs, batch_size=batch_size, seed=5 + call)
+            assert history.losses == reference_train(ref, X, y, epochs, batch_size, seed=5 + call)
+            for got, want in zip(net.layers, ref.layers):
+                assert got.weights.tobytes() == want.weights.tobytes()
+                assert got.biases.tobytes() == want.biases.tobytes()
+
+    def test_batch_larger_than_n(self):
+        self.assert_matches(10, batch_sizes=(1024,))
+
+    def test_batch_equal_to_n(self):
+        self.assert_matches(10, batch_sizes=(40,))
+
+    def test_minibatches_with_short_last_batch(self):
+        # 23 rows in batches of 5: four full batches and one of 3
+        self.assert_matches((6, 5, 6, 6), batch_sizes=(5,), epochs=10)
+
+    @pytest.mark.parametrize("latent", [2, 4, 10])
+    def test_latent_widths(self, latent):
+        self.assert_matches(8, latent=latent)
+
+    def test_second_call_trains_the_rebound_views(self):
+        # the first call rebinds the layers to views; later calls start from them
+        self.assert_matches(10, batch_sizes=(1024, 7, 1024), epochs=12)
+
+
+class TestTrainCallPath:
+    """train reaches forward, backward and adam_step through the module namespace.
+
+    The benchmark's tracer counts calls by wrapping those module attributes.
+    """
+
+    @staticmethod
+    def counted_train(monkeypatch, epochs, batch_size):
+        counts = dict.fromkeys(("forward", "backward", "adam_step"), 0)
+        for name in counts:
+            original = getattr(autonet, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(autonet, name, counting)
+        X, truth = make_blob_points(seed=3, per_cluster=3)
+        net = build_autoencoder(2, (6, 4), 2, 1, seed=3)
+        train(net, X, truth, epochs=epochs, batch_size=batch_size, seed=3)
+        return counts
+
+    @pytest.mark.parametrize("batch_size", [12, 1024])
+    def test_single_batch_forward_is_reused(self, monkeypatch, batch_size):
+        epochs = 7
+        counts = self.counted_train(monkeypatch, epochs, batch_size)
+        assert counts == {"forward": epochs + 1, "backward": epochs, "adam_step": epochs}
+
+    def test_minibatches_add_the_epoch_end_forward(self, monkeypatch):
+        # 12 rows in batches of 5: B = 3 batches per epoch
+        epochs, batches = 5, 3
+        counts = self.counted_train(monkeypatch, epochs, 5)
+        assert counts == {
+            "forward": epochs * (batches + 1),
+            "backward": epochs * batches,
+            "adam_step": epochs * batches,
+        }
 
 
 class TestRoundLabels:

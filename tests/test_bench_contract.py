@@ -59,3 +59,7 @@ def test_traced_run_and_report_give_every_declared_metric(tmp_path, blob_prices_
     assert unseen == []
     # auto k sweeps 2..10 on 70 tickers: one fit and one silhouette per k
     assert metrics["kmeans.fit_calls"] == metrics["kmeans.silhouette_calls"] == 9
+    # the training set is one full batch: train runs EPOCHS + 1 forwards, and
+    # evaluate, the labels written by run, and report's labels one each
+    assert metrics["autonet.forward_calls"] == EPOCHS + 1 + 3
+    assert metrics["autonet.backward_calls"] == metrics["autonet.adam_calls"] == EPOCHS
