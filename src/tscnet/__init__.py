@@ -19,13 +19,13 @@ from .autonet import (
     train,
 )
 from .errors import TscnetError
-from .features import FeatureVector, annualize, build_feature_table, log_returns
+from .features import annualize, build_feature_table, log_returns
 from .ingest import PriceSeries, PriceTable, load_price_table
 from .kmeans import KMeansModel, kmeans_fit, select_k, silhouette
 from .pipeline import (
     EvaluationReport,
-    LabeledRecord,
     PipelineConfig,
+    Records,
     SplitSpec,
     evaluate,
     parse_config,
@@ -40,12 +40,11 @@ __version__ = "0.1.0"
 __all__ = [
     "DenseNetwork",
     "EvaluationReport",
-    "FeatureVector",
     "KMeansModel",
-    "LabeledRecord",
     "PipelineConfig",
     "PriceSeries",
     "PriceTable",
+    "Records",
     "SplitSpec",
     "TrainHistory",
     "TscnetError",

@@ -76,13 +76,9 @@ class DenseLayer:
 
 
 class DenseNetwork:
-    """An ordered stack of dense layers with chained widths.
+    """An ordered stack of dense layers with chained widths."""
 
-    ``seed`` records the initialization seed; it is None for networks
-    reloaded from disk (the stored weights carry all the information).
-    """
-
-    def __init__(self, layers: list[DenseLayer], seed: int | None = None):
+    def __init__(self, layers: list[DenseLayer]):
         if not layers:
             raise BadWidth("a network needs at least one layer")
         for prev, cur in zip(layers, layers[1:]):
@@ -91,7 +87,6 @@ class DenseNetwork:
                     f"width chain broken: {prev.spec.output_width} -> {cur.spec.input_width}"
                 )
         self.layers = layers
-        self.seed = seed
 
     @property
     def input_width(self) -> int:
@@ -109,7 +104,7 @@ def _glorot_layer(spec: LayerSpec, rng: Xorshift64Star) -> DenseLayer:
 def build_network(specs: list[LayerSpec], seed: int) -> DenseNetwork:
     """Initialize an arbitrary stack of layers from one seeded stream."""
     rng = Xorshift64Star(seed)
-    return DenseNetwork([_glorot_layer(spec, rng) for spec in specs], seed=seed)
+    return DenseNetwork([_glorot_layer(spec, rng) for spec in specs])
 
 
 def build_autoencoder(
@@ -293,9 +288,6 @@ class TrainHistory:
     """Epoch-end full-dataset MSE values, one per epoch run."""
 
     losses: tuple[float, ...]
-    epochs: int
-    batch_size: int
-    seed: int
 
     def final_loss(self) -> float:
         return self.losses[-1]
@@ -389,7 +381,7 @@ def train(
             losses.append(mse_loss(out, ya))
             if not math.isfinite(losses[-1]):
                 raise TscnetError(f"training diverged: loss {losses[-1]} at epoch {epoch}")
-    return TrainHistory(losses=tuple(losses), epochs=epochs, batch_size=batch_size, seed=seed)
+    return TrainHistory(losses=tuple(losses))
 
 
 def round_labels(raw, num_clusters: int) -> np.ndarray:
@@ -481,4 +473,4 @@ def load_model(path) -> DenseNetwork:
         layers.append(DenseLayer(spec, np.vstack(rows).reshape(width_out, width_in), biases))
     if pos != len(lines):
         raise ModelFormatError(f"{len(lines) - pos} trailing lines after the last layer")
-    return DenseNetwork(layers, seed=None)
+    return DenseNetwork(layers)

@@ -194,7 +194,7 @@ def cmd_select_k(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     records = pipeline.read_labels_csv(args.labels)
-    num_clusters = args.k if args.k is not None else max(r.cluster for r in records) + 1
+    num_clusters = args.k if args.k is not None else int(records.clusters.max()) + 1
     if num_clusters < 2:
         raise TscnetError(f"need at least 2 clusters, got {num_clusters}")
     net, history = pipeline.stage2_train(
@@ -223,8 +223,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     records = pipeline.read_labels_csv(args.labels)
     report = pipeline.evaluate(net, records, _infer_clusters(net, args.k))
     text = pipeline.csv_text(pipeline.EVAL_HEADER[:5], (
-        f"{row.ticker},{row.volatility:.12g},{row.ret:.12g},{row.raw_output:.16e},{row.predicted}"
-        for row in report.rows
+        f"{t},{v:.12g},{r:.12g},{raw:.16e},{p}"
+        for (t, v, r, _), raw, p in zip(records.rows(), report.raw.tolist(), report.predicted.tolist())
     ))
     if args.out is None:
         print(text, end="")
@@ -240,10 +240,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     report = pipeline.evaluate(net, records, _infer_clusters(net, args.k))
     if args.out is not None:
         pipeline.write_files(args.out.parent, {args.out.name: pipeline.evaluation_csv(report)})
+    missed = [
+        (t, p, c) for (t, _, _, c), p in zip(records.rows(), report.predicted.tolist()) if p != c
+    ]
     print(f"accuracy={report.accuracy:.12g}")
-    print(f"disagreements={len(report.disagreements)}")
-    for row in report.disagreements:
-        print(f"missed {row.ticker}: predicted={row.predicted} kmeans={row.kmeans}")
+    print(f"disagreements={len(missed)}")
+    for ticker, p, c in missed:
+        print(f"missed {ticker}: predicted={p} kmeans={c}")
     return 0
 
 
@@ -252,7 +255,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     result = pipeline.run_pipeline(config, stratify=args.stratify)
     _warn(result.warnings)
     print(_k_line(result.model))
-    print(f"train={len(result.records) - len(result.report.rows)} test={len(result.report.rows)}")
+    test = len(result.report.records)
+    print(f"train={len(result.records) - test} test={test}")
     print(f"final_loss={result.history.final_loss():.12g}")
     print(f"accuracy={result.report.accuracy:.12g}")
     for name in sorted(result.artifacts):
@@ -285,7 +289,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     losses = pipeline.read_csv(loss_path, pipeline.LOSS_COLUMNS)
     sweep_path = out / pipeline.SWEEP_CSV
     sweep = pipeline.read_csv(sweep_path, pipeline.SWEEP_COLUMNS) if sweep_path.exists() else None
-    predicted = autonet.predict_labels(net, pipeline.feature_matrix(records), num_clusters)
+    predicted = autonet.predict_labels(net, records.features, num_clusters).tolist()
 
     texts: dict[str, str] = {}
     with _charting(sweep_path):
@@ -308,8 +312,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     with _charting(labels_path):
         texts.update(pipeline.scatter_charts(records, predicted, num_clusters))
     texts[SCATTER_POINTS_CSV] = pipeline.csv_text(POINTS_HEADER, (
-        f"{rec.ticker},{rec.volatility:.12g},{rec.ret:.12g},{rec.cluster},{p},{int(p != rec.cluster)}"
-        for rec, p in zip(records, predicted)
+        f"{t},{v:.12g},{r:.12g},{c},{p},{int(p != c)}" for (t, v, r, c), p in zip(records.rows(), predicted)
     ))
 
     paths = pipeline.write_files(out, texts)

@@ -17,7 +17,6 @@ the raw <volatility, ret> pair is the clustering space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,15 +24,6 @@ from .errors import NonPositivePrice, TooShort
 from .ingest import PriceTable
 
 TRADING_DAYS = 252
-
-
-@dataclass(frozen=True)
-class FeatureVector:
-    """Annualized <volatility, ret> pair for one ticker."""
-
-    ticker: str
-    volatility: float
-    ret: float
 
 
 def log_returns(prices) -> np.ndarray:
@@ -58,31 +48,36 @@ def sample_std(values) -> float:
     return float(np.std(v, ddof=1))
 
 
-def annualize(ticker: str, returns, trading_days: int = TRADING_DAYS) -> FeatureVector:
-    """Annualized feature vector from one ticker's daily log returns."""
+def annualize(ticker: str, returns, trading_days: int = TRADING_DAYS) -> tuple[float, float]:
+    """Annualized (volatility, ret) from one ticker's daily log returns."""
     v = np.asarray(returns, dtype=float)
     if v.size < 2:
         raise TooShort(f"{ticker}: need at least 2 returns, got {v.size}")
     vol = sample_std(v) * math.sqrt(trading_days)
     ret = float(np.mean(v)) * trading_days
-    return FeatureVector(ticker, vol, ret)
+    return vol, ret
 
 
 def build_feature_table(
     table: PriceTable, trading_days: int = TRADING_DAYS
-) -> tuple[list[FeatureVector], list[str]]:
-    """One FeatureVector per ticker, in ticker order.
+) -> tuple[tuple[str, ...], np.ndarray, list[str]]:
+    """(tickers, features, warnings): row i of the (n, 2) float64 array
+    ``features`` is the (volatility, ret) pair of ``tickers[i]``, in ticker
+    order.
 
     A ticker too short to feature is excluded with a warning rather than
     failing the batch: one with exactly 2 price rows passes ingest but has a
     single return, too few for a sample standard deviation.
     """
-    features = []
+    tickers = []
+    pairs = []
     warnings = []
     for series in table:
         try:
-            features.append(annualize(series.ticker, log_returns(series.closes), trading_days))
+            pairs.append(annualize(series.ticker, log_returns(series.closes), trading_days))
         except TooShort as exc:
             warnings.append(f"{series.ticker}: excluded, {exc}")
-    return features, warnings
+        else:
+            tickers.append(series.ticker)
+    return tuple(tickers), np.array(pairs, dtype=float).reshape(-1, 2), warnings
 

@@ -9,10 +9,11 @@ deterministic random stream, so restarts are order-independent and a fixed
 Convergence: a restart stops when an assignment pass leaves every centroid
 unchanged (an exact Lloyd fixed point; recomputed means of an identical
 partition are bitwise identical). Once the largest centroid displacement
-falls below ``tol`` the restart is treated as converged and given a short
+falls below ``TOL`` the restart is treated as converged and given a short
 polish budget to reach the exact fixed point, which makes the fitted-model
 invariants (centroid == mean of members, every point nearest its centroid)
-hold exactly rather than within tol.
+hold exactly rather than within TOL. No restart runs more than ``MAX_ITER``
+assignment passes.
 """
 
 from __future__ import annotations
@@ -25,10 +26,10 @@ from .errors import BadK, NonFinitePoint, SingleCluster
 from .rng import Xorshift64Star, derive_seed
 
 DEFAULT_RESTARTS = 10
-DEFAULT_MAX_ITER = 300
-DEFAULT_TOL = 1e-4
+MAX_ITER = 300
+TOL = 1e-4
 
-_POLISH_BUDGET = 100  # extra iterations allowed to turn tol-convergence into an exact fixed point
+_POLISH_BUDGET = 100  # extra iterations allowed to turn TOL-convergence into an exact fixed point
 _BLOCK_BYTES = 8 << 20  # size of each silhouette distance buffer
 
 
@@ -98,14 +99,14 @@ class _Restart:
     history: tuple[float, ...]
 
 
-def _lloyd(X: np.ndarray, k: int, rng: Xorshift64Star, max_iter: int, tol: float) -> _Restart:
+def _lloyd(X: np.ndarray, k: int, rng: Xorshift64Star) -> _Restart:
     n = len(X)
     centroids = _kmeanspp_init(X, k, rng)
     labels = np.zeros(n, dtype=int)
     history = []
     polish = None
     iterations = 0
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         iterations += 1
         labels, own_d2 = _assign_all(X, centroids)
         labels, own_d2 = _repair_empty(X, centroids, labels, own_d2, k)
@@ -118,7 +119,7 @@ def _lloyd(X: np.ndarray, k: int, rng: Xorshift64Star, max_iter: int, tol: float
         centroids = new_centroids
         if shift == 0.0:
             break
-        if shift < tol:
+        if shift < TOL:
             polish = _POLISH_BUDGET if polish is None else polish - 1
             if polish == 0:
                 break
@@ -129,14 +130,7 @@ def _lloyd(X: np.ndarray, k: int, rng: Xorshift64Star, max_iter: int, tol: float
     return _Restart(centroids, labels, float(own_d2.sum()), iterations, tuple(history))
 
 
-def kmeans_fit(
-    points,
-    k: int,
-    seed: int = 7,
-    restarts: int = DEFAULT_RESTARTS,
-    max_iter: int = DEFAULT_MAX_ITER,
-    tol: float = DEFAULT_TOL,
-) -> KMeansModel:
+def kmeans_fit(points, k: int, seed: int = 7, restarts: int = DEFAULT_RESTARTS) -> KMeansModel:
     """Best-of-restarts Lloyd fit, ranked by lowest wcss.
 
     Deterministic for fixed (points, k, seed, restarts): restart r draws from
@@ -156,7 +150,7 @@ def kmeans_fit(
     best: _Restart | None = None
     for r in range(restarts):
         rng = Xorshift64Star(derive_seed(seed, r))
-        cand = _lloyd(X, k, rng, max_iter, tol)
+        cand = _lloyd(X, k, rng)
         if best is None or cand.wcss < best.wcss:
             best = cand
 

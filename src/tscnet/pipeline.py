@@ -2,8 +2,8 @@
 
 Stage I turns a price table into ⟨volatility, ret⟩ features and k-means
 cluster labels, numbered by descending mean return. Stage II splits the
-labeled records, trains the autoencoder to regress the label, and scores the
-held-out records against their k-means labels.
+labeled :class:`Records`, trains the autoencoder to regress the label, and
+scores the held-out records against their k-means labels.
 
 :func:`run_pipeline` drives both stages from a parsed config and emits the
 artifact bundle: labels CSV, model file, k-sweep CSV (auto-k runs only),
@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autonet, features, ingest, kmeans, svgplot
-from .errors import BadConfig, BadK, EmptyDataset, FormatError, PipelineError, reading_utf8
+from .errors import BadConfig, BadK, EmptyDataset, FormatError, PipelineError, ShapeMismatch, reading_utf8
 from .rng import Xorshift64Star
 
 AUTO = "auto"
@@ -48,14 +48,38 @@ EVAL_HEADER = ("ticker", "volatility", "return", "raw_output", "predicted", "kme
 DEFAULT_ENCODER_WIDTHS = (100, 50, 20)
 
 
-@dataclass(frozen=True)
-class LabeledRecord:
-    """One ticker's features plus its k-means cluster id."""
+@dataclass(frozen=True, eq=False)
+class Records:
+    """Tickers with their ⟨volatility, ret⟩ features and cluster ids, one
+    column each.
 
-    ticker: str
-    volatility: float
-    ret: float
-    cluster: int
+    Row i is ticker ``tickers[i]``, with ``features[i]`` = (volatility, ret)
+    in an (n, 2) float64 array and cluster id ``clusters[i]`` in an (n,)
+    int64 array.
+    """
+
+    tickers: tuple[str, ...]
+    features: np.ndarray
+    clusters: np.ndarray
+
+    def __post_init__(self):
+        n = len(self.tickers)
+        if self.features.shape != (n, 2) or self.clusters.shape != (n,):
+            raise ShapeMismatch(
+                f"{n} tickers vs features {self.features.shape}, clusters {self.clusters.shape}"
+            )
+
+    def __len__(self) -> int:
+        return len(self.tickers)
+
+    def take(self, idx) -> Records:
+        """The rows at positions ``idx``, in that order."""
+        idx = np.asarray(idx, dtype=np.intp)
+        return Records(tuple(self.tickers[i] for i in idx.tolist()), self.features[idx], self.clusters[idx])
+
+    def rows(self):
+        """(ticker, volatility, ret, cluster) per row, as Python scalars."""
+        return zip(self.tickers, *self.features.T.tolist(), self.clusters.tolist())
 
 
 @dataclass(frozen=True)
@@ -70,31 +94,19 @@ class SplitSpec:
             raise BadConfig(f"test_fraction must be in (0, 1), got {self.test_fraction}")
 
 
-@dataclass(frozen=True)
-class EvalRow:
-    """One held-out record's raw output and the two labels being compared."""
-
-    ticker: str
-    volatility: float
-    ret: float
-    raw_output: float
-    predicted: int
-    kmeans: int
-    missed: bool
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationReport:
-    """Per-record comparison of network predictions against k-means labels."""
+    """Network predictions for ``records`` against their k-means labels.
 
-    rows: tuple[EvalRow, ...]
+    ``raw`` holds the network's (n,) raw outputs and ``predicted`` the
+    labels :func:`autonet.round_labels` makes of them; a record is missed
+    where ``predicted`` differs from ``records.clusters``.
+    """
+
+    records: Records
+    raw: np.ndarray
+    predicted: np.ndarray
     accuracy: float
-    disagreements: tuple[EvalRow, ...]
-
-
-def feature_matrix(rows) -> np.ndarray:
-    """Stack rows with ``.volatility`` and ``.ret`` as an (n, 2) array."""
-    return np.array([[r.volatility, r.ret] for r in rows], dtype=float)
 
 
 def load_table(prices_path, tickers_path, start_date) -> tuple[ingest.PriceTable, list[str]]:
@@ -109,13 +121,6 @@ def load_table(prices_path, tickers_path, start_date) -> tuple[ingest.PriceTable
     return ingest.load_price_table(prices_path, tickers, start)
 
 
-def _records_from(feats, model: kmeans.KMeansModel) -> list[LabeledRecord]:
-    return [
-        LabeledRecord(f.ticker, f.volatility, f.ret, int(label))
-        for f, label in zip(feats, model.assignments)
-    ]
-
-
 def stage1_label(
     table: ingest.PriceTable,
     k: int | str = AUTO,
@@ -124,7 +129,7 @@ def stage1_label(
     k_min: int = 2,
     k_max: int = 10,
     warn_sink: list[str] | None = None,
-) -> tuple[list[LabeledRecord], kmeans.KMeansModel, list[tuple[int, float]] | None]:
+) -> tuple[Records, kmeans.KMeansModel, list[tuple[int, float]] | None]:
     """Features plus k-means labels for every usable ticker, in ticker order.
 
     Returns (records, fitted model, sweep). ``k`` is an integer or "auto";
@@ -139,17 +144,17 @@ def stage1_label(
     along return only: two clusters that differ only in volatility get
     adjacent ids in no geometric order, and the target can still fold there.
     """
-    feats, warnings = features.build_feature_table(table, trading_days)
+    tickers, X, warnings = features.build_feature_table(table, trading_days)
     if warn_sink is not None:
         warn_sink.extend(warnings)
-    model, sweep = _resolve_k(feature_matrix(feats), k, k_min, k_max, seed)
+    model, sweep = _resolve_k(X, k, k_min, k_max, seed)
     model = kmeans.relabel_by_return(model)
-    return _records_from(feats, model), model, sweep
+    return Records(tickers, X, model.assignments.astype(np.int64)), model, sweep
 
 
 def _resolve_k(points, k, k_min, k_max, seed) -> tuple[kmeans.KMeansModel, list[tuple[int, float]] | None]:
-    """(fitted model, sweep): a fixed k is fitted once with no sweep; "auto"
-    runs the silhouette sweep and keeps its best fit.
+    """(fitted model, sweep): a fixed k >= 2 is fitted once with no sweep;
+    "auto" runs the silhouette sweep and keeps its best fit.
     """
     if k == AUTO:
         n = len(points)
@@ -157,16 +162,13 @@ def _resolve_k(points, k, k_min, k_max, seed) -> tuple[kmeans.KMeansModel, list[
         if k_min > hi:
             raise BadK(f"auto-k needs k_min <= min(k_max, n-1); got k_min={k_min}, n={n}")
         return kmeans.select_k(points, k_min, hi, seed=seed)
-    if not isinstance(k, int):
-        raise BadK(f"k must be an integer or {AUTO!r}, got {k!r}")
+    # the autoencoder's labels need at least 2 clusters
+    if not isinstance(k, int) or k < 2:
+        raise BadK(f"k must be an integer >= 2 or {AUTO!r}, got {k!r}")
     return kmeans.kmeans_fit(points, k, seed=seed), None
 
 
-def split(
-    records: list[LabeledRecord],
-    spec: SplitSpec,
-    stratify: bool = False,
-) -> tuple[list[LabeledRecord], list[LabeledRecord]]:
+def split(records: Records, spec: SplitSpec, stratify: bool = False) -> tuple[Records, Records]:
     """Seeded-shuffle partition into (train, test); |test| = ceil(fraction * n).
 
     Unstratified by default. With ``stratify`` the same total test size is
@@ -184,16 +186,16 @@ def split(
         test_idx = idx[:test_size]
         train_idx = idx[test_size:]
     else:
-        test_idx, train_idx = _stratified_indices(records, test_size, rng)
-    return [records[i] for i in train_idx], [records[i] for i in test_idx]
+        test_idx, train_idx = _stratified_indices(records.clusters.tolist(), test_size, rng)
+    return records.take(train_idx), records.take(test_idx)
 
 
-def _stratified_indices(records, test_size, rng):
+def _stratified_indices(clusters, test_size, rng):
     groups: dict[int, list[int]] = {}
-    for i, rec in enumerate(records):
-        groups.setdefault(rec.cluster, []).append(i)
+    for i, cluster in enumerate(clusters):
+        groups.setdefault(cluster, []).append(i)
     labels = sorted(groups)
-    n = len(records)
+    n = len(clusters)
     quotas = {lab: test_size * len(groups[lab]) / n for lab in labels}
     take = {lab: min(int(quotas[lab]), len(groups[lab])) for lab in labels}
     leftover = test_size - sum(take.values())
@@ -220,7 +222,7 @@ def _stratified_indices(records, test_size, rng):
 
 
 def stage2_train(
-    train_records: list[LabeledRecord],
+    train_records: Records,
     num_clusters: int,
     epochs: int = 1000,
     batch_size: int = 1024,
@@ -233,12 +235,11 @@ def stage2_train(
     :func:`stage1_label` carry return-ordered ids; a labels file is taken
     with whatever numbering it has.
     """
-    if not train_records:
+    if not len(train_records):
         raise EmptyDataset("no training records")
-    X = feature_matrix(train_records)
-    y = np.array([[float(r.cluster)] for r in train_records], dtype=float)
+    y = train_records.clusters.astype(float).reshape(-1, 1)
     net = autonet.build_autoencoder(2, DEFAULT_ENCODER_WIDTHS, num_clusters, 1, seed=seed)
-    history = autonet.train(net, X, y, epochs=epochs, batch_size=batch_size, seed=seed)
+    history = autonet.train(net, train_records.features, y, epochs=epochs, batch_size=batch_size, seed=seed)
     return net, history
 
 
@@ -258,33 +259,16 @@ def label_accuracy(predicted, reference) -> float:
 
 def evaluate(
     net: autonet.DenseNetwork,
-    test_records: list[LabeledRecord],
+    test_records: Records,
     num_clusters: int,
 ) -> EvaluationReport:
     """Score network label predictions against the k-means reference labels."""
-    if not test_records:
+    if not len(test_records):
         raise EmptyDataset("no test records")
-    raw, _ = autonet.forward(net, feature_matrix(test_records))
-    raw = raw[:, 0]
+    raw = autonet.forward(net, test_records.features)[0][:, 0]
     predicted = autonet.round_labels(raw, num_clusters)
-    rows = tuple(
-        EvalRow(
-            ticker=rec.ticker,
-            volatility=rec.volatility,
-            ret=rec.ret,
-            raw_output=float(raw[i]),
-            predicted=int(predicted[i]),
-            kmeans=rec.cluster,
-            missed=int(predicted[i]) != rec.cluster,
-        )
-        for i, rec in enumerate(test_records)
-    )
-    accuracy = label_accuracy([row.predicted for row in rows], [row.kmeans for row in rows])
-    return EvaluationReport(
-        rows=rows,
-        accuracy=accuracy,
-        disagreements=tuple(row for row in rows if row.missed),
-    )
+    accuracy = label_accuracy(predicted, test_records.clusters)
+    return EvaluationReport(records=test_records, raw=raw, predicted=predicted, accuracy=accuracy)
 
 
 @dataclass(frozen=True)
@@ -403,7 +387,7 @@ def _config_from(text: str, base: Path) -> PipelineConfig:
 class PipelineResult:
     """Everything a run produced, with artifact paths keyed by file name."""
 
-    records: list[LabeledRecord]
+    records: Records
     model: kmeans.KMeansModel
     sweep: list[tuple[int, float]] | None
     history: autonet.TrainHistory
@@ -422,22 +406,25 @@ def _stage(name: str, fn, *args, **kwargs):
         raise PipelineError(name, exc) from exc
 
 
-def scatter_charts(records, predicted, num_clusters: int) -> dict[str, str]:
+def scatter_charts(records: Records, predicted, num_clusters: int) -> dict[str, str]:
     """The k-means and autoencoder scatter SVGs, keyed by file name.
 
     Records whose predicted label differs from their k-means label are
     marked as misses in both. The legend lists max(num_clusters, largest
     k-means label + 1) clusters.
     """
-    legend_k = max(num_clusters, max(r.cluster for r in records) + 1)
-    misses = [int(p) != r.cluster for p, r in zip(predicted, records)]
+    clusters = records.clusters.tolist()
+    predicted = np.asarray(predicted).tolist()
+    legend_k = max(num_clusters, max(clusters) + 1)
+    misses = [p != c for p, c in zip(predicted, clusters)]
+    vols, rets = records.features.T.tolist()
     charts = {}
     for name, title, labels in (
-        (SCATTER_KMEANS_SVG, "KMeans clustering", [r.cluster for r in records]),
+        (SCATTER_KMEANS_SVG, "KMeans clustering", clusters),
         (SCATTER_AUTONET_SVG, "Autoencoder clustering", predicted),
     ):
         charts[name] = svgplot.scatter_chart(
-            [(r.volatility, r.ret, int(lab), m) for r, lab, m in zip(records, labels, misses)],
+            zip(vols, rets, labels, misses),
             title,
             "annualized volatility",
             "annualized return",
@@ -451,11 +438,9 @@ def csv_text(header, lines) -> str:
     return "".join(f"{line}\n" for line in (",".join(header), *lines))
 
 
-def labels_csv(records) -> str:
+def labels_csv(records: Records) -> str:
     """``ticker,volatility,return,cluster`` rows; floats carry 12 significant digits."""
-    return csv_text(
-        LABELS_COLUMNS, (f"{r.ticker},{r.volatility:.12g},{r.ret:.12g},{r.cluster}" for r in records)
-    )
+    return csv_text(LABELS_COLUMNS, (f"{t},{v:.12g},{r:.12g},{c}" for t, v, r, c in records.rows()))
 
 
 def sweep_csv(sweep) -> str:
@@ -471,9 +456,8 @@ def loss_csv(history: autonet.TrainHistory) -> str:
 def evaluation_csv(report: EvaluationReport) -> str:
     """Per-record evaluation rows; ``missed`` is 0/1."""
     return csv_text(EVAL_HEADER, (
-        f"{row.ticker},{row.volatility:.12g},{row.ret:.12g},"
-        f"{row.raw_output:.16e},{row.predicted},{row.kmeans},{int(row.missed)}"
-        for row in report.rows
+        f"{t},{v:.12g},{r:.12g},{raw:.16e},{p},{c},{int(p != c)}"
+        for (t, v, r, c), raw, p in zip(report.records.rows(), report.raw.tolist(), report.predicted.tolist())
     ))
 
 
@@ -515,9 +499,21 @@ def read_csv(path, columns) -> list[tuple]:
     return rows
 
 
-def read_labels_csv(path) -> list[LabeledRecord]:
-    """The records of a labels CSV."""
-    return [LabeledRecord(*row) for row in read_csv(path, LABELS_COLUMNS)]
+def read_labels_csv(path) -> Records:
+    """The records of a labels CSV.
+
+    A cluster id must be below the file's row count, the bound k <= n that
+    k-means puts on a fit; a larger id raises FormatError naming the path.
+    """
+    rows = read_csv(path, LABELS_COLUMNS)
+    for row in rows:
+        if row[3] >= len(rows):
+            raise FormatError(f"{path}: cluster id {row[3]} is not below the row count {len(rows)}")
+    return Records(
+        tuple(row[0] for row in rows),
+        np.array([row[1:3] for row in rows], dtype=float),
+        np.array([row[3] for row in rows], dtype=np.int64),
+    )
 
 
 def write_files(out_dir, writers, manifest: str | None = None) -> dict[str, Path]:
@@ -598,7 +594,7 @@ def run_pipeline(config: PipelineConfig, stratify: bool = False) -> PipelineResu
     report = _stage("evaluate", evaluate, net, test_set, model.k)
 
     def emit():
-        predicted = autonet.predict_labels(net, feature_matrix(records), model.k)
+        predicted = autonet.predict_labels(net, records.features, model.k)
         writers = {
             LABELS_CSV: labels_csv(records),
             MODEL_FILE: lambda path: autonet.save_model(net, path),

@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from tscnet.pipeline import Records
 from tscnet.rng import Xorshift64Star, derive_seed
 
 BLOB_CENTERS = ((0.15, 0.9), (0.22, 0.48), (0.31, -0.05), (0.47, 1.47))
@@ -34,6 +35,16 @@ def normal(rng: Xorshift64Star) -> float:
 def widths(net) -> list[int]:
     """Input width, then each layer's output width."""
     return [net.input_width] + [layer.spec.output_width for layer in net.layers]
+
+
+def records_of(rows) -> Records:
+    """Records from (ticker, volatility, ret, cluster) tuples."""
+    rows = list(rows)
+    return Records(
+        tuple(row[0] for row in rows),
+        np.array([row[1:3] for row in rows], dtype=float).reshape(-1, 2),
+        np.array([row[3] for row in rows], dtype=np.int64),
+    )
 
 
 def make_blob_points(seed: int, per_cluster=10, centers=BLOB_CENTERS, sigma=BLOB_SIGMA):

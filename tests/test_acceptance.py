@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import BLOB_CENTERS, BLOB_SIGMA, blob_targets, normal, write_prices_csv
+from conftest import BLOB_CENTERS, BLOB_SIGMA, blob_targets, normal, records_of, write_prices_csv
 from test_autonet import numeric_gradients
 from test_kmeans import exhaustive_best_wcss, oracle_silhouette
 from tscnet.autonet import (
@@ -43,7 +43,6 @@ from tscnet.pipeline import (
     LABELS_CSV,
     LOSS_CSV,
     MODEL_FILE,
-    LabeledRecord,
     PipelineConfig,
     SplitSpec,
     evaluate,
@@ -105,9 +104,9 @@ def test_criterion_03_accuracy_fraction():
     for i in range(24):
         want = i % 4
         reference = want if i < 21 else (want + 1) % 4
-        records.append(LabeledRecord(f"T{i:03d}", 0.2, want + 0.1, reference))
-    report = evaluate(net, records, num_clusters=4)
-    ok = report.accuracy == 0.875 and len(report.disagreements) == 3
+        records.append((f"T{i:03d}", 0.2, want + 0.1, reference))
+    report = evaluate(net, records_of(records), num_clusters=4)
+    ok = report.accuracy == 0.875 and int(np.sum(report.predicted != report.records.clusters)) == 3
     _report(3, "accuracy_fraction", ok, f"accuracy={report.accuracy!r}")
 
 
@@ -241,10 +240,9 @@ def test_criterion_08_end_to_end_training():
     ]
     X = np.array(pts)
     model = kmeans_fit(X, 4, seed=7)
-    records = [
-        LabeledRecord(f"T{i:03d}", float(x), float(y), int(lab))
-        for i, ((x, y), lab) in enumerate(zip(pts, model.assignments))
-    ]
+    records = records_of(
+        (f"T{i:03d}", x, y, lab) for i, ((x, y), lab) in enumerate(zip(pts, model.assignments))
+    )
     train_recs, test_recs = split(records, SplitSpec(0.33, 7))
     net, history = stage2_train(
         train_recs, num_clusters=4, epochs=1000, batch_size=1024, seed=7

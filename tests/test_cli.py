@@ -141,6 +141,13 @@ class TestLabel:
                   "--out", str(out)])
         assert exc.value.code == 2
 
+    def test_single_cluster_rejected(self, workdir, tmp_path, capsys):
+        out = tmp_path / "labels.csv"
+        _, stderr = run_cli(capsys, ["label", "--prices", str(workdir["prices"]), "--k", "1",
+                                     "--out", str(out)], expect=1)
+        assert stderr == "error: k must be an integer >= 2 or 'auto', got 1\n"
+        assert not out.exists()
+
     def test_missing_prices_file(self, tmp_path, capsys):
         stdout, stderr = run_cli(
             capsys,
@@ -233,6 +240,7 @@ class TestTrain:
     @pytest.mark.parametrize("rows, where", [
         ("AAA,nan,0.1,0\nBBB,0.3,0.1,1\n", "labels.csv line 2: non-finite"),
         ("AAA,0.2,0.5,0\nBBB,0.3,0.1,-3\n", "labels.csv line 3: negative"),
+        ("AAA,0.2,0.5,0\nBBB,0.3,0.1,2\n", "labels.csv: cluster id 2 is not below the row count 2"),
         ("", "labels.csv: no rows"),
     ])
     def test_bad_labels_are_one_error_line(self, tmp_path, capsys, rows, where):
@@ -432,6 +440,8 @@ class TestReport:
         (LOSS_CSV, "epoch,loss\n1,0.5\n2,nan\n", "loss.csv line 3: non-finite"),
         (LABELS_CSV, "ticker,volatility,return,cluster\nAAA,0.2,0.1,-3\n",
          "labels.csv line 2: negative"),
+        (LABELS_CSV, "ticker,volatility,return,cluster\nAAA,0.2,0.1,0\nBBB,0.3,0.1,2\n",
+         "labels.csv: cluster id 2 is not below the row count 2"),
         (LOSS_CSV, "epoch,loss\n1,1e308\n2,-1e308\n", "loss.csv: chart values span"),
         (SWEEP_CSV, "k,silhouette\n2,1e308\n3,-1e308\n", "k_sweep.csv: chart values span"),
         (LABELS_CSV, "ticker,volatility,return,cluster\nAAA,1e308,0.1,0\nBBB,-1e308,0.1,1\n",

@@ -11,17 +11,17 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import records_of
 from tscnet.errors import FormatError, NonPositivePrice, TooShort
 from tscnet.features import (
     TRADING_DAYS,
-    FeatureVector,
     annualize,
     build_feature_table,
     log_returns,
     sample_std,
 )
 from tscnet.ingest import PriceSeries, PriceTable
-from tscnet.pipeline import LABELS_COLUMNS, LabeledRecord, labels_csv, read_labels_csv
+from tscnet.pipeline import LABELS_COLUMNS, labels_csv, read_labels_csv
 
 
 def oracle_log_returns(prices):
@@ -94,20 +94,19 @@ class TestSampleStd:
 class TestAnnualize:
     def test_formulas(self):
         values = (0.001, -0.002, 0.0005, 0.0031, -0.0007)
-        fv = annualize("AAA", values)
-        assert fv.ticker == "AAA"
-        assert fv.volatility == pytest.approx(oracle_std(list(values)) * math.sqrt(252), rel=1e-12)
-        assert fv.ret == pytest.approx(sum(values) / len(values) * 252, rel=1e-12)
+        vol, ret = annualize("AAA", values)
+        assert vol == pytest.approx(oracle_std(list(values)) * math.sqrt(252), rel=1e-12)
+        assert ret == pytest.approx(sum(values) / len(values) * 252, rel=1e-12)
 
     def test_custom_trading_days(self):
         values = (0.01, -0.01, 0.02)
-        fv = annualize("AAA", values, trading_days=10)
-        assert fv.volatility == pytest.approx(oracle_std(list(values)) * math.sqrt(10), rel=1e-12)
-        assert fv.ret == pytest.approx(sum(values) / 3 * 10, rel=1e-12)
+        vol, ret = annualize("AAA", values, trading_days=10)
+        assert vol == pytest.approx(oracle_std(list(values)) * math.sqrt(10), rel=1e-12)
+        assert ret == pytest.approx(sum(values) / 3 * 10, rel=1e-12)
 
     def test_volatility_non_negative(self):
-        fv = annualize("AAA", (0.05, -0.03, 0.01))
-        assert fv.volatility >= 0.0
+        vol, _ = annualize("AAA", (0.05, -0.03, 0.01))
+        assert vol >= 0.0
 
     def test_needs_two_returns(self):
         with pytest.raises(TooShort):
@@ -124,42 +123,55 @@ class TestBuildFeatureTable:
         table = PriceTable()
         table.add(_series("BBB", [50.0, 51.0, 50.2]))
         table.add(_series("AAA", [100.0, 101.0, 99.5, 102.0]))
-        feats, warnings = build_feature_table(table)
+        tickers, X, warnings = build_feature_table(table)
         assert warnings == []
-        assert [f.ticker for f in feats] == ["AAA", "BBB"]
+        assert tickers == ("AAA", "BBB")
+        assert X.shape == (2, 2) and X.dtype == np.float64
         rets = oracle_log_returns([50.0, 51.0, 50.2])
-        assert feats[1].volatility == pytest.approx(oracle_std(rets) * math.sqrt(252), rel=1e-12)
+        assert X[1, 0] == pytest.approx(oracle_std(rets) * math.sqrt(252), rel=1e-12)
 
     def test_two_price_ticker_warned_and_skipped(self):
         # one return cannot produce a sample std
         table = PriceTable()
         table.add(_series("AAA", [100.0, 101.0, 99.5]))
         table.add(_series("TWO", [10.0, 10.5]))
-        feats, warnings = build_feature_table(table)
-        assert [f.ticker for f in feats] == ["AAA"]
+        tickers, X, warnings = build_feature_table(table)
+        assert tickers == ("AAA",)
+        assert X.shape == (1, 2)
         assert any(w.startswith("TWO:") for w in warnings)
 
 
 class TestLabelsCsv:
     def test_round_trip(self, tmp_path):
-        records = [
-            FeatureRecord("AAA", 0.21345678901234, 0.0987654321012, 2),
-            FeatureRecord("BBB", 0.5, -0.25, 0),
-        ]
+        records = records_of([
+            ("AAA", 0.21345678901234, 0.0987654321012, 2),
+            ("BBB", 0.5, -0.25, 0),
+            ("CCC", 0.125, 1e-7, 1),
+        ])
         path = tmp_path / "labels.csv"
         path.write_text(labels_csv(records), encoding="utf-8")
         text = path.read_text(encoding="utf-8")
         assert text.splitlines()[0] == ",".join(LABELS_COLUMNS)
         rows = read_labels_csv(path)
-        assert [r.ticker for r in rows] == ["AAA", "BBB"]
-        assert rows[0].volatility == pytest.approx(0.21345678901234, rel=1e-11)
-        assert rows[0].cluster == 2
-        assert rows[1].ret == -0.25
+        assert rows.tickers == ("AAA", "BBB", "CCC")
+        assert rows.features[0, 0] == pytest.approx(0.21345678901234, rel=1e-11)
+        assert rows.clusters[0] == 2
+        assert rows.features[1, 1] == -0.25
+        assert rows.clusters.dtype == np.int64
+        assert labels_csv(rows) == text
 
     def test_crlf_line_ends(self, tmp_path):
         path = tmp_path / "labels.csv"
-        path.write_bytes(b"ticker,volatility,return,cluster\r\nAAA,0.5,-0.25,1\r\n")
-        assert read_labels_csv(path) == [LabeledRecord("AAA", 0.5, -0.25, 1)]
+        path.write_bytes(b"ticker,volatility,return,cluster\r\nAAA,0.5,-0.25,1\r\nBBB,0.1,0.2,0\r\n")
+        assert list(read_labels_csv(path).rows()) == [("AAA", 0.5, -0.25, 1), ("BBB", 0.1, 0.2, 0)]
+
+    @pytest.mark.parametrize("cluster", [2, 10**20])
+    def test_cluster_id_below_row_count(self, tmp_path, cluster):
+        path = tmp_path / "labels.csv"
+        path.write_text(f"ticker,volatility,return,cluster\nAAA,0.5,-0.25,1\nBBB,0.1,0.2,{cluster}\n",
+                        encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"labels\.csv: cluster id {cluster} is not below"):
+            read_labels_csv(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "labels.csv"
@@ -172,16 +184,6 @@ class TestLabelsCsv:
         path.write_text(",".join(LABELS_COLUMNS) + "\nAAA,1.0,2.0\n", encoding="utf-8")
         with pytest.raises(FormatError):
             read_labels_csv(path)
-
-
-class FeatureRecord:
-    """Minimal stand-in with the attribute shape labels_csv expects."""
-
-    def __init__(self, ticker, volatility, ret, cluster):
-        self.ticker = ticker
-        self.volatility = volatility
-        self.ret = ret
-        self.cluster = cluster
 
 
 def test_trading_days_constant():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import BLOB_CENTERS, blob_targets, widths, write_prices_csv
+from conftest import BLOB_CENTERS, blob_targets, records_of, widths, write_prices_csv
+import tscnet
 from tscnet import autonet
 from tscnet.autonet import DenseLayer, DenseNetwork, LayerSpec, TrainHistory, load_model
 from tscnet.autonet import count_parameters
@@ -18,6 +19,7 @@ from tscnet.errors import (
     EmptyDataset,
     FormatError,
     PipelineError,
+    ShapeMismatch,
 )
 from tscnet.ingest import load_price_table
 from tscnet.rng import Xorshift64Star
@@ -32,8 +34,8 @@ from tscnet.pipeline import (
     SCATTER_AUTONET_SVG,
     SCATTER_KMEANS_SVG,
     SWEEP_CSV,
-    LabeledRecord,
     PipelineConfig,
+    Records,
     SplitSpec,
     evaluate,
     evaluation_csv,
@@ -51,10 +53,7 @@ from tscnet.pipeline import (
 
 
 def make_records(n, cluster_of=lambda i: i % 4):
-    return [
-        LabeledRecord(f"T{i:03d}", 0.1 + 0.01 * i, 0.02 * i, cluster_of(i))
-        for i in range(n)
-    ]
+    return records_of((f"T{i:03d}", 0.1 + 0.01 * i, 0.02 * i, cluster_of(i)) for i in range(n))
 
 
 def linear_net(w_vol, w_ret, bias):
@@ -75,6 +74,13 @@ def blob_table(tmp_path_factory):
     table, _ = load_price_table(path)
     return table, targets
 
+
+class TestRecords:
+    def test_columns_must_align(self):
+        with pytest.raises(ShapeMismatch):
+            Records(("A",), np.zeros((2, 2)), np.zeros(1, dtype=np.int64))
+        with pytest.raises(ShapeMismatch):
+            Records(("A", "B"), np.zeros((2, 2)), np.zeros(3, dtype=np.int64))
 
 class TestSplitSpec:
     def test_fraction_bounds(self):
@@ -101,36 +107,37 @@ class TestSplit:
     def test_partition_no_loss_no_overlap(self):
         records = make_records(31)
         train_recs, test_recs = split(records, SplitSpec(0.4, 3))
-        combined = sorted(r.ticker for r in train_recs + test_recs)
-        assert combined == sorted(r.ticker for r in records)
+        combined = sorted(train_recs.tickers + test_recs.tickers)
+        assert combined == sorted(records.tickers)
 
     def test_deterministic(self):
         records = make_records(25)
         a = split(records, SplitSpec(0.33, 11))
         b = split(records, SplitSpec(0.33, 11))
-        assert a == b
+        for part_a, part_b in zip(a, b):
+            assert part_a.tickers == part_b.tickers
+            assert np.array_equal(part_a.features, part_b.features)
+            assert np.array_equal(part_a.clusters, part_b.clusters)
 
     def test_seed_changes_membership(self):
         records = make_records(40)
         _, test_a = split(records, SplitSpec(0.33, 1))
         _, test_b = split(records, SplitSpec(0.33, 2))
-        assert {r.ticker for r in test_a} != {r.ticker for r in test_b}
+        assert set(test_a.tickers) != set(test_b.tickers)
 
     def test_too_small(self):
         with pytest.raises(EmptyDataset):
             split(make_records(1), SplitSpec(0.33, 7))
         with pytest.raises(EmptyDataset):
-            split([], SplitSpec(0.33, 7))
+            split(make_records(0), SplitSpec(0.33, 7))
 
     def test_stratified_keeps_total_and_balance(self):
         records = make_records(70)
         train_recs, test_recs = split(records, SplitSpec(0.33, 7), stratify=True)
         assert len(test_recs) == 24
-        assert sorted(r.ticker for r in train_recs + test_recs) == sorted(
-            r.ticker for r in records
-        )
+        assert sorted(train_recs.tickers + test_recs.tickers) == sorted(records.tickers)
         # 70 records over 4 labels: 18/18/17/17; largest-remainder split of 24
-        per_label = {c: sum(1 for r in test_recs if r.cluster == c) for c in range(4)}
+        per_label = {c: int(np.sum(test_recs.clusters == c)) for c in range(4)}
         assert sum(per_label.values()) == 24
         assert all(5 <= count <= 7 for count in per_label.values())
 
@@ -145,9 +152,22 @@ class TestSplit:
         records = make_records(n)
         train_recs, test_recs = split(records, SplitSpec(fraction, seed), stratify=stratify)
         assert len(test_recs) == math.ceil(fraction * n)
-        assert sorted(r.ticker for r in train_recs + test_recs) == sorted(
-            r.ticker for r in records
-        )
+        assert sorted(train_recs.tickers + test_recs.tickers) == sorted(records.tickers)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(
+            st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6), st.integers(0, 5)),
+            min_size=2,
+            max_size=60,
+        ),
+        st.integers(min_value=0, max_value=10**6),
+        st.booleans(),
+    )
+    def test_split_keeps_rows_aligned(self, rows, seed, stratify):
+        records = records_of((f"T{i:02d}", v, r, c) for i, (v, r, c) in enumerate(rows))
+        train_recs, test_recs = split(records, SplitSpec(0.33, seed), stratify=stratify)
+        assert sorted([*train_recs.rows(), *test_recs.rows()]) == sorted(records.rows())
 
 
 class TestStage1:
@@ -159,9 +179,9 @@ class TestStage1:
         truth = {t: min(range(4), key=lambda c: (BLOB_CENTERS[c][0] - v) ** 2 + (BLOB_CENTERS[c][1] - r) ** 2)
                  for t, v, r in targets}
         by_pair = {}
-        for rec in records:
-            by_pair.setdefault((truth[rec.ticker], rec.cluster), 0)
-            by_pair[truth[rec.ticker], rec.cluster] += 1
+        for ticker, cluster in zip(records.tickers, records.clusters.tolist()):
+            by_pair.setdefault((truth[ticker], cluster), 0)
+            by_pair[truth[ticker], cluster] += 1
         # each true blob maps to exactly one fitted cluster
         fitted_of = {}
         for (true_c, fit_c), _count in by_pair.items():
@@ -173,7 +193,7 @@ class TestStage1:
         records, model, _ = stage1_label(table, k=AUTO, seed=7)
         assert model.k == 4
         assert model.silhouette is not None
-        assert {r.cluster for r in records} == {0, 1, 2, 3}
+        assert set(records.clusters.tolist()) == {0, 1, 2, 3}
 
     def test_sweep_only_for_auto_k(self, blob_table):
         table, _ = blob_table
@@ -185,7 +205,7 @@ class TestStage1:
     def test_records_sorted_by_ticker(self, blob_table):
         table, _ = blob_table
         records, _, _ = stage1_label(table, k=4, seed=7)
-        assert [r.ticker for r in records] == sorted(r.ticker for r in records)
+        assert list(records.tickers) == sorted(records.tickers)
 
     def test_canonical_orders_clusters_by_return(self, blob_table):
         # seed 7's raw k-means++ numbering on this fixture is not
@@ -194,8 +214,8 @@ class TestStage1:
         for k in (4, AUTO):
             records, model, _ = stage1_label(table, k=k, seed=7)
             means = {}
-            for rec in records:
-                means.setdefault(rec.cluster, []).append(rec.ret)
+            for _, _, ret, cluster in records.rows():
+                means.setdefault(cluster, []).append(ret)
             ordered = [np.mean(means[c]) for c in sorted(means)]
             assert len(ordered) == 4
             assert ordered == sorted(ordered, reverse=True)
@@ -225,7 +245,7 @@ class TestStage1:
         table, _ = load_price_table(path)
         sink: list[str] = []
         records, _, _ = stage1_label(table, k=2, seed=7, warn_sink=sink)
-        assert {r.ticker for r in records} == {"AAA", "BBB", "CCC"}
+        assert set(records.tickers) == {"AAA", "BBB", "CCC"}
         assert any(w.startswith("SHT:") for w in sink)
 
 
@@ -237,7 +257,6 @@ class TestStage2:
     def test_history_matches_epochs(self):
         _, history = stage2_train(make_records(8), num_clusters=4, epochs=3, seed=7)
         assert len(history.losses) == 3
-        assert history.epochs == 3
 
     def test_blobs_reach_low_loss(self, blob_table):
         table, _ = blob_table
@@ -283,38 +302,35 @@ class TestEvaluate:
         for i in range(24):
             want = i % 4
             kmeans_label = want if i < 21 else (want + 1) % 4
-            records.append(LabeledRecord(f"T{i:03d}", 0.2, want + 0.1, kmeans_label))
-        report = evaluate(net, records, num_clusters=4)
+            records.append((f"T{i:03d}", 0.2, want + 0.1, kmeans_label))
+        report = evaluate(net, records_of(records), num_clusters=4)
         assert report.accuracy == 0.875
-        assert len(report.disagreements) == 3
-        missed = [row for row in report.rows if row.missed]
-        assert len(missed) == 3
-        assert all(row.predicted != row.kmeans for row in missed)
+        missed = np.flatnonzero(report.predicted != report.records.clusters)
+        assert missed.tolist() == [21, 22, 23]
 
     def test_perfect_agreement(self):
         net = linear_net(0.0, 1.0, 0.0)
-        records = [LabeledRecord(f"T{i}", 0.3, float(i % 3), i % 3) for i in range(9)]
+        records = records_of((f"T{i}", 0.3, float(i % 3), i % 3) for i in range(9))
         report = evaluate(net, records, num_clusters=3)
         assert report.accuracy == 1.0
-        assert report.disagreements == ()
-        assert not any(row.missed for row in report.rows)
+        assert np.array_equal(report.predicted, records.clusters)
 
     def test_raw_outputs_recorded(self):
         net = linear_net(2.0, 0.0, 0.5)
-        records = [LabeledRecord("A", 0.25, 9.9, 1)]
+        records = records_of([("A", 0.25, 9.9, 1)])
         report = evaluate(net, records, num_clusters=4)
-        assert report.rows[0].raw_output == pytest.approx(1.0, abs=1e-15)
-        assert report.rows[0].predicted == 1
+        assert report.raw[0] == pytest.approx(1.0, abs=1e-15)
+        assert report.predicted[0] == 1
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyDataset):
-            evaluate(linear_net(0.0, 1.0, 0.0), [], num_clusters=4)
+            evaluate(linear_net(0.0, 1.0, 0.0), make_records(0), num_clusters=4)
 
 
 class TestCsvWriters:
     def test_evaluation_round_trip_text(self, tmp_path):
         net = linear_net(0.0, 1.0, 0.0)
-        records = [LabeledRecord("AAA", 0.31, 1.07, 1), LabeledRecord("BBB", 0.11, 2.9, 2)]
+        records = records_of([("AAA", 0.31, 1.07, 1), ("BBB", 0.11, 2.9, 2)])
         report = evaluate(net, records, num_clusters=4)
         path = tmp_path / "evaluation.csv"
         path.write_text(evaluation_csv(report), encoding="utf-8")
@@ -328,7 +344,7 @@ class TestCsvWriters:
 
     def test_loss_round_trip(self, tmp_path):
         losses = (3.25, 1.0 / 3.0, 0.125e-5)
-        history = TrainHistory(losses=losses, epochs=3, batch_size=8, seed=7)
+        history = TrainHistory(losses=losses)
         path = tmp_path / "loss.csv"
         path.write_text(loss_csv(history), encoding="utf-8")
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -559,7 +575,7 @@ class TestRunPipeline:
         assert len(result.records) == 70
         assert result.model.k == 4
         assert len(result.history.losses) == 40
-        assert len(result.report.rows) == 24
+        assert len(result.report.records) == 24
         net = load_model(result.artifacts[MODEL_FILE])
         assert widths(net) == [2, 100, 50, 20, 4, 20, 50, 100, 1]
 
@@ -628,3 +644,11 @@ class TestWriteFiles:
         with pytest.raises(OSError, match="disk full"):
             write_files(tmp_path, {"a.txt": "alpha", "b.txt": broken, "c.txt": "never"})
         assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.txt"]
+
+
+def test_public_names_resolve():
+    # a star import raises for any name in __all__ that the package lacks
+    namespace = {}
+    exec("from tscnet import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(tscnet.__all__)
+    assert namespace["Records"] is Records

@@ -10,7 +10,6 @@ stderr; a NumPy warning would print a line of its own, so none may be raised.
 """
 
 import contextlib
-import dataclasses
 import datetime as dt
 import io
 import math
@@ -39,7 +38,7 @@ from tscnet.pipeline import (
 )
 
 READERS = {
-    LABELS_CSV: (read_labels_csv, LABELS_COLUMNS),
+    LABELS_CSV: (lambda path: list(read_labels_csv(path).rows()), LABELS_COLUMNS),
     LOSS_CSV: (lambda path: read_csv(path, LOSS_COLUMNS), LOSS_COLUMNS),
     SWEEP_CSV: (lambda path: read_csv(path, SWEEP_COLUMNS), SWEEP_COLUMNS),
 }
@@ -107,9 +106,8 @@ def check_rows(reader, path):
         return
     assert rows
     for row in rows:
-        values = dataclasses.astuple(row) if dataclasses.is_dataclass(row) else row
-        assert all(math.isfinite(v) for v in values if isinstance(v, float))
-        assert all(v >= 0 for v in values if isinstance(v, int))
+        assert all(math.isfinite(v) for v in row if isinstance(v, float))
+        assert all(v >= 0 for v in row if isinstance(v, int))
 
 
 def check_loads(reader, path):
