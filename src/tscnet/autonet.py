@@ -9,10 +9,11 @@ layers, a sigmoid latent layer whose width equals the number of clusters,
 the mirrored decoder in relu, and a final linear layer. Weight matrices are
 stored as (output_width, input_width); a layer computes ``a = act(x @ W.T + b)``.
 
-During :func:`train` every weight and bias lives in one contiguous float64
-vector: ``train`` copies them into it and rebinds each layer's ``weights``
-and ``biases`` to reshaped views of that vector, so one Adam update over the
-vector updates the whole network.
+A :class:`DenseNetwork` owns its parameters as one float64 vector,
+``theta``: every layer's weights then biases, in layer order, each array
+row-major. Each layer's ``weights`` and ``biases`` are views of it, so
+:func:`backward` returns one gradient vector in the same layout and one
+Adam update over ``theta`` updates the whole network.
 
 Initialization is uniform on +/-sqrt(6 / (fan_in + fan_out)) with zero
 biases, drawn row-major from the package's deterministic generator, so a
@@ -76,7 +77,12 @@ class DenseLayer:
 
 
 class DenseNetwork:
-    """An ordered stack of dense layers with chained widths."""
+    """An ordered stack of dense layers with chained widths and one parameter vector.
+
+    The constructor copies every layer's weights and biases into ``theta``
+    and rebinds the layers to views of it, so arrays passed to
+    :class:`DenseLayer` are no longer read or written by the network.
+    """
 
     def __init__(self, layers: list[DenseLayer]):
         if not layers:
@@ -87,6 +93,21 @@ class DenseNetwork:
                     f"width chain broken: {prev.spec.output_width} -> {cur.spec.input_width}"
                 )
         self.layers = layers
+        self.theta = np.empty(sum(layer.weights.size + layer.biases.size for layer in layers))
+        for layer, (weights, biases) in zip(layers, self.views(self.theta)):
+            weights[...] = layer.weights
+            biases[...] = layer.biases
+            layer.weights, layer.biases = weights, biases
+
+    def views(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per-layer (weights, biases) views of a vector laid out like ``theta``."""
+        out, pos = [], 0
+        for layer in self.layers:
+            rows, cols = layer.spec.output_width, layer.spec.input_width
+            end = pos + rows * cols
+            out.append((vec[pos:end].reshape(rows, cols), vec[end : end + rows]))
+            pos = end + rows
+        return out
 
     @property
     def input_width(self) -> int:
@@ -135,17 +156,9 @@ def build_autoencoder(
     return build_network(specs, seed)
 
 
-def parameter_counts(net: DenseNetwork) -> list[int]:
-    """Trainable-parameter count per layer (weights plus biases)."""
-    return [
-        layer.spec.input_width * layer.spec.output_width + layer.spec.output_width
-        for layer in net.layers
-    ]
-
-
 def count_parameters(net: DenseNetwork) -> int:
     """Total trainable parameters across the network."""
-    return sum(parameter_counts(net))
+    return net.theta.size
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -160,16 +173,19 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=z)
     if name == "sigmoid":
         return _sigmoid(z)
     return z
 
 
-def _activation_backward(name: str, delta: np.ndarray, z: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the pre-activation ``z``, given ``delta`` w.r.t. the output ``a``."""
+def _activation_backward(name: str, delta: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the pre-activation, given ``delta`` w.r.t. the output ``a``.
+
+    For relu, ``a > 0`` holds exactly where the pre-activation is > 0.
+    """
     if name == "relu":
-        grad = (z > 0.0).astype(float)
+        grad = (a > 0.0).astype(float)
         grad *= delta
         return grad
     if name == "sigmoid":
@@ -179,10 +195,9 @@ def _activation_backward(name: str, delta: np.ndarray, z: np.ndarray, a: np.ndar
 
 @dataclass
 class ForwardCache:
-    """Pre- and post-activation values captured for backpropagation."""
+    """The inputs and each layer's activations, captured for backpropagation."""
 
     inputs: np.ndarray
-    pre_activations: list[np.ndarray] = field(default_factory=list)
     activations: list[np.ndarray] = field(default_factory=list)
 
 
@@ -207,7 +222,6 @@ def forward(net: DenseNetwork, batch) -> tuple[np.ndarray, ForwardCache]:
             z = a @ layer.weights.T
             z += layer.biases
             a = _activate(layer.spec.activation, z)
-            cache.pre_activations.append(z)
             cache.activations.append(a)
     return a, cache
 
@@ -222,65 +236,54 @@ def mse_loss(pred, target) -> float:
     return float(np.mean(diff * diff))
 
 
-def backward(net: DenseNetwork, cache: ForwardCache, target) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Analytic gradients of mse_loss w.r.t. every weight and bias.
-
-    Returns one (weight_grad, bias_grad) pair per layer, in layer order.
-    """
+def backward(net: DenseNetwork, cache: ForwardCache, target) -> np.ndarray:
+    """Analytic gradient of mse_loss w.r.t. ``net.theta``, as one vector laid out like it."""
     t = np.asarray(target, dtype=float)
     pred = cache.activations[-1]
     if t.shape != pred.shape:
         raise ShapeMismatch(f"target {t.shape} vs output {pred.shape}")
     # d(mean squared error)/d(pred): mean runs over every entry
     delta = 2.0 * (pred - t) / pred.size
-    grads: list[tuple[np.ndarray, np.ndarray]] = []
+    grad = np.empty_like(net.theta)
+    views = net.views(grad)
     for idx in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[idx]
-        z = cache.pre_activations[idx]
-        a = cache.activations[idx]
         a_prev = cache.activations[idx - 1] if idx > 0 else cache.inputs
-        dz = _activation_backward(layer.spec.activation, delta, z, a)
-        grads.append((dz.T @ a_prev, dz.sum(axis=0)))
+        dz = _activation_backward(layer.spec.activation, delta, cache.activations[idx])
+        grad_w, grad_b = views[idx]
+        np.matmul(dz.T, a_prev, out=grad_w)
+        np.sum(dz, axis=0, out=grad_b)
         if idx > 0:
             delta = dz @ layer.weights
-    grads.reverse()
-    return grads
+    return grad
 
 
 class AdamState:
-    """First/second-moment accumulators plus the step counter for Adam."""
+    """First/second-moment vectors plus the step counter for Adam."""
 
-    def __init__(self, params: list[np.ndarray], lr: float = DEFAULT_LR):
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+    def __init__(self, size: int, lr: float = DEFAULT_LR):
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
         self.lr = lr
 
 
-def adam_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-) -> tuple[list[np.ndarray], AdamState]:
-    """One bias-corrected Adam update, applied to params in place.
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    """One bias-corrected Adam update, applied to ``theta`` in place.
 
-    param <- param - lr * m_hat / (sqrt(v_hat) + eps).
+    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
     """
-    if len(params) != len(grads) or len(params) != len(state.m):
-        raise ShapeMismatch("params, grads, and state must have the same length")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ShapeMismatch(f"param {p.shape} vs grad {g.shape}")
+    if theta.shape != grad.shape or theta.shape != state.m.shape:
+        raise ShapeMismatch(f"theta {theta.shape}, grad {grad.shape} and state {state.m.shape} differ")
     state.t += 1
     c1 = 1.0 - BETA1**state.t
     c2 = 1.0 - BETA2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m *= BETA1
-        m += (1.0 - BETA1) * g
-        v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
-    return params, state
+    m, v = state.m, state.v
+    m *= BETA1
+    m += (1.0 - BETA1) * grad
+    v *= BETA2
+    v += (1.0 - BETA2) * (grad * grad)
+    theta -= state.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
 @dataclass(frozen=True)
@@ -291,24 +294,6 @@ class TrainHistory:
 
     def final_loss(self) -> float:
         return self.losses[-1]
-
-
-def _bind_flat(net: DenseNetwork) -> np.ndarray:
-    """Copy every weight and bias into one vector; rebind the layers to views of it.
-
-    Layer order, weights before biases, each array row-major: the order in
-    which :func:`train` concatenates the gradients of :func:`backward`.
-    """
-    theta = np.concatenate(
-        [arr.ravel() for layer in net.layers for arr in (layer.weights, layer.biases)], dtype=float
-    )
-    pos = 0
-    for layer in net.layers:
-        for attr in ("weights", "biases"):
-            arr = getattr(layer, attr)
-            setattr(layer, attr, theta[pos : pos + arr.size].reshape(arr.shape))
-            pos += arr.size
-    return theta
 
 
 def train(
@@ -329,9 +314,7 @@ def train(
     targets raise NonFiniteInput up front; a non-finite epoch-end loss stops
     training with a TscnetError naming the epoch.
 
-    The parameters are trained as one vector: each layer's ``weights`` and
-    ``biases`` are rebound to views of it, so arrays taken from the layers
-    before the call are no longer updated. With one full batch, each
+    Each step is one Adam update of ``net.theta``. With one full batch, each
     epoch-end forward pass, which gives the epoch's loss, is also the next
     epoch's training forward, so an epoch costs one forward and one backward.
     """
@@ -351,14 +334,12 @@ def train(
         raise ValueError("epochs and batch_size must be >= 1")
 
     n = len(Xa)
-    theta = _bind_flat(net)
-    state = AdamState([theta], lr=lr)
+    state = AdamState(net.theta.size, lr=lr)
     rng = Xorshift64Star(seed)
     single_batch = batch_size >= n
 
     def step(cache: ForwardCache, target: np.ndarray) -> None:
-        grads = backward(net, cache, target)
-        adam_step([theta], [np.concatenate([g.ravel() for pair in grads for g in pair])], state)
+        adam_step(net.theta, backward(net, cache, target), state)
 
     losses = []
     # a diverging run overflows before the epoch-end check below reports it

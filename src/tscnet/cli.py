@@ -1,8 +1,10 @@
 """Command-line frontend: one verb per pipeline stage plus `run` and `report`.
 
 Exit codes: 0 on success, 1 on data or runtime errors (message on stderr),
-2 on usage errors (argparse). The default seed comes from the TSC_SEED
-environment variable when set; --seed always wins over it.
+2 on usage errors (argparse). A closed stdout also exits 1, but silently:
+the reader has gone, so there is no one to report to. The default seed
+comes from the TSC_SEED environment variable when set; --seed always wins
+over it.
 """
 
 from __future__ import annotations
@@ -194,7 +196,10 @@ def cmd_select_k(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args)
     records = pipeline.read_labels_csv(args.labels)
-    num_clusters = args.k if args.k is not None else int(records.clusters.max()) + 1
+    largest = int(records.clusters.max())
+    if args.k is not None and args.k <= largest:
+        raise TscnetError(f"{args.labels}: --k {args.k} is not above the largest cluster id {largest}")
+    num_clusters = largest + 1 if args.k is None else args.k
     if num_clusters < 2:
         raise TscnetError(f"need at least 2 clusters, got {num_clusters}")
     net, history = pipeline.stage2_train(
@@ -338,7 +343,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _DISPATCH[args.verb](args)
+        code = _DISPATCH[args.verb](args)
+        # a closed stdout must fail here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's exit-time flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (TscnetError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -47,7 +47,6 @@ class KMeansModel:
     assignments: np.ndarray
     wcss: float
     silhouette: float | None
-    seed: int
     iterations_run: int
     wcss_history: tuple[float, ...]
 
@@ -161,7 +160,6 @@ def kmeans_fit(points, k: int, seed: int = 7, restarts: int = DEFAULT_RESTARTS) 
         assignments=best.labels,
         wcss=best.wcss,
         silhouette=score,
-        seed=seed,
         iterations_run=best.iterations,
         wcss_history=best.history,
     )

@@ -54,7 +54,6 @@ class Xorshift64Star:
         value, _ = splitmix64(seed & _MASK64)
         # xorshift state must never be zero
         self._state = value if value != 0 else _GOLDEN
-        self.seed = seed
 
     def next_u64(self) -> int:
         x = self._state

@@ -37,6 +37,31 @@ def widths(net) -> list[int]:
     return [net.input_width] + [layer.spec.output_width for layer in net.layers]
 
 
+def parameter_counts(net) -> list[int]:
+    """Trainable-parameter count per layer (weights plus biases)."""
+    return [
+        layer.spec.input_width * layer.spec.output_width + layer.spec.output_width
+        for layer in net.layers
+    ]
+
+
+def relu_kink_margin(net, cache) -> float:
+    """Smallest |z| over the relu layers' pre-activations, 1.0 with no relu layer.
+
+    Each ``z = a_prev @ W.T + b`` is recomputed from the cache of a forward
+    pass, which keeps only the activations.
+    """
+    inputs = [cache.inputs] + cache.activations[:-1]
+    return min(
+        (
+            float(np.min(np.abs(a_prev @ layer.weights.T + layer.biases)))
+            for a_prev, layer in zip(inputs, net.layers)
+            if layer.spec.activation == "relu"
+        ),
+        default=1.0,
+    )
+
+
 def records_of(rows) -> Records:
     """Records from (ticker, volatility, ret, cluster) tuples."""
     rows = list(rows)

@@ -19,7 +19,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import BLOB_CENTERS, BLOB_SIGMA, blob_targets, normal, records_of, write_prices_csv
+from conftest import (
+    BLOB_CENTERS,
+    BLOB_SIGMA,
+    blob_targets,
+    normal,
+    parameter_counts,
+    records_of,
+    relu_kink_margin,
+    write_prices_csv,
+)
 from test_autonet import numeric_gradients
 from test_kmeans import exhaustive_best_wcss, oracle_silhouette
 from tscnet.autonet import (
@@ -32,7 +41,6 @@ from tscnet.autonet import (
     build_network,
     count_parameters,
     forward,
-    parameter_counts,
     predict_labels,
     round_labels,
 )
@@ -133,18 +141,10 @@ def test_criterion_04_gradient_check():
         net, X, y = _draw_gradcheck_candidate(index)
         index += 1
         _, cache = forward(net, X)
-        kink_margin = min(
-            (
-                float(np.min(np.abs(z)))
-                for z, layer in zip(cache.pre_activations, net.layers)
-                if layer.spec.activation == "relu"
-            ),
-            default=1.0,
-        )
-        if kink_margin < 1e-3:
+        if relu_kink_margin(net, cache) < 1e-3:
             rejected += 1
             continue
-        analytic = [g for pair in backward(net, cache, y) for g in pair]
+        analytic = [g for pair in net.views(backward(net, cache, y)) for g in pair]
         numeric = numeric_gradients(net, X, y, eps=1e-5)
         for a, n in zip(analytic, numeric):
             if not np.all(np.abs(a - n) <= np.maximum(1e-4 * np.abs(n), 1e-7)):

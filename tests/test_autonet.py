@@ -4,7 +4,8 @@ The forward oracle below evaluates the network neuron by neuron with
 scalar math, sharing no array code with the implementation. Gradients are
 checked against central finite differences; Adam against a hand-unrolled
 recurrence. Training is checked bit for bit against ``reference_train``,
-the per-array loop that ran two forward passes per full-batch epoch.
+the per-array loop that ran two forward passes per full-batch epoch and
+writes out its own Adam, so it shares no training code with the module.
 """
 
 import math
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import make_blob_points, widths
+from conftest import make_blob_points, parameter_counts, relu_kink_margin, widths
 
 from tscnet import autonet
 from tscnet.autonet import (
@@ -31,7 +32,6 @@ from tscnet.autonet import (
     forward,
     load_model,
     mse_loss,
-    parameter_counts,
     predict_labels,
     round_labels,
     save_model,
@@ -91,7 +91,7 @@ def numeric_gradients(net, X, y, eps=1e-5):
 
 def flat_gradients(net, X, y):
     _, cache = forward(net, X)
-    return [g for pair in backward(net, cache, y) for g in pair]
+    return [g for pair in net.views(backward(net, cache, y)) for g in pair]
 
 
 def make_layer(weights, biases, activation):
@@ -109,55 +109,64 @@ def reference_sigmoid(z):
     return out
 
 
+def reference_forward(net, batch):
+    """(pre-activations, activations), each layer written out as ``z = a @ W.T + b``."""
+    zs, acts = [], []
+    a = batch
+    for layer in net.layers:
+        z = a @ layer.weights.T + layer.biases
+        if layer.spec.activation == "relu":
+            a = np.maximum(z, 0.0)
+        elif layer.spec.activation == "sigmoid":
+            a = reference_sigmoid(z)
+        else:
+            a = z
+        zs.append(z)
+        acts.append(a)
+    return zs, acts
+
+
+def reference_grads(net, batch, target):
+    """Per-array gradients in layer order, weights before biases.
+
+    The relu gradient is a 0/1 float mask of ``z > 0`` and the linear one a
+    ones mask.
+    """
+    zs, acts = reference_forward(net, batch)
+    delta = 2.0 * (acts[-1] - target) / acts[-1].size
+    out = []
+    for idx in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[idx]
+        if layer.spec.activation == "relu":
+            gate = (zs[idx] > 0.0).astype(float)
+        elif layer.spec.activation == "sigmoid":
+            gate = acts[idx] * (1.0 - acts[idx])
+        else:
+            gate = np.ones_like(zs[idx])
+        dz = delta * gate
+        a_prev = acts[idx - 1] if idx > 0 else batch
+        out[:0] = [dz.T @ a_prev, dz.sum(axis=0)]
+        if idx > 0:
+            delta = dz @ layer.weights
+    return out
+
+
 def reference_train(net, X, y, epochs, batch_size, seed, lr=0.001):
     """The per-array training loop; returns the epoch-end losses.
 
     Every epoch runs a training forward per batch and then a full-data
     forward for the loss, so a full-batch epoch runs the same forward twice.
-    Adam updates each of the layers' own weight and bias arrays in turn.
-    Forward and backward are written out as ``z = a @ W.T + b``, with a 0/1
-    float mask for the relu gradient and a ones mask for the linear one.
+    Adam updates each of the layers' own weight and bias arrays in turn,
+    with one first- and second-moment array per parameter array.
     """
-
-    def fwd(batch):
-        zs, acts = [], []
-        a = batch
-        for layer in net.layers:
-            z = a @ layer.weights.T + layer.biases
-            if layer.spec.activation == "relu":
-                a = np.maximum(z, 0.0)
-            elif layer.spec.activation == "sigmoid":
-                a = reference_sigmoid(z)
-            else:
-                a = z
-            zs.append(z)
-            acts.append(a)
-        return zs, acts
-
-    def grads(batch, target):
-        zs, acts = fwd(batch)
-        delta = 2.0 * (acts[-1] - target) / acts[-1].size
-        out = []
-        for idx in range(len(net.layers) - 1, -1, -1):
-            layer = net.layers[idx]
-            if layer.spec.activation == "relu":
-                gate = (zs[idx] > 0.0).astype(float)
-            elif layer.spec.activation == "sigmoid":
-                gate = acts[idx] * (1.0 - acts[idx])
-            else:
-                gate = np.ones_like(zs[idx])
-            dz = delta * gate
-            a_prev = acts[idx - 1] if idx > 0 else batch
-            out[:0] = [dz.T @ a_prev, dz.sum(axis=0)]
-            if idx > 0:
-                delta = dz @ layer.weights
-        return out
-
+    b1, b2, eps = 0.9, 0.999, 1e-8
     Xa = np.asarray(X, dtype=float)
     ya = np.asarray(y, dtype=float).reshape(len(Xa), -1)
     n = len(Xa)
     params = [arr for layer in net.layers for arr in (layer.weights, layer.biases)]
-    state = AdamState(params, lr=lr)
+    ms = [np.zeros_like(p) for p in params]
+    vs = [np.zeros_like(p) for p in params]
+    t = 0
     rng = Xorshift64Star(seed)
     order = np.arange(n)
     losses = []
@@ -169,8 +178,15 @@ def reference_train(net, X, y, epochs, batch_size, seed, lr=0.001):
                 order = np.array(idx)
             for start in range(0, n, batch_size):
                 rows = order[start : start + batch_size]
-                adam_step(params, grads(Xa[rows], ya[rows]), state)
-            losses.append(mse_loss(fwd(Xa)[1][-1], ya))
+                t += 1
+                c1, c2 = 1.0 - b1**t, 1.0 - b2**t
+                for p, g, m, v in zip(params, reference_grads(net, Xa[rows], ya[rows]), ms, vs):
+                    m *= b1
+                    m += (1.0 - b1) * g
+                    v *= b2
+                    v += (1.0 - b2) * (g * g)
+                    p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+            losses.append(mse_loss(reference_forward(net, Xa)[1][-1], ya))
     return tuple(losses)
 
 
@@ -199,6 +215,26 @@ class TestConstruction:
             build_autoencoder(2, [5, 0], 2, 1, seed=7)
         with pytest.raises(BadWidth):
             LayerSpec(1, 1, "tanh")
+
+    def test_layers_are_views_of_theta(self):
+        net = build_autoencoder(2, (4, 3), 2, 1, seed=7)
+        joined = [arr.ravel() for layer in net.layers for arr in (layer.weights, layer.biases)]
+        assert np.concatenate(joined).tobytes() == net.theta.tobytes()
+        for layer in net.layers:
+            assert np.shares_memory(layer.weights, net.theta)
+            assert np.shares_memory(layer.biases, net.theta)
+        X = np.array([[0.3, -0.2]])
+        before = forward(net, X)[0][0, 0]
+        net.theta[-1] += 1.0  # the linear head's bias
+        assert forward(net, X)[0][0, 0] == before + 1.0
+
+    def test_arrays_passed_in_are_copied(self):
+        weights, biases = np.array([[2.0]]), np.array([0.5])
+        net = DenseNetwork([DenseLayer(LayerSpec(1, 1, "linear"), weights, biases)])
+        weights[0, 0] = 100.0
+        biases[0] = -7.0
+        assert net.theta.tolist() == [2.0, 0.5]
+        assert forward(net, [[1.0]])[0][0, 0] == 2.5
 
     def test_width_chain_enforced(self):
         a = make_layer(np.zeros((3, 2)), np.zeros(3), "relu")
@@ -262,7 +298,6 @@ class TestForward:
             assert out.shape == (n, 1)
             layer_widths = widths(net)[1:]
             assert [a.shape for a in cache.activations] == [(n, w) for w in layer_widths]
-            assert [z.shape for z in cache.pre_activations] == [(n, w) for w in layer_widths]
 
     def test_wrong_width_rejected(self):
         net = build_autoencoder(seed=7)
@@ -313,8 +348,9 @@ class TestBackward:
         net = build_autoencoder(2, (4, 3), 2, 1, seed=7)
         X = np.array([[0.3, -0.2], [1.0, 0.5]])
         out, cache = forward(net, X)
-        grads = backward(net, cache, out.copy())
-        for dw, db in grads:
+        grad = backward(net, cache, out.copy())
+        assert grad.shape == net.theta.shape
+        for dw, db in net.views(grad):
             assert np.all(dw == 0.0)
             assert np.all(db == 0.0)
 
@@ -322,7 +358,7 @@ class TestBackward:
         w, b, x, y = 0.7, -0.3, 1.9, 0.25
         net = DenseNetwork([make_layer([[w]], [b], "linear")])
         _, cache = forward(net, [[x]])
-        (dw, db), = backward(net, cache, [[y]])
+        (dw, db), = net.views(backward(net, cache, [[y]]))
         err = w * x + b - y
         assert dw[0][0] == pytest.approx(2.0 * err * x, rel=1e-14)
         assert db[0] == pytest.approx(2.0 * err, rel=1e-14)
@@ -341,45 +377,46 @@ class TestBackward:
         # central differences are only a valid oracle away from relu kinks:
         # every relu pre-activation must clear the 1e-5 step by a wide margin
         _, cache = forward(net, X)
-        margin = min(
-            float(np.min(np.abs(z)))
-            for z, layer in zip(cache.pre_activations, net.layers)
-            if layer.spec.activation == "relu"
-        )
-        assert margin >= 1e-4
+        assert relu_kink_margin(net, cache) >= 1e-4
         analytic = flat_gradients(net, X, y)
         numeric = numeric_gradients(net, X, y)
         for a, n in zip(analytic, numeric):
             assert np.all(np.abs(a - n) <= np.maximum(1e-4 * np.abs(n), 1e-7))
 
+    def test_vector_joins_reference_gradients(self):
+        X, truth = make_blob_points(seed=17, per_cluster=5)
+        y = np.array(truth, dtype=float).reshape(-1, 1)
+        net = build_autoencoder(seed=11)
+        grad = backward(net, forward(net, X)[1], y)
+        want = np.concatenate([g.ravel() for g in reference_grads(net, X, y)])
+        assert grad.tobytes() == want.tobytes()
+
 
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
-        params = [np.array([1.0, -2.0]), np.array([[3.0]])]
-        state = AdamState(params)
-        before = [p.copy() for p in params]
-        adam_step(params, [np.zeros(2), np.zeros((1, 1))], state)
+        theta = np.array([1.0, -2.0, 3.0])
+        state = AdamState(theta.size)
+        adam_step(theta, np.zeros(3), state)
         assert state.t == 1
-        for p, b in zip(params, before):
-            assert np.array_equal(p, b)
+        assert np.array_equal(theta, [1.0, -2.0, 3.0])
 
     def test_first_step_magnitude_is_lr(self):
         g = 0.37
-        params = [np.array([5.0])]
-        state = AdamState(params)
-        adam_step(params, [np.array([g])], state)
+        theta = np.array([5.0])
+        state = AdamState(theta.size)
+        adam_step(theta, np.array([g]), state)
         # t=1: m_hat = g, v_hat = g^2, update = -lr * g / (|g| + eps)
         expected = 5.0 - 0.001 * g / (abs(g) + 1e-8)
-        assert params[0][0] == pytest.approx(expected, abs=5e-15)
-        assert abs(5.0 - params[0][0]) == pytest.approx(0.001, rel=1e-6)
+        assert theta[0] == pytest.approx(expected, abs=5e-15)
+        assert abs(5.0 - theta[0]) == pytest.approx(0.001, rel=1e-6)
 
     def test_two_steps_match_unrolled_recurrence(self):
         g1, g2 = 0.4, -1.3
         lr, b1, b2, eps = 0.001, 0.9, 0.999, 1e-8
-        params = [np.array([2.0])]
-        state = AdamState(params)
-        adam_step(params, [np.array([g1])], state)
-        adam_step(params, [np.array([g2])], state)
+        theta = np.array([2.0])
+        state = AdamState(theta.size)
+        adam_step(theta, np.array([g1]), state)
+        adam_step(theta, np.array([g2]), state)
 
         p = 2.0
         m = v = 0.0
@@ -389,23 +426,22 @@ class TestAdam:
             m_hat = m / (1 - b1**t)
             v_hat = v / (1 - b2**t)
             p -= lr * m_hat / (math.sqrt(v_hat) + eps)
-        assert params[0][0] == pytest.approx(p, abs=1e-12)
+        assert theta[0] == pytest.approx(p, abs=1e-12)
         assert state.t == 2
 
     def test_second_moments_non_negative(self):
-        params = [np.array([0.0, 0.0])]
-        state = AdamState(params)
-        adam_step(params, [np.array([-3.0, 2.0])], state)
-        assert np.all(state.v[0] >= 0.0)
-        assert state.m[0].shape == params[0].shape
+        theta = np.array([0.0, 0.0])
+        state = AdamState(theta.size)
+        adam_step(theta, np.array([-3.0, 2.0]), state)
+        assert np.all(state.v >= 0.0)
+        assert state.m.shape == theta.shape
 
     def test_shape_mismatch(self):
-        params = [np.zeros(2)]
-        state = AdamState(params)
+        state = AdamState(2)
         with pytest.raises(ShapeMismatch):
-            adam_step(params, [np.zeros(3)], state)
+            adam_step(np.zeros(2), np.zeros(3), state)
         with pytest.raises(ShapeMismatch):
-            adam_step(params, [np.zeros(2), np.zeros(1)], state)
+            adam_step(np.zeros(3), np.zeros(3), state)
 
 
 class TestTrain:
@@ -519,7 +555,7 @@ class TestTrainMatchesReference:
         self.assert_matches(8, latent=latent)
 
     def test_second_call_trains_the_rebound_views(self):
-        # the first call rebinds the layers to views; later calls start from them
+        # each later call starts from the theta the earlier ones left
         self.assert_matches(10, batch_sizes=(1024, 7, 1024), epochs=12)
 
 
@@ -598,6 +634,7 @@ class TestModelFile:
             assert la.spec == lb.spec
             assert np.array_equal(la.weights, lb.weights)
             assert np.array_equal(la.biases, lb.biases)
+        assert loaded.theta.tobytes() == net.theta.tobytes()
         X = np.array([[0.123, -4.56], [7.0, 0.0]])
         assert np.array_equal(forward(net, X)[0], forward(loaded, X)[0])
 

@@ -4,10 +4,15 @@ Exit code contract: 0 success, 1 data/runtime error, 2 usage error (argparse
 raises SystemExit for those).
 """
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import tscnet
 from conftest import blob_targets, write_prices_csv
 from tscnet.cli import K_SWEEP_SVG, LOSS_SVG, SCATTER_POINTS_CSV, main
 from tscnet.pipeline import (
@@ -222,6 +227,16 @@ class TestTrain:
                          "--k", "4", "--seed", "7", "--out-dir", str(b)])
         assert (a / MODEL_FILE).read_bytes() == (b / MODEL_FILE).read_bytes()
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_k_not_above_largest_id_rejected(self, workdir, tmp_path, capsys, k):
+        # a latent width of k would leave every prediction past k - 1 clamped
+        out_dir = tmp_path / "out"
+        _, stderr = run_cli(capsys, ["train", "--labels", str(workdir["labels"]), "--k", str(k),
+                                     "--epochs", "1", "--out-dir", str(out_dir)], expect=1)
+        labels = workdir["labels"]
+        assert stderr == f"error: {labels}: --k {k} is not above the largest cluster id 3\n"
+        assert not out_dir.exists()
+
     def test_single_cluster_labels_rejected(self, tmp_path, capsys):
         labels = tmp_path / "labels.csv"
         labels.write_text(
@@ -274,6 +289,29 @@ class TestPredict:
         _, stderr = run_cli(capsys, ["predict", "--model", str(tmp_path / "absent"),
                                      "--labels", str(workdir["labels"])], expect=1)
         assert stderr.startswith("error:")
+
+
+class TestClosedStdout:
+    """A reader that has gone is no data error: exit 1 with nothing on stderr."""
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout_is_silent(self, workdir, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(Path(tscnet.__file__).parents[1])
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "tscnet", "predict", "--model", str(workdir["model"]),
+                 "--labels", str(workdir["labels"])],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert child.stderr == b""
+        assert child.returncode == 1
 
 
 class TestEvaluate:

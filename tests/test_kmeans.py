@@ -159,10 +159,6 @@ class TestKmeansFit:
         assert a.wcss == b.wcss
         assert a.wcss_history == b.wcss_history
 
-    def test_seed_changes_are_visible_in_model(self):
-        X, _ = make_blob_points(seed=3)
-        assert kmeans_fit(X, 4, seed=1).seed == 1
-
     def test_bad_k(self):
         X = np.zeros((5, 2))
         with pytest.raises(BadK):
