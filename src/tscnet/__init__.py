@@ -20,7 +20,7 @@ from .autonet import (
 )
 from .errors import TscnetError
 from .features import annualize, build_feature_table, log_returns
-from .ingest import PriceSeries, PriceTable, load_price_table
+from .ingest import load_price_table
 from .kmeans import KMeansModel, kmeans_fit, select_k, silhouette
 from .pipeline import (
     EvaluationReport,
@@ -42,8 +42,6 @@ __all__ = [
     "EvaluationReport",
     "KMeansModel",
     "PipelineConfig",
-    "PriceSeries",
-    "PriceTable",
     "Records",
     "SplitSpec",
     "TrainHistory",

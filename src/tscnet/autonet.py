@@ -40,6 +40,9 @@ from .rng import Xorshift64Star
 
 ACTIVATIONS = ("relu", "sigmoid", "linear")
 
+# the paper's encoder; the decoder mirrors it
+ENCODER_WIDTHS = (100, 50, 20)
+
 DEFAULT_LR = 0.001
 BETA1 = 0.9
 BETA2 = 0.999
@@ -130,7 +133,7 @@ def build_network(specs: list[LayerSpec], seed: int) -> DenseNetwork:
 
 def build_autoencoder(
     input_width: int = 2,
-    encoder_widths: list[int] | tuple[int, ...] = (100, 50, 20),
+    encoder_widths: list[int] | tuple[int, ...] = ENCODER_WIDTHS,
     latent_width: int = 4,
     output_width: int = 1,
     seed: int = 7,

@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 1 on data or runtime errors (message on stderr),
 2 on usage errors (argparse). A closed stdout also exits 1, but silently:
-the reader has gone, so there is no one to report to. The default seed
-comes from the TSC_SEED environment variable when set; --seed always wins
-over it.
+the reader has gone, so there is no one to report to. When no ticker of a
+prices file is usable, the reason each one was dropped goes to stderr as a
+warning before the error line.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def _add_ingest_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_seed_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, help="random seed (default: $TSC_SEED or 7)")
+    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,13 +100,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("predict", help="raw and rounded label predictions for labeled records")
     p.add_argument("--model", required=True, type=Path, help="model file from the train step")
     p.add_argument("--labels", required=True, type=Path, help="labels CSV holding the input features")
-    p.add_argument("--k", type=_positive_int, help="cluster count (default: the model's latent width)")
     p.add_argument("--out", type=Path, help="output CSV (default: print to stdout)")
 
     p = sub.add_parser("evaluate", help="score predictions against the k-means labels")
     p.add_argument("--model", required=True, type=Path, help="model file from the train step")
     p.add_argument("--labels", required=True, type=Path, help="labels CSV with reference clusters")
-    p.add_argument("--k", type=_positive_int, help="cluster count (default: the model's latent width)")
     p.add_argument("--out", type=Path, help="optional evaluation CSV to write")
 
     p = sub.add_parser("run", help="execute the full pipeline from a config file")
@@ -119,55 +117,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(args: argparse.Namespace) -> int:
-    explicit = getattr(args, "seed", None)
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("TSC_SEED")
-    if env is None:
-        return DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise TscnetError(f"TSC_SEED must be an integer, got {env!r}")
-
-
 def _warn(messages) -> None:
     for msg in messages:
         print(f"warning: {msg}", file=sys.stderr)
 
 
-def _infer_clusters(net: autonet.DenseNetwork, override: int | None) -> int:
-    if override is not None:
-        return override
-    sigmoid_widths = [
-        layer.spec.output_width for layer in net.layers if layer.spec.activation == "sigmoid"
-    ]
-    if len(sigmoid_widths) != 1:
-        raise TscnetError("cannot infer the cluster count from this model; pass --k")
-    return sigmoid_widths[0]
+def _load_model(path: Path) -> tuple[autonet.DenseNetwork, int]:
+    """The model at ``path`` and its cluster count: the width of its one
+    sigmoid (latent) layer."""
+    net = autonet.load_model(path)
+    widths = [layer.spec.output_width for layer in net.layers if layer.spec.activation == "sigmoid"]
+    if len(widths) != 1:
+        raise TscnetError(f"{path}: cannot infer the cluster count from {len(widths)} sigmoid layers")
+    return net, widths[0]
 
 
 def _stage1(args: argparse.Namespace, k: int | str):
     """Stage 1 on the prices named by the ingest flags: (records, model, sweep).
 
-    Warnings from loading and from featurizing go to stderr as they arise.
+    Warnings from loading go to stderr before Stage 1 runs.
     """
-    seed = _resolve_seed(args)
-    table, warns = pipeline.load_table(args.prices, args.tickers, args.start_date)
+    closes, warns = pipeline.load_table(args.prices, args.tickers, args.start_date)
     _warn(warns)
-    sink: list[str] = []
-    result = pipeline.stage1_label(
-        table,
+    return pipeline.stage1_label(
+        closes,
         k=k,
-        seed=seed,
+        seed=args.seed,
         trading_days=args.trading_days,
         k_min=args.k_min,
         k_max=args.k_max,
-        warn_sink=sink,
     )
-    _warn(sink)
-    return result
 
 
 def _k_line(model: kmeans.KMeansModel) -> str:
@@ -194,7 +173,6 @@ def cmd_select_k(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    seed = _resolve_seed(args)
     records = pipeline.read_labels_csv(args.labels)
     largest = int(records.clusters.max())
     if args.k is not None and args.k <= largest:
@@ -207,7 +185,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         num_clusters=num_clusters,
         epochs=args.epochs,
         batch_size=args.batch,
-        seed=seed,
+        seed=args.seed,
     )
     paths = pipeline.write_files(
         args.out_dir,
@@ -224,9 +202,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    net = autonet.load_model(args.model)
+    net, num_clusters = _load_model(args.model)
     records = pipeline.read_labels_csv(args.labels)
-    report = pipeline.evaluate(net, records, _infer_clusters(net, args.k))
+    report = pipeline.evaluate(net, records, num_clusters)
     text = pipeline.csv_text(pipeline.EVAL_HEADER[:5], (
         f"{t},{v:.12g},{r:.12g},{raw:.16e},{p}"
         for (t, v, r, _), raw, p in zip(records.rows(), report.raw.tolist(), report.predicted.tolist())
@@ -240,9 +218,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    net = autonet.load_model(args.model)
+    net, num_clusters = _load_model(args.model)
     records = pipeline.read_labels_csv(args.labels)
-    report = pipeline.evaluate(net, records, _infer_clusters(net, args.k))
+    report = pipeline.evaluate(net, records, num_clusters)
     if args.out is not None:
         pipeline.write_files(args.out.parent, {args.out.name: pipeline.evaluation_csv(report)})
     missed = [
@@ -289,8 +267,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             raise TscnetError(f"missing artifact: {required}")
 
     records = pipeline.read_labels_csv(labels_path)
-    net = autonet.load_model(model_path)
-    num_clusters = _infer_clusters(net, None)
+    net, num_clusters = _load_model(model_path)
     losses = pipeline.read_csv(loss_path, pipeline.LOSS_COLUMNS)
     sweep_path = out / pipeline.SWEEP_CSV
     sweep = pipeline.read_csv(sweep_path, pipeline.SWEEP_COLUMNS) if sweep_path.exists() else None
@@ -354,6 +331,8 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 1
     except (TscnetError, OSError) as exc:
+        # NoData says why each ticker was dropped; `run` wraps it in a PipelineError
+        _warn(getattr(getattr(exc, "cause", exc), "warnings", ()))
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,7 +30,12 @@ def reading_utf8(path):
 
 
 class NoData(TscnetError):
-    """No ticker produced a usable price series."""
+    """No ticker produced a usable price series; ``warnings`` says why each
+    ticker was dropped."""
+
+    def __init__(self, message: str, warnings: list[str]):
+        super().__init__(message)
+        self.warnings = warnings
 
 
 # features

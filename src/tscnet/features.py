@@ -21,7 +21,6 @@ import math
 import numpy as np
 
 from .errors import NonPositivePrice, TooShort
-from .ingest import PriceTable
 
 TRADING_DAYS = 252
 
@@ -59,25 +58,13 @@ def annualize(ticker: str, returns, trading_days: int = TRADING_DAYS) -> tuple[f
 
 
 def build_feature_table(
-    table: PriceTable, trading_days: int = TRADING_DAYS
-) -> tuple[tuple[str, ...], np.ndarray, list[str]]:
-    """(tickers, features, warnings): row i of the (n, 2) float64 array
-    ``features`` is the (volatility, ret) pair of ``tickers[i]``, in ticker
-    order.
+    closes: dict[str, np.ndarray], trading_days: int = TRADING_DAYS
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """(tickers, features): row i of the (n, 2) float64 array ``features`` is
+    the (volatility, ret) pair of ``tickers[i]``, in the order of ``closes``.
 
-    A ticker too short to feature is excluded with a warning rather than
-    failing the batch: one with exactly 2 price rows passes ingest but has a
-    single return, too few for a sample standard deviation.
+    Every series needs at least 3 closes (two returns); ingest drops shorter
+    ones, and a shorter one here raises TooShort naming its ticker.
     """
-    tickers = []
-    pairs = []
-    warnings = []
-    for series in table:
-        try:
-            pairs.append(annualize(series.ticker, log_returns(series.closes), trading_days))
-        except TooShort as exc:
-            warnings.append(f"{series.ticker}: excluded, {exc}")
-        else:
-            tickers.append(series.ticker)
-    return tuple(tickers), np.array(pairs, dtype=float).reshape(-1, 2), warnings
-
+    pairs = [annualize(ticker, log_returns(c), trading_days) for ticker, c in closes.items()]
+    return tuple(closes), np.array(pairs, dtype=float).reshape(-1, 2)

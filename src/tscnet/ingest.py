@@ -1,8 +1,9 @@
 """File-based price ingestion.
 
 Reads ticker lists and per-ticker adjusted-close tables from disk and produces
-validated, date-ordered price series. The CSV contract is narrow on purpose so
-a live fetcher can be slotted in later without touching anything downstream:
+one date-ordered float64 array of closes per ticker. The CSV contract is
+narrow on purpose so a live fetcher can be slotted in later without touching
+anything downstream:
 
 * prices CSV: UTF-8, LF line endings, header exactly ``ticker,date,adj_close``,
   ISO-8601 dates, decimal prices
@@ -14,69 +15,15 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import EmptyList, FormatError, NoData, reading_utf8
 
 PRICES_HEADER = ["ticker", "date", "adj_close"]
 
-
-@dataclass(frozen=True)
-class PriceSeries:
-    """One ticker's date-ordered adjusted closes.
-
-    Invariants: dates strictly increasing, closes positive, len >= 2, and
-    len(dates) == len(closes). The ticker is printable and holds no comma,
-    so it fits in one field of the artifact CSVs.
-    """
-
-    ticker: str
-    dates: tuple[dt.date, ...]
-    closes: tuple[float, ...]
-
-    def __post_init__(self):
-        if not self.ticker:
-            raise FormatError("empty ticker symbol")
-        if "," in self.ticker or not self.ticker.isprintable():
-            raise FormatError(f"ticker {self.ticker!r} holds a comma or a non-printable character")
-        if len(self.dates) != len(self.closes):
-            raise FormatError(f"{self.ticker}: {len(self.dates)} dates vs {len(self.closes)} closes")
-        if len(self.dates) < 2:
-            raise FormatError(f"{self.ticker}: need at least 2 rows, got {len(self.dates)}")
-        for a, b in zip(self.dates, self.dates[1:]):
-            if a >= b:
-                raise FormatError(f"{self.ticker}: dates not strictly increasing at {b}")
-        for c in self.closes:
-            if not c > 0:
-                raise FormatError(f"{self.ticker}: non-positive close {c}")
-
-    def __len__(self) -> int:
-        return len(self.dates)
-
-
-@dataclass
-class PriceTable:
-    """Ticker-keyed price series, iterated in ascending ticker order."""
-
-    entries: dict[str, PriceSeries] = field(default_factory=dict)
-
-    def add(self, series: PriceSeries) -> None:
-        if series.ticker in self.entries:
-            raise FormatError(f"duplicate ticker {series.ticker}")
-        self.entries[series.ticker] = series
-
-    def tickers(self) -> list[str]:
-        return sorted(self.entries)
-
-    def __iter__(self):
-        for t in self.tickers():
-            yield self.entries[t]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __getitem__(self, ticker: str) -> PriceSeries:
-        return self.entries[ticker]
+# the fewest usable rows a ticker needs: two returns, for a sample std
+MIN_ROWS = 3
 
 
 def parse_ticker_list(text: str) -> list[str]:
@@ -101,9 +48,6 @@ def parse_ticker_list(text: str) -> list[str]:
 def _parse_row(row: list[str], lineno: int) -> tuple[str, dt.date, float]:
     if len(row) != 3:
         raise FormatError(f"line {lineno}: expected 3 fields, got {len(row)}")
-    ticker = row[0].strip()
-    if not ticker:
-        raise FormatError(f"line {lineno}: empty ticker")
     try:
         date = dt.date.fromisoformat(row[1].strip())
     except ValueError as exc:
@@ -116,28 +60,38 @@ def _parse_row(row: list[str], lineno: int) -> tuple[str, dt.date, float]:
         raise FormatError(f"line {lineno}: non-finite price {row[2]!r}")
     if close <= 0:
         raise FormatError(f"line {lineno}: non-positive price {close}")
-    return ticker, date, close
+    return row[0].strip(), date, close
+
+
+def _check_ticker(ticker: str, lineno: int) -> None:
+    """A symbol must be printable and hold no comma, so it fits one field of
+    the artifact CSVs."""
+    if not ticker:
+        raise FormatError(f"line {lineno}: empty ticker")
+    if "," in ticker or not ticker.isprintable():
+        raise FormatError(f"line {lineno}: ticker {ticker!r} holds a comma or a non-printable character")
 
 
 def load_price_table(
     path,
     tickers: list[str] | None = None,
     start_date: dt.date = dt.date.min,
-) -> tuple[PriceTable, list[str]]:
-    """Load a prices CSV into a PriceTable.
+) -> tuple[dict[str, np.ndarray], list[str]]:
+    """Load a prices CSV into one array of closes per ticker.
 
+    Returns (closes, warnings). ``closes`` maps each kept ticker, in
+    ascending ticker order, to a float64 array of its closes in date order.
     Rows dated before ``start_date`` are dropped. When ``tickers`` is given,
     only those symbols are loaded. Duplicate (ticker, date) rows keep the last
-    occurrence. Tickers with fewer than 2 usable rows are excluded.
-
-    Returns (table, warnings); every ticker present in the file but absent
-    from the table appears in the warnings with a reason.
+    occurrence. A ticker with fewer than MIN_ROWS usable rows is excluded.
+    Every ticker present in the file but absent from ``closes`` appears in
+    the warnings with a reason; when no ticker is left, NoData carries them.
     """
     wanted = set(tickers) if tickers is not None else None
     # ticker -> {date: close}; dict preserves arrival order, last write wins
     rows: dict[str, dict[dt.date, float]] = {}
     dupes: set[str] = set()
-    filtered_out: list[str] = []
+    filtered_out: dict[str, None] = {}
 
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -158,13 +112,17 @@ def load_price_table(
                 if not row:
                     continue
                 ticker, date, close = _parse_row(row, lineno)
-                if wanted is not None and ticker not in wanted:
-                    if ticker not in filtered_out:
-                        filtered_out.append(ticker)
-                    continue
-                # register the ticker even if every row is filtered out, so the
-                # exclusion warning below can name it
-                per = rows.setdefault(ticker, {})
+                per = rows.get(ticker)
+                if per is None:
+                    if ticker in filtered_out:
+                        continue
+                    _check_ticker(ticker, lineno)
+                    if wanted is not None and ticker not in wanted:
+                        filtered_out[ticker] = None
+                        continue
+                    # register the ticker even if every row is filtered out, so
+                    # the exclusion warning below can name it
+                    per = rows[ticker] = {}
                 if date < start_date:
                     continue
                 if date in per:
@@ -179,19 +137,17 @@ def load_price_table(
     for t in sorted(dupes):
         warnings.append(f"{t}: duplicate (ticker, date) rows, kept last occurrence")
 
-    table = PriceTable()
+    closes: dict[str, np.ndarray] = {}
     for ticker in sorted(rows):
         per = rows[ticker]
-        if len(per) < 2:
-            warnings.append(f"{ticker}: excluded, fewer than 2 usable rows")
+        if len(per) < MIN_ROWS:
+            warnings.append(f"{ticker}: excluded, fewer than {MIN_ROWS} usable rows")
             continue
-        dates = sorted(per)
-        table.add(PriceSeries(ticker, tuple(dates), tuple(per[d] for d in dates)))
+        closes[ticker] = np.array([per[d] for d in sorted(per)], dtype=np.float64)
 
     if wanted is not None:
         for t in sorted(wanted - set(rows)):
             warnings.append(f"{t}: excluded, no rows in file")
-    if len(table) == 0:
-        raise NoData(f"{path}: no ticker with at least 2 usable rows")
-    return table, warnings
-
+    if not closes:
+        raise NoData(f"{path}: no ticker with at least {MIN_ROWS} usable rows", warnings)
+    return closes, warnings

@@ -1,9 +1,9 @@
 """End-to-end orchestration of the two clustering stages.
 
-Stage I turns a price table into ⟨volatility, ret⟩ features and k-means
-cluster labels, numbered by descending mean return. Stage II splits the
-labeled :class:`Records`, trains the autoencoder to regress the label, and
-scores the held-out records against their k-means labels.
+Stage I turns each ticker's closing prices into ⟨volatility, ret⟩ features
+and k-means cluster labels, numbered by descending mean return. Stage II
+splits the labeled :class:`Records`, trains the autoencoder to regress the
+label, and scores the held-out records against their k-means labels.
 
 :func:`run_pipeline` drives both stages from a parsed config and emits the
 artifact bundle: labels CSV, model file, k-sweep CSV (auto-k runs only),
@@ -44,8 +44,6 @@ LABELS_COLUMNS = {"ticker": str, "volatility": float, "return": float, "cluster"
 SWEEP_COLUMNS = {"k": int, "silhouette": float}
 LOSS_COLUMNS = {"epoch": int, "loss": float}
 EVAL_HEADER = ("ticker", "volatility", "return", "raw_output", "predicted", "kmeans", "missed")
-
-DEFAULT_ENCODER_WIDTHS = (100, 50, 20)
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,9 +107,10 @@ class EvaluationReport:
     accuracy: float
 
 
-def load_table(prices_path, tickers_path, start_date) -> tuple[ingest.PriceTable, list[str]]:
+def load_table(prices_path, tickers_path, start_date) -> tuple[dict[str, np.ndarray], list[str]]:
     """Load a prices CSV, keeping the symbols in ``tickers_path`` when given
-    and the rows from ``start_date`` on when given. Returns (table, warnings).
+    and the rows from ``start_date`` on when given. Returns (closes,
+    warnings), as :func:`ingest.load_price_table` does.
     """
     tickers = None
     if tickers_path is not None:
@@ -122,21 +121,20 @@ def load_table(prices_path, tickers_path, start_date) -> tuple[ingest.PriceTable
 
 
 def stage1_label(
-    table: ingest.PriceTable,
+    closes: dict[str, np.ndarray],
     k: int | str = AUTO,
     seed: int = 7,
     trading_days: int = features.TRADING_DAYS,
     k_min: int = 2,
     k_max: int = 10,
-    warn_sink: list[str] | None = None,
 ) -> tuple[Records, kmeans.KMeansModel, list[tuple[int, float]] | None]:
-    """Features plus k-means labels for every usable ticker, in ticker order.
+    """Features plus k-means labels for every ticker of ``closes``, in its
+    order.
 
     Returns (records, fitted model, sweep). ``k`` is an integer or "auto";
     auto sweeps [k_min, min(k_max, n-1)], keeps the silhouette maximizer and
     returns the (k, silhouette) table as ``sweep``, which is None for a fixed
-    k. Tickers dropped for short series are reported into ``warn_sink`` when
-    given.
+    k.
 
     Clusters are numbered by descending mean return
     (:func:`kmeans.relabel_by_return`): cluster 0 has the highest return, so
@@ -144,9 +142,7 @@ def stage1_label(
     along return only: two clusters that differ only in volatility get
     adjacent ids in no geometric order, and the target can still fold there.
     """
-    tickers, X, warnings = features.build_feature_table(table, trading_days)
-    if warn_sink is not None:
-        warn_sink.extend(warnings)
+    tickers, X = features.build_feature_table(closes, trading_days)
     model, sweep = _resolve_k(X, k, k_min, k_max, seed)
     model = kmeans.relabel_by_return(model)
     return Records(tickers, X, model.assignments.astype(np.int64)), model, sweep
@@ -197,21 +193,14 @@ def _stratified_indices(clusters, test_size, rng):
     labels = sorted(groups)
     n = len(clusters)
     quotas = {lab: test_size * len(groups[lab]) / n for lab in labels}
-    take = {lab: min(int(quotas[lab]), len(groups[lab])) for lab in labels}
+    take = {lab: int(quotas[lab]) for lab in labels}
     leftover = test_size - sum(take.values())
-    # hand out the remainder by largest fractional part, ties to lower label
+    # hand out the remainder by largest fractional part, ties to lower label;
+    # the quotas sum to test_size, so at least `leftover` labels have a
+    # fractional part, and each of those is below its cluster's size
     by_frac = sorted(labels, key=lambda lab: (-(quotas[lab] - int(quotas[lab])), lab))
-    while leftover > 0:
-        progressed = False
-        for lab in by_frac:
-            if leftover == 0:
-                break
-            if take[lab] < len(groups[lab]):
-                take[lab] += 1
-                leftover -= 1
-                progressed = True
-        if not progressed:
-            break
+    for lab in by_frac[:leftover]:
+        take[lab] += 1
     test_idx, train_idx = [], []
     for lab in labels:
         members = list(groups[lab])
@@ -238,7 +227,7 @@ def stage2_train(
     if not len(train_records):
         raise EmptyDataset("no training records")
     y = train_records.clusters.astype(float).reshape(-1, 1)
-    net = autonet.build_autoencoder(2, DEFAULT_ENCODER_WIDTHS, num_clusters, 1, seed=seed)
+    net = autonet.build_autoencoder(2, autonet.ENCODER_WIDTHS, num_clusters, 1, seed=seed)
     history = autonet.train(net, train_records.features, y, epochs=epochs, batch_size=batch_size, seed=seed)
     return net, history
 
@@ -565,19 +554,18 @@ def run_pipeline(config: PipelineConfig, stratify: bool = False) -> PipelineResu
     name. A fixed-k run removes a ``k_sweep.csv`` left in ``out_dir`` by an
     earlier auto-k run.
     """
-    table, warnings = _stage(
+    closes, warnings = _stage(
         "ingest", load_table, config.prices_path, config.tickers_path, config.start_date
     )
     records, model, sweep = _stage(
         "label",
         stage1_label,
-        table,
+        closes,
         k=config.k,
         seed=config.seed,
         trading_days=config.trading_days,
         k_min=config.k_min,
         k_max=config.k_max,
-        warn_sink=warnings,
     )
     train_set, test_set = _stage(
         "split", split, records, SplitSpec(config.test_fraction, config.seed), stratify

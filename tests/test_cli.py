@@ -14,6 +14,7 @@ import pytest
 
 import tscnet
 from conftest import blob_targets, write_prices_csv
+from tscnet.autonet import LayerSpec, build_network, save_model
 from tscnet.cli import K_SWEEP_SVG, LOSS_SVG, SCATTER_POINTS_CSV, main
 from tscnet.pipeline import (
     EVAL_CSV,
@@ -168,6 +169,26 @@ class TestLabel:
         _, stderr = run_cli(capsys, ["label", "--prices", str(prices), "--out", str(tmp_path / "x.csv")],
                             expect=1)
         assert stderr == f"error: {prices} line 2: field larger than field limit (131072)\n"
+
+
+    @pytest.mark.parametrize("verb", ["label", "run"])
+    def test_every_ticker_too_short(self, tmp_path, capsys, verb):
+        # two rows give one return; every ticker is dropped at ingest, with its reason
+        prices = tmp_path / "prices.csv"
+        prices.write_text("ticker,date,adj_close\n" + "".join(
+            f"{t},2019-01-0{d},{d}.5\n" for t in ("AAA", "BBB") for d in (2, 3)
+        ), encoding="utf-8")
+        config = write_config(tmp_path / "run.cfg", prices, tmp_path / "out")
+        argv = ["run", str(config)] if verb == "run" else [
+            "label", "--prices", str(prices), "--k", "2", "--out", str(tmp_path / "labels.csv")]
+        _, stderr = run_cli(capsys, argv, expect=1)
+        stage = "[ingest] " if verb == "run" else ""
+        assert stderr.splitlines() == [
+            "warning: AAA: excluded, fewer than 3 usable rows",
+            "warning: BBB: excluded, fewer than 3 usable rows",
+            f"error: {stage}{prices}: no ticker with at least 3 usable rows",
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["prices.csv", "run.cfg"]
 
 
 class TestSelectK:
@@ -330,6 +351,22 @@ class TestEvaluate:
         csv_lines = out.read_text(encoding="utf-8").splitlines()
         assert len(csv_lines) == 71
         assert sum(int(line.split(",")[-1]) for line in csv_lines[1:]) == n_disagreements
+
+
+    def test_model_without_one_sigmoid_layer(self, workdir, tmp_path, capsys):
+        model = tmp_path / "linear.tscnet"
+        save_model(build_network([LayerSpec(2, 1, "linear")], seed=7), model)
+        _, stderr = run_cli(capsys, ["evaluate", "--model", str(model),
+                                     "--labels", str(workdir["labels"])], expect=1)
+        assert stderr == f"error: {model}: cannot infer the cluster count from 0 sigmoid layers\n"
+
+    @pytest.mark.parametrize("verb", ["predict", "evaluate"])
+    def test_k_flag_is_gone(self, workdir, verb):
+        # k is the model's latent width; an override could only clamp predictions
+        with pytest.raises(SystemExit) as exc:
+            main([verb, "--model", str(workdir["model"]), "--labels", str(workdir["labels"]),
+                  "--k", "2"])
+        assert exc.value.code == 2
 
 
 class TestRun:
@@ -509,37 +546,13 @@ class TestReport:
 
 
 class TestSeedResolution:
-    def test_env_seed_matches_flag(self, workdir, tmp_path, capsys, monkeypatch):
+    def test_env_seed_is_ignored(self, workdir, tmp_path, capsys, monkeypatch):
+        # the seed is --seed or 7; no environment variable moves it
         flagged = tmp_path / "flagged.csv"
         run_cli(capsys, ["label", "--prices", str(workdir["prices"]), "--k", "4",
-                         "--seed", "123", "--out", str(flagged)])
+                         "--seed", "7", "--out", str(flagged)])
         monkeypatch.setenv("TSC_SEED", "123")
-        env_seeded = tmp_path / "env.csv"
+        env_set = tmp_path / "env.csv"
         run_cli(capsys, ["label", "--prices", str(workdir["prices"]), "--k", "4",
-                         "--out", str(env_seeded)])
-        assert flagged.read_bytes() == env_seeded.read_bytes()
-
-    def test_flag_overrides_env(self, workdir, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TSC_SEED", "9999")
-        overridden = tmp_path / "overridden.csv"
-        run_cli(capsys, ["label", "--prices", str(workdir["prices"]), "--k", "4",
-                         "--seed", "123", "--out", str(overridden)])
-        monkeypatch.delenv("TSC_SEED")
-        plain = tmp_path / "plain.csv"
-        run_cli(capsys, ["label", "--prices", str(workdir["prices"]), "--k", "4",
-                         "--seed", "123", "--out", str(plain)])
-        assert overridden.read_bytes() == plain.read_bytes()
-
-    def test_invalid_env_seed_without_flag(self, workdir, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TSC_SEED", "lucky")
-        _, stderr = run_cli(capsys, ["label", "--prices", str(workdir["prices"]),
-                                     "--k", "4", "--out", str(tmp_path / "x.csv")],
-                            expect=1)
-        assert "TSC_SEED" in stderr
-
-    def test_invalid_env_seed_ignored_with_flag(self, workdir, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("TSC_SEED", "lucky")
-        out = tmp_path / "labels.csv"
-        run_cli(capsys, ["label", "--prices", str(workdir["prices"]), "--k", "4",
-                         "--seed", "7", "--out", str(out)])
-        assert out.exists()
+                         "--out", str(env_set)])
+        assert flagged.read_bytes() == env_set.read_bytes()

@@ -4,7 +4,6 @@ Numeric results are checked against independent oracles written with plain
 math loops, not against the numpy implementation under test.
 """
 
-import datetime as dt
 import math
 
 import numpy as np
@@ -20,7 +19,6 @@ from tscnet.features import (
     log_returns,
     sample_std,
 )
-from tscnet.ingest import PriceSeries, PriceTable
 from tscnet.pipeline import LABELS_COLUMNS, labels_csv, read_labels_csv
 
 
@@ -113,32 +111,21 @@ class TestAnnualize:
             annualize("AAA", (0.01,))
 
 
-def _series(ticker, closes, start=dt.date(2019, 1, 2)):
-    dates = tuple(start + dt.timedelta(days=i) for i in range(len(closes)))
-    return PriceSeries(ticker, dates, tuple(closes))
-
-
 class TestBuildFeatureTable:
     def test_ticker_order_and_values(self):
-        table = PriceTable()
-        table.add(_series("BBB", [50.0, 51.0, 50.2]))
-        table.add(_series("AAA", [100.0, 101.0, 99.5, 102.0]))
-        tickers, X, warnings = build_feature_table(table)
-        assert warnings == []
-        assert tickers == ("AAA", "BBB")
+        # rows follow the order of the mapping; load_price_table gives ticker order
+        closes = {"BBB": np.array([50.0, 51.0, 50.2]), "AAA": np.array([100.0, 101.0, 99.5, 102.0])}
+        tickers, X = build_feature_table(closes)
+        assert tickers == ("BBB", "AAA")
         assert X.shape == (2, 2) and X.dtype == np.float64
         rets = oracle_log_returns([50.0, 51.0, 50.2])
-        assert X[1, 0] == pytest.approx(oracle_std(rets) * math.sqrt(252), rel=1e-12)
+        assert X[0, 0] == pytest.approx(oracle_std(rets) * math.sqrt(252), rel=1e-12)
 
-    def test_two_price_ticker_warned_and_skipped(self):
-        # one return cannot produce a sample std
-        table = PriceTable()
-        table.add(_series("AAA", [100.0, 101.0, 99.5]))
-        table.add(_series("TWO", [10.0, 10.5]))
-        tickers, X, warnings = build_feature_table(table)
-        assert tickers == ("AAA",)
-        assert X.shape == (1, 2)
-        assert any(w.startswith("TWO:") for w in warnings)
+    def test_two_price_ticker_raises_too_short(self):
+        # one return cannot produce a sample std; ingest drops such tickers
+        closes = {"AAA": np.array([100.0, 101.0, 99.5]), "TWO": np.array([10.0, 10.5])}
+        with pytest.raises(TooShort, match="^TWO: need at least 2 returns, got 1$"):
+            build_feature_table(closes)
 
 
 class TestLabelsCsv:

@@ -2,15 +2,11 @@
 
 import datetime as dt
 
+import numpy as np
 import pytest
 
 from tscnet.errors import EmptyList, FormatError, NoData
-from tscnet.ingest import (
-    PriceSeries,
-    PriceTable,
-    load_price_table,
-    parse_ticker_list,
-)
+from tscnet.ingest import load_price_table, parse_ticker_list
 
 
 def _write(tmp_path, text, name="prices.csv"):
@@ -25,6 +21,7 @@ AAA,2019-01-03,101.5
 AAA,2019-01-04,99.25
 BBB,2019-01-02,50.0
 BBB,2019-01-03,50.5
+BBB,2019-01-04,50.25
 """
 
 
@@ -44,53 +41,56 @@ class TestParseTickerList:
 
 
 class TestPriceSeries:
-    def test_valid(self):
-        s = PriceSeries("AAA", (dt.date(2019, 1, 2), dt.date(2019, 1, 3)), (1.0, 2.0))
-        assert len(s) == 2
+    """One ticker's closes, as load_price_table builds them."""
 
-    def test_length_mismatch(self):
-        with pytest.raises(FormatError):
-            PriceSeries("AAA", (dt.date(2019, 1, 2),), (1.0, 2.0))
+    def test_valid(self, tmp_path):
+        closes, _ = load_price_table(_write(tmp_path, GOOD_CSV))
+        assert closes["AAA"].dtype == np.float64
+        assert closes["AAA"].shape == (3,)
 
-    def test_too_short(self):
-        with pytest.raises(FormatError):
-            PriceSeries("AAA", (dt.date(2019, 1, 2),), (1.0,))
+    def test_too_short(self, tmp_path):
+        # two rows give one return, too few for a sample standard deviation
+        text = GOOD_CSV + "TWO,2019-01-02,1.0\nTWO,2019-01-03,2.0\n"
+        closes, warnings = load_price_table(_write(tmp_path, text))
+        assert list(closes) == ["AAA", "BBB"]
+        assert "TWO: excluded, fewer than 3 usable rows" in warnings
 
-    def test_dates_must_increase(self):
-        with pytest.raises(FormatError):
-            PriceSeries("AAA", (dt.date(2019, 1, 3), dt.date(2019, 1, 2)), (1.0, 2.0))
-        with pytest.raises(FormatError):
-            PriceSeries("AAA", (dt.date(2019, 1, 2), dt.date(2019, 1, 2)), (1.0, 2.0))
-
-    def test_positive_closes(self):
-        with pytest.raises(FormatError):
-            PriceSeries("AAA", (dt.date(2019, 1, 2), dt.date(2019, 1, 3)), (1.0, 0.0))
+    def test_positive_closes(self, tmp_path):
+        text = "ticker,date,adj_close\nAAA,2019-01-02,1.0\nAAA,2019-01-03,0.0\n"
+        with pytest.raises(FormatError, match=r"prices\.csv line 3: non-positive price 0\.0"):
+            load_price_table(_write(tmp_path, text))
 
     @pytest.mark.parametrize("ticker", ["A,B", "A\nB", "A\rB", "A\x00B"])
-    def test_ticker_must_fit_one_csv_field(self, ticker):
-        with pytest.raises(FormatError, match="comma or a non-printable"):
-            PriceSeries(ticker, (dt.date(2019, 1, 2), dt.date(2019, 1, 3)), (1.0, 2.0))
+    def test_ticker_must_fit_one_csv_field(self, tmp_path, ticker):
+        text = f'ticker,date,adj_close\nAAA,2019-01-02,1.0\n"{ticker}",2019-01-02,1.0\n'
+        with pytest.raises(FormatError, match=r"prices\.csv line 3: ticker .* comma or a non-printable"):
+            load_price_table(_write(tmp_path, text))
 
     def test_quoted_ticker_with_comma_rejected_on_load(self, tmp_path):
         path = _write(tmp_path, 'ticker,date,adj_close\n"A,B",2019-01-02,1.0\n"A,B",2019-01-03,2.0\n')
-        with pytest.raises(FormatError, match="'A,B'"):
+        with pytest.raises(FormatError) as caught:
             load_price_table(path)
+        assert str(caught.value) == (
+            f"{path} line 2: ticker 'A,B' holds a comma or a non-printable character"
+        )
 
-    def test_table_rejects_duplicate_ticker(self):
-        s = PriceSeries("AAA", (dt.date(2019, 1, 2), dt.date(2019, 1, 3)), (1.0, 2.0))
-        table = PriceTable()
-        table.add(s)
-        with pytest.raises(FormatError):
-            table.add(s)
+    def test_bad_ticker_rejected_even_when_filtered_out(self, tmp_path):
+        text = GOOD_CSV + '"A,B",2019-01-02,1.0\n'
+        with pytest.raises(FormatError, match="line 8: ticker 'A,B'"):
+            load_price_table(_write(tmp_path, text), tickers=["AAA"])
+
+    def test_empty_ticker_names_line(self, tmp_path):
+        with pytest.raises(FormatError, match=r"prices\.csv line 2: empty ticker"):
+            load_price_table(_write(tmp_path, "ticker,date,adj_close\n ,2019-01-02,1.0\n"))
 
 
 class TestLoadPriceTable:
     def test_happy_path(self, tmp_path):
-        table, warnings = load_price_table(_write(tmp_path, GOOD_CSV))
+        closes, warnings = load_price_table(_write(tmp_path, GOOD_CSV))
         assert warnings == []
-        assert table.tickers() == ["AAA", "BBB"]
-        assert table["AAA"].closes == (100.0, 101.5, 99.25)
-        assert table["BBB"].dates == (dt.date(2019, 1, 2), dt.date(2019, 1, 3))
+        assert list(closes) == ["AAA", "BBB"]
+        assert closes["AAA"].tolist() == [100.0, 101.5, 99.25]
+        assert closes["BBB"].tolist() == [50.0, 50.5, 50.25]
 
     def test_rows_sorted_by_date(self, tmp_path):
         text = (
@@ -99,8 +99,8 @@ class TestLoadPriceTable:
             "AAA,2019-01-02,1.0\n"
             "AAA,2019-01-03,2.0\n"
         )
-        table, _ = load_price_table(_write(tmp_path, text))
-        assert table["AAA"].closes == (1.0, 2.0, 3.0)
+        closes, _ = load_price_table(_write(tmp_path, text))
+        assert closes["AAA"].tolist() == [1.0, 2.0, 3.0]
 
     def test_bad_header(self, tmp_path):
         with pytest.raises(FormatError, match="bad header"):
@@ -152,42 +152,55 @@ class TestLoadPriceTable:
             "AAA,2019-01-02,1.0\n"
             "AAA,2019-01-02,9.0\n"
             "AAA,2019-01-03,2.0\n"
+            "AAA,2019-01-04,3.0\n"
         )
-        table, warnings = load_price_table(_write(tmp_path, text))
-        assert table["AAA"].closes == (9.0, 2.0)
+        closes, warnings = load_price_table(_write(tmp_path, text))
+        assert closes["AAA"].tolist() == [9.0, 2.0, 3.0]
         assert any("kept last occurrence" in w for w in warnings)
 
     def test_ticker_filter(self, tmp_path):
-        table, warnings = load_price_table(_write(tmp_path, GOOD_CSV), tickers=["AAA"])
-        assert table.tickers() == ["AAA"]
+        closes, warnings = load_price_table(_write(tmp_path, GOOD_CSV), tickers=["AAA"])
+        assert list(closes) == ["AAA"]
         assert any(w.startswith("BBB: excluded, not in ticker filter") for w in warnings)
 
     def test_filter_ticker_missing_from_file(self, tmp_path):
-        table, warnings = load_price_table(_write(tmp_path, GOOD_CSV), tickers=["AAA", "ZZZ"])
-        assert table.tickers() == ["AAA"]
+        closes, warnings = load_price_table(_write(tmp_path, GOOD_CSV), tickers=["AAA", "ZZZ"])
+        assert list(closes) == ["AAA"]
         assert any(w.startswith("ZZZ: excluded, no rows in file") for w in warnings)
 
     def test_start_date_drops_rows(self, tmp_path):
-        table, _ = load_price_table(_write(tmp_path, GOOD_CSV), start_date=dt.date(2019, 1, 3))
-        assert table["AAA"].dates == (dt.date(2019, 1, 3), dt.date(2019, 1, 4))
+        text = GOOD_CSV + "AAA,2019-01-07,98.0\n"
+        closes, _ = load_price_table(_write(tmp_path, text), start_date=dt.date(2019, 1, 3))
+        # one distinct close per date pins which rows were kept, and their order
+        assert closes["AAA"].tolist() == [101.5, 99.25, 98.0]
 
     def test_single_row_ticker_excluded(self, tmp_path):
         text = GOOD_CSV + "CCC,2019-01-02,7.0\n"
-        table, warnings = load_price_table(_write(tmp_path, text))
-        assert "CCC" not in table.tickers()
-        assert any(w.startswith("CCC: excluded, fewer than 2 usable rows") for w in warnings)
+        closes, warnings = load_price_table(_write(tmp_path, text))
+        assert "CCC" not in closes
+        assert any(w.startswith("CCC: excluded, fewer than 3 usable rows") for w in warnings)
 
     def test_ticker_fully_before_start_date_is_warned(self, tmp_path):
         # every excluded-but-present ticker must be named in the warnings
-        table, warnings = load_price_table(
-            _write(tmp_path, GOOD_CSV), start_date=dt.date(2019, 1, 3)
-        )
-        assert "BBB" not in table.tickers()
+        text = GOOD_CSV.replace("BBB,2019-01-0", "BBB,2018-12-0")
+        closes, warnings = load_price_table(_write(tmp_path, text), start_date=dt.date(2019, 1, 1))
+        assert "BBB" not in closes
         assert any(w.startswith("BBB: excluded") for w in warnings)
 
     def test_no_data(self, tmp_path):
-        with pytest.raises(NoData):
+        with pytest.raises(NoData, match=r"prices\.csv: no ticker with at least 3 usable rows"):
             load_price_table(_write(tmp_path, "ticker,date,adj_close\nAAA,2019-01-02,1.0\n"))
+
+    def test_no_data_carries_the_exclusions(self, tmp_path):
+        text = "ticker,date,adj_close\n" + "".join(
+            f"{t},2019-01-0{d},{d}.0\n" for t in ("AAA", "BBB") for d in (2, 3)
+        )
+        with pytest.raises(NoData) as caught:
+            load_price_table(_write(tmp_path, text))
+        assert caught.value.warnings == [
+            "AAA: excluded, fewer than 3 usable rows",
+            "BBB: excluded, fewer than 3 usable rows",
+        ]
 
     def test_exclusion_warning_property(self, tmp_path):
         # mixed failure modes: every input ticker missing from the output is warned about
@@ -195,12 +208,13 @@ class TestLoadPriceTable:
             "ticker,date,adj_close\n"
             "AAA,2019-01-02,1.0\n"
             "AAA,2019-01-03,1.1\n"
+            "AAA,2019-01-04,1.2\n"
             "SHT,2019-01-02,5.0\n"
             "OLD,2018-06-01,3.0\n"
             "OLD,2018-06-02,3.1\n"
         )
-        table, warnings = load_price_table(_write(tmp_path, text), start_date=dt.date(2019, 1, 1))
-        present = set(table.tickers())
+        closes, warnings = load_price_table(_write(tmp_path, text), start_date=dt.date(2019, 1, 1))
+        present = set(closes)
         warned = {w.split(":")[0] for w in warnings}
         assert present == {"AAA"}
         assert {"SHT", "OLD"} <= warned
@@ -215,5 +229,5 @@ class TestRoundTrip:
         )
         loaded, warnings = load_price_table(_write(tmp_path, text))
         assert warnings == []
-        assert loaded["AAA"].closes == closes
-        assert loaded["AAA"].dates == dates
+        # distinct closes, so equal lists also pin the date order
+        assert loaded["AAA"].tolist() == list(closes)

@@ -66,13 +66,13 @@ def linear_net(w_vol, w_ret, bias):
 
 
 @pytest.fixture(scope="module")
-def blob_table(tmp_path_factory):
+def blob_closes(tmp_path_factory):
     root = tmp_path_factory.mktemp("blobs")
     targets = blob_targets(seed=5)
     path = root / "prices.csv"
     write_prices_csv(path, targets)
-    table, _ = load_price_table(path)
-    return table, targets
+    closes, _ = load_price_table(path)
+    return closes, targets
 
 
 class TestRecords:
@@ -171,9 +171,9 @@ class TestSplit:
 
 
 class TestStage1:
-    def test_blob_labels_recover_truth(self, blob_table):
-        table, targets = blob_table
-        records, model, _ = stage1_label(table, k=4, seed=7)
+    def test_blob_labels_recover_truth(self, blob_closes):
+        closes, targets = blob_closes
+        records, model, _ = stage1_label(closes, k=4, seed=7)
         assert model.k == 4
         assert len(records) == 70
         truth = {t: min(range(4), key=lambda c: (BLOB_CENTERS[c][0] - v) ** 2 + (BLOB_CENTERS[c][1] - r) ** 2)
@@ -188,31 +188,31 @@ class TestStage1:
             assert fitted_of.setdefault(true_c, fit_c) == fit_c
         assert len(set(fitted_of.values())) == 4
 
-    def test_auto_k_picks_four(self, blob_table):
-        table, _ = blob_table
-        records, model, _ = stage1_label(table, k=AUTO, seed=7)
+    def test_auto_k_picks_four(self, blob_closes):
+        closes, _ = blob_closes
+        records, model, _ = stage1_label(closes, k=AUTO, seed=7)
         assert model.k == 4
         assert model.silhouette is not None
         assert set(records.clusters.tolist()) == {0, 1, 2, 3}
 
-    def test_sweep_only_for_auto_k(self, blob_table):
-        table, _ = blob_table
-        _, model, sweep = stage1_label(table, k=AUTO, seed=7, k_max=6)
+    def test_sweep_only_for_auto_k(self, blob_closes):
+        closes, _ = blob_closes
+        _, model, sweep = stage1_label(closes, k=AUTO, seed=7, k_max=6)
         assert [k for k, _ in sweep] == [2, 3, 4, 5, 6]
         assert dict(sweep)[model.k] == model.silhouette
-        assert stage1_label(table, k=4, seed=7)[2] is None
+        assert stage1_label(closes, k=4, seed=7)[2] is None
 
-    def test_records_sorted_by_ticker(self, blob_table):
-        table, _ = blob_table
-        records, _, _ = stage1_label(table, k=4, seed=7)
+    def test_records_sorted_by_ticker(self, blob_closes):
+        closes, _ = blob_closes
+        records, _, _ = stage1_label(closes, k=4, seed=7)
         assert list(records.tickers) == sorted(records.tickers)
 
-    def test_canonical_orders_clusters_by_return(self, blob_table):
+    def test_canonical_orders_clusters_by_return(self, blob_closes):
         # seed 7's raw k-means++ numbering on this fixture is not
         # return-monotone, at k = 4 and at the k = 4 the sweep picks
-        table, _ = blob_table
+        closes, _ = blob_closes
         for k in (4, AUTO):
-            records, model, _ = stage1_label(table, k=k, seed=7)
+            records, model, _ = stage1_label(closes, k=k, seed=7)
             means = {}
             for _, _, ret, cluster in records.rows():
                 means.setdefault(cluster, []).append(ret)
@@ -221,32 +221,31 @@ class TestStage1:
             assert ordered == sorted(ordered, reverse=True)
             assert list(model.centroids[:, 1]) == sorted(model.centroids[:, 1], reverse=True)
 
-    def test_k_exceeding_tickers_rejected(self, blob_table):
-        table, _ = blob_table
+    def test_k_exceeding_tickers_rejected(self, blob_closes):
+        closes, _ = blob_closes
         with pytest.raises(BadK):
-            stage1_label(table, k=71, seed=7)
+            stage1_label(closes, k=71, seed=7)
 
-    def test_bogus_k_rejected(self, blob_table):
-        table, _ = blob_table
+    def test_bogus_k_rejected(self, blob_closes):
+        closes, _ = blob_closes
         with pytest.raises(BadK):
-            stage1_label(table, k="five", seed=7)
+            stage1_label(closes, k="five", seed=7)
 
-    def test_warn_sink_collects_short_series(self, tmp_path):
+    def test_short_series_dropped_at_ingest(self, tmp_path):
         path = tmp_path / "prices.csv"
         rows = ["ticker,date,adj_close"]
         for i, day in enumerate(("2020-01-02", "2020-01-03", "2020-01-06", "2020-01-07")):
             rows.append(f"AAA,{day},{100 + i}")
             rows.append(f"BBB,{day},{200 - i}")
             rows.append(f"CCC,{day},{150 + 2 * i}")
-        # two rows pass ingest but yield a single return, too short to feature
+        # two rows yield a single return, too short to feature
         rows.append("SHT,2020-01-02,10")
         rows.append("SHT,2020-01-03,11")
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        table, _ = load_price_table(path)
-        sink: list[str] = []
-        records, _, _ = stage1_label(table, k=2, seed=7, warn_sink=sink)
+        closes, warnings = load_price_table(path)
+        records, _, _ = stage1_label(closes, k=2, seed=7)
         assert set(records.tickers) == {"AAA", "BBB", "CCC"}
-        assert any(w.startswith("SHT:") for w in sink)
+        assert any(w.startswith("SHT:") for w in warnings)
 
 
 class TestStage2:
@@ -258,9 +257,9 @@ class TestStage2:
         _, history = stage2_train(make_records(8), num_clusters=4, epochs=3, seed=7)
         assert len(history.losses) == 3
 
-    def test_blobs_reach_low_loss(self, blob_table):
-        table, _ = blob_table
-        records, _, _ = stage1_label(table, k=4, seed=7)
+    def test_blobs_reach_low_loss(self, blob_closes):
+        closes, _ = blob_closes
+        records, _, _ = stage1_label(closes, k=4, seed=7)
         train_recs, test_recs = split(records, SplitSpec(0.33, 7))
         net, history = stage2_train(train_recs, num_clusters=4, epochs=1000, seed=7)
         assert history.final_loss() < 0.05
@@ -585,20 +584,20 @@ class TestLoadTable:
         prices = tmp_path / "prices.csv"
         prices.write_text(
             "ticker,date,adj_close\n"
-            "AAA,2020-01-01,1.0\nAAA,2020-01-02,2.0\nAAA,2020-01-03,3.0\n"
+            "AAA,2020-01-01,1.0\nAAA,2020-01-02,2.0\nAAA,2020-01-03,3.0\nAAA,2020-01-06,4.0\n"
             "BBB,2020-01-02,1.0\nBBB,2020-01-03,2.0\n",
             encoding="utf-8",
         )
         keep = tmp_path / "keep.txt"
         keep.write_text("AAA\n", encoding="utf-8")
-        table, warnings = load_table(prices, keep, dt.date(2020, 1, 2))
-        assert table.tickers() == ["AAA"]
-        assert table["AAA"].closes == (2.0, 3.0)
+        closes, warnings = load_table(prices, keep, dt.date(2020, 1, 2))
+        assert list(closes) == ["AAA"]
+        assert closes["AAA"].tolist() == [2.0, 3.0, 4.0]
         assert warnings == ["BBB: excluded, not in ticker filter"]
 
     def test_no_filters_loads_everything(self, blob_prices_csv):
-        table, _ = load_table(blob_prices_csv, None, None)
-        assert len(table) == 70
+        closes, _ = load_table(blob_prices_csv, None, None)
+        assert len(closes) == 70
 
     def test_non_utf8_ticker_file(self, tmp_path, blob_prices_csv):
         keep = tmp_path / "keep.txt"

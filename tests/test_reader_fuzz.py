@@ -127,9 +127,10 @@ def check_cli(argv):
     lines = stderr.getvalue().splitlines()
     assert code in (0, 1)
     if code == 1:
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-    else:
-        assert all(line.startswith("warning: ") for line in lines)
+        # one error line, after the warnings that say why no ticker was usable
+        *lines, error = lines
+        assert error.startswith("error: ")
+    assert all(line.startswith("warning: ") for line in lines)
     return code
 
 
