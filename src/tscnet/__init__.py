@@ -26,7 +26,6 @@ from .pipeline import (
     EvaluationReport,
     PipelineConfig,
     Records,
-    SplitSpec,
     evaluate,
     parse_config,
     run_pipeline,
@@ -43,7 +42,6 @@ __all__ = [
     "KMeansModel",
     "PipelineConfig",
     "Records",
-    "SplitSpec",
     "TrainHistory",
     "TscnetError",
     "annualize",

@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 1 on data or runtime errors (message on stderr),
 2 on usage errors (argparse). A closed stdout also exits 1, but silently:
-the reader has gone, so there is no one to report to. When no ticker of a
-prices file is usable, the reason each one was dropped goes to stderr as a
-warning before the error line.
+the reader has gone, so there is no one to report to. The warnings of
+ingest go to stderr before the error line when no ticker of a prices file
+is usable or when a later stage of `run` fails.
 """
 
 from __future__ import annotations
@@ -91,16 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the autoencoder on a labels CSV")
     p.add_argument("--labels", required=True, type=Path, help="labels CSV from the label step")
-    p.add_argument("--k", type=_positive_int, help="cluster count (default: inferred from labels)")
     p.add_argument("--epochs", type=_positive_int, default=1000, help="training epochs (default %(default)s)")
     p.add_argument("--batch", type=_positive_int, default=1024, help="batch size (default %(default)s)")
     _add_seed_flag(p)
     p.add_argument("--out-dir", required=True, type=Path, help="directory for model.tscnet and loss.csv")
-
-    p = sub.add_parser("predict", help="raw and rounded label predictions for labeled records")
-    p.add_argument("--model", required=True, type=Path, help="model file from the train step")
-    p.add_argument("--labels", required=True, type=Path, help="labels CSV holding the input features")
-    p.add_argument("--out", type=Path, help="output CSV (default: print to stdout)")
 
     p = sub.add_parser("evaluate", help="score predictions against the k-means labels")
     p.add_argument("--model", required=True, type=Path, help="model file from the train step")
@@ -109,7 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="execute the full pipeline from a config file")
     p.add_argument("config", type=Path, help="key-value config file")
-    p.add_argument("--stratify", action="store_true", help="stratify the train/test split by cluster")
 
     p = sub.add_parser("report", help="render SVG charts from a run's artifact directory")
     p.add_argument("--out-dir", required=True, type=Path, help="artifact directory from a run")
@@ -174,10 +167,7 @@ def cmd_select_k(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     records = pipeline.read_labels_csv(args.labels)
-    largest = int(records.clusters.max())
-    if args.k is not None and args.k <= largest:
-        raise TscnetError(f"{args.labels}: --k {args.k} is not above the largest cluster id {largest}")
-    num_clusters = largest + 1 if args.k is None else args.k
+    num_clusters = int(records.clusters.max()) + 1
     if num_clusters < 2:
         raise TscnetError(f"need at least 2 clusters, got {num_clusters}")
     net, history = pipeline.stage2_train(
@@ -201,22 +191,6 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_predict(args: argparse.Namespace) -> int:
-    net, num_clusters = _load_model(args.model)
-    records = pipeline.read_labels_csv(args.labels)
-    report = pipeline.evaluate(net, records, num_clusters)
-    text = pipeline.csv_text(pipeline.EVAL_HEADER[:5], (
-        f"{t},{v:.12g},{r:.12g},{raw:.16e},{p}"
-        for (t, v, r, _), raw, p in zip(records.rows(), report.raw.tolist(), report.predicted.tolist())
-    ))
-    if args.out is None:
-        print(text, end="")
-    else:
-        pipeline.write_files(args.out.parent, {args.out.name: text})
-        print(f"predictions={args.out}")
-    return 0
-
-
 def cmd_evaluate(args: argparse.Namespace) -> int:
     net, num_clusters = _load_model(args.model)
     records = pipeline.read_labels_csv(args.labels)
@@ -235,7 +209,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = pipeline.parse_config(args.config)
-    result = pipeline.run_pipeline(config, stratify=args.stratify)
+    result = pipeline.run_pipeline(config)
     _warn(result.warnings)
     print(_k_line(result.model))
     test = len(result.report.records)
@@ -309,7 +283,6 @@ _DISPATCH = {
     "label": cmd_label,
     "select-k": cmd_select_k,
     "train": cmd_train,
-    "predict": cmd_predict,
     "evaluate": cmd_evaluate,
     "run": cmd_run,
     "report": cmd_report,
@@ -331,8 +304,9 @@ def main(argv=None) -> int:
         os.close(devnull)
         return 1
     except (TscnetError, OSError) as exc:
-        # NoData says why each ticker was dropped; `run` wraps it in a PipelineError
-        _warn(getattr(getattr(exc, "cause", exc), "warnings", ()))
+        # NoData says why each ticker was dropped; a PipelineError carries the
+        # ingest warnings of `run`
+        _warn(getattr(exc, "warnings", ()))
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -92,9 +92,11 @@ class BadConfig(TscnetError):
 
 
 class PipelineError(TscnetError):
-    """Stage failure wrapped with the stage that produced it."""
+    """Stage failure wrapped with the stage that produced it; ``warnings``
+    holds those gathered before it, then any the cause carries (NoData's)."""
 
-    def __init__(self, stage: str, cause: Exception):
+    def __init__(self, stage: str, cause: Exception, warnings=()):
         super().__init__(f"[{stage}] {cause}")
         self.stage = stage
         self.cause = cause
+        self.warnings = [*warnings, *getattr(cause, "warnings", ())]

@@ -108,7 +108,10 @@ def load_price_table(
         if header != PRICES_HEADER:
             raise FormatError(f"{path}: bad header {header!r}, expected {PRICES_HEADER!r}")
         try:
-            for lineno, row in enumerate(reader, start=2):
+            # a row's first physical line; a quoted field may span several
+            end = reader.line_num
+            for row in reader:
+                lineno, end = end + 1, reader.line_num
                 if not row:
                     continue
                 ticker, date, close = _parse_row(row, lineno)

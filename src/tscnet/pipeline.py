@@ -10,7 +10,8 @@ artifact bundle: labels CSV, model file, k-sweep CSV (auto-k runs only),
 loss CSV, evaluation CSV, and two scatter SVGs, plus a checksum manifest.
 Artifacts carry no timestamps and all numbers use fixed formats, so a rerun
 with the same config reproduces every file byte for byte. Failures in any
-stage surface as :class:`PipelineError` tagged with the stage name.
+stage surface as :class:`PipelineError` tagged with the stage name and
+carrying the ingest warnings.
 """
 
 from __future__ import annotations
@@ -78,18 +79,6 @@ class Records:
     def rows(self):
         """(ticker, volatility, ret, cluster) per row, as Python scalars."""
         return zip(self.tickers, *self.features.T.tolist(), self.clusters.tolist())
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    """Seeded train/test split; test size is ceil(test_fraction * n)."""
-
-    test_fraction: float
-    seed: int
-
-    def __post_init__(self):
-        if not 0.0 < self.test_fraction < 1.0:
-            raise BadConfig(f"test_fraction must be in (0, 1), got {self.test_fraction}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,50 +153,20 @@ def _resolve_k(points, k, k_min, k_max, seed) -> tuple[kmeans.KMeansModel, list[
     return kmeans.kmeans_fit(points, k, seed=seed), None
 
 
-def split(records: Records, spec: SplitSpec, stratify: bool = False) -> tuple[Records, Records]:
-    """Seeded-shuffle partition into (train, test); |test| = ceil(fraction * n).
+def split(records: Records, test_fraction: float, seed: int) -> tuple[Records, Records]:
+    """Seeded-shuffle partition into (train, test); |test| = ceil(test_fraction * n).
 
-    Unstratified by default. With ``stratify`` the same total test size is
-    apportioned across clusters by largest remainder, so class balance is
-    approximately preserved.
+    ``test_fraction`` must lie in (0, 1), else BadConfig.
     """
+    if not 0.0 < test_fraction < 1.0:
+        raise BadConfig(f"test_fraction must be in (0, 1), got {test_fraction}")
     n = len(records)
     if n < 2:
         raise EmptyDataset(f"need at least 2 records to split, got {n}")
-    test_size = math.ceil(spec.test_fraction * n)
-    rng = Xorshift64Star(spec.seed)
-    if not stratify:
-        idx = list(range(n))
-        rng.shuffle(idx)
-        test_idx = idx[:test_size]
-        train_idx = idx[test_size:]
-    else:
-        test_idx, train_idx = _stratified_indices(records.clusters.tolist(), test_size, rng)
-    return records.take(train_idx), records.take(test_idx)
-
-
-def _stratified_indices(clusters, test_size, rng):
-    groups: dict[int, list[int]] = {}
-    for i, cluster in enumerate(clusters):
-        groups.setdefault(cluster, []).append(i)
-    labels = sorted(groups)
-    n = len(clusters)
-    quotas = {lab: test_size * len(groups[lab]) / n for lab in labels}
-    take = {lab: int(quotas[lab]) for lab in labels}
-    leftover = test_size - sum(take.values())
-    # hand out the remainder by largest fractional part, ties to lower label;
-    # the quotas sum to test_size, so at least `leftover` labels have a
-    # fractional part, and each of those is below its cluster's size
-    by_frac = sorted(labels, key=lambda lab: (-(quotas[lab] - int(quotas[lab])), lab))
-    for lab in by_frac[:leftover]:
-        take[lab] += 1
-    test_idx, train_idx = [], []
-    for lab in labels:
-        members = list(groups[lab])
-        rng.shuffle(members)
-        test_idx.extend(members[: take[lab]])
-        train_idx.extend(members[take[lab] :])
-    return test_idx, train_idx
+    test_size = math.ceil(test_fraction * n)
+    idx = list(range(n))
+    Xorshift64Star(seed).shuffle(idx)
+    return records.take(idx[test_size:]), records.take(idx[:test_size])
 
 
 def stage2_train(
@@ -386,13 +345,13 @@ class PipelineResult:
     manifest_path: Path
 
 
-def _stage(name: str, fn, *args, **kwargs):
+def _stage(name: str, warnings, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``; a failure is re-raised as a PipelineError
+    tagged ``name`` that carries the ``warnings`` gathered so far."""
     try:
         return fn(*args, **kwargs)
-    except PipelineError:
-        raise
     except Exception as exc:
-        raise PipelineError(name, exc) from exc
+        raise PipelineError(name, exc, warnings) from exc
 
 
 def scatter_charts(records: Records, predicted, num_clusters: int) -> dict[str, str]:
@@ -545,8 +504,10 @@ def write_files(out_dir, writers, manifest: str | None = None) -> dict[str, Path
     return {name: out / name for name in staged}
 
 
-def run_pipeline(config: PipelineConfig, stratify: bool = False) -> PipelineResult:
+def run_pipeline(config: PipelineConfig) -> PipelineResult:
     """Execute Stage I and Stage II and emit the artifact bundle.
+
+    ``config`` fixes the whole run: the same config writes the same bytes.
 
     All stages run before any file is written, and a failed write leaves
     the files already in ``out_dir`` as they were (see :func:`write_files`).
@@ -555,10 +516,11 @@ def run_pipeline(config: PipelineConfig, stratify: bool = False) -> PipelineResu
     earlier auto-k run.
     """
     closes, warnings = _stage(
-        "ingest", load_table, config.prices_path, config.tickers_path, config.start_date
+        "ingest", (), load_table, config.prices_path, config.tickers_path, config.start_date
     )
     records, model, sweep = _stage(
         "label",
+        warnings,
         stage1_label,
         closes,
         k=config.k,
@@ -567,11 +529,10 @@ def run_pipeline(config: PipelineConfig, stratify: bool = False) -> PipelineResu
         k_min=config.k_min,
         k_max=config.k_max,
     )
-    train_set, test_set = _stage(
-        "split", split, records, SplitSpec(config.test_fraction, config.seed), stratify
-    )
+    train_set, test_set = _stage("split", warnings, split, records, config.test_fraction, config.seed)
     net, history = _stage(
         "train",
+        warnings,
         stage2_train,
         train_set,
         num_clusters=model.k,
@@ -579,7 +540,7 @@ def run_pipeline(config: PipelineConfig, stratify: bool = False) -> PipelineResu
         batch_size=config.batch_size,
         seed=config.seed,
     )
-    report = _stage("evaluate", evaluate, net, test_set, model.k)
+    report = _stage("evaluate", warnings, evaluate, net, test_set, model.k)
 
     def emit():
         predicted = autonet.predict_labels(net, records.features, model.k)
@@ -597,7 +558,7 @@ def run_pipeline(config: PipelineConfig, stratify: bool = False) -> PipelineResu
             (config.out_dir / SWEEP_CSV).unlink(missing_ok=True)
         return {name: paths[name] for name in writers}, paths[MANIFEST_FILE]
 
-    artifacts, manifest_path = _stage("emit", emit)
+    artifacts, manifest_path = _stage("emit", warnings, emit)
     return PipelineResult(
         records=records,
         model=model,

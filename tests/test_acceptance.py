@@ -52,7 +52,6 @@ from tscnet.pipeline import (
     LOSS_CSV,
     MODEL_FILE,
     PipelineConfig,
-    SplitSpec,
     evaluate,
     run_pipeline,
     split,
@@ -243,7 +242,7 @@ def test_criterion_08_end_to_end_training():
     records = records_of(
         (f"T{i:03d}", x, y, lab) for i, ((x, y), lab) in enumerate(zip(pts, model.assignments))
     )
-    train_recs, test_recs = split(records, SplitSpec(0.33, 7))
+    train_recs, test_recs = split(records, 0.33, 7)
     net, history = stage2_train(
         train_recs, num_clusters=4, epochs=1000, batch_size=1024, seed=7
     )

@@ -4,6 +4,7 @@ Exit code contract: 0 success, 1 data/runtime error, 2 usage error (argparse
 raises SystemExit for those).
 """
 
+import argparse
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ import pytest
 import tscnet
 from conftest import blob_targets, write_prices_csv
 from tscnet.autonet import LayerSpec, build_network, save_model
-from tscnet.cli import K_SWEEP_SVG, LOSS_SVG, SCATTER_POINTS_CSV, main
+from tscnet.cli import K_SWEEP_SVG, LOSS_SVG, SCATTER_POINTS_CSV, build_parser, main
 from tscnet.pipeline import (
     EVAL_CSV,
     LABELS_CSV,
@@ -97,12 +98,19 @@ class TestUsageErrors:
             main(["train", "--labels", "x.csv"])
         assert exc.value.code == 2
 
-    @pytest.mark.parametrize("verb", ["label", "select-k", "train", "predict",
-                                      "evaluate", "run", "report"])
+    @pytest.mark.parametrize("verb", ["label", "select-k", "train", "evaluate", "run", "report"])
     def test_help_exits_zero(self, verb):
         with pytest.raises(SystemExit) as exc:
             main([verb, "--help"])
         assert exc.value.code == 0
+
+    def test_run_takes_only_the_config(self):
+        # the config file is the whole contract of a run: a flag could change
+        # the artifacts without the manifest's config saying so
+        (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        run = sub.choices["run"]
+        assert sorted(opt for a in run._actions for opt in a.option_strings or [a.dest]) == [
+            "--help", "-h", "config"]
 
 
 class TestLabel:
@@ -190,6 +198,23 @@ class TestLabel:
         ]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["prices.csv", "run.cfg"]
 
+    @pytest.mark.parametrize("verb", ["label", "run"])
+    def test_ingest_warnings_precede_a_later_error(self, tmp_path, capsys, verb):
+        # SHT is dropped at ingest, which leaves 3 tickers: too few for k = 4
+        prices = tmp_path / "prices.csv"
+        prices.write_text("ticker,date,adj_close\n" + "".join(
+            f"{t},2019-01-0{d},{d + i}.5\n" for i, t in enumerate(("AAA", "BBB", "CCC")) for d in range(2, 7)
+        ) + "SHT,2019-01-02,1.0\nSHT,2019-01-03,1.1\n", encoding="utf-8")
+        config = write_config(tmp_path / "run.cfg", prices, tmp_path / "out")
+        argv = ["run", str(config)] if verb == "run" else [
+            "label", "--prices", str(prices), "--k", "4", "--out", str(tmp_path / "labels.csv")]
+        _, stderr = run_cli(capsys, argv, expect=1)
+        stage = "[label] " if verb == "run" else ""
+        assert stderr.splitlines() == [
+            "warning: SHT: excluded, fewer than 3 usable rows",
+            f"error: {stage}k=4 outside [1, 3]",
+        ]
+
 
 class TestSelectK:
     def test_sweep_output(self, workdir, tmp_path, capsys):
@@ -239,25 +264,6 @@ class TestTrain:
         loss_lines = (model_dir / LOSS_CSV).read_text(encoding="utf-8").splitlines()
         assert len(loss_lines) == 6
 
-    def test_explicit_k_matches_inferred(self, workdir, tmp_path, capsys):
-        a = tmp_path / "a"
-        b = tmp_path / "b"
-        run_cli(capsys, ["train", "--labels", str(workdir["labels"]), "--epochs", "3",
-                         "--seed", "7", "--out-dir", str(a)])
-        run_cli(capsys, ["train", "--labels", str(workdir["labels"]), "--epochs", "3",
-                         "--k", "4", "--seed", "7", "--out-dir", str(b)])
-        assert (a / MODEL_FILE).read_bytes() == (b / MODEL_FILE).read_bytes()
-
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_k_not_above_largest_id_rejected(self, workdir, tmp_path, capsys, k):
-        # a latent width of k would leave every prediction past k - 1 clamped
-        out_dir = tmp_path / "out"
-        _, stderr = run_cli(capsys, ["train", "--labels", str(workdir["labels"]), "--k", str(k),
-                                     "--epochs", "1", "--out-dir", str(out_dir)], expect=1)
-        labels = workdir["labels"]
-        assert stderr == f"error: {labels}: --k {k} is not above the largest cluster id 3\n"
-        assert not out_dir.exists()
-
     def test_single_cluster_labels_rejected(self, tmp_path, capsys):
         labels = tmp_path / "labels.csv"
         labels.write_text(
@@ -288,30 +294,6 @@ class TestTrain:
         assert len(stderr.splitlines()) == 1
 
 
-class TestPredict:
-    def test_stdout_table(self, workdir, capsys):
-        stdout, _ = run_cli(capsys, ["predict", "--model", str(workdir["model"]),
-                                     "--labels", str(workdir["labels"])])
-        lines = stdout.splitlines()
-        assert lines[0] == "ticker,volatility,return,raw_output,predicted"
-        assert len(lines) == 71
-        for line in lines[1:]:
-            assert int(line.split(",")[4]) in range(4)
-
-    def test_out_file(self, workdir, tmp_path, capsys):
-        out = tmp_path / "predictions.csv"
-        stdout, _ = run_cli(capsys, ["predict", "--model", str(workdir["model"]),
-                                     "--labels", str(workdir["labels"]),
-                                     "--out", str(out)])
-        assert stdout.startswith("predictions=")
-        assert len(out.read_text(encoding="utf-8").splitlines()) == 71
-
-    def test_missing_model(self, workdir, tmp_path, capsys):
-        _, stderr = run_cli(capsys, ["predict", "--model", str(tmp_path / "absent"),
-                                     "--labels", str(workdir["labels"])], expect=1)
-        assert stderr.startswith("error:")
-
-
 class TestClosedStdout:
     """A reader that has gone is no data error: exit 1 with nothing on stderr."""
 
@@ -325,7 +307,7 @@ class TestClosedStdout:
         os.close(read_end)
         try:
             child = subprocess.run(
-                [sys.executable, "-m", "tscnet", "predict", "--model", str(workdir["model"]),
+                [sys.executable, "-m", "tscnet", "evaluate", "--model", str(workdir["model"]),
                  "--labels", str(workdir["labels"])],
                 stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
             )
@@ -349,9 +331,15 @@ class TestEvaluate:
         accuracy = float(lines[0].split("=")[1])
         assert accuracy == pytest.approx(1.0 - n_disagreements / 70, abs=1e-12)
         csv_lines = out.read_text(encoding="utf-8").splitlines()
+        assert csv_lines[0] == "ticker,volatility,return,raw_output,predicted,kmeans,missed"
         assert len(csv_lines) == 71
+        assert all(int(line.split(",")[4]) in range(4) for line in csv_lines[1:])
         assert sum(int(line.split(",")[-1]) for line in csv_lines[1:]) == n_disagreements
 
+    def test_missing_model(self, workdir, tmp_path, capsys):
+        _, stderr = run_cli(capsys, ["evaluate", "--model", str(tmp_path / "absent"),
+                                     "--labels", str(workdir["labels"])], expect=1)
+        assert stderr.startswith("error:")
 
     def test_model_without_one_sigmoid_layer(self, workdir, tmp_path, capsys):
         model = tmp_path / "linear.tscnet"
@@ -360,12 +348,14 @@ class TestEvaluate:
                                      "--labels", str(workdir["labels"])], expect=1)
         assert stderr == f"error: {model}: cannot infer the cluster count from 0 sigmoid layers\n"
 
-    @pytest.mark.parametrize("verb", ["predict", "evaluate"])
-    def test_k_flag_is_gone(self, workdir, verb):
-        # k is the model's latent width; an override could only clamp predictions
+    @pytest.mark.parametrize("verb", ["predict", "evaluate", "train"])
+    def test_k_flag_is_gone(self, workdir, tmp_path, verb):
+        # k is the model's latent width, and when training the largest label id
+        # + 1; an override could only clamp predictions or widen the latent
+        # layer. The predict verb is gone too: evaluate --out writes its columns.
+        where = ["--out-dir", str(tmp_path)] if verb == "train" else ["--model", str(workdir["model"])]
         with pytest.raises(SystemExit) as exc:
-            main([verb, "--model", str(workdir["model"]), "--labels", str(workdir["labels"]),
-                  "--k", "2"])
+            main([verb, *where, "--labels", str(workdir["labels"]), "--k", "2"])
         assert exc.value.code == 2
 
 
@@ -394,10 +384,13 @@ class TestRun:
         for name in (LABELS_CSV, MODEL_FILE, LOSS_CSV, EVAL_CSV, MANIFEST_FILE):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
-    def test_stratify_flag(self, workdir, tmp_path, capsys):
+    def test_stratify_flag(self, workdir, tmp_path):
+        # a run-time flag would give one config two manifests
         config = write_config(tmp_path / "run.cfg", workdir["prices"], tmp_path / "out")
-        stdout, _ = run_cli(capsys, ["run", str(config), "--stratify"])
-        assert "train=46 test=24" in stdout.splitlines()
+        with pytest.raises(SystemExit) as exc:
+            main(["run", str(config), "--stratify"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     def test_rerun_onto_directory_keeps_previous_bundle(self, workdir, tmp_path, capsys):
         out_dir = tmp_path / "out"

@@ -127,6 +127,12 @@ class TestLoadPriceTable:
         with pytest.raises(FormatError, match=r"prices\.csv line 3: bad date"):
             load_price_table(path)
 
+    def test_line_numbers_count_quoted_newlines(self, tmp_path):
+        # the quoted price of line 2 runs on to line 3
+        path = _write(tmp_path, 'ticker,date,adj_close\nAAA,2019-01-02,"1.0\n"\nAAA,2019-01-03,abc\n')
+        with pytest.raises(FormatError, match=r"prices\.csv line 4: bad price 'abc'"):
+            load_price_table(path)
+
     def test_oversized_field_is_format_error(self, tmp_path):
         path = _write(tmp_path, "ticker,date,adj_close\nAAA,2019-01-02,1.0\n" + "A" * 200_000 + ",2019-01-03,1\n")
         with pytest.raises(FormatError, match=r"prices\.csv line 3: field larger than field limit"):

@@ -29,14 +29,12 @@ from tscnet.pipeline import (
     LABELS_CSV,
     LOSS_COLUMNS,
     LOSS_CSV,
-    MANIFEST_FILE,
     MODEL_FILE,
     SCATTER_AUTONET_SVG,
     SCATTER_KMEANS_SVG,
     SWEEP_CSV,
     PipelineConfig,
     Records,
-    SplitSpec,
     evaluate,
     evaluation_csv,
     label_accuracy,
@@ -82,38 +80,33 @@ class TestRecords:
         with pytest.raises(ShapeMismatch):
             Records(("A", "B"), np.zeros((2, 2)), np.zeros(3, dtype=np.int64))
 
-class TestSplitSpec:
-    def test_fraction_bounds(self):
-        SplitSpec(0.33, 7)
-        with pytest.raises(BadConfig):
-            SplitSpec(0.0, 7)
-        with pytest.raises(BadConfig):
-            SplitSpec(1.0, 7)
-        with pytest.raises(BadConfig):
-            SplitSpec(-0.2, 7)
-
-
 class TestSplit:
+    def test_fraction_bounds(self):
+        split(make_records(4), 0.33, 7)
+        for fraction in (0.0, 1.0, -0.2):
+            with pytest.raises(BadConfig):
+                split(make_records(4), fraction, 7)
+
     def test_seventy_at_third_gives_24_test(self):
-        train_recs, test_recs = split(make_records(70), SplitSpec(0.33, 7))
+        train_recs, test_recs = split(make_records(70), 0.33, 7)
         assert len(test_recs) == 24
         assert len(train_recs) == 46
 
     def test_ceiling_on_exact_half(self):
-        train_recs, test_recs = split(make_records(4), SplitSpec(0.5, 7))
+        train_recs, test_recs = split(make_records(4), 0.5, 7)
         assert len(test_recs) == 2
         assert len(train_recs) == 2
 
     def test_partition_no_loss_no_overlap(self):
         records = make_records(31)
-        train_recs, test_recs = split(records, SplitSpec(0.4, 3))
+        train_recs, test_recs = split(records, 0.4, 3)
         combined = sorted(train_recs.tickers + test_recs.tickers)
         assert combined == sorted(records.tickers)
 
     def test_deterministic(self):
         records = make_records(25)
-        a = split(records, SplitSpec(0.33, 11))
-        b = split(records, SplitSpec(0.33, 11))
+        a = split(records, 0.33, 11)
+        b = split(records, 0.33, 11)
         for part_a, part_b in zip(a, b):
             assert part_a.tickers == part_b.tickers
             assert np.array_equal(part_a.features, part_b.features)
@@ -121,36 +114,25 @@ class TestSplit:
 
     def test_seed_changes_membership(self):
         records = make_records(40)
-        _, test_a = split(records, SplitSpec(0.33, 1))
-        _, test_b = split(records, SplitSpec(0.33, 2))
+        _, test_a = split(records, 0.33, 1)
+        _, test_b = split(records, 0.33, 2)
         assert set(test_a.tickers) != set(test_b.tickers)
 
     def test_too_small(self):
         with pytest.raises(EmptyDataset):
-            split(make_records(1), SplitSpec(0.33, 7))
+            split(make_records(1), 0.33, 7)
         with pytest.raises(EmptyDataset):
-            split(make_records(0), SplitSpec(0.33, 7))
-
-    def test_stratified_keeps_total_and_balance(self):
-        records = make_records(70)
-        train_recs, test_recs = split(records, SplitSpec(0.33, 7), stratify=True)
-        assert len(test_recs) == 24
-        assert sorted(train_recs.tickers + test_recs.tickers) == sorted(records.tickers)
-        # 70 records over 4 labels: 18/18/17/17; largest-remainder split of 24
-        per_label = {c: int(np.sum(test_recs.clusters == c)) for c in range(4)}
-        assert sum(per_label.values()) == 24
-        assert all(5 <= count <= 7 for count in per_label.values())
+            split(make_records(0), 0.33, 7)
 
     @settings(deadline=None, max_examples=60)
     @given(
         st.integers(min_value=2, max_value=80),
         st.floats(min_value=0.05, max_value=0.95),
         st.integers(min_value=0, max_value=10**6),
-        st.booleans(),
     )
-    def test_partition_property(self, n, fraction, seed, stratify):
+    def test_partition_property(self, n, fraction, seed):
         records = make_records(n)
-        train_recs, test_recs = split(records, SplitSpec(fraction, seed), stratify=stratify)
+        train_recs, test_recs = split(records, fraction, seed)
         assert len(test_recs) == math.ceil(fraction * n)
         assert sorted(train_recs.tickers + test_recs.tickers) == sorted(records.tickers)
 
@@ -162,11 +144,10 @@ class TestSplit:
             max_size=60,
         ),
         st.integers(min_value=0, max_value=10**6),
-        st.booleans(),
     )
-    def test_split_keeps_rows_aligned(self, rows, seed, stratify):
+    def test_split_keeps_rows_aligned(self, rows, seed):
         records = records_of((f"T{i:02d}", v, r, c) for i, (v, r, c) in enumerate(rows))
-        train_recs, test_recs = split(records, SplitSpec(0.33, seed), stratify=stratify)
+        train_recs, test_recs = split(records, 0.33, seed)
         assert sorted([*train_recs.rows(), *test_recs.rows()]) == sorted(records.rows())
 
 
@@ -260,7 +241,7 @@ class TestStage2:
     def test_blobs_reach_low_loss(self, blob_closes):
         closes, _ = blob_closes
         records, _, _ = stage1_label(closes, k=4, seed=7)
-        train_recs, test_recs = split(records, SplitSpec(0.33, 7))
+        train_recs, test_recs = split(records, 0.33, 7)
         net, history = stage2_train(train_recs, num_clusters=4, epochs=1000, seed=7)
         assert history.final_loss() < 0.05
         report = evaluate(net, test_recs, num_clusters=4)
@@ -563,11 +544,6 @@ class TestRunPipeline:
             run_pipeline(config)
         assert exc.value.stage == "ingest"
         assert "[ingest]" in str(exc.value)
-
-    def test_stratified_run(self, tmp_path, prices):
-        result = run_pipeline(self.run_config(prices, tmp_path / "out"), stratify=True)
-        assert result.report.accuracy >= 0.0
-        assert (tmp_path / "out" / MANIFEST_FILE).exists()
 
     def test_result_exposes_records_and_history(self, tmp_path, prices):
         result = run_pipeline(self.run_config(prices, tmp_path / "out"))
