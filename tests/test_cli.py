@@ -264,6 +264,17 @@ class TestTrain:
         loss_lines = (model_dir / LOSS_CSV).read_text(encoding="utf-8").splitlines()
         assert len(loss_lines) == 6
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_k_not_above_largest_id_rejected(self, workdir, tmp_path, k):
+        # k is always the largest id + 1 (here 4); a --k is a usage error, so
+        # one that would clamp every prediction past k - 1 trains nothing
+        out_dir = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--labels", str(workdir["labels"]), "--k", str(k),
+                  "--epochs", "1", "--out-dir", str(out_dir)])
+        assert exc.value.code == 2
+        assert not out_dir.exists()
+
     def test_single_cluster_labels_rejected(self, tmp_path, capsys):
         labels = tmp_path / "labels.csv"
         labels.write_text(
@@ -348,14 +359,14 @@ class TestEvaluate:
                                      "--labels", str(workdir["labels"])], expect=1)
         assert stderr == f"error: {model}: cannot infer the cluster count from 0 sigmoid layers\n"
 
-    @pytest.mark.parametrize("verb", ["predict", "evaluate", "train"])
-    def test_k_flag_is_gone(self, workdir, tmp_path, verb):
-        # k is the model's latent width, and when training the largest label id
-        # + 1; an override could only clamp predictions or widen the latent
-        # layer. The predict verb is gone too: evaluate --out writes its columns.
-        where = ["--out-dir", str(tmp_path)] if verb == "train" else ["--model", str(workdir["model"])]
+    @pytest.mark.parametrize("verb", ["predict", "evaluate"])
+    def test_k_flag_is_gone(self, workdir, verb):
+        # k is the model's latent width; an override could only clamp
+        # predictions. The predict verb is gone too: evaluate --out writes its
+        # columns. train --k is checked in TestTrain.
         with pytest.raises(SystemExit) as exc:
-            main([verb, *where, "--labels", str(workdir["labels"]), "--k", "2"])
+            main([verb, "--model", str(workdir["model"]), "--labels", str(workdir["labels"]),
+                  "--k", "2"])
         assert exc.value.code == 2
 
 
