@@ -14,6 +14,16 @@ polish budget to reach the exact fixed point, which makes the fitted-model
 invariants (centroid == mean of members, every point nearest its centroid)
 hold exactly rather than within TOL. No restart runs more than ``MAX_ITER``
 assignment passes.
+
+Each Lloyd step works a dimension at a time. The assignment sums squared
+differences into one (k, n) buffer, dimension by dimension from left to
+right, which is the order ``np.sum`` takes over fewer than 8 dimensions; a
+running minimum over the centroids then keeps the first nearest one, as
+``argmin`` does. The update is ``np.bincount(labels, weights=X[:, j]) /
+counts`` per dimension: like ``X[labels == j].mean(axis=0)``, it adds each
+cluster's members in index order, one at a time, and divides by the count,
+so a centroid is the same float either way. k may not exceed the number of
+distinct points: a k above it leaves a cluster with no point to hold.
 """
 
 from __future__ import annotations
@@ -51,23 +61,38 @@ class KMeansModel:
     wcss_history: tuple[float, ...]
 
 
-def _assign_all(X: np.ndarray, centroids: np.ndarray):
-    """Labels plus each point's squared distance to its own centroid."""
-    d2 = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
-    labels = np.argmin(d2, axis=1)
-    return labels, d2[np.arange(len(X)), labels]
+def _assign_all(cols: np.ndarray, centroids: np.ndarray, d2: np.ndarray, tmp: np.ndarray):
+    """Labels plus each point's squared distance to its own centroid.
+
+    ``cols`` is the points' transpose; ``d2`` and ``tmp`` are (k, n) buffers.
+    """
+    np.subtract(cols[0], centroids[:, :1], out=d2)
+    np.multiply(d2, d2, out=d2)
+    for j in range(1, len(cols)):
+        np.subtract(cols[j], centroids[:, j:j + 1], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(d2, tmp, out=d2)
+    # a running minimum over the centroids; the first nearest wins a tie, as with argmin
+    labels = np.zeros(d2.shape[1], dtype=np.intp)
+    own_d2 = d2[0].copy()
+    for c in range(1, len(d2)):
+        labels[d2[c] < own_d2] = c
+        np.minimum(own_d2, d2[c], out=own_d2)
+    return labels, own_d2
 
 
-def _repair_empty(X, centroids, labels, own_d2, k):
-    """Reseed each empty cluster at the point farthest from its centroid."""
-    counts = np.bincount(labels, minlength=k)
+def _repair_empty(X, centroids, labels, own_d2, counts):
+    """Reseed each empty cluster at the point farthest from its centroid.
+
+    ``counts`` holds the cluster sizes and is kept up to date.
+    """
     for j in np.flatnonzero(counts == 0):
         p = int(np.argmax(own_d2))
+        counts[labels[p]] -= 1
         centroids[j] = X[p]
         labels[p] = j
         own_d2[p] = 0.0
         counts[j] = 1
-    return labels, own_d2
 
 
 def _kmeanspp_init(X: np.ndarray, k: int, rng: Xorshift64Star) -> np.ndarray:
@@ -99,19 +124,20 @@ class _Restart:
 
 
 def _lloyd(X: np.ndarray, k: int, rng: Xorshift64Star) -> _Restart:
-    n = len(X)
     centroids = _kmeanspp_init(X, k, rng)
-    labels = np.zeros(n, dtype=int)
+    cols = X.T.copy()
+    d2, tmp = np.empty((k, len(X))), np.empty((k, len(X)))
     history = []
     polish = None
     iterations = 0
     for _ in range(MAX_ITER):
         iterations += 1
-        labels, own_d2 = _assign_all(X, centroids)
-        labels, own_d2 = _repair_empty(X, centroids, labels, own_d2, k)
+        labels, own_d2 = _assign_all(cols, centroids, d2, tmp)
+        counts = np.bincount(labels, minlength=k)
+        _repair_empty(X, centroids, labels, own_d2, counts)
         new_centroids = np.empty_like(centroids)
-        for j in range(k):
-            new_centroids[j] = X[labels == j].mean(axis=0)
+        for j, col in enumerate(cols):
+            new_centroids[:, j] = np.bincount(labels, weights=col, minlength=k) / counts
         diffs = X - new_centroids[labels]
         history.append(float(np.sum(diffs * diffs)))
         shift = float(np.sqrt(np.max(np.sum((new_centroids - centroids) ** 2, axis=1))))
@@ -124,9 +150,17 @@ def _lloyd(X: np.ndarray, k: int, rng: Xorshift64Star) -> _Restart:
                 break
     # make labels consistent with the final centroids (no-op when the loop
     # ended on an exact fixed point)
-    labels, own_d2 = _assign_all(X, centroids)
-    labels, own_d2 = _repair_empty(X, centroids, labels, own_d2, k)
+    labels, own_d2 = _assign_all(cols, centroids, d2, tmp)
+    _repair_empty(X, centroids, labels, own_d2, np.bincount(labels, minlength=k))
     return _Restart(centroids, labels, float(own_d2.sum()), iterations, tuple(history))
+
+
+def count_distinct(points) -> int:
+    """Number of distinct rows of ``points``, compared by value (-0.0 equals 0.0)."""
+    X = np.asarray(points, dtype=float)
+    # sorted rows put equal ones side by side; np.unique(axis=0) would import numpy.ma
+    rows = X[np.lexsort(X.T)]
+    return min(len(X), 1) + int(np.count_nonzero(np.any(rows[1:] != rows[:-1], axis=1)))
 
 
 def kmeans_fit(points, k: int, seed: int = 7, restarts: int = DEFAULT_RESTARTS) -> KMeansModel:
@@ -136,7 +170,7 @@ def kmeans_fit(points, k: int, seed: int = 7, restarts: int = DEFAULT_RESTARTS) 
     its own stream derived from (seed, r), and ties keep the earliest restart.
     """
     X = np.asarray(points, dtype=float)
-    if X.ndim != 2 or len(X) == 0:
+    if X.ndim != 2 or X.size == 0:
         raise BadK(f"expected a non-empty 2-D point array, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise NonFinitePoint("points contain NaN or infinity")
@@ -145,6 +179,9 @@ def kmeans_fit(points, k: int, seed: int = 7, restarts: int = DEFAULT_RESTARTS) 
         raise BadK(f"k={k} outside [1, {n}]")
     if restarts < 1:
         raise BadK(f"restarts must be >= 1, got {restarts}")
+    distinct = count_distinct(X)
+    if k > distinct:
+        raise BadK(f"k={k} is above the {distinct} distinct points")
 
     best: _Restart | None = None
     for r in range(restarts):

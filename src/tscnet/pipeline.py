@@ -121,9 +121,9 @@ def stage1_label(
     order.
 
     Returns (records, fitted model, sweep). ``k`` is an integer or "auto";
-    auto sweeps [k_min, min(k_max, n-1)], keeps the silhouette maximizer and
-    returns the (k, silhouette) table as ``sweep``, which is None for a fixed
-    k.
+    auto sweeps [k_min, min(k_max, n-1, distinct points)], keeps the
+    silhouette maximizer and returns the (k, silhouette) table as ``sweep``,
+    which is None for a fixed k.
 
     Clusters are numbered by descending mean return
     (:func:`kmeans.relabel_by_return`): cluster 0 has the highest return, so
@@ -142,10 +142,13 @@ def _resolve_k(points, k, k_min, k_max, seed) -> tuple[kmeans.KMeansModel, list[
     "auto" runs the silhouette sweep and keeps its best fit.
     """
     if k == AUTO:
-        n = len(points)
-        hi = min(k_max, n - 1)
+        n, distinct = len(points), kmeans.count_distinct(points)
+        hi = min(k_max, n - 1, distinct)
         if k_min > hi:
-            raise BadK(f"auto-k needs k_min <= min(k_max, n-1); got k_min={k_min}, n={n}")
+            raise BadK(
+                f"auto-k needs k_min <= min(k_max, n-1, distinct points); "
+                f"got k_min={k_min}, n={n}, {distinct} distinct points"
+            )
         return kmeans.select_k(points, k_min, hi, seed=seed)
     # the autoencoder's labels need at least 2 clusters
     if not isinstance(k, int) or k < 2:

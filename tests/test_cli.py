@@ -251,6 +251,38 @@ class TestSelectK:
         assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1
 
 
+class TestDistinctPoints:
+    """Six tickers on two price paths give two distinct feature points."""
+
+    @pytest.fixture()
+    def two_paths(self, tmp_path):
+        paths = ((10.0, 10.5, 10.2, 10.8, 11.0), (20.0, 19.5, 19.9, 19.0, 18.7))
+        prices = tmp_path / "two_paths.csv"
+        prices.write_text("ticker,date,adj_close\n" + "".join(
+            f"{t},2019-01-0{d + 2},{close}\n"
+            for i, t in enumerate(("AAA", "BBB", "CCC", "DDD", "EEE", "FFF"))
+            for d, close in enumerate(paths[i // 3])
+        ), encoding="utf-8")
+        return prices
+
+    def test_fixed_k_above_distinct_points(self, two_paths, tmp_path, capsys):
+        out = tmp_path / "labels.csv"
+        _, stderr = run_cli(capsys, ["label", "--prices", str(two_paths), "--k", "3",
+                                     "--out", str(out)], expect=1)
+        assert stderr == "error: k=3 is above the 2 distinct points\n"
+        assert not out.exists()
+
+    def test_auto_sweep_stops_at_distinct_points(self, two_paths, tmp_path, capsys):
+        stdout, stderr = run_cli(capsys, ["label", "--prices", str(two_paths),
+                                          "--out", str(tmp_path / "labels.csv")])
+        assert (stdout, stderr) == ("k=2 silhouette=1\n", "")
+        sweep_csv = tmp_path / "sweep.csv"
+        stdout, stderr = run_cli(capsys, ["select-k", "--prices", str(two_paths),
+                                          "--out", str(sweep_csv)])
+        assert (stdout, stderr) == ("k=2 silhouette=1\nbest k=2\n", "")
+        assert [k for k, _ in read_csv(sweep_csv, SWEEP_COLUMNS)] == [2]
+
+
 class TestTrain:
     def test_reports_parameters_and_writes_files(self, workdir, capsys):
         model_dir = workdir["model"].parent

@@ -3,8 +3,8 @@
 Oracles here are independent of the implementation: the silhouette oracle is
 a direct transcription of the definition in pure Python loops, and small
 instances are checked against exhaustive enumeration of all partitions. The
-streamed silhouette is also held bit for bit to the per-point NumPy loop it
-replaced.
+streamed silhouette and the per-dimension Lloyd step are also held bit for
+bit to the NumPy code they replaced.
 """
 
 import itertools
@@ -16,7 +16,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import make_blob_points
+from tscnet import kmeans
 from tscnet.errors import BadK, FormatError, NonFinitePoint, SingleCluster
+from tscnet.features import build_feature_table
+from tscnet.ingest import load_price_table
 from tscnet.kmeans import KMeansModel, kmeans_fit, relabel_by_return, select_k, silhouette
 from tscnet.pipeline import SWEEP_COLUMNS, read_csv, sweep_csv
 from tscnet.rng import Xorshift64Star, derive_seed
@@ -72,6 +75,53 @@ def reference_silhouette(points, labels):
         if m > 0.0:
             total += (b - a) / m
     return float(total / len(X))
+
+
+def reference_assign_all(X, centroids):
+    """Labels and own squared distances from an (n, k, d) difference array."""
+    d2 = np.sum((X[:, None, :] - centroids[None, :, :]) ** 2, axis=2)
+    labels = np.argmin(d2, axis=1)
+    return labels, d2[np.arange(len(X)), labels]
+
+
+def reference_repair_empty(X, centroids, labels, own_d2, k):
+    counts = np.bincount(labels, minlength=k)
+    for j in np.flatnonzero(counts == 0):
+        p = int(np.argmax(own_d2))
+        centroids[j] = X[p]
+        labels[p] = j
+        own_d2[p] = 0.0
+        counts[j] = 1
+    return labels, own_d2
+
+
+def reference_lloyd(X, k, rng):
+    """One restart as the (n, k, d) assignment and per-cluster mean loop ran it:
+    (centroids, labels, wcss, iterations, history)."""
+    centroids = kmeans._kmeanspp_init(X, k, rng)
+    history = []
+    polish = None
+    iterations = 0
+    for _ in range(kmeans.MAX_ITER):
+        iterations += 1
+        labels, own_d2 = reference_assign_all(X, centroids)
+        labels, own_d2 = reference_repair_empty(X, centroids, labels, own_d2, k)
+        new_centroids = np.empty_like(centroids)
+        for j in range(k):
+            new_centroids[j] = X[labels == j].mean(axis=0)
+        diffs = X - new_centroids[labels]
+        history.append(float(np.sum(diffs * diffs)))
+        shift = float(np.sqrt(np.max(np.sum((new_centroids - centroids) ** 2, axis=1))))
+        centroids = new_centroids
+        if shift == 0.0:
+            break
+        if shift < kmeans.TOL:
+            polish = kmeans._POLISH_BUDGET if polish is None else polish - 1
+            if polish == 0:
+                break
+    labels, own_d2 = reference_assign_all(X, centroids)
+    labels, own_d2 = reference_repair_empty(X, centroids, labels, own_d2, k)
+    return centroids, labels, float(own_d2.sum()), iterations, tuple(history)
 
 
 def random_points(seed, n, d=2):
@@ -167,10 +217,19 @@ class TestKmeansFit:
             kmeans_fit(X, 6, seed=7)
         with pytest.raises(BadK):
             kmeans_fit(X, 2, seed=7, restarts=0)
+        with pytest.raises(BadK, match="non-empty"):
+            kmeans_fit(np.zeros((5, 0)), 1, seed=7)
 
     def test_non_finite_points(self):
         with pytest.raises(NonFinitePoint):
             kmeans_fit(np.array([[0.0, np.nan], [1.0, 2.0]]), 1, seed=7)
+
+    def test_k_above_distinct_points_rejected(self):
+        # two distinct points, one of them also written with a -0.0
+        X = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 3.0], [0.0, 1.0], [2.0, 3.0]])
+        with pytest.raises(BadK, match=r"^k=3 is above the 2 distinct points$"):
+            kmeans_fit(X, 3, seed=7)
+        assert kmeans_fit(X, 2, seed=7).wcss == 0.0
 
     def test_duplicate_points_handled(self):
         X = np.array([[1.0, 1.0]] * 6 + [[5.0, 5.0]] * 2)
@@ -276,6 +335,67 @@ class TestSilhouetteMatchesReference:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20
+
+
+class TestLloydMatchesReference:
+    """Every restart of the per-dimension Lloyd equals the reference exactly."""
+
+    @staticmethod
+    def check(X, k, seed, restarts=3):
+        X = np.asarray(X, dtype=float)
+        for r in range(restarts):
+            got = kmeans._lloyd(X, k, Xorshift64Star(derive_seed(seed, r)))
+            centroids, labels, wcss, iterations, history = reference_lloyd(
+                X, k, Xorshift64Star(derive_seed(seed, r)))
+            assert np.all(got.centroids == centroids)
+            assert np.all(got.labels == labels)
+            assert got.wcss == wcss
+            assert got.history == history
+            assert got.iterations == iterations
+
+    @pytest.mark.parametrize("seed", [1, 3, 5, 7, 11])
+    def test_blobs_every_sweep_k(self, seed):
+        X, _ = make_blob_points(seed=seed, per_cluster=50)
+        for k in range(2, 11):
+            self.check(X, k, seed)
+
+    def test_fixture_features(self, blob_prices_csv):
+        closes, _ = load_price_table(blob_prices_csv)
+        _, X = build_feature_table(closes)
+        for k in range(2, 11):
+            self.check(X, k, seed=7)
+
+    def test_three_dimensions(self):
+        X = random_points(14, 300, d=3)
+        for k in (2, 5, 9):
+            self.check(X, k, seed=15)
+
+    def test_duplicate_heavy(self):
+        # 200 points on 6 distinct values, one of them written as -0.0
+        gen = Xorshift64Star(16)
+        values = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 1.0], [0.5, 0.2], [2.0, 0.0],
+                           [0.5, 0.3], [1.5, 1.5]])
+        X = values[[gen.below(len(values)) for _ in range(200)]]
+        assert kmeans.count_distinct(X) == 6
+        for k in range(1, 7):
+            self.check(X, k, seed=17, restarts=5)
+
+    def test_empty_cluster_reseeded(self, monkeypatch):
+        # 33 draws from 8 random points; restart 0 of seed 5 at k = 4 empties a cluster
+        gen = Xorshift64Star(3222)
+        m = 3 + gen.below(8)
+        values = np.array([[gen.random(), gen.random()] for _ in range(m)])
+        X = values[[gen.below(m) for _ in range(m + gen.below(40))]]
+        empty = []
+        repair = kmeans._repair_empty
+
+        def spy(X, centroids, labels, own_d2, counts):
+            empty.append(int(np.sum(counts == 0)))
+            repair(X, centroids, labels, own_d2, counts)
+
+        monkeypatch.setattr(kmeans, "_repair_empty", spy)
+        self.check(X, 4, seed=5, restarts=1)
+        assert max(empty) > 0
 
 
 class TestSelectK:
