@@ -9,11 +9,14 @@ layers, a sigmoid latent layer whose width equals the number of clusters,
 the mirrored decoder in relu, and a final linear layer. Weight matrices are
 stored as (output_width, input_width); a layer computes ``a = act(x @ W.T + b)``.
 
-A :class:`DenseNetwork` owns its parameters as one float64 vector,
-``theta``: every layer's weights then biases, in layer order, each array
-row-major. Each layer's ``weights`` and ``biases`` are views of it, so
+A network is its layer specs plus one float64 parameter vector:
+``DenseNetwork(specs, theta)``, where ``theta`` holds every layer's weights
+then biases, in layer order, each array row-major. ``net.layers`` gives
+each spec with its ``weights`` and ``biases`` as views of ``theta``, so
 :func:`backward` returns one gradient vector in the same layout and one
-Adam update over ``theta`` updates the whole network.
+Adam update over ``theta`` updates the whole network. :func:`forward`
+returns the outputs and the activation list ``[X, a1, ..., aL]`` that
+:func:`backward` consumes.
 
 Initialization is uniform on +/-sqrt(6 / (fan_in + fan_out)) with zero
 biases, drawn row-major from the package's deterministic generator, so a
@@ -22,8 +25,10 @@ fixed seed yields bitwise-identical networks everywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,47 +71,40 @@ class LayerSpec:
             raise BadWidth(f"unknown activation {self.activation!r}")
 
 
-class DenseLayer:
-    """One dense layer: weights (output_width, input_width), bias (output_width,)."""
+class Layer(NamedTuple):
+    """One layer of a :class:`DenseNetwork`: its spec and views of the network's ``theta``."""
 
-    def __init__(self, spec: LayerSpec, weights: np.ndarray, biases: np.ndarray):
-        if weights.shape != (spec.output_width, spec.input_width):
-            raise ShapeMismatch(f"weights {weights.shape} do not fit spec {spec}")
-        if biases.shape != (spec.output_width,):
-            raise ShapeMismatch(f"biases {biases.shape} do not fit spec {spec}")
-        self.spec = spec
-        self.weights = weights
-        self.biases = biases
+    spec: LayerSpec
+    weights: np.ndarray
+    biases: np.ndarray
 
 
 class DenseNetwork:
-    """An ordered stack of dense layers with chained widths and one parameter vector.
+    """Dense layers with chained widths whose parameters are one vector, ``theta``.
 
-    The constructor copies every layer's weights and biases into ``theta``
-    and rebinds the layers to views of it, so arrays passed to
-    :class:`DenseLayer` are no longer read or written by the network.
+    The constructor checks the width chain and that ``theta`` holds exactly
+    the layers' parameters, and keeps its own float64 copy of ``theta``.
+    ``layers`` pairs each spec with (weights, biases) views of that copy.
     """
 
-    def __init__(self, layers: list[DenseLayer]):
-        if not layers:
+    def __init__(self, specs: list[LayerSpec] | tuple[LayerSpec, ...], theta) -> None:
+        self.specs = tuple(specs)
+        if not self.specs:
             raise BadWidth("a network needs at least one layer")
-        for prev, cur in zip(layers, layers[1:]):
-            if prev.spec.output_width != cur.spec.input_width:
-                raise BadWidth(
-                    f"width chain broken: {prev.spec.output_width} -> {cur.spec.input_width}"
-                )
-        self.layers = layers
-        self.theta = np.empty(sum(layer.weights.size + layer.biases.size for layer in layers))
-        for layer, (weights, biases) in zip(layers, self.views(self.theta)):
-            weights[...] = layer.weights
-            biases[...] = layer.biases
-            layer.weights, layer.biases = weights, biases
+        for prev, cur in zip(self.specs, self.specs[1:]):
+            if prev.output_width != cur.input_width:
+                raise BadWidth(f"width chain broken: {prev.output_width} -> {cur.input_width}")
+        self.theta = np.array(theta, dtype=float)
+        size = sum(spec.output_width * (spec.input_width + 1) for spec in self.specs)
+        if self.theta.shape != (size,):
+            raise ShapeMismatch(f"theta {self.theta.shape} does not hold the {size} parameters of the layers")
+        self.layers = tuple(Layer(spec, *pair) for spec, pair in zip(self.specs, self.views(self.theta)))
 
     def views(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-layer (weights, biases) views of a vector laid out like ``theta``."""
         out, pos = [], 0
-        for layer in self.layers:
-            rows, cols = layer.spec.output_width, layer.spec.input_width
+        for spec in self.specs:
+            rows, cols = spec.output_width, spec.input_width
             end = pos + rows * cols
             out.append((vec[pos:end].reshape(rows, cols), vec[end : end + rows]))
             pos = end + rows
@@ -114,21 +112,20 @@ class DenseNetwork:
 
     @property
     def input_width(self) -> int:
-        return self.layers[0].spec.input_width
-
-
-def _glorot_layer(spec: LayerSpec, rng: Xorshift64Star) -> DenseLayer:
-    limit = math.sqrt(6.0 / (spec.input_width + spec.output_width))
-    flat = [rng.uniform(-limit, limit) for _ in range(spec.output_width * spec.input_width)]
-    weights = np.array(flat, dtype=float).reshape(spec.output_width, spec.input_width)
-    biases = np.zeros(spec.output_width, dtype=float)
-    return DenseLayer(spec, weights, biases)
+        return self.specs[0].input_width
 
 
 def build_network(specs: list[LayerSpec], seed: int) -> DenseNetwork:
     """Initialize an arbitrary stack of layers from one seeded stream."""
     rng = Xorshift64Star(seed)
-    return DenseNetwork([_glorot_layer(spec, rng) for spec in specs])
+
+    def theta():
+        for spec in specs:
+            limit = math.sqrt(6.0 / (spec.input_width + spec.output_width))
+            yield from (rng.uniform(-limit, limit) for _ in range(spec.output_width * spec.input_width))
+            yield from itertools.repeat(0.0, spec.output_width)
+
+    return DenseNetwork(specs, np.fromiter(theta(), dtype=float))
 
 
 def build_autoencoder(
@@ -143,8 +140,6 @@ def build_autoencoder(
     The latent width doubles as the number of clusters the network is asked
     to discriminate; its sigmoid keeps latent activations inside (0, 1).
     """
-    if input_width < 1 or latent_width < 1 or output_width < 1 or any(w < 1 for w in encoder_widths):
-        raise BadWidth("all widths must be >= 1")
     specs = []
     prev = input_width
     for w in encoder_widths:
@@ -196,20 +191,15 @@ def _activation_backward(name: str, delta: np.ndarray, a: np.ndarray) -> np.ndar
     return delta
 
 
-@dataclass
-class ForwardCache:
-    """The inputs and each layer's activations, captured for backpropagation."""
+def forward(net: DenseNetwork, batch) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Run a batch through the network; returns (outputs, acts).
 
-    inputs: np.ndarray
-    activations: list[np.ndarray] = field(default_factory=list)
-
-
-def forward(net: DenseNetwork, batch) -> tuple[np.ndarray, ForwardCache]:
-    """Run a batch through the network; returns (outputs, cache).
-
-    ``batch`` is (n, input_width); outputs are (n, output_width). Weights
-    large enough to overflow give NaN or infinite outputs without a NumPy
-    warning; :func:`round_labels` and the training loss check reject them.
+    ``acts`` is ``[X, a1, ..., aL]``: the input, then each layer's
+    activation, so ``acts[i]`` is the input of layer ``i`` and ``acts[-1]``
+    is ``outputs``. ``batch`` is (n, input_width); outputs are
+    (n, output_width). Weights large enough to overflow give NaN or
+    infinite outputs without a NumPy warning; :func:`round_labels` and the
+    training loss check reject them.
     """
     X = np.asarray(batch, dtype=float)
     if X.ndim == 1:
@@ -218,15 +208,13 @@ def forward(net: DenseNetwork, batch) -> tuple[np.ndarray, ForwardCache]:
         raise ShapeMismatch(f"batch shape {X.shape} does not match input width {net.input_width}")
     if not np.all(np.isfinite(X)):
         raise NonFiniteInput("batch contains NaN or infinity")
-    cache = ForwardCache(inputs=X)
-    a = X
+    acts = [X]
     with np.errstate(over="ignore", invalid="ignore"):
         for layer in net.layers:
-            z = a @ layer.weights.T
+            z = acts[-1] @ layer.weights.T
             z += layer.biases
-            a = _activate(layer.spec.activation, z)
-            cache.activations.append(a)
-    return a, cache
+            acts.append(_activate(layer.spec.activation, z))
+    return acts[-1], acts
 
 
 def mse_loss(pred, target) -> float:
@@ -239,10 +227,10 @@ def mse_loss(pred, target) -> float:
     return float(np.mean(diff * diff))
 
 
-def backward(net: DenseNetwork, cache: ForwardCache, target) -> np.ndarray:
-    """Analytic gradient of mse_loss w.r.t. ``net.theta``, as one vector laid out like it."""
+def backward(net: DenseNetwork, acts: list[np.ndarray], target) -> np.ndarray:
+    """Gradient of mse_loss w.r.t. ``net.theta``, laid out like it, from the ``acts`` of :func:`forward`."""
     t = np.asarray(target, dtype=float)
-    pred = cache.activations[-1]
+    pred = acts[-1]
     if t.shape != pred.shape:
         raise ShapeMismatch(f"target {t.shape} vs output {pred.shape}")
     # d(mean squared error)/d(pred): mean runs over every entry
@@ -251,10 +239,9 @@ def backward(net: DenseNetwork, cache: ForwardCache, target) -> np.ndarray:
     views = net.views(grad)
     for idx in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[idx]
-        a_prev = cache.activations[idx - 1] if idx > 0 else cache.inputs
-        dz = _activation_backward(layer.spec.activation, delta, cache.activations[idx])
+        dz = _activation_backward(layer.spec.activation, delta, acts[idx + 1])
         grad_w, grad_b = views[idx]
-        np.matmul(dz.T, a_prev, out=grad_w)
+        np.matmul(dz.T, acts[idx], out=grad_w)
         np.sum(dz, axis=0, out=grad_b)
         if idx > 0:
             delta = dz @ layer.weights
@@ -341,16 +328,16 @@ def train(
     rng = Xorshift64Star(seed)
     single_batch = batch_size >= n
 
-    def step(cache: ForwardCache, target: np.ndarray) -> None:
-        adam_step(net.theta, backward(net, cache, target), state)
+    def step(acts: list[np.ndarray], target: np.ndarray) -> None:
+        adam_step(net.theta, backward(net, acts, target), state)
 
     losses = []
     # a diverging run overflows before the epoch-end check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        cache = forward(net, Xa)[1] if single_batch else None
+        acts = forward(net, Xa)[1] if single_batch else None
         for epoch in range(1, epochs + 1):
             if single_batch:
-                step(cache, ya)
+                step(acts, ya)
             else:
                 idx = list(range(n))
                 rng.shuffle(idx)
@@ -358,10 +345,10 @@ def train(
                 for start in range(0, n, batch_size):
                     rows = order[start : start + batch_size]
                     step(forward(net, Xa[rows])[1], ya[rows])
-            # the old cache is freed only once the new one exists; freeing it
-            # first lets malloc hand its pages back and fault them in again
+            # the old acts are freed only once the new ones exist; freeing them
+            # first lets malloc hand their pages back and fault them in again
             # every epoch, which cost more than the forward this loop saves
-            out, cache = forward(net, Xa)
+            out, acts = forward(net, Xa)
             losses.append(mse_loss(out, ya))
             if not math.isfinite(losses[-1]):
                 raise TscnetError(f"training diverged: loss {losses[-1]} at epoch {epoch}")
@@ -404,57 +391,54 @@ def save_model(net: DenseNetwork, path) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _parse_floats(line: str, count: int, what: str) -> np.ndarray:
-    parts = line.split()
-    if len(parts) != count:
-        raise ModelFormatError(f"expected {count} values for {what}, got {len(parts)}")
-    try:
-        return np.array([float(p) for p in parts], dtype=float)
-    except ValueError as exc:
-        raise ModelFormatError(f"bad float in {what}: {exc}") from exc
-
-
 def load_model(path) -> DenseNetwork:
-    """Read a model saved by :func:`save_model`; predictions round-trip bitwise."""
-    with open(path, "r", encoding="utf-8") as fh, reading_utf8(path):
-        lines = [line.rstrip("\n") for line in fh]
-    lines = [line for line in lines if line.strip() != ""]
-    if not lines or lines[0].strip() != MODEL_HEADER:
-        raise ModelFormatError(f"missing '{MODEL_HEADER}' header")
-    if len(lines) < 2 or not lines[1].startswith("layers "):
-        raise ModelFormatError("missing layer count line")
-    try:
-        n_layers = int(lines[1].split()[1])
-    except (IndexError, ValueError) as exc:
-        raise ModelFormatError("unreadable layer count") from exc
-    if n_layers < 1:
-        raise ModelFormatError("layer count must be >= 1")
+    """Read a model saved by :func:`save_model`; predictions round-trip bitwise.
 
-    pos = 2
-    layers = []
-    for li in range(n_layers):
-        if pos >= len(lines) or not lines[pos].startswith("layer "):
-            raise ModelFormatError(f"missing 'layer' line for layer {li}")
-        parts = lines[pos].split()
-        if len(parts) != 4:
-            raise ModelFormatError(f"malformed layer line: {lines[pos]!r}")
-        try:
-            width_in, width_out = int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise ModelFormatError(f"bad widths in {lines[pos]!r}") from exc
-        activation = parts[3]
-        try:
-            spec = LayerSpec(width_in, width_out, activation)
-        except BadWidth as exc:
-            raise ModelFormatError(str(exc)) from exc
+    Blank lines are skipped and every weight and bias must be finite. An
+    error names ``path`` and the physical line at fault, or ``path`` alone
+    when the file ends early.
+    """
+    with open(path, "r", encoding="utf-8") as fh, reading_utf8(path):
+        lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
+    specs, arrays, pos = [], [], -1  # pos indexes the line last taken
+
+    def take(what: str) -> list[str]:
+        nonlocal pos
         pos += 1
-        if pos + width_out + 1 > len(lines):
-            raise ModelFormatError(f"truncated weights for layer {li}")
-        rows = [_parse_floats(lines[pos + r], width_in, f"layer {li} row {r}") for r in range(width_out)]
-        pos += width_out
-        biases = _parse_floats(lines[pos], width_out, f"layer {li} biases")
-        pos += 1
-        layers.append(DenseLayer(spec, np.vstack(rows).reshape(width_out, width_in), biases))
-    if pos != len(lines):
-        raise ModelFormatError(f"{len(lines) - pos} trailing lines after the last layer")
-    return DenseNetwork(layers)
+        if pos == len(lines):
+            raise ModelFormatError(f"file ends before {what}")
+        return lines[pos][1].split()
+
+    def take_floats(count: int, what: str) -> None:
+        parts = take(what)
+        if len(parts) != count:
+            raise ModelFormatError(f"expected {count} values for {what}, got {len(parts)}")
+        values = np.array([float(p) for p in parts])
+        if not np.all(np.isfinite(values)):
+            raise ModelFormatError(f"non-finite value in {what}")
+        arrays.append(values)
+
+    try:
+        if take("the header") != MODEL_HEADER.split():
+            raise ModelFormatError(f"missing '{MODEL_HEADER}' header")
+        tag, *count = take("the layer count")
+        if tag != "layers" or len(count) != 1 or int(count[0]) < 1:
+            raise ModelFormatError("expected 'layers <count>' with a count >= 1")
+        for li in range(int(count[0])):
+            tag, *shape = take(f"layer {li}")
+            if tag != "layer" or len(shape) != 3:
+                raise ModelFormatError(f"expected 'layer <inputs> <outputs> <activation>' for layer {li}")
+            spec = LayerSpec(int(shape[0]), int(shape[1]), shape[2])
+            if specs and specs[-1].output_width != spec.input_width:
+                raise ModelFormatError(f"width chain broken: {specs[-1].output_width} -> {spec.input_width}")
+            specs.append(spec)
+            for r in range(spec.output_width):
+                take_floats(spec.input_width, f"layer {li} row {r}")
+            take_floats(spec.output_width, f"layer {li} biases")
+        if pos + 1 < len(lines):
+            pos += 1
+            raise ModelFormatError(f"{len(lines) - pos} trailing lines after the last layer")
+    except (ValueError, BadWidth, ModelFormatError) as exc:
+        where = f" line {lines[pos][0]}" if pos < len(lines) else ""
+        raise ModelFormatError(f"{path}{where}: {exc}") from None
+    return DenseNetwork(specs, np.concatenate(arrays))

@@ -26,14 +26,23 @@ POINTS_HEADER = ("ticker", "volatility", "return", "kmeans", "predicted", "misse
 DEFAULT_SEED = 7
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int, kind: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected a {kind} integer, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1, "positive")
+
+
+def _seed(text: str) -> int:
+    # the config's seed rule, so no verb takes a seed that `run` refuses
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _k_value(text: str):
@@ -64,7 +73,7 @@ def _add_ingest_flags(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_seed_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=DEFAULT_SEED, help="random seed (default %(default)s)")
+    sub.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="random seed >= 0 (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -117,11 +126,16 @@ def _warn(messages) -> None:
 
 def _load_model(path: Path) -> tuple[autonet.DenseNetwork, int]:
     """The model at ``path`` and its cluster count: the width of its one
-    sigmoid (latent) layer."""
+    sigmoid (latent) layer. It must map the 2 features to 1 output."""
     net = autonet.load_model(path)
-    widths = [layer.spec.output_width for layer in net.layers if layer.spec.activation == "sigmoid"]
+    ends = (net.input_width, net.specs[-1].output_width)
+    if ends != (2, 1):
+        raise TscnetError(f"{path}: expected a network from 2 features to 1 output, got {ends[0]} -> {ends[1]}")
+    widths = [spec.output_width for spec in net.specs if spec.activation == "sigmoid"]
     if len(widths) != 1:
         raise TscnetError(f"{path}: cannot infer the cluster count from {len(widths)} sigmoid layers")
+    if widths[0] < 2:
+        raise TscnetError(f"{path}: a sigmoid layer of width {widths[0]} gives fewer than 2 clusters")
     return net, widths[0]
 
 

@@ -45,17 +45,16 @@ def parameter_counts(net) -> list[int]:
     ]
 
 
-def relu_kink_margin(net, cache) -> float:
+def relu_kink_margin(net, acts) -> float:
     """Smallest |z| over the relu layers' pre-activations, 1.0 with no relu layer.
 
-    Each ``z = a_prev @ W.T + b`` is recomputed from the cache of a forward
-    pass, which keeps only the activations.
+    Each ``z = a_prev @ W.T + b`` is recomputed from the activation list of
+    a forward pass, whose entry i is the input of layer i.
     """
-    inputs = [cache.inputs] + cache.activations[:-1]
     return min(
         (
             float(np.min(np.abs(a_prev @ layer.weights.T + layer.biases)))
-            for a_prev, layer in zip(inputs, net.layers)
+            for a_prev, layer in zip(acts, net.layers)
             if layer.spec.activation == "relu"
         ),
         default=1.0,

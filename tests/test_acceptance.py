@@ -33,7 +33,6 @@ from test_autonet import numeric_gradients
 from test_kmeans import exhaustive_best_wcss, oracle_silhouette
 from tscnet.autonet import (
     ACTIVATIONS,
-    DenseLayer,
     DenseNetwork,
     LayerSpec,
     backward,
@@ -68,8 +67,7 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def _identity_head() -> DenseNetwork:
-    layer = DenseLayer(LayerSpec(1, 1, "linear"), np.array([[1.0]]), np.array([0.0]))
-    return DenseNetwork([layer])
+    return DenseNetwork([LayerSpec(1, 1, "linear")], [1.0, 0.0])
 
 
 def test_criterion_01_parameter_counts():
@@ -105,8 +103,7 @@ def test_criterion_02_label_rounding():
 def test_criterion_03_accuracy_fraction():
     # raw output reads the return column; returns sit at cluster + 0.1,
     # and exactly 3 of the 24 reference labels are shifted off by one
-    layer = DenseLayer(LayerSpec(2, 1, "linear"), np.array([[0.0, 1.0]]), np.array([0.0]))
-    net = DenseNetwork([layer])
+    net = DenseNetwork([LayerSpec(2, 1, "linear")], [0.0, 1.0, 0.0])
     records = []
     for i in range(24):
         want = i % 4
@@ -139,11 +136,11 @@ def test_criterion_04_gradient_check():
     while checked < 50:
         net, X, y = _draw_gradcheck_candidate(index)
         index += 1
-        _, cache = forward(net, X)
-        if relu_kink_margin(net, cache) < 1e-3:
+        _, acts = forward(net, X)
+        if relu_kink_margin(net, acts) < 1e-3:
             rejected += 1
             continue
-        analytic = [g for pair in net.views(backward(net, cache, y)) for g in pair]
+        analytic = [g for pair in net.views(backward(net, acts, y)) for g in pair]
         numeric = numeric_gradients(net, X, y, eps=1e-5)
         for a, n in zip(analytic, numeric):
             if not np.all(np.abs(a - n) <= np.maximum(1e-4 * np.abs(n), 1e-7)):

@@ -9,6 +9,7 @@ writes out its own Adam, so it shares no training code with the module.
 """
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -20,7 +21,6 @@ from conftest import make_blob_points, parameter_counts, relu_kink_margin, width
 from tscnet import autonet
 from tscnet.autonet import (
     AdamState,
-    DenseLayer,
     DenseNetwork,
     LayerSpec,
     TrainHistory,
@@ -90,14 +90,8 @@ def numeric_gradients(net, X, y, eps=1e-5):
 
 
 def flat_gradients(net, X, y):
-    _, cache = forward(net, X)
-    return [g for pair in net.views(backward(net, cache, y)) for g in pair]
-
-
-def make_layer(weights, biases, activation):
-    w = np.asarray(weights, dtype=float)
-    b = np.asarray(biases, dtype=float)
-    return DenseLayer(LayerSpec(w.shape[1], w.shape[0], activation), w, b)
+    _, acts = forward(net, X)
+    return [g for pair in net.views(backward(net, acts, y)) for g in pair]
 
 
 def reference_sigmoid(z):
@@ -229,18 +223,38 @@ class TestConstruction:
         assert forward(net, X)[0][0, 0] == before + 1.0
 
     def test_arrays_passed_in_are_copied(self):
-        weights, biases = np.array([[2.0]]), np.array([0.5])
-        net = DenseNetwork([DenseLayer(LayerSpec(1, 1, "linear"), weights, biases)])
-        weights[0, 0] = 100.0
-        biases[0] = -7.0
+        theta = np.array([2.0, 0.5])
+        net = DenseNetwork([LayerSpec(1, 1, "linear")], theta)
+        theta[:] = [100.0, -7.0]
         assert net.theta.tolist() == [2.0, 0.5]
         assert forward(net, [[1.0]])[0][0, 0] == 2.5
 
     def test_width_chain_enforced(self):
-        a = make_layer(np.zeros((3, 2)), np.zeros(3), "relu")
-        b = make_layer(np.zeros((1, 4)), np.zeros(1), "linear")
         with pytest.raises(BadWidth):
-            DenseNetwork([a, b])
+            DenseNetwork([LayerSpec(2, 3, "relu"), LayerSpec(4, 1, "linear")], np.zeros(9 + 5))
+        with pytest.raises(BadWidth):
+            DenseNetwork([], [])
+
+    @pytest.mark.parametrize("shape", [(52,), (54,), (53, 1), ()])
+    def test_theta_of_wrong_size_rejected(self, shape):
+        specs = build_autoencoder(3, [5], 2, 1, seed=7).specs  # 53 parameters
+        with pytest.raises(ShapeMismatch):
+            DenseNetwork(specs, np.zeros(shape))
+
+    def test_network_from_specs_and_theta_is_independent(self):
+        # a second network from the first's specs and theta owns its own
+        # copy: training the first moves its outputs and leaves the second
+        X, truth = make_blob_points(seed=3, per_cluster=3)
+        first = build_autoencoder(2, (6, 4), 2, 1, seed=3)
+        second = DenseNetwork(first.specs, first.theta)
+        assert second.theta.tobytes() == first.theta.tobytes()
+        frozen = second.theta.tobytes()
+        before = forward(first, X)[0]
+        history = train(first, X, truth, epochs=50, seed=3)
+        assert history.losses[-1] < history.losses[0]
+        assert not np.array_equal(forward(first, X)[0], before)
+        assert second.theta.tobytes() == frozen
+        assert np.array_equal(forward(second, X)[0], before)
 
     def test_init_bounds_and_zero_biases(self):
         net = build_autoencoder(seed=7)
@@ -264,18 +278,15 @@ class TestConstruction:
 class TestForward:
     def test_zero_network_outputs_zero(self):
         specs = [LayerSpec(2, 3, "relu"), LayerSpec(3, 2, "sigmoid"), LayerSpec(2, 1, "linear")]
-        net = DenseNetwork([make_layer(np.zeros(
-            (s.output_width, s.input_width)), np.zeros(s.output_width), s.activation) for s in specs])
-        out, cache = forward(net, [[5.0, -3.0], [0.1, 0.2]])
+        net = DenseNetwork(specs, np.zeros(9 + 8 + 3))
+        out, acts = forward(net, [[5.0, -3.0], [0.1, 0.2]])
         # final linear layer sees sigmoid(0) = 0.5 inputs against zero weights
         assert np.all(out == 0.0)
-        assert np.all(cache.activations[1] == 0.5)
+        assert np.all(acts[2] == 0.5)
+        assert acts[-1] is out
 
     def test_relu_gates_negative_input(self):
-        net = DenseNetwork([
-            make_layer([[1.0]], [0.0], "relu"),
-            make_layer([[1.0]], [0.0], "relu"),
-        ])
+        net = DenseNetwork([LayerSpec(1, 1, "relu")] * 2, [1.0, 0.0, 1.0, 0.0])
         out, _ = forward(net, [[-3.0]])
         assert out[0][0] == 0.0
 
@@ -294,10 +305,9 @@ class TestForward:
     def test_shape_conservation(self):
         net = build_autoencoder(seed=7)
         for n in (1, 3, 17):
-            out, cache = forward(net, np.zeros((n, 2)))
+            out, acts = forward(net, np.zeros((n, 2)))
             assert out.shape == (n, 1)
-            layer_widths = widths(net)[1:]
-            assert [a.shape for a in cache.activations] == [(n, w) for w in layer_widths]
+            assert [a.shape for a in acts] == [(n, w) for w in widths(net)]
 
     def test_wrong_width_rejected(self):
         net = build_autoencoder(seed=7)
@@ -313,8 +323,8 @@ class TestForward:
         net = build_autoencoder(seed=7)
         gen = Xorshift64Star(8)
         X = np.array([[gen.uniform(-5, 5), gen.uniform(-5, 5)] for _ in range(64)])
-        _, cache = forward(net, X)
-        latent = cache.activations[3]
+        _, acts = forward(net, X)
+        latent = acts[4]
         assert np.all(latent > 0.0)
         assert np.all(latent < 1.0)
 
@@ -347,8 +357,8 @@ class TestBackward:
     def test_zero_error_gives_zero_gradients(self):
         net = build_autoencoder(2, (4, 3), 2, 1, seed=7)
         X = np.array([[0.3, -0.2], [1.0, 0.5]])
-        out, cache = forward(net, X)
-        grad = backward(net, cache, out.copy())
+        out, acts = forward(net, X)
+        grad = backward(net, acts, out.copy())
         assert grad.shape == net.theta.shape
         for dw, db in net.views(grad):
             assert np.all(dw == 0.0)
@@ -356,18 +366,18 @@ class TestBackward:
 
     def test_single_linear_layer_closed_form(self):
         w, b, x, y = 0.7, -0.3, 1.9, 0.25
-        net = DenseNetwork([make_layer([[w]], [b], "linear")])
-        _, cache = forward(net, [[x]])
-        (dw, db), = net.views(backward(net, cache, [[y]]))
+        net = DenseNetwork([LayerSpec(1, 1, "linear")], [w, b])
+        _, acts = forward(net, [[x]])
+        (dw, db), = net.views(backward(net, acts, [[y]]))
         err = w * x + b - y
         assert dw[0][0] == pytest.approx(2.0 * err * x, rel=1e-14)
         assert db[0] == pytest.approx(2.0 * err, rel=1e-14)
 
     def test_target_shape_mismatch(self):
         net = build_autoencoder(seed=7)
-        _, cache = forward(net, np.zeros((3, 2)))
+        _, acts = forward(net, np.zeros((3, 2)))
         with pytest.raises(ShapeMismatch):
-            backward(net, cache, np.zeros((4, 1)))
+            backward(net, acts, np.zeros((4, 1)))
 
     def test_canonical_net_matches_finite_differences(self):
         net = build_autoencoder(seed=3)
@@ -376,8 +386,8 @@ class TestBackward:
         y = np.array([[float(gen.below(4))] for _ in range(8)])
         # central differences are only a valid oracle away from relu kinks:
         # every relu pre-activation must clear the 1e-5 step by a wide margin
-        _, cache = forward(net, X)
-        assert relu_kink_margin(net, cache) >= 1e-4
+        _, acts = forward(net, X)
+        assert relu_kink_margin(net, acts) >= 1e-4
         analytic = flat_gradients(net, X, y)
         numeric = numeric_gradients(net, X, y)
         for a, n in zip(analytic, numeric):
@@ -446,7 +456,7 @@ class TestAdam:
 
 class TestTrain:
     def test_already_fit_data_stays_at_zero(self):
-        net = DenseNetwork([make_layer([[0.5, -0.25]], [0.1], "linear")])
+        net = DenseNetwork([LayerSpec(2, 1, "linear")], [0.5, -0.25, 0.1])
         X = np.array([[1.0, 2.0], [0.0, -1.0], [3.0, 0.5]])
         y, _ = forward(net, X)
         history = train(net, X, y.copy(), epochs=1, batch_size=16, seed=7)
@@ -613,12 +623,12 @@ class TestRoundLabels:
             round_labels([0.4, bad], 4)
 
     def test_predict_labels_through_identity_net(self):
-        net = DenseNetwork([make_layer([[1.0]], [0.0], "linear")])
+        net = DenseNetwork([LayerSpec(1, 1, "linear")], [1.0, 0.0])
         raw = [[0.72130698], [-0.00018404983], [2.4604988], [3.0150795], [0.99868220]]
         assert list(predict_labels(net, raw, 4)) == [1, 0, 2, 3, 1]
 
     def test_predict_labels_needs_single_output(self):
-        net = DenseNetwork([make_layer(np.zeros((2, 2)), np.zeros(2), "linear")])
+        net = DenseNetwork([LayerSpec(2, 2, "linear")], np.zeros(6))
         with pytest.raises(ShapeMismatch):
             predict_labels(net, [[1.0, 2.0]], 4)
 
@@ -647,7 +657,7 @@ class TestModelFile:
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.tscnet"
         path.write_text("nope v9\nlayers 1\n", encoding="utf-8")
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))} line 1: missing 'tscnet v1' header$"):
             load_model(path)
 
     def test_truncated_file(self, tmp_path):
@@ -656,7 +666,7 @@ class TestModelFile:
         save_model(net, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n", encoding="utf-8")
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: file ends before layer 3 row 0$"):
             load_model(path)
 
     def test_bad_float(self, tmp_path):
@@ -673,9 +683,34 @@ class TestModelFile:
         net = build_autoencoder(1, [1], 2, 1, seed=7)
         path = tmp_path / "model.tscnet"
         save_model(net, path)
-        path.write_text(path.read_text(encoding="utf-8") + "0.0 0.0\n", encoding="utf-8")
-        with pytest.raises(ModelFormatError):
+        path.write_text(path.read_text(encoding="utf-8") + "\n0.0 0.0\n", encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))} line 17: 1 trailing lines"):
             load_model(path)
+
+    @pytest.mark.parametrize("line, text, message", [
+        (1, "nope v9", "missing 'tscnet v1' header"),
+        (2, "layers 0", "expected 'layers <count>' with a count >= 1"),
+        (4, "0.5 0.5", "expected 1 values for layer 0 row 0, got 2"),
+        (6, "layer 1 2 softmax", "unknown activation 'softmax'"),
+        (7, "abc", "could not convert string to float: 'abc'"),
+        (9, "1e999 0.0", "non-finite value in layer 1 biases"),
+        (10, "layer 3 1 relu", "width chain broken: 2 -> 3"),
+        (11, "0.5 nan", "non-finite value in layer 2 row 0"),
+        (14, "-inf", "non-finite value in layer 3 row 0"),
+    ])
+    def test_errors_name_the_file_and_physical_line(self, tmp_path, line, text, message):
+        # two blank lines lead the file and one follows saved line 5, so saved
+        # line i is physical line i + 2 up to line 5 and i + 3 after it
+        path = tmp_path / "model.tscnet"
+        save_model(build_autoencoder(1, [1], 2, 1, seed=7), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 15
+        lines[line - 1] = text
+        path.write_text("\n\n" + "\n".join(lines[:5]) + "\n\n" + "\n".join(lines[5:]) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(path)
+        assert str(exc.value) == f"{path} line {line + 2 if line <= 5 else line + 3}: {message}"
 
     def test_bad_activation_tag(self, tmp_path):
         path = tmp_path / "bad.tscnet"
@@ -703,6 +738,6 @@ def test_latent_always_in_unit_interval(batch, seed):
     gen = Xorshift64Star(seed)
     net = build_autoencoder(2, (5,), 3, 1, seed=seed & 0xFFFF)
     X = np.array([[gen.uniform(-100, 100), gen.uniform(-100, 100)] for _ in range(batch)])
-    _, cache = forward(net, X)
-    latent = cache.activations[1]
+    _, acts = forward(net, X)
+    latent = acts[2]
     assert np.all((latent >= 0.0) & (latent <= 1.0))

@@ -98,6 +98,20 @@ class TestUsageErrors:
             main(["train", "--labels", "x.csv"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("verb, flags", [
+        ("label", ["--prices", "{prices}", "--out", "{tmp}/labels.csv"]),
+        ("select-k", ["--prices", "{prices}"]),
+        ("train", ["--labels", "{labels}", "--out-dir", "{tmp}/model"]),
+    ])
+    def test_negative_seed(self, workdir, tmp_path, capsys, verb, flags):
+        # a run config refuses seed < 0, and so does every --seed
+        argv = [verb, *(f.format(tmp=tmp_path, **workdir) for f in flags), "--seed", "-1"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --seed: expected a non-negative integer, got -1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("verb", ["label", "select-k", "train", "evaluate", "run", "report"])
     def test_help_exits_zero(self, verb):
         with pytest.raises(SystemExit) as exc:
@@ -390,6 +404,32 @@ class TestEvaluate:
         _, stderr = run_cli(capsys, ["evaluate", "--model", str(model),
                                      "--labels", str(workdir["labels"])], expect=1)
         assert stderr == f"error: {model}: cannot infer the cluster count from 0 sigmoid layers\n"
+
+    @pytest.mark.parametrize("specs, message", [
+        # evaluate feeds the 2 features in and reads 1 raw output per record
+        ([LayerSpec(3, 2, "sigmoid"), LayerSpec(2, 1, "linear")],
+         "expected a network from 2 features to 1 output, got 3 -> 1"),
+        ([LayerSpec(2, 2, "sigmoid"), LayerSpec(2, 2, "linear")],
+         "expected a network from 2 features to 1 output, got 2 -> 2"),
+        ([LayerSpec(2, 1, "sigmoid"), LayerSpec(1, 1, "linear")],
+         "a sigmoid layer of width 1 gives fewer than 2 clusters"),
+    ])
+    def test_model_that_cannot_label_refused(self, workdir, tmp_path, capsys, specs, message):
+        model = tmp_path / "odd.tscnet"
+        save_model(build_network(specs, seed=7), model)
+        _, stderr = run_cli(capsys, ["evaluate", "--model", str(model),
+                                     "--labels", str(workdir["labels"])], expect=1)
+        assert stderr == f"error: {model}: {message}\n"
+
+    @pytest.mark.parametrize("value", ["nan", "1e999", "-inf"])
+    def test_non_finite_weight_refused(self, workdir, tmp_path, capsys, value):
+        model = tmp_path / "model.tscnet"
+        lines = workdir["model"].read_text(encoding="utf-8").splitlines()
+        lines[3] = f"{value} {lines[3].split()[1]}"  # layer 0, row 0
+        model.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _, stderr = run_cli(capsys, ["evaluate", "--model", str(model),
+                                     "--labels", str(workdir["labels"])], expect=1)
+        assert stderr == f"error: {model} line 4: non-finite value in layer 0 row 0\n"
 
     @pytest.mark.parametrize("verb", ["predict", "evaluate"])
     def test_k_flag_is_gone(self, workdir, verb):

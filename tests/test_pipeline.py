@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import BLOB_CENTERS, blob_targets, records_of, widths, write_prices_csv
 import tscnet
 from tscnet import autonet
-from tscnet.autonet import DenseLayer, DenseNetwork, LayerSpec, TrainHistory, load_model
+from tscnet.autonet import DenseNetwork, LayerSpec, TrainHistory, load_model
 from tscnet.autonet import count_parameters
 from tscnet.errors import (
     BadConfig,
@@ -55,12 +55,7 @@ def make_records(n, cluster_of=lambda i: i % 4):
 
 
 def linear_net(w_vol, w_ret, bias):
-    layer = DenseLayer(
-        LayerSpec(2, 1, "linear"),
-        np.array([[w_vol, w_ret]], dtype=float),
-        np.array([bias], dtype=float),
-    )
-    return DenseNetwork([layer])
+    return DenseNetwork([LayerSpec(2, 1, "linear")], [w_vol, w_ret, bias])
 
 
 @pytest.fixture(scope="module")
