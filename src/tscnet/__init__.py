@@ -19,7 +19,7 @@ from .autonet import (
     train,
 )
 from .errors import TscnetError
-from .features import annualize, build_feature_table, log_returns
+from .features import build_feature_table
 from .ingest import load_price_table
 from .kmeans import KMeansModel, kmeans_fit, select_k, silhouette
 from .pipeline import (
@@ -44,7 +44,6 @@ __all__ = [
     "Records",
     "TrainHistory",
     "TscnetError",
-    "annualize",
     "build_autoencoder",
     "build_feature_table",
     "count_parameters",
@@ -53,7 +52,6 @@ __all__ = [
     "kmeans_fit",
     "load_model",
     "load_price_table",
-    "log_returns",
     "mse_loss",
     "parse_config",
     "predict_labels",

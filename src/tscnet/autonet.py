@@ -32,15 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    BadWidth,
-    EmptyDataset,
-    ModelFormatError,
-    NonFiniteInput,
-    ShapeMismatch,
-    TscnetError,
-    reading_utf8,
-)
+from .errors import TscnetError, reading_utf8
 from .rng import Xorshift64Star
 
 ACTIVATIONS = ("relu", "sigmoid", "linear")
@@ -66,9 +58,9 @@ class LayerSpec:
 
     def __post_init__(self):
         if self.input_width < 1 or self.output_width < 1:
-            raise BadWidth(f"layer widths must be >= 1, got {self.input_width}->{self.output_width}")
+            raise TscnetError(f"layer widths must be >= 1, got {self.input_width}->{self.output_width}")
         if self.activation not in ACTIVATIONS:
-            raise BadWidth(f"unknown activation {self.activation!r}")
+            raise TscnetError(f"unknown activation {self.activation!r}")
 
 
 class Layer(NamedTuple):
@@ -90,14 +82,14 @@ class DenseNetwork:
     def __init__(self, specs: list[LayerSpec] | tuple[LayerSpec, ...], theta) -> None:
         self.specs = tuple(specs)
         if not self.specs:
-            raise BadWidth("a network needs at least one layer")
+            raise TscnetError("a network needs at least one layer")
         for prev, cur in zip(self.specs, self.specs[1:]):
             if prev.output_width != cur.input_width:
-                raise BadWidth(f"width chain broken: {prev.output_width} -> {cur.input_width}")
+                raise TscnetError(f"width chain broken: {prev.output_width} -> {cur.input_width}")
         self.theta = np.array(theta, dtype=float)
         size = sum(spec.output_width * (spec.input_width + 1) for spec in self.specs)
         if self.theta.shape != (size,):
-            raise ShapeMismatch(f"theta {self.theta.shape} does not hold the {size} parameters of the layers")
+            raise TscnetError(f"theta {self.theta.shape} does not hold the {size} parameters of the layers")
         self.layers = tuple(Layer(spec, *pair) for spec, pair in zip(self.specs, self.views(self.theta)))
 
     def views(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -205,9 +197,9 @@ def forward(net: DenseNetwork, batch) -> tuple[np.ndarray, list[np.ndarray]]:
     if X.ndim == 1:
         X = X.reshape(1, -1)
     if X.ndim != 2 or X.shape[1] != net.input_width:
-        raise ShapeMismatch(f"batch shape {X.shape} does not match input width {net.input_width}")
+        raise TscnetError(f"batch shape {X.shape} does not match input width {net.input_width}")
     if not np.all(np.isfinite(X)):
-        raise NonFiniteInput("batch contains NaN or infinity")
+        raise TscnetError("batch contains NaN or infinity")
     acts = [X]
     with np.errstate(over="ignore", invalid="ignore"):
         for layer in net.layers:
@@ -222,7 +214,7 @@ def mse_loss(pred, target) -> float:
     p = np.asarray(pred, dtype=float)
     t = np.asarray(target, dtype=float)
     if p.shape != t.shape:
-        raise ShapeMismatch(f"pred {p.shape} vs target {t.shape}")
+        raise TscnetError(f"pred {p.shape} vs target {t.shape}")
     diff = p - t
     return float(np.mean(diff * diff))
 
@@ -232,7 +224,7 @@ def backward(net: DenseNetwork, acts: list[np.ndarray], target) -> np.ndarray:
     t = np.asarray(target, dtype=float)
     pred = acts[-1]
     if t.shape != pred.shape:
-        raise ShapeMismatch(f"target {t.shape} vs output {pred.shape}")
+        raise TscnetError(f"target {t.shape} vs output {pred.shape}")
     # d(mean squared error)/d(pred): mean runs over every entry
     delta = 2.0 * (pred - t) / pred.size
     grad = np.empty_like(net.theta)
@@ -264,7 +256,7 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
     """
     if theta.shape != grad.shape or theta.shape != state.m.shape:
-        raise ShapeMismatch(f"theta {theta.shape}, grad {grad.shape} and state {state.m.shape} differ")
+        raise TscnetError(f"theta {theta.shape}, grad {grad.shape} and state {state.m.shape} differ")
     state.t += 1
     c1 = 1.0 - BETA1**state.t
     c2 = 1.0 - BETA2**state.t
@@ -301,8 +293,8 @@ def train(
     order is never touched; with smaller batches the row order is reshuffled
     each epoch from a stream seeded once at the start. Either way a fixed
     (seed, data, hyperparameters) tuple reproduces weights bitwise. Non-finite
-    targets raise NonFiniteInput up front; a non-finite epoch-end loss stops
-    training with a TscnetError naming the epoch.
+    targets, or epochs or batch_size below 1, raise a TscnetError up front; a
+    non-finite epoch-end loss stops training with one naming the epoch.
 
     Each step is one Adam update of ``net.theta``. With one full batch, each
     epoch-end forward pass, which gives the epoch's loss, is also the next
@@ -315,13 +307,13 @@ def train(
     if ya.ndim == 1:
         ya = ya.reshape(-1, 1)
     if len(Xa) == 0:
-        raise EmptyDataset("no training samples")
+        raise TscnetError("no training samples")
     if len(Xa) != len(ya):
-        raise ShapeMismatch(f"{len(Xa)} inputs vs {len(ya)} targets")
+        raise TscnetError(f"{len(Xa)} inputs vs {len(ya)} targets")
     if not np.all(np.isfinite(ya)):
-        raise NonFiniteInput("targets contain NaN or infinity")
+        raise TscnetError("targets contain NaN or infinity")
     if epochs < 1 or batch_size < 1:
-        raise ValueError("epochs and batch_size must be >= 1")
+        raise TscnetError("epochs and batch_size must be >= 1")
 
     n = len(Xa)
     state = AdamState(net.theta.size, lr=lr)
@@ -360,22 +352,25 @@ def round_labels(raw, num_clusters: int) -> np.ndarray:
 
     The absolute value folds the symmetric output range back onto valid
     labels; the clamp covers outputs past either end. NaN or infinite
-    outputs raise NonFiniteInput.
+    outputs raise TscnetError.
     """
     if num_clusters < 2:
         raise ValueError(f"num_clusters must be >= 2, got {num_clusters}")
     if not np.all(np.isfinite(raw)):
-        raise NonFiniteInput("raw network outputs contain NaN or infinity")
+        raise TscnetError("raw network outputs contain NaN or infinity")
     rounded = np.abs(np.rint(np.asarray(raw, dtype=float)))
     return np.clip(rounded, 0, num_clusters - 1).astype(int)
 
 
-def predict_labels(net: DenseNetwork, X, num_clusters: int) -> np.ndarray:
-    """Integer labels for a batch, via :func:`round_labels` on the raw outputs."""
+def predict_labels(net: DenseNetwork, X, num_clusters: int) -> tuple[np.ndarray, np.ndarray]:
+    """(raw, labels) for a batch: the network's (n,) raw outputs and the
+    integer labels :func:`round_labels` makes of them. The network must have
+    one output."""
     out, _ = forward(net, X)
     if out.shape[1] != 1:
-        raise ShapeMismatch(f"label prediction expects a 1-wide output, got {out.shape[1]}")
-    return round_labels(out[:, 0], num_clusters)
+        raise TscnetError(f"label prediction expects a 1-wide output, got {out.shape[1]}")
+    raw = out[:, 0]
+    return raw, round_labels(raw, num_clusters)
 
 
 def save_model(net: DenseNetwork, path) -> None:
@@ -406,39 +401,39 @@ def load_model(path) -> DenseNetwork:
         nonlocal pos
         pos += 1
         if pos == len(lines):
-            raise ModelFormatError(f"file ends before {what}")
+            raise TscnetError(f"file ends before {what}")
         return lines[pos][1].split()
 
     def take_floats(count: int, what: str) -> None:
         parts = take(what)
         if len(parts) != count:
-            raise ModelFormatError(f"expected {count} values for {what}, got {len(parts)}")
+            raise TscnetError(f"expected {count} values for {what}, got {len(parts)}")
         values = np.array([float(p) for p in parts])
         if not np.all(np.isfinite(values)):
-            raise ModelFormatError(f"non-finite value in {what}")
+            raise TscnetError(f"non-finite value in {what}")
         arrays.append(values)
 
     try:
         if take("the header") != MODEL_HEADER.split():
-            raise ModelFormatError(f"missing '{MODEL_HEADER}' header")
+            raise TscnetError(f"missing '{MODEL_HEADER}' header")
         tag, *count = take("the layer count")
         if tag != "layers" or len(count) != 1 or int(count[0]) < 1:
-            raise ModelFormatError("expected 'layers <count>' with a count >= 1")
+            raise TscnetError("expected 'layers <count>' with a count >= 1")
         for li in range(int(count[0])):
             tag, *shape = take(f"layer {li}")
             if tag != "layer" or len(shape) != 3:
-                raise ModelFormatError(f"expected 'layer <inputs> <outputs> <activation>' for layer {li}")
+                raise TscnetError(f"expected 'layer <inputs> <outputs> <activation>' for layer {li}")
             spec = LayerSpec(int(shape[0]), int(shape[1]), shape[2])
             if specs and specs[-1].output_width != spec.input_width:
-                raise ModelFormatError(f"width chain broken: {specs[-1].output_width} -> {spec.input_width}")
+                raise TscnetError(f"width chain broken: {specs[-1].output_width} -> {spec.input_width}")
             specs.append(spec)
             for r in range(spec.output_width):
                 take_floats(spec.input_width, f"layer {li} row {r}")
             take_floats(spec.output_width, f"layer {li} biases")
         if pos + 1 < len(lines):
             pos += 1
-            raise ModelFormatError(f"{len(lines) - pos} trailing lines after the last layer")
-    except (ValueError, BadWidth, ModelFormatError) as exc:
+            raise TscnetError(f"{len(lines) - pos} trailing lines after the last layer")
+    except (ValueError, TscnetError) as exc:
         where = f" line {lines[pos][0]}" if pos < len(lines) else ""
-        raise ModelFormatError(f"{path}{where}: {exc}") from None
+        raise TscnetError(f"{path}{where}: {exc}") from None
     return DenseNetwork(specs, np.concatenate(arrays))

@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import autonet, features, kmeans, pipeline, svgplot
-from .errors import PlotRange, TscnetError
+from .errors import TscnetError
 
 K_SWEEP_SVG = "k_sweep.svg"
 LOSS_SVG = "loss.svg"
@@ -157,8 +157,6 @@ def _stage1(args: argparse.Namespace, k: int | str):
 
 
 def _k_line(model: kmeans.KMeansModel) -> str:
-    if model.silhouette is None:
-        return f"k={model.k}"
     return f"k={model.k} silhouette={model.silhouette:.12g}"
 
 
@@ -238,11 +236,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 @contextlib.contextmanager
 def _charting(source: Path):
-    """Re-raise a PlotRange from the block naming the file its values came from."""
+    """Re-raise a TscnetError from the block naming the file its values came from."""
     try:
         yield
-    except PlotRange as exc:
-        raise PlotRange(f"{source}: {exc}") from None
+    except TscnetError as exc:
+        raise TscnetError(f"{source}: {exc}") from None
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -259,7 +257,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     losses = pipeline.read_csv(loss_path, pipeline.LOSS_COLUMNS)
     sweep_path = out / pipeline.SWEEP_CSV
     sweep = pipeline.read_csv(sweep_path, pipeline.SWEEP_COLUMNS) if sweep_path.exists() else None
-    predicted = autonet.predict_labels(net, records.features, num_clusters).tolist()
+    predicted = autonet.predict_labels(net, records.features, num_clusters)[1].tolist()
 
     texts: dict[str, str] = {}
     with _charting(sweep_path):

@@ -18,7 +18,7 @@ import math
 
 import numpy as np
 
-from .errors import EmptyList, FormatError, NoData, reading_utf8
+from .errors import NoData, TscnetError, reading_utf8
 
 PRICES_HEADER = ["ticker", "date", "adj_close"]
 
@@ -30,7 +30,7 @@ def parse_ticker_list(text: str) -> list[str]:
     """Parse a newline- or comma-separated symbol document.
 
     De-duplicates while preserving first-occurrence order; blank entries are
-    skipped. Raises EmptyList when nothing remains.
+    skipped. Raises TscnetError when nothing remains.
     """
     seen = set()
     out = []
@@ -41,25 +41,25 @@ def parse_ticker_list(text: str) -> list[str]:
                 seen.add(symbol)
                 out.append(symbol)
     if not out:
-        raise EmptyList("no ticker symbols found")
+        raise TscnetError("no ticker symbols found")
     return out
 
 
 def _parse_row(row: list[str], lineno: int) -> tuple[str, dt.date, float]:
     if len(row) != 3:
-        raise FormatError(f"line {lineno}: expected 3 fields, got {len(row)}")
+        raise TscnetError(f"line {lineno}: expected 3 fields, got {len(row)}")
     try:
         date = dt.date.fromisoformat(row[1].strip())
     except ValueError as exc:
-        raise FormatError(f"line {lineno}: bad date {row[1]!r}: {exc}") from exc
+        raise TscnetError(f"line {lineno}: bad date {row[1]!r}: {exc}") from exc
     try:
         close = float(row[2])
     except ValueError as exc:
-        raise FormatError(f"line {lineno}: bad price {row[2]!r}") from exc
+        raise TscnetError(f"line {lineno}: bad price {row[2]!r}") from exc
     if not math.isfinite(close):
-        raise FormatError(f"line {lineno}: non-finite price {row[2]!r}")
+        raise TscnetError(f"line {lineno}: non-finite price {row[2]!r}")
     if close <= 0:
-        raise FormatError(f"line {lineno}: non-positive price {close}")
+        raise TscnetError(f"line {lineno}: non-positive price {close}")
     return row[0].strip(), date, close
 
 
@@ -67,9 +67,9 @@ def _check_ticker(ticker: str, lineno: int) -> None:
     """A symbol must be printable and hold no comma, so it fits one field of
     the artifact CSVs."""
     if not ticker:
-        raise FormatError(f"line {lineno}: empty ticker")
+        raise TscnetError(f"line {lineno}: empty ticker")
     if "," in ticker or not ticker.isprintable():
-        raise FormatError(f"line {lineno}: ticker {ticker!r} holds a comma or a non-printable character")
+        raise TscnetError(f"line {lineno}: ticker {ticker!r} holds a comma or a non-printable character")
 
 
 def load_price_table(
@@ -96,17 +96,17 @@ def load_price_table(
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
     except OSError as exc:
-        raise FormatError(f"cannot open {path}: {exc}") from exc
+        raise TscnetError(f"cannot open {path}: {exc}") from exc
     with fh, reading_utf8(path):
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
-            raise FormatError(f"{path}: empty file") from None
+            raise TscnetError(f"{path}: empty file") from None
         except csv.Error as exc:
-            raise FormatError(f"{path} line 1: {exc}") from None
+            raise TscnetError(f"{path} line 1: {exc}") from None
         if header != PRICES_HEADER:
-            raise FormatError(f"{path}: bad header {header!r}, expected {PRICES_HEADER!r}")
+            raise TscnetError(f"{path}: bad header {header!r}, expected {PRICES_HEADER!r}")
         try:
             # a row's first physical line; a quoted field may span several
             end = reader.line_num
@@ -132,9 +132,9 @@ def load_price_table(
                     dupes.add(ticker)
                 per[date] = close
         except csv.Error as exc:
-            raise FormatError(f"{path} line {reader.line_num}: {exc}") from None
-        except FormatError as exc:
-            raise FormatError(f"{path} {exc}") from None
+            raise TscnetError(f"{path} line {reader.line_num}: {exc}") from None
+        except TscnetError as exc:
+            raise TscnetError(f"{path} {exc}") from None
 
     warnings = [f"{t}: excluded, not in ticker filter" for t in filtered_out]
     for t in sorted(dupes):

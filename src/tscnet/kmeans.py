@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import BadK, NonFinitePoint, SingleCluster
+from .errors import TscnetError
 from .rng import Xorshift64Star, derive_seed
 
 DEFAULT_RESTARTS = 10
@@ -171,17 +171,17 @@ def kmeans_fit(points, k: int, seed: int = 7, restarts: int = DEFAULT_RESTARTS) 
     """
     X = np.asarray(points, dtype=float)
     if X.ndim != 2 or X.size == 0:
-        raise BadK(f"expected a non-empty 2-D point array, got shape {X.shape}")
+        raise TscnetError(f"expected a non-empty 2-D point array, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
-        raise NonFinitePoint("points contain NaN or infinity")
+        raise TscnetError("points contain NaN or infinity")
     n = len(X)
     if k < 1 or k > n:
-        raise BadK(f"k={k} outside [1, {n}]")
+        raise TscnetError(f"k={k} outside [1, {n}]")
     if restarts < 1:
-        raise BadK(f"restarts must be >= 1, got {restarts}")
+        raise TscnetError(f"restarts must be >= 1, got {restarts}")
     distinct = count_distinct(X)
     if k > distinct:
-        raise BadK(f"k={k} is above the {distinct} distinct points")
+        raise TscnetError(f"k={k} is above the {distinct} distinct points")
 
     best: _Restart | None = None
     for r in range(restarts):
@@ -224,7 +224,7 @@ def silhouette(points, labels) -> float:
         raise ValueError(f"{len(X)} points vs {len(lab)} labels")
     _, own, sizes = np.unique(lab, return_inverse=True, return_counts=True)
     if len(sizes) < 2:
-        raise SingleCluster("silhouette needs at least 2 distinct labels")
+        raise TscnetError("silhouette needs at least 2 distinct labels")
 
     # columns sorted by cluster, members in index order: one run per cluster
     n = len(X)
@@ -275,7 +275,7 @@ def select_k(
     """
     n = len(points)
     if not 2 <= k_min <= k_max <= n - 1:
-        raise BadK(f"need 2 <= k_min <= k_max <= {n - 1}, got [{k_min}, {k_max}]")
+        raise TscnetError(f"need 2 <= k_min <= k_max <= {n - 1}, got [{k_min}, {k_max}]")
     table = []
     best = None
     for k in range(k_min, k_max + 1):

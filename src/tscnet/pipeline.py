@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autonet, features, ingest, kmeans, svgplot
-from .errors import BadConfig, BadK, EmptyDataset, FormatError, PipelineError, ShapeMismatch, reading_utf8
+from .errors import PipelineError, TscnetError, reading_utf8
 from .rng import Xorshift64Star
 
 AUTO = "auto"
@@ -64,7 +64,7 @@ class Records:
     def __post_init__(self):
         n = len(self.tickers)
         if self.features.shape != (n, 2) or self.clusters.shape != (n,):
-            raise ShapeMismatch(
+            raise TscnetError(
                 f"{n} tickers vs features {self.features.shape}, clusters {self.clusters.shape}"
             )
 
@@ -145,27 +145,27 @@ def _resolve_k(points, k, k_min, k_max, seed) -> tuple[kmeans.KMeansModel, list[
         n, distinct = len(points), kmeans.count_distinct(points)
         hi = min(k_max, n - 1, distinct)
         if k_min > hi:
-            raise BadK(
+            raise TscnetError(
                 f"auto-k needs k_min <= min(k_max, n-1, distinct points); "
                 f"got k_min={k_min}, n={n}, {distinct} distinct points"
             )
         return kmeans.select_k(points, k_min, hi, seed=seed)
     # the autoencoder's labels need at least 2 clusters
     if not isinstance(k, int) or k < 2:
-        raise BadK(f"k must be an integer >= 2 or {AUTO!r}, got {k!r}")
+        raise TscnetError(f"k must be an integer >= 2 or {AUTO!r}, got {k!r}")
     return kmeans.kmeans_fit(points, k, seed=seed), None
 
 
 def split(records: Records, test_fraction: float, seed: int) -> tuple[Records, Records]:
     """Seeded-shuffle partition into (train, test); |test| = ceil(test_fraction * n).
 
-    ``test_fraction`` must lie in (0, 1), else BadConfig.
+    ``test_fraction`` must lie in (0, 1), else TscnetError.
     """
     if not 0.0 < test_fraction < 1.0:
-        raise BadConfig(f"test_fraction must be in (0, 1), got {test_fraction}")
+        raise TscnetError(f"test_fraction must be in (0, 1), got {test_fraction}")
     n = len(records)
     if n < 2:
-        raise EmptyDataset(f"need at least 2 records to split, got {n}")
+        raise TscnetError(f"need at least 2 records to split, got {n}")
     test_size = math.ceil(test_fraction * n)
     idx = list(range(n))
     Xorshift64Star(seed).shuffle(idx)
@@ -187,7 +187,7 @@ def stage2_train(
     with whatever numbering it has.
     """
     if not len(train_records):
-        raise EmptyDataset("no training records")
+        raise TscnetError("no training records")
     y = train_records.clusters.astype(float).reshape(-1, 1)
     net = autonet.build_autoencoder(2, autonet.ENCODER_WIDTHS, num_clusters, 1, seed=seed)
     history = autonet.train(net, train_records.features, y, epochs=epochs, batch_size=batch_size, seed=seed)
@@ -202,9 +202,9 @@ def label_accuracy(predicted, reference) -> float:
     p = np.asarray(predicted)
     r = np.asarray(reference)
     if p.shape != r.shape:
-        raise EmptyDataset(f"label shapes differ: {p.shape} vs {r.shape}")
+        raise TscnetError(f"label shapes differ: {p.shape} vs {r.shape}")
     if p.size == 0:
-        raise EmptyDataset("no labels to compare")
+        raise TscnetError("no labels to compare")
     return float(np.mean(p == r))
 
 
@@ -213,11 +213,14 @@ def evaluate(
     test_records: Records,
     num_clusters: int,
 ) -> EvaluationReport:
-    """Score network label predictions against the k-means reference labels."""
+    """Score network label predictions against the k-means reference labels.
+
+    Raw outputs and labels come from :func:`autonet.predict_labels`, so a
+    network with more than one output raises a TscnetError.
+    """
     if not len(test_records):
-        raise EmptyDataset("no test records")
-    raw = autonet.forward(net, test_records.features)[0][:, 0]
-    predicted = autonet.round_labels(raw, num_clusters)
+        raise TscnetError("no test records")
+    raw, predicted = autonet.predict_labels(net, test_records.features, num_clusters)
     accuracy = label_accuracy(predicted, test_records.clusters)
     return EvaluationReport(records=test_records, raw=raw, predicted=predicted, accuracy=accuracy)
 
@@ -243,17 +246,17 @@ class PipelineConfig:
         if self.k != AUTO:
             # the autoencoder's labels need at least 2 clusters
             if not isinstance(self.k, int) or self.k < 2:
-                raise BadConfig(f"k must be an integer >= 2 or {AUTO!r}, got {self.k!r}")
+                raise TscnetError(f"k must be an integer >= 2 or {AUTO!r}, got {self.k!r}")
         if not 2 <= self.k_min <= self.k_max:
-            raise BadConfig(f"need 2 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
+            raise TscnetError(f"need 2 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
         if self.epochs < 1 or self.batch_size < 1:
-            raise BadConfig("epochs and batch_size must be >= 1")
+            raise TscnetError("epochs and batch_size must be >= 1")
         if not 0.0 < self.test_fraction < 1.0:
-            raise BadConfig(f"test_fraction must be in (0, 1), got {self.test_fraction}")
+            raise TscnetError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         if self.trading_days < 1:
-            raise BadConfig(f"trading_days must be >= 1, got {self.trading_days}")
+            raise TscnetError(f"trading_days must be >= 1, got {self.trading_days}")
         if self.seed < 0:
-            raise BadConfig(f"seed must be >= 0, got {self.seed}")
+            raise TscnetError(f"seed must be >= 0, got {self.seed}")
 
 
 def parse_config(path) -> PipelineConfig:
@@ -269,11 +272,11 @@ def parse_config(path) -> PipelineConfig:
         with reading_utf8(path):
             text = path.read_text(encoding="utf-8")
     except OSError as exc:
-        raise BadConfig(f"cannot read config {path}: {exc}") from exc
+        raise TscnetError(f"cannot read config {path}: {exc}") from exc
     try:
         return _config_from(text, path.resolve().parent)
-    except BadConfig as exc:
-        raise BadConfig(f"{path}: {exc}") from None
+    except TscnetError as exc:
+        raise TscnetError(f"{path}: {exc}") from None
 
 
 def _config_from(text: str, base: Path) -> PipelineConfig:
@@ -288,18 +291,18 @@ def _config_from(text: str, base: Path) -> PipelineConfig:
                 key, value = stripped.split(sep, 1)
                 break
         else:
-            raise BadConfig(f"line {lineno}: expected 'key = value', got {stripped!r}")
+            raise TscnetError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key = key.strip()
         value = value.strip()
         if key not in known:
-            raise BadConfig(f"line {lineno}: unknown key {key!r}")
+            raise TscnetError(f"line {lineno}: unknown key {key!r}")
         if key in raw:
-            raise BadConfig(f"line {lineno}: duplicate key {key!r}")
+            raise TscnetError(f"line {lineno}: duplicate key {key!r}")
         if not value:
-            raise BadConfig(f"line {lineno}: empty value for {key!r}")
+            raise TscnetError(f"line {lineno}: empty value for {key!r}")
         raw[key] = value
     if "prices_path" not in raw:
-        raise BadConfig("config is missing required key 'prices_path'")
+        raise TscnetError("config is missing required key 'prices_path'")
 
     def _path(key: str) -> Path:
         p = Path(raw[key])
@@ -309,7 +312,7 @@ def _config_from(text: str, base: Path) -> PipelineConfig:
         try:
             return int(raw[key])
         except ValueError as exc:
-            raise BadConfig(f"{key} must be an integer, got {raw[key]!r}") from exc
+            raise TscnetError(f"{key} must be an integer, got {raw[key]!r}") from exc
 
     kwargs: dict = {"prices_path": _path("prices_path")}
     if "out_dir" in raw:
@@ -320,7 +323,7 @@ def _config_from(text: str, base: Path) -> PipelineConfig:
         try:
             kwargs["start_date"] = dt.date.fromisoformat(raw["start_date"])
         except ValueError as exc:
-            raise BadConfig(f"start_date must be YYYY-MM-DD, got {raw['start_date']!r}") from exc
+            raise TscnetError(f"start_date must be YYYY-MM-DD, got {raw['start_date']!r}") from exc
     if "k" in raw:
         kwargs["k"] = AUTO if raw["k"].lower() == AUTO else _int("k")
     for key in ("k_min", "k_max", "seed", "epochs", "batch_size", "trading_days"):
@@ -330,7 +333,7 @@ def _config_from(text: str, base: Path) -> PipelineConfig:
         try:
             kwargs["test_fraction"] = float(raw["test_fraction"])
         except ValueError as exc:
-            raise BadConfig(f"test_fraction must be a number, got {raw['test_fraction']!r}") from exc
+            raise TscnetError(f"test_fraction must be a number, got {raw['test_fraction']!r}") from exc
     return PipelineConfig(**kwargs)
 
 
@@ -426,7 +429,7 @@ def read_csv(path, columns) -> list[tuple]:
 
     ``columns`` maps each column name to its field type: str, int (>= 0) or
     float (finite). LF and CRLF line ends are accepted and blank lines are
-    skipped. A bad header or row, or no row at all, raises FormatError naming
+    skipped. A bad header or row, or no row at all, raises TscnetError naming
     the path and the line; non-UTF-8 bytes raise it naming the path.
     """
     expected = ",".join(columns)
@@ -434,19 +437,19 @@ def read_csv(path, columns) -> list[tuple]:
     with open(path, "r", encoding="utf-8", newline="") as fh, reading_utf8(path):
         found = fh.readline().rstrip("\r\n")
         if found != expected:
-            raise FormatError(f"{path}: bad header {found!r}, expected {expected!r}")
+            raise TscnetError(f"{path}: bad header {found!r}, expected {expected!r}")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 continue
             fields = line.rstrip("\r\n").split(",")
             if len(fields) != len(columns):
-                raise FormatError(f"{path} line {lineno}: expected {len(columns)} fields, got {len(fields)}")
+                raise TscnetError(f"{path} line {lineno}: expected {len(columns)} fields, got {len(fields)}")
             try:
                 rows.append(tuple(_parse_field(kind, text) for kind, text in zip(columns.values(), fields)))
             except ValueError as exc:
-                raise FormatError(f"{path} line {lineno}: {exc}") from None
+                raise TscnetError(f"{path} line {lineno}: {exc}") from None
     if not rows:
-        raise FormatError(f"{path}: no rows under {expected!r}")
+        raise TscnetError(f"{path}: no rows under {expected!r}")
     return rows
 
 
@@ -454,12 +457,12 @@ def read_labels_csv(path) -> Records:
     """The records of a labels CSV.
 
     A cluster id must be below the file's row count, the bound k <= n that
-    k-means puts on a fit; a larger id raises FormatError naming the path.
+    k-means puts on a fit; a larger id raises TscnetError naming the path.
     """
     rows = read_csv(path, LABELS_COLUMNS)
     for row in rows:
         if row[3] >= len(rows):
-            raise FormatError(f"{path}: cluster id {row[3]} is not below the row count {len(rows)}")
+            raise TscnetError(f"{path}: cluster id {row[3]} is not below the row count {len(rows)}")
     return Records(
         tuple(row[0] for row in rows),
         np.array([row[1:3] for row in rows], dtype=float),
@@ -546,7 +549,7 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     report = _stage("evaluate", warnings, evaluate, net, test_set, model.k)
 
     def emit():
-        predicted = autonet.predict_labels(net, records.features, model.k)
+        _, predicted = autonet.predict_labels(net, records.features, model.k)
         writers = {
             LABELS_CSV: labels_csv(records),
             MODEL_FILE: lambda path: autonet.save_model(net, path),

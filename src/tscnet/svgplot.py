@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from xml.sax.saxutils import escape
 
-from .errors import PlotRange
+from .errors import TscnetError
 
 WIDTH = 640
 HEIGHT = 420
@@ -85,7 +85,7 @@ class _Frame:
         self.x_lo, self.x_hi = _pad_range(min(xs), max(xs))
         self.y_lo, self.y_hi = _pad_range(min(ys), max(ys))
         if not math.isfinite(self.x_hi - self.x_lo) or not math.isfinite(self.y_hi - self.y_lo):
-            raise PlotRange("chart values span more than a float can hold")
+            raise TscnetError("chart values span more than a float can hold")
         self.px_lo = MARGIN_LEFT
         self.px_hi = WIDTH - MARGIN_RIGHT
         self.py_lo = HEIGHT - MARGIN_BOTTOM

@@ -95,7 +95,7 @@ def test_criterion_02_label_rounding():
     raw = [v for v, _ in fixtures]
     want = [lab for _, lab in fixtures]
     direct = [int(v) for v in round_labels(raw, 4)]
-    through_net = [int(v) for v in predict_labels(_identity_head(), [[v] for v in raw], 4)]
+    through_net = [int(v) for v in predict_labels(_identity_head(), [[v] for v in raw], 4)[1]]
     ok = direct == want and through_net == want
     _report(2, "label_rounding", ok, f"direct={direct} via_net={through_net}")
 

@@ -37,14 +37,7 @@ from tscnet.autonet import (
     save_model,
     train,
 )
-from tscnet.errors import (
-    BadWidth,
-    EmptyDataset,
-    ModelFormatError,
-    NonFiniteInput,
-    ShapeMismatch,
-    TscnetError,
-)
+from tscnet.errors import TscnetError
 from tscnet.rng import Xorshift64Star, derive_seed
 
 
@@ -203,11 +196,11 @@ class TestConstruction:
         assert count_parameters(net) == 3 * 5 + 5 + 5 * 2 + 2 + 2 * 5 + 5 + 5 * 1 + 1 == 53
 
     def test_bad_widths(self):
-        with pytest.raises(BadWidth):
+        with pytest.raises(TscnetError, match=r"^layer widths must be >= 1, got 0->5$"):
             build_autoencoder(0, [5], 2, 1, seed=7)
-        with pytest.raises(BadWidth):
+        with pytest.raises(TscnetError, match=r"^layer widths must be >= 1, got 5->0$"):
             build_autoencoder(2, [5, 0], 2, 1, seed=7)
-        with pytest.raises(BadWidth):
+        with pytest.raises(TscnetError, match=r"^unknown activation 'tanh'$"):
             LayerSpec(1, 1, "tanh")
 
     def test_layers_are_views_of_theta(self):
@@ -230,15 +223,16 @@ class TestConstruction:
         assert forward(net, [[1.0]])[0][0, 0] == 2.5
 
     def test_width_chain_enforced(self):
-        with pytest.raises(BadWidth):
+        with pytest.raises(TscnetError, match=r"^width chain broken: 3 -> 4$"):
             DenseNetwork([LayerSpec(2, 3, "relu"), LayerSpec(4, 1, "linear")], np.zeros(9 + 5))
-        with pytest.raises(BadWidth):
+        with pytest.raises(TscnetError, match=r"^a network needs at least one layer$"):
             DenseNetwork([], [])
 
     @pytest.mark.parametrize("shape", [(52,), (54,), (53, 1), ()])
     def test_theta_of_wrong_size_rejected(self, shape):
         specs = build_autoencoder(3, [5], 2, 1, seed=7).specs  # 53 parameters
-        with pytest.raises(ShapeMismatch):
+        message = f"theta {shape} does not hold the 53 parameters of the layers"
+        with pytest.raises(TscnetError, match=f"^{re.escape(message)}$"):
             DenseNetwork(specs, np.zeros(shape))
 
     def test_network_from_specs_and_theta_is_independent(self):
@@ -311,12 +305,12 @@ class TestForward:
 
     def test_wrong_width_rejected(self):
         net = build_autoencoder(seed=7)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(TscnetError, match=r"^batch shape \(4, 3\) does not match input width 2$"):
             forward(net, np.zeros((4, 3)))
 
     def test_non_finite_rejected(self):
         net = build_autoencoder(seed=7)
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(TscnetError, match=r"^batch contains NaN or infinity$"):
             forward(net, [[np.nan, 0.0]])
 
     def test_latent_layer_in_unit_interval(self):
@@ -349,7 +343,7 @@ class TestMseLoss:
         assert mse_loss(pred, target) == pytest.approx(direct, abs=1e-14)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(TscnetError, match=r"^pred \(2, 2\) vs target \(2, 3\)$"):
             mse_loss(np.zeros((2, 2)), np.zeros((2, 3)))
 
 
@@ -376,7 +370,7 @@ class TestBackward:
     def test_target_shape_mismatch(self):
         net = build_autoencoder(seed=7)
         _, acts = forward(net, np.zeros((3, 2)))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(TscnetError, match=r"^target \(4, 1\) vs output \(3, 1\)$"):
             backward(net, acts, np.zeros((4, 1)))
 
     def test_canonical_net_matches_finite_differences(self):
@@ -448,9 +442,9 @@ class TestAdam:
 
     def test_shape_mismatch(self):
         state = AdamState(2)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(TscnetError, match=r"^theta \(2,\), grad \(3,\) and state \(2,\) differ$"):
             adam_step(np.zeros(2), np.zeros(3), state)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(TscnetError, match=r"^theta \(3,\), grad \(3,\) and state \(2,\) differ$"):
             adam_step(np.zeros(3), np.zeros(3), state)
 
 
@@ -506,13 +500,21 @@ class TestTrain:
 
     def test_empty_dataset(self):
         net = build_autoencoder(seed=7)
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(TscnetError, match=r"^no training samples$"):
             train(net, np.zeros((0, 2)), np.zeros((0, 1)), epochs=1, batch_size=4, seed=7)
 
     def test_mismatched_lengths(self):
         net = build_autoencoder(seed=7)
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(TscnetError, match=r"^3 inputs vs 2 targets$"):
             train(net, np.zeros((3, 2)), np.zeros((2, 1)), epochs=1, batch_size=4, seed=7)
+
+    @pytest.mark.parametrize("epochs, batch_size", [(0, 4), (1, 0), (-1, 4)])
+    def test_epochs_and_batch_size_below_one_rejected(self, epochs, batch_size):
+        net = build_autoencoder(2, (4,), 2, 1, seed=7)
+        before = net.theta.copy()
+        with pytest.raises(TscnetError, match=r"^epochs and batch_size must be >= 1$"):
+            train(net, [[0.2, 0.1], [0.3, 0.5]], [0.0, 1.0], epochs=epochs, batch_size=batch_size)
+        assert net.theta.tobytes() == before.tobytes()
 
     def test_divergence_names_first_non_finite_epoch(self):
         # the first epoch-end loss overflows to inf; every later one would be nan.
@@ -528,7 +530,7 @@ class TestTrain:
         # bad input, not a diverging run: the network is left as it was
         net = build_autoencoder(2, (8,), 2, 1, seed=0)
         before = [layer.weights.copy() for layer in net.layers]
-        with pytest.raises(NonFiniteInput, match="targets contain NaN or infinity"):
+        with pytest.raises(TscnetError, match=r"^targets contain NaN or infinity$"):
             train(net, [[0.2, 0.1], [0.3, 0.5]], [0.0, bad], epochs=5)
         for layer, weights in zip(net.layers, before):
             assert np.array_equal(layer.weights, weights)
@@ -619,17 +621,19 @@ class TestRoundLabels:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_rejected(self, bad):
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(TscnetError, match=r"^raw network outputs contain NaN or infinity$"):
             round_labels([0.4, bad], 4)
 
     def test_predict_labels_through_identity_net(self):
         net = DenseNetwork([LayerSpec(1, 1, "linear")], [1.0, 0.0])
-        raw = [[0.72130698], [-0.00018404983], [2.4604988], [3.0150795], [0.99868220]]
-        assert list(predict_labels(net, raw, 4)) == [1, 0, 2, 3, 1]
+        X = [[0.72130698], [-0.00018404983], [2.4604988], [3.0150795], [0.99868220]]
+        raw, labels = predict_labels(net, X, 4)
+        assert raw.tolist() == [row[0] for row in X]
+        assert list(labels) == [1, 0, 2, 3, 1]
 
     def test_predict_labels_needs_single_output(self):
         net = DenseNetwork([LayerSpec(2, 2, "linear")], np.zeros(6))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(TscnetError, match=r"^label prediction expects a 1-wide output, got 2$"):
             predict_labels(net, [[1.0, 2.0]], 4)
 
 
@@ -657,7 +661,7 @@ class TestModelFile:
     def test_missing_header(self, tmp_path):
         path = tmp_path / "bad.tscnet"
         path.write_text("nope v9\nlayers 1\n", encoding="utf-8")
-        with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))} line 1: missing 'tscnet v1' header$"):
+        with pytest.raises(TscnetError, match=f"^{re.escape(str(path))} line 1: missing 'tscnet v1' header$"):
             load_model(path)
 
     def test_truncated_file(self, tmp_path):
@@ -666,7 +670,7 @@ class TestModelFile:
         save_model(net, path)
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n", encoding="utf-8")
-        with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))}: file ends before layer 3 row 0$"):
+        with pytest.raises(TscnetError, match=f"^{re.escape(str(path))}: file ends before layer 3 row 0$"):
             load_model(path)
 
     def test_bad_float(self, tmp_path):
@@ -676,7 +680,8 @@ class TestModelFile:
         text = path.read_text(encoding="utf-8")
         first_value = text.splitlines()[3]
         path.write_text(text.replace(first_value, "not-a-number", 1), encoding="utf-8")
-        with pytest.raises(ModelFormatError):
+        message = f"{path} line 4: could not convert string to float: 'not-a-number'"
+        with pytest.raises(TscnetError, match=f"^{re.escape(message)}$"):
             load_model(path)
 
     def test_trailing_garbage(self, tmp_path):
@@ -684,7 +689,7 @@ class TestModelFile:
         path = tmp_path / "model.tscnet"
         save_model(net, path)
         path.write_text(path.read_text(encoding="utf-8") + "\n0.0 0.0\n", encoding="utf-8")
-        with pytest.raises(ModelFormatError, match=f"^{re.escape(str(path))} line 17: 1 trailing lines"):
+        with pytest.raises(TscnetError, match=f"^{re.escape(str(path))} line 17: 1 trailing lines"):
             load_model(path)
 
     @pytest.mark.parametrize("line, text, message", [
@@ -708,14 +713,14 @@ class TestModelFile:
         lines[line - 1] = text
         path.write_text("\n\n" + "\n".join(lines[:5]) + "\n\n" + "\n".join(lines[5:]) + "\n",
                         encoding="utf-8")
-        with pytest.raises(ModelFormatError) as exc:
+        with pytest.raises(TscnetError) as exc:
             load_model(path)
         assert str(exc.value) == f"{path} line {line + 2 if line <= 5 else line + 3}: {message}"
 
     def test_bad_activation_tag(self, tmp_path):
         path = tmp_path / "bad.tscnet"
         path.write_text("tscnet v1\nlayers 1\nlayer 1 1 softmax\n0.0\n0.0\n", encoding="utf-8")
-        with pytest.raises(ModelFormatError):
+        with pytest.raises(TscnetError, match=f"^{re.escape(str(path))} line 3: unknown activation 'softmax'$"):
             load_model(path)
 
 

@@ -112,6 +112,15 @@ class TestUsageErrors:
         assert "argument --seed: expected a non-negative integer, got -1" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_bad_start_date(self, workdir, tmp_path, capsys):
+        out = tmp_path / "labels.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["label", "--prices", str(workdir["prices"]), "--start-date", "2019-13-01",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "argument --start-date: expected YYYY-MM-DD, got '2019-13-01'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb", ["label", "select-k", "train", "evaluate", "run", "report"])
     def test_help_exits_zero(self, verb):
         with pytest.raises(SystemExit) as exc:
@@ -136,6 +145,21 @@ class TestLabel:
         lines = out.read_text(encoding="utf-8").splitlines()
         assert lines[0] == "ticker,volatility,return,cluster"
         assert len(lines) == 71
+
+    def test_start_date_drops_earlier_rows(self, workdir, tmp_path, capsys):
+        # the same labels as a prices file without the rows dated before it
+        lines = workdir["prices"].read_text(encoding="utf-8").splitlines()
+        kept = [line for line in lines[1:] if line.split(",")[1] >= "2019-02-01"]
+        assert 0 < len(kept) < len(lines) - 1
+        trimmed = tmp_path / "trimmed.csv"
+        trimmed.write_text("\n".join([lines[0], *kept]) + "\n", encoding="utf-8")
+        args = ["label", "--k", "4", "--seed", "7", "--out"]
+        run_cli(capsys, [*args, str(tmp_path / "a.csv"), "--prices", str(workdir["prices"]),
+                         "--start-date", "2019-02-01"])
+        run_cli(capsys, [*args, str(tmp_path / "b.csv"), "--prices", str(trimmed)])
+        dated = (tmp_path / "a.csv").read_bytes()
+        assert dated == (tmp_path / "b.csv").read_bytes()
+        assert dated != workdir["labels"].read_bytes()
 
     def test_auto_k_picks_four(self, workdir, tmp_path, capsys):
         out = tmp_path / "labels.csv"

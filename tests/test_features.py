@@ -1,24 +1,21 @@
-"""Feature computation tests: log returns and annualized volatility/return.
+"""Feature computation tests: annualized volatility and return of the log returns.
 
 Numeric results are checked against independent oracles written with plain
-math loops, not against the numpy implementation under test.
+math loops, not against the numpy implementation under test. The log
+returns and the sample std are internal to ``build_feature_table``; with
+``trading_days=1`` its features are the std and the mean of the returns.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import records_of
-from tscnet.errors import FormatError, NonPositivePrice, TooShort
-from tscnet.features import (
-    TRADING_DAYS,
-    annualize,
-    build_feature_table,
-    log_returns,
-    sample_std,
-)
+from tscnet.errors import TscnetError
+from tscnet.features import TRADING_DAYS, build_feature_table
 from tscnet.pipeline import LABELS_COLUMNS, labels_csv, read_labels_csv
 
 
@@ -32,83 +29,105 @@ def oracle_std(values):
     return math.sqrt(sum((v - mean) ** 2 for v in values) / (n - 1))
 
 
+def features_of(prices, trading_days=TRADING_DAYS):
+    """(volatility, ret) of one ticker's closes."""
+    tickers, X = build_feature_table({"AAA": np.array(prices, dtype=float)}, trading_days)
+    assert tickers == ("AAA",) and X.shape == (1, 2)
+    return tuple(X[0])
+
+
+def short_series(ticker, size):
+    return f"^{ticker}: need at least 3 closes, all finite and > 0, got {size}$"
+
+
 class TestLogReturns:
     def test_matches_elementwise_oracle(self):
         prices = [100.0, 110.0, 105.0, 105.0, 91.3, 120.77]
-        got = log_returns(prices)
-        want = oracle_log_returns(prices)
-        assert len(got) == len(want)
-        assert np.max(np.abs(got - np.array(want))) < 1e-15
+        rets = oracle_log_returns(prices)
+        vol, ret = features_of(prices, trading_days=1)
+        assert ret == pytest.approx(sum(rets) / len(rets), abs=1e-15)
+        assert vol == pytest.approx(oracle_std(rets), rel=1e-12)
 
     def test_known_values(self):
-        got = log_returns([100.0, 110.0, 105.0])
-        assert got[0] == pytest.approx(math.log(1.1), abs=1e-15)
-        assert got[1] == pytest.approx(math.log(105.0 / 110.0), abs=1e-15)
+        # returns ln(1.1) and ln(105/110): their mean and Bessel std in closed form
+        r0, r1 = math.log(1.1), math.log(105.0 / 110.0)
+        vol, ret = features_of([100.0, 110.0, 105.0], trading_days=1)
+        assert ret == pytest.approx((r0 + r1) / 2, abs=1e-15)
+        assert vol == pytest.approx(abs(r0 - r1) / math.sqrt(2.0), abs=1e-15)
 
     def test_flat_series_is_zero(self):
-        assert np.all(log_returns([5.0, 5.0, 5.0]) == 0.0)
+        assert features_of([5.0, 5.0, 5.0]) == (0.0, 0.0)
 
     def test_too_short(self):
-        with pytest.raises(TooShort):
-            log_returns([100.0])
+        with pytest.raises(TscnetError, match=short_series("AAA", 1)):
+            features_of([100.0])
 
     def test_non_positive_price(self):
-        with pytest.raises(NonPositivePrice):
-            log_returns([100.0, -1.0])
-        with pytest.raises(NonPositivePrice):
-            log_returns([0.0, 1.0])
+        for prices in ([100.0, -1.0, 50.0], [0.0, 1.0, 2.0], [1.0, math.nan, 2.0], [1.0, 2.0, math.inf]):
+            with pytest.raises(TscnetError, match=short_series("AAA", 3)):
+                features_of(prices)
 
     @given(
-        st.lists(st.floats(min_value=0.01, max_value=1e6), min_size=2, max_size=50),
+        st.lists(st.floats(min_value=0.01, max_value=1e6), min_size=3, max_size=50),
         st.floats(min_value=0.01, max_value=100.0),
     )
     def test_scale_invariance(self, prices, scale):
-        base = log_returns(prices)
-        scaled = log_returns([p * scale for p in prices])
-        assert np.max(np.abs(base - scaled)) < 1e-12
+        base = features_of(prices, trading_days=1)
+        scaled = features_of([p * scale for p in prices], trading_days=1)
+        assert np.max(np.abs(np.subtract(base, scaled))) < 1e-12
 
-    @given(st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=2, max_size=40))
+    @given(st.lists(st.floats(min_value=0.5, max_value=2.0), min_size=3, max_size=40))
     def test_length_contract(self, prices):
-        assert len(log_returns(prices)) == len(prices) - 1
+        # the returns telescope: T closes give T - 1 returns summing to ln(last / first)
+        _, ret = features_of(prices, trading_days=1)
+        assert ret == pytest.approx(math.log(prices[-1] / prices[0]) / (len(prices) - 1), abs=1e-12)
 
 
 class TestSampleStd:
     def test_matches_direct_summation(self):
-        values = [0.01, -0.003, 0.025, 0.0, -0.017, 0.004]
-        assert sample_std(values) == pytest.approx(oracle_std(values), rel=1e-12)
+        prices = [100.0, 101.0, 100.7, 103.2, 103.2, 101.5, 101.9]
+        rets = oracle_log_returns(prices)
+        vol, _ = features_of(prices, trading_days=1)
+        assert vol == pytest.approx(oracle_std(rets), rel=1e-12)
 
     def test_two_points(self):
-        # std of {0, 2} with Bessel correction is sqrt(2)
-        assert sample_std([0.0, 2.0]) == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        # returns {0, ln 4}: the Bessel-corrected std is sqrt(2) * ln 2
+        vol, _ = features_of([1.0, 1.0, 4.0], trading_days=1)
+        assert vol == pytest.approx(math.sqrt(2.0) * math.log(2.0), rel=1e-15)
 
     def test_constant_is_zero(self):
-        assert sample_std([3.0, 3.0, 3.0]) == 0.0
+        # each return is exactly ln 2
+        vol, _ = features_of([3.0, 6.0, 12.0, 24.0])
+        assert vol == 0.0
 
     def test_too_short(self):
-        with pytest.raises(TooShort):
-            sample_std([1.0])
+        with pytest.raises(TscnetError, match=short_series("AAA", 0)):
+            features_of([])
 
 
 class TestAnnualize:
     def test_formulas(self):
-        values = (0.001, -0.002, 0.0005, 0.0031, -0.0007)
-        vol, ret = annualize("AAA", values)
-        assert vol == pytest.approx(oracle_std(list(values)) * math.sqrt(252), rel=1e-12)
-        assert ret == pytest.approx(sum(values) / len(values) * 252, rel=1e-12)
+        prices = [100.0, 100.1, 99.9, 99.95, 100.26, 100.19]
+        rets = oracle_log_returns(prices)
+        vol, ret = features_of(prices)
+        assert vol == pytest.approx(oracle_std(rets) * math.sqrt(252), rel=1e-12)
+        assert ret == pytest.approx(sum(rets) / len(rets) * 252, rel=1e-12)
 
     def test_custom_trading_days(self):
-        values = (0.01, -0.01, 0.02)
-        vol, ret = annualize("AAA", values, trading_days=10)
-        assert vol == pytest.approx(oracle_std(list(values)) * math.sqrt(10), rel=1e-12)
-        assert ret == pytest.approx(sum(values) / 3 * 10, rel=1e-12)
+        prices = [10.0, 10.1, 10.0, 10.2]
+        rets = oracle_log_returns(prices)
+        vol, ret = features_of(prices, trading_days=10)
+        assert vol == pytest.approx(oracle_std(rets) * math.sqrt(10), rel=1e-12)
+        assert ret == pytest.approx(sum(rets) / 3 * 10, rel=1e-12)
 
     def test_volatility_non_negative(self):
-        vol, _ = annualize("AAA", (0.05, -0.03, 0.01))
+        vol, _ = features_of([20.0, 21.0, 20.4, 20.6])
         assert vol >= 0.0
 
     def test_needs_two_returns(self):
-        with pytest.raises(TooShort):
-            annualize("AAA", (0.01,))
+        # two closes give one return, too few for a sample std at any trading_days
+        with pytest.raises(TscnetError, match=short_series("AAA", 2)):
+            features_of([10.0, 10.1], trading_days=10)
 
 
 class TestBuildFeatureTable:
@@ -124,7 +143,7 @@ class TestBuildFeatureTable:
     def test_two_price_ticker_raises_too_short(self):
         # one return cannot produce a sample std; ingest drops such tickers
         closes = {"AAA": np.array([100.0, 101.0, 99.5]), "TWO": np.array([10.0, 10.5])}
-        with pytest.raises(TooShort, match="^TWO: need at least 2 returns, got 1$"):
+        with pytest.raises(TscnetError, match=short_series("TWO", 2)):
             build_feature_table(closes)
 
 
@@ -157,19 +176,20 @@ class TestLabelsCsv:
         path = tmp_path / "labels.csv"
         path.write_text(f"ticker,volatility,return,cluster\nAAA,0.5,-0.25,1\nBBB,0.1,0.2,{cluster}\n",
                         encoding="utf-8")
-        with pytest.raises(FormatError, match=rf"labels\.csv: cluster id {cluster} is not below"):
+        with pytest.raises(TscnetError, match=rf"labels\.csv: cluster id {cluster} is not below"):
             read_labels_csv(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text("a,b,c,d\nAAA,1,2,0\n", encoding="utf-8")
-        with pytest.raises(FormatError):
+        message = f"{path}: bad header 'a,b,c,d', expected 'ticker,volatility,return,cluster'"
+        with pytest.raises(TscnetError, match=f"^{re.escape(message)}$"):
             read_labels_csv(path)
 
     def test_bad_row(self, tmp_path):
         path = tmp_path / "labels.csv"
         path.write_text(",".join(LABELS_COLUMNS) + "\nAAA,1.0,2.0\n", encoding="utf-8")
-        with pytest.raises(FormatError):
+        with pytest.raises(TscnetError, match=f"^{re.escape(str(path))} line 2: expected 4 fields, got 3$"):
             read_labels_csv(path)
 
 

@@ -1,11 +1,12 @@
 """Price CSV ingestion tests."""
 
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
 
-from tscnet.errors import EmptyList, FormatError, NoData
+from tscnet.errors import NoData, TscnetError
 from tscnet.ingest import load_price_table, parse_ticker_list
 
 
@@ -36,7 +37,7 @@ class TestParseTickerList:
         assert parse_ticker_list("\nAAA,,\n ,BBB\n") == ["AAA", "BBB"]
 
     def test_empty_raises(self):
-        with pytest.raises(EmptyList):
+        with pytest.raises(TscnetError, match=r"^no ticker symbols found$"):
             parse_ticker_list("\n , ,\n")
 
 
@@ -57,18 +58,18 @@ class TestPriceSeries:
 
     def test_positive_closes(self, tmp_path):
         text = "ticker,date,adj_close\nAAA,2019-01-02,1.0\nAAA,2019-01-03,0.0\n"
-        with pytest.raises(FormatError, match=r"prices\.csv line 3: non-positive price 0\.0"):
+        with pytest.raises(TscnetError, match=r"prices\.csv line 3: non-positive price 0\.0$"):
             load_price_table(_write(tmp_path, text))
 
     @pytest.mark.parametrize("ticker", ["A,B", "A\nB", "A\rB", "A\x00B"])
     def test_ticker_must_fit_one_csv_field(self, tmp_path, ticker):
         text = f'ticker,date,adj_close\nAAA,2019-01-02,1.0\n"{ticker}",2019-01-02,1.0\n'
-        with pytest.raises(FormatError, match=r"prices\.csv line 3: ticker .* comma or a non-printable"):
+        with pytest.raises(TscnetError, match=r"prices\.csv line 3: ticker .* comma or a non-printable character$"):
             load_price_table(_write(tmp_path, text))
 
     def test_quoted_ticker_with_comma_rejected_on_load(self, tmp_path):
         path = _write(tmp_path, 'ticker,date,adj_close\n"A,B",2019-01-02,1.0\n"A,B",2019-01-03,2.0\n')
-        with pytest.raises(FormatError) as caught:
+        with pytest.raises(TscnetError) as caught:
             load_price_table(path)
         assert str(caught.value) == (
             f"{path} line 2: ticker 'A,B' holds a comma or a non-printable character"
@@ -76,11 +77,11 @@ class TestPriceSeries:
 
     def test_bad_ticker_rejected_even_when_filtered_out(self, tmp_path):
         text = GOOD_CSV + '"A,B",2019-01-02,1.0\n'
-        with pytest.raises(FormatError, match="line 8: ticker 'A,B'"):
+        with pytest.raises(TscnetError, match=r"prices\.csv line 8: ticker 'A,B'"):
             load_price_table(_write(tmp_path, text), tickers=["AAA"])
 
     def test_empty_ticker_names_line(self, tmp_path):
-        with pytest.raises(FormatError, match=r"prices\.csv line 2: empty ticker"):
+        with pytest.raises(TscnetError, match=r"prices\.csv line 2: empty ticker$"):
             load_price_table(_write(tmp_path, "ticker,date,adj_close\n ,2019-01-02,1.0\n"))
 
 
@@ -103,53 +104,71 @@ class TestLoadPriceTable:
         assert closes["AAA"].tolist() == [1.0, 2.0, 3.0]
 
     def test_bad_header(self, tmp_path):
-        with pytest.raises(FormatError, match="bad header"):
-            load_price_table(_write(tmp_path, "symbol,date,close\nAAA,2019-01-02,1.0\n"))
+        path = _write(tmp_path, "symbol,date,close\nAAA,2019-01-02,1.0\n")
+        message = f"{path}: bad header ['symbol', 'date', 'close'], expected ['ticker', 'date', 'adj_close']"
+        with pytest.raises(TscnetError, match=f"^{re.escape(message)}$"):
+            load_price_table(path)
 
     def test_empty_file(self, tmp_path):
-        with pytest.raises(FormatError, match="empty file"):
-            load_price_table(_write(tmp_path, ""))
+        path = _write(tmp_path, "")
+        with pytest.raises(TscnetError, match=f"^{re.escape(str(path))}: empty file$"):
+            load_price_table(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(FormatError, match="cannot open"):
-            load_price_table(tmp_path / "absent.csv")
+        path = tmp_path / "absent.csv"
+        with pytest.raises(TscnetError, match=f"^cannot open {re.escape(str(path))}: .*No such file"):
+            load_price_table(path)
 
     def test_bad_field_count(self, tmp_path):
-        with pytest.raises(FormatError, match="line 2"):
-            load_price_table(_write(tmp_path, "ticker,date,adj_close\nAAA,2019-01-02\n"))
+        path = _write(tmp_path, "ticker,date,adj_close\nAAA,2019-01-02\n")
+        with pytest.raises(TscnetError, match=f"^{re.escape(str(path))} line 2: expected 3 fields, got 2$"):
+            load_price_table(path)
 
     def test_bad_date(self, tmp_path):
-        with pytest.raises(FormatError, match="bad date"):
-            load_price_table(_write(tmp_path, "ticker,date,adj_close\nAAA,02/01/2019,1.0\n"))
+        path = _write(tmp_path, "ticker,date,adj_close\nAAA,02/01/2019,1.0\n")
+        with pytest.raises(TscnetError, match=f"^{re.escape(str(path))} line 2: bad date '02/01/2019': "):
+            load_price_table(path)
 
     def test_row_error_names_file(self, tmp_path):
         path = _write(tmp_path, "ticker,date,adj_close\nAAA,2019-01-02,1.0\nAAA,someday,2.0\n")
-        with pytest.raises(FormatError, match=r"prices\.csv line 3: bad date"):
+        with pytest.raises(TscnetError, match=r"prices\.csv line 3: bad date 'someday': "):
             load_price_table(path)
 
     def test_line_numbers_count_quoted_newlines(self, tmp_path):
         # the quoted price of line 2 runs on to line 3
         path = _write(tmp_path, 'ticker,date,adj_close\nAAA,2019-01-02,"1.0\n"\nAAA,2019-01-03,abc\n')
-        with pytest.raises(FormatError, match=r"prices\.csv line 4: bad price 'abc'"):
+        with pytest.raises(TscnetError, match=r"prices\.csv line 4: bad price 'abc'$"):
+            load_price_table(path)
+
+    def test_blank_line_skipped_and_counted(self, tmp_path):
+        # a blank line is no row, but it still moves the line numbers on
+        closes, warnings = load_price_table(_write(tmp_path, GOOD_CSV.replace("BBB,", "\nBBB,", 1)))
+        assert warnings == []
+        assert closes["AAA"].tolist() == [100.0, 101.5, 99.25]
+        assert closes["BBB"].tolist() == [50.0, 50.5, 50.25]
+        path = _write(tmp_path, "ticker,date,adj_close\nAAA,2019-01-02,1.0\n\n\nAAA,2019-01-03,abc\n")
+        with pytest.raises(TscnetError, match=f"^{re.escape(str(path))} line 5: bad price 'abc'$"):
             load_price_table(path)
 
     def test_oversized_field_is_format_error(self, tmp_path):
         path = _write(tmp_path, "ticker,date,adj_close\nAAA,2019-01-02,1.0\n" + "A" * 200_000 + ",2019-01-03,1\n")
-        with pytest.raises(FormatError, match=r"prices\.csv line 3: field larger than field limit"):
+        with pytest.raises(TscnetError, match=r"prices\.csv line 3: field larger than field limit"):
             load_price_table(path)
 
     def test_bad_price(self, tmp_path):
-        with pytest.raises(FormatError, match="bad price"):
-            load_price_table(_write(tmp_path, "ticker,date,adj_close\nAAA,2019-01-02,abc\n"))
+        path = _write(tmp_path, "ticker,date,adj_close\nAAA,2019-01-02,abc\n")
+        with pytest.raises(TscnetError, match=f"^{re.escape(str(path))} line 2: bad price 'abc'$"):
+            load_price_table(path)
 
     def test_non_positive_price(self, tmp_path):
-        with pytest.raises(FormatError, match="non-positive"):
-            load_price_table(_write(tmp_path, "ticker,date,adj_close\nAAA,2019-01-02,-4\n"))
+        path = _write(tmp_path, "ticker,date,adj_close\nAAA,2019-01-02,-4\n")
+        with pytest.raises(TscnetError, match=f"^{re.escape(str(path))} line 2: non-positive price -4.0$"):
+            load_price_table(path)
 
     @pytest.mark.parametrize("price", ["inf", "-inf", "nan", "1e999"])
     def test_non_finite_price(self, tmp_path, price):
         text = f"ticker,date,adj_close\nAAA,2019-01-02,1.0\nAAA,2019-01-03,{price}\n"
-        with pytest.raises(FormatError, match="line 3: non-finite price"):
+        with pytest.raises(TscnetError, match=rf"prices\.csv line 3: non-finite price '{price}'$"):
             load_price_table(_write(tmp_path, text))
 
     def test_duplicate_date_keeps_last(self, tmp_path):

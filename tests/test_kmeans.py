@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import make_blob_points
 from tscnet import kmeans
-from tscnet.errors import BadK, FormatError, NonFinitePoint, SingleCluster
+from tscnet.errors import TscnetError
 from tscnet.features import build_feature_table
 from tscnet.ingest import load_price_table
 from tscnet.kmeans import KMeansModel, kmeans_fit, relabel_by_return, select_k, silhouette
@@ -211,23 +211,23 @@ class TestKmeansFit:
 
     def test_bad_k(self):
         X = np.zeros((5, 2))
-        with pytest.raises(BadK):
+        with pytest.raises(TscnetError, match=r"^k=0 outside \[1, 5\]$"):
             kmeans_fit(X, 0, seed=7)
-        with pytest.raises(BadK):
+        with pytest.raises(TscnetError, match=r"^k=6 outside \[1, 5\]$"):
             kmeans_fit(X, 6, seed=7)
-        with pytest.raises(BadK):
+        with pytest.raises(TscnetError, match=r"^restarts must be >= 1, got 0$"):
             kmeans_fit(X, 2, seed=7, restarts=0)
-        with pytest.raises(BadK, match="non-empty"):
+        with pytest.raises(TscnetError, match=r"^expected a non-empty 2-D point array, got shape \(5, 0\)$"):
             kmeans_fit(np.zeros((5, 0)), 1, seed=7)
 
     def test_non_finite_points(self):
-        with pytest.raises(NonFinitePoint):
+        with pytest.raises(TscnetError, match=r"^points contain NaN or infinity$"):
             kmeans_fit(np.array([[0.0, np.nan], [1.0, 2.0]]), 1, seed=7)
 
     def test_k_above_distinct_points_rejected(self):
         # two distinct points, one of them also written with a -0.0
         X = np.array([[0.0, 1.0], [-0.0, 1.0], [2.0, 3.0], [0.0, 1.0], [2.0, 3.0]])
-        with pytest.raises(BadK, match=r"^k=3 is above the 2 distinct points$"):
+        with pytest.raises(TscnetError, match=r"^k=3 is above the 2 distinct points$"):
             kmeans_fit(X, 3, seed=7)
         assert kmeans_fit(X, 2, seed=7).wcss == 0.0
 
@@ -274,7 +274,7 @@ class TestSilhouette:
         assert silhouette(X, truth) > 0.8
 
     def test_single_cluster_rejected(self):
-        with pytest.raises(SingleCluster):
+        with pytest.raises(TscnetError, match=r"^silhouette needs at least 2 distinct labels$"):
             silhouette(np.zeros((4, 2)), [1, 1, 1, 1])
 
     def test_length_mismatch(self):
@@ -421,11 +421,11 @@ class TestSelectK:
 
     def test_preconditions(self):
         X, _ = make_blob_points(seed=9)  # 40 points
-        with pytest.raises(BadK):
+        with pytest.raises(TscnetError, match=r"^need 2 <= k_min <= k_max <= 39, got \[1, 5\]$"):
             select_k(X, 1, 5, seed=7)
-        with pytest.raises(BadK):
+        with pytest.raises(TscnetError, match=r"^need 2 <= k_min <= k_max <= 39, got \[5, 4\]$"):
             select_k(X, 5, 4, seed=7)
-        with pytest.raises(BadK):
+        with pytest.raises(TscnetError, match=r"^need 2 <= k_min <= k_max <= 3, got \[2, 4\]$"):
             select_k(np.zeros((4, 2)), 2, 4, seed=7)  # k_max > n - 1
 
 
@@ -459,7 +459,7 @@ class TestSweepCsv:
     def test_reject_garbage(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n", encoding="utf-8")
-        with pytest.raises(FormatError, match="bad header"):
+        with pytest.raises(TscnetError, match=r"bad\.csv: bad header 'a,b', expected 'k,silhouette'$"):
             read_csv(path, SWEEP_COLUMNS)
 
 

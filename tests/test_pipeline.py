@@ -3,6 +3,7 @@
 import datetime as dt
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,14 +14,7 @@ import tscnet
 from tscnet import autonet
 from tscnet.autonet import DenseNetwork, LayerSpec, TrainHistory, load_model
 from tscnet.autonet import count_parameters
-from tscnet.errors import (
-    BadConfig,
-    BadK,
-    EmptyDataset,
-    FormatError,
-    PipelineError,
-    ShapeMismatch,
-)
+from tscnet.errors import PipelineError, TscnetError
 from tscnet.ingest import load_price_table
 from tscnet.rng import Xorshift64Star
 from tscnet.pipeline import (
@@ -70,16 +64,16 @@ def blob_closes(tmp_path_factory):
 
 class TestRecords:
     def test_columns_must_align(self):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(TscnetError, match=r"^1 tickers vs features \(2, 2\), clusters \(1,\)$"):
             Records(("A",), np.zeros((2, 2)), np.zeros(1, dtype=np.int64))
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(TscnetError, match=r"^2 tickers vs features \(2, 2\), clusters \(3,\)$"):
             Records(("A", "B"), np.zeros((2, 2)), np.zeros(3, dtype=np.int64))
 
 class TestSplit:
     def test_fraction_bounds(self):
         split(make_records(4), 0.33, 7)
         for fraction in (0.0, 1.0, -0.2):
-            with pytest.raises(BadConfig):
+            with pytest.raises(TscnetError, match=rf"^test_fraction must be in \(0, 1\), got {fraction}$"):
                 split(make_records(4), fraction, 7)
 
     def test_seventy_at_third_gives_24_test(self):
@@ -114,9 +108,9 @@ class TestSplit:
         assert set(test_a.tickers) != set(test_b.tickers)
 
     def test_too_small(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(TscnetError, match=r"^need at least 2 records to split, got 1$"):
             split(make_records(1), 0.33, 7)
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(TscnetError, match=r"^need at least 2 records to split, got 0$"):
             split(make_records(0), 0.33, 7)
 
     @settings(deadline=None, max_examples=60)
@@ -199,12 +193,12 @@ class TestStage1:
 
     def test_k_exceeding_tickers_rejected(self, blob_closes):
         closes, _ = blob_closes
-        with pytest.raises(BadK):
+        with pytest.raises(TscnetError, match=r"^k=71 outside \[1, 70\]$"):
             stage1_label(closes, k=71, seed=7)
 
     def test_bogus_k_rejected(self, blob_closes):
         closes, _ = blob_closes
-        with pytest.raises(BadK):
+        with pytest.raises(TscnetError, match=r"^k must be an integer >= 2 or 'auto', got 'five'$"):
             stage1_label(closes, k="five", seed=7)
 
     def test_short_series_dropped_at_ingest(self, tmp_path):
@@ -249,11 +243,11 @@ class TestLabelAccuracy:
         assert label_accuracy([1, 2, 3, 0], [1, 2, 0, 0]) == 0.75
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(TscnetError, match=r"^no labels to compare$"):
             label_accuracy([], [])
 
     def test_length_mismatch(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(TscnetError, match=r"^label shapes differ: \(2,\) vs \(1,\)$"):
             label_accuracy([1, 2], [1])
 
     @settings(deadline=None, max_examples=40)
@@ -298,8 +292,14 @@ class TestEvaluate:
         assert report.predicted[0] == 1
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyDataset):
+        with pytest.raises(TscnetError, match=r"^no test records$"):
             evaluate(linear_net(0.0, 1.0, 0.0), make_records(0), num_clusters=4)
+
+    def test_network_with_two_outputs_rejected(self):
+        # a second output column is refused, not silently ignored
+        net = DenseNetwork([LayerSpec(2, 2, "sigmoid"), LayerSpec(2, 2, "linear")], np.zeros(12))
+        with pytest.raises(TscnetError, match=r"^label prediction expects a 1-wide output, got 2$"):
+            evaluate(net, make_records(8), num_clusters=4)
 
 
 class TestCsvWriters:
@@ -330,19 +330,20 @@ class TestCsvWriters:
     def test_loss_csv_rejects_garbage(self, tmp_path):
         path = tmp_path / "loss.csv"
         path.write_text("epoch,loss\none,0.5\n", encoding="utf-8")
-        with pytest.raises(FormatError, match="line 2"):
+        message = f"{path} line 2: invalid literal for int() with base 10: 'one'"
+        with pytest.raises(TscnetError, match=f"^{re.escape(message)}$"):
             read_csv(path, LOSS_COLUMNS)
 
     def test_loss_csv_rejects_extra_field(self, tmp_path):
         path = tmp_path / "loss.csv"
         path.write_text("epoch,loss\n1,0.5\n\n2,0.25,9\n", encoding="utf-8")
-        with pytest.raises(FormatError, match=r"loss\.csv line 4"):
+        with pytest.raises(TscnetError, match=r"loss\.csv line 4: expected 2 fields, got 3$"):
             read_csv(path, LOSS_COLUMNS)
 
     def test_loss_csv_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "loss.csv"
         path.write_text("loss,epoch\n0.5,1\n", encoding="utf-8")
-        with pytest.raises(FormatError, match="bad header"):
+        with pytest.raises(TscnetError, match=r"loss\.csv: bad header 'loss,epoch', expected 'epoch,loss'$"):
             read_csv(path, LOSS_COLUMNS)
 
 
@@ -388,35 +389,44 @@ class TestParseConfig:
         assert cfg.k == 5
 
     def test_missing_prices_path(self, tmp_path):
-        with pytest.raises(BadConfig):
+        with pytest.raises(TscnetError, match=r"run\.cfg: config is missing required key 'prices_path'$"):
             parse_config(self.write(tmp_path, "k = 3\n"))
 
     def test_unknown_key(self, tmp_path):
-        with pytest.raises(BadConfig):
+        with pytest.raises(TscnetError, match=r"run\.cfg: line 2: unknown key 'shoes'$"):
             parse_config(self.write(tmp_path, "prices_path = p.csv\nshoes = 2\n"))
 
     def test_duplicate_key(self, tmp_path):
-        with pytest.raises(BadConfig):
+        with pytest.raises(TscnetError, match=r"run\.cfg: line 3: duplicate key 'seed'$"):
             parse_config(self.write(tmp_path, "prices_path = p.csv\nseed = 1\nseed = 2\n"))
 
     def test_bad_values(self, tmp_path):
-        for line in ("seed = -1", "epochs = 0", "test_fraction = 1.5", "k = 0",
-                     "batch_size = none", "start_date = 2020/01/01", "k_min = 1",
-                     "test_fraction = half"):
-            with pytest.raises(BadConfig, match=r"run\.cfg: "):
-                parse_config(self.write(tmp_path, f"prices_path = p.csv\n{line}\n"))
+        for line, message in (
+            ("seed = -1", "seed must be >= 0, got -1"),
+            ("epochs = 0", "epochs and batch_size must be >= 1"),
+            ("test_fraction = 1.5", "test_fraction must be in (0, 1), got 1.5"),
+            ("k = 0", "k must be an integer >= 2 or 'auto', got 0"),
+            ("batch_size = none", "batch_size must be an integer, got 'none'"),
+            ("start_date = 2020/01/01", "start_date must be YYYY-MM-DD, got '2020/01/01'"),
+            ("k_min = 1", "need 2 <= k_min <= k_max, got [1, 10]"),
+            ("test_fraction = half", "test_fraction must be a number, got 'half'"),
+        ):
+            path = self.write(tmp_path, f"prices_path = p.csv\n{line}\n")
+            with pytest.raises(TscnetError, match=f"^{re.escape(f'{path}: {message}')}$"):
+                parse_config(path)
 
     def test_empty_value_rejected(self, tmp_path):
-        with pytest.raises(BadConfig, match=r"run\.cfg: line 2: empty value for 'seed'"):
+        with pytest.raises(TscnetError, match=r"run\.cfg: line 2: empty value for 'seed'$"):
             parse_config(self.write(tmp_path, "prices_path = p.csv\nseed =\n"))
 
     def test_line_without_separator_rejected(self, tmp_path):
-        with pytest.raises(BadConfig, match=r"run\.cfg: line 2: expected"):
+        with pytest.raises(TscnetError, match=r"run\.cfg: line 2: expected 'key = value', got 'just words'$"):
             parse_config(self.write(tmp_path, "prices_path = p.csv\njust words\n"))
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(BadConfig):
-            parse_config(tmp_path / "absent.cfg")
+        path = tmp_path / "absent.cfg"
+        with pytest.raises(TscnetError, match=f"^cannot read config {re.escape(str(path))}: .*No such file"):
+            parse_config(path)
 
     def test_tickers_path_resolved_relative(self, tmp_path):
         cfg = parse_config(self.write(
@@ -430,19 +440,19 @@ class TestPipelineConfigValidation:
 
     def test_rejects_bad_fields(self, tmp_path):
         base = dict(prices_path=tmp_path / "p.csv")
-        for kwargs in (
-            dict(k=0),
-            dict(k=1),
-            dict(k="sometimes"),
-            dict(k_min=1),
-            dict(k_min=9, k_max=3),
-            dict(seed=-1),
-            dict(epochs=0),
-            dict(batch_size=0),
-            dict(test_fraction=0.0),
-            dict(trading_days=0),
+        for kwargs, message in (
+            (dict(k=0), "k must be an integer >= 2 or 'auto', got 0"),
+            (dict(k=1), "k must be an integer >= 2 or 'auto', got 1"),
+            (dict(k="sometimes"), "k must be an integer >= 2 or 'auto', got 'sometimes'"),
+            (dict(k_min=1), "need 2 <= k_min <= k_max, got [1, 10]"),
+            (dict(k_min=9, k_max=3), "need 2 <= k_min <= k_max, got [9, 3]"),
+            (dict(seed=-1), "seed must be >= 0, got -1"),
+            (dict(epochs=0), "epochs and batch_size must be >= 1"),
+            (dict(batch_size=0), "epochs and batch_size must be >= 1"),
+            (dict(test_fraction=0.0), "test_fraction must be in (0, 1), got 0.0"),
+            (dict(trading_days=0), "trading_days must be >= 1, got 0"),
         ):
-            with pytest.raises(BadConfig):
+            with pytest.raises(TscnetError, match=f"^{re.escape(message)}$"):
                 PipelineConfig(**base, **kwargs)
 
 
@@ -573,7 +583,7 @@ class TestLoadTable:
     def test_non_utf8_ticker_file(self, tmp_path, blob_prices_csv):
         keep = tmp_path / "keep.txt"
         keep.write_bytes(b"T000\n\xff\xfe\n")
-        with pytest.raises(FormatError, match=r"keep\.txt: not UTF-8"):
+        with pytest.raises(TscnetError, match=r"keep\.txt: not UTF-8 text \(invalid start byte\)$"):
             load_table(blob_prices_csv, keep, None)
 
 

@@ -3,10 +3,11 @@
 Each example writes arbitrary bytes, or text shaped like the expected file,
 over one input: an artifact of a finished run bundle, the prices CSV or the
 run config. The artifact CSV readers must return rows whose floats are all
-finite or raise FormatError; the prices, model and config readers must
-return or raise a TscnetError. `report` (for the artifacts) or `run` (for
-prices and config) must then exit 0, or exit 1 with exactly one line on
-stderr; a NumPy warning would print a line of its own, so none may be raised.
+finite or raise a TscnetError that names the file; the prices, model and
+config readers must return or raise a TscnetError. `report` (for the
+artifacts) or `run` (for prices and config) must then exit 0, or exit 1
+with exactly one line on stderr; a NumPy warning would print a line of its
+own, so none may be raised.
 """
 
 import contextlib
@@ -22,7 +23,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import blob_targets, write_prices_csv
 from tscnet.autonet import MODEL_HEADER, load_model
 from tscnet.cli import main
-from tscnet.errors import FormatError, TscnetError
+from tscnet.errors import TscnetError
 from tscnet.ingest import PRICES_HEADER, load_price_table
 from tscnet.pipeline import (
     LABELS_COLUMNS,
@@ -102,7 +103,8 @@ def bundle(tmp_path_factory):
 def check_rows(reader, path):
     try:
         rows = reader(path)
-    except FormatError:
+    except TscnetError as exc:
+        assert str(exc).startswith(str(path))
         return
     assert rows
     for row in rows:

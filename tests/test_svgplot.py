@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from tscnet.errors import PlotRange
+from tscnet.errors import TscnetError
 from tscnet.svgplot import PALETTE, line_chart, scatter_chart
 
 
@@ -55,7 +55,7 @@ class TestLineChart:
             line_chart([1, 2], [1], "t", "x", "y")
 
     def test_span_past_float_range_rejected(self):
-        with pytest.raises(PlotRange):
+        with pytest.raises(TscnetError, match=r"^chart values span more than a float can hold$"):
             line_chart([1, 2], [1e308, -1e308], "t", "x", "y")
 
 
