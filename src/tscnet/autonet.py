@@ -194,8 +194,6 @@ def forward(net: DenseNetwork, batch) -> tuple[np.ndarray, list[np.ndarray]]:
     training loss check reject them.
     """
     X = np.asarray(batch, dtype=float)
-    if X.ndim == 1:
-        X = X.reshape(1, -1)
     if X.ndim != 2 or X.shape[1] != net.input_width:
         raise TscnetError(f"batch shape {X.shape} does not match input width {net.input_width}")
     if not np.all(np.isfinite(X)):
@@ -302,8 +300,6 @@ def train(
     """
     Xa = np.asarray(X, dtype=float)
     ya = np.asarray(y, dtype=float)
-    if Xa.ndim == 1:
-        Xa = Xa.reshape(-1, 1)
     if ya.ndim == 1:
         ya = ya.reshape(-1, 1)
     if len(Xa) == 0:
@@ -355,7 +351,7 @@ def round_labels(raw, num_clusters: int) -> np.ndarray:
     outputs raise TscnetError.
     """
     if num_clusters < 2:
-        raise ValueError(f"num_clusters must be >= 2, got {num_clusters}")
+        raise TscnetError(f"num_clusters must be >= 2, got {num_clusters}")
     if not np.all(np.isfinite(raw)):
         raise TscnetError("raw network outputs contain NaN or infinity")
     rounded = np.abs(np.rint(np.asarray(raw, dtype=float)))

@@ -6,24 +6,23 @@ distance-weighted probabilistic sampling (k-means++ style) from its own
 deterministic random stream, so restarts are order-independent and a fixed
 (seed, restarts) pair reproduces the fitted model bit for bit.
 
-Convergence: a restart stops when an assignment pass leaves every centroid
-unchanged (an exact Lloyd fixed point; recomputed means of an identical
-partition are bitwise identical). Once the largest centroid displacement
-falls below ``TOL`` the restart is treated as converged and given a short
-polish budget to reach the exact fixed point, which makes the fitted-model
-invariants (centroid == mean of members, every point nearest its centroid)
-hold exactly rather than within TOL. No restart runs more than ``MAX_ITER``
-assignment passes.
+Convergence: a restart runs until an exact Lloyd fixed point, an assignment
+pass that leaves every centroid unchanged (recomputed means of an identical
+partition are bitwise identical), so the fitted-model invariants (centroid ==
+mean of members, every point nearest its centroid) hold exactly. No restart
+runs more than ``MAX_ITER`` assignment passes; a final assignment makes the
+labels agree with the centroids a restart cut there ends with.
 
-Each Lloyd step works a dimension at a time. The assignment sums squared
-differences into one (k, n) buffer, dimension by dimension from left to
-right, which is the order ``np.sum`` takes over fewer than 8 dimensions; a
-running minimum over the centroids then keeps the first nearest one, as
-``argmin`` does. The update is ``np.bincount(labels, weights=X[:, j]) /
-counts`` per dimension: like ``X[labels == j].mean(axis=0)``, it adds each
-cluster's members in index order, one at a time, and divides by the count,
-so a centroid is the same float either way. k may not exceed the number of
-distinct points: a k above it leaves a cluster with no point to hold.
+Every squared distance, in the seeding, the assignment and the silhouette,
+comes from :func:`_sq_dists`, which sums squared differences one dimension
+at a time from left to right: the order ``np.sum`` takes over fewer than 8
+dimensions. The assignment keeps a running minimum over the centroids, so
+the first nearest one wins a tie, as with ``argmin``. The update is
+``np.bincount(labels, weights=X[:, j]) / counts`` per dimension: like
+``X[labels == j].mean(axis=0)``, it adds each cluster's members in index
+order, one at a time, and divides by the count, so a centroid is the same
+float either way. k may not exceed the number of distinct points: a k above
+it leaves a cluster with no point to hold.
 """
 
 from __future__ import annotations
@@ -37,19 +36,17 @@ from .rng import Xorshift64Star, derive_seed
 
 DEFAULT_RESTARTS = 10
 MAX_ITER = 300
-TOL = 1e-4
 
-_POLISH_BUDGET = 100  # extra iterations allowed to turn TOL-convergence into an exact fixed point
 _BLOCK_BYTES = 8 << 20  # size of each silhouette distance buffer
 
 
 @dataclass(frozen=True)
 class KMeansModel:
-    """A fitted k-means model. Treat as immutable.
+    """A fitted k-means model, or one restart of it. Treat as immutable.
 
-    ``wcss_history`` holds the winning restart's within-cluster sum of squares
-    after each (assign, update) pair; it is non-increasing up to float noise.
-    ``silhouette`` is None when k == 1 (undefined).
+    ``wcss_history`` holds the restart's within-cluster sum of squares after
+    each (assign, update) pair; it is non-increasing up to float noise.
+    ``silhouette`` is None when k == 1 (undefined) and for a single restart.
     """
 
     k: int
@@ -61,17 +58,28 @@ class KMeansModel:
     wcss_history: tuple[float, ...]
 
 
+def _sq_dists(rows: np.ndarray, cols: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``out[i, j]`` = squared distance from ``rows[i]`` to point ``cols[:, j]``.
+
+    ``rows`` is (m, d), ``cols`` is (d, n), and ``out`` and ``tmp`` are
+    (m, n) buffers. The squares are added one dimension at a time, left to
+    right.
+    """
+    np.subtract(rows[:, :1], cols[0], out=out)
+    np.multiply(out, out, out=out)
+    for j in range(1, len(cols)):
+        np.subtract(rows[:, j:j + 1], cols[j], out=tmp)
+        np.multiply(tmp, tmp, out=tmp)
+        np.add(out, tmp, out=out)
+    return out
+
+
 def _assign_all(cols: np.ndarray, centroids: np.ndarray, d2: np.ndarray, tmp: np.ndarray):
     """Labels plus each point's squared distance to its own centroid.
 
     ``cols`` is the points' transpose; ``d2`` and ``tmp`` are (k, n) buffers.
     """
-    np.subtract(cols[0], centroids[:, :1], out=d2)
-    np.multiply(d2, d2, out=d2)
-    for j in range(1, len(cols)):
-        np.subtract(cols[j], centroids[:, j:j + 1], out=tmp)
-        np.multiply(tmp, tmp, out=tmp)
-        np.add(d2, tmp, out=d2)
+    _sq_dists(centroids, cols, d2, tmp)
     # a running minimum over the centroids; the first nearest wins a tie, as with argmin
     labels = np.zeros(d2.shape[1], dtype=np.intp)
     own_d2 = d2[0].copy()
@@ -95,43 +103,34 @@ def _repair_empty(X, centroids, labels, own_d2, counts):
         counts[j] = 1
 
 
-def _kmeanspp_init(X: np.ndarray, k: int, rng: Xorshift64Star) -> np.ndarray:
-    n = len(X)
-    centroids = np.empty((k, X.shape[1]), dtype=float)
-    centroids[0] = X[rng.below(n)]
-    d2 = np.sum((X - centroids[0]) ** 2, axis=1)
+def _kmeanspp_init(cols: np.ndarray, k: int, rng: Xorshift64Star) -> np.ndarray:
+    """k seeds drawn from the points ``cols`` (d, n), each with probability
+    proportional to its squared distance to the nearest seed so far."""
+    n = cols.shape[1]
+    centroids = np.empty((k, len(cols)), dtype=float)
+    centroids[0] = cols[:, rng.below(n)]
+    new, tmp = np.empty((1, n)), np.empty((1, n))
+    d2 = _sq_dists(centroids[:1], cols, np.empty((1, n)), tmp)[0]
     for j in range(1, k):
         total = float(d2.sum())
         if total > 0.0:
             r = rng.random() * total
-            idx = int(np.searchsorted(np.cumsum(d2), r, side="right"))
-            idx = min(idx, n - 1)
+            idx = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
         else:
             # remaining points coincide with chosen centroids
             idx = rng.below(n)
-        centroids[j] = X[idx]
-        np.minimum(d2, np.sum((X - centroids[j]) ** 2, axis=1), out=d2)
+        centroids[j] = cols[:, idx]
+        np.minimum(d2, _sq_dists(centroids[j:j + 1], cols, new, tmp)[0], out=d2)
     return centroids
 
 
-@dataclass
-class _Restart:
-    centroids: np.ndarray
-    labels: np.ndarray
-    wcss: float
-    iterations: int
-    history: tuple[float, ...]
-
-
-def _lloyd(X: np.ndarray, k: int, rng: Xorshift64Star) -> _Restart:
-    centroids = _kmeanspp_init(X, k, rng)
+def _lloyd(X: np.ndarray, k: int, rng: Xorshift64Star) -> KMeansModel:
+    """One restart, seeded from ``rng``; its ``silhouette`` is None."""
     cols = X.T.copy()
+    centroids = _kmeanspp_init(cols, k, rng)
     d2, tmp = np.empty((k, len(X))), np.empty((k, len(X)))
     history = []
-    polish = None
-    iterations = 0
-    for _ in range(MAX_ITER):
-        iterations += 1
+    for iterations in range(1, MAX_ITER + 1):
         labels, own_d2 = _assign_all(cols, centroids, d2, tmp)
         counts = np.bincount(labels, minlength=k)
         _repair_empty(X, centroids, labels, own_d2, counts)
@@ -144,15 +143,11 @@ def _lloyd(X: np.ndarray, k: int, rng: Xorshift64Star) -> _Restart:
         centroids = new_centroids
         if shift == 0.0:
             break
-        if shift < TOL:
-            polish = _POLISH_BUDGET if polish is None else polish - 1
-            if polish == 0:
-                break
     # make labels consistent with the final centroids (no-op when the loop
     # ended on an exact fixed point)
     labels, own_d2 = _assign_all(cols, centroids, d2, tmp)
     _repair_empty(X, centroids, labels, own_d2, np.bincount(labels, minlength=k))
-    return _Restart(centroids, labels, float(own_d2.sum()), iterations, tuple(history))
+    return KMeansModel(k, centroids, labels, float(own_d2.sum()), None, iterations, tuple(history))
 
 
 def count_distinct(points) -> int:
@@ -163,17 +158,22 @@ def count_distinct(points) -> int:
     return min(len(X), 1) + int(np.count_nonzero(np.any(rows[1:] != rows[:-1], axis=1)))
 
 
+def _as_points(points) -> np.ndarray:
+    X = np.asarray(points, dtype=float)
+    if X.ndim != 2 or X.size == 0:
+        raise TscnetError(f"expected a non-empty 2-D point array, got shape {X.shape}")
+    if not np.all(np.isfinite(X)):
+        raise TscnetError("points contain NaN or infinity")
+    return X
+
+
 def kmeans_fit(points, k: int, seed: int = 7, restarts: int = DEFAULT_RESTARTS) -> KMeansModel:
     """Best-of-restarts Lloyd fit, ranked by lowest wcss.
 
     Deterministic for fixed (points, k, seed, restarts): restart r draws from
     its own stream derived from (seed, r), and ties keep the earliest restart.
     """
-    X = np.asarray(points, dtype=float)
-    if X.ndim != 2 or X.size == 0:
-        raise TscnetError(f"expected a non-empty 2-D point array, got shape {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise TscnetError("points contain NaN or infinity")
+    X = _as_points(points)
     n = len(X)
     if k < 1 or k > n:
         raise TscnetError(f"k={k} outside [1, {n}]")
@@ -183,23 +183,12 @@ def kmeans_fit(points, k: int, seed: int = 7, restarts: int = DEFAULT_RESTARTS) 
     if k > distinct:
         raise TscnetError(f"k={k} is above the {distinct} distinct points")
 
-    best: _Restart | None = None
+    best = None
     for r in range(restarts):
-        rng = Xorshift64Star(derive_seed(seed, r))
-        cand = _lloyd(X, k, rng)
+        cand = _lloyd(X, k, Xorshift64Star(derive_seed(seed, r)))
         if best is None or cand.wcss < best.wcss:
             best = cand
-
-    score = silhouette(X, best.labels) if k >= 2 else None
-    return KMeansModel(
-        k=k,
-        centroids=best.centroids,
-        assignments=best.labels,
-        wcss=best.wcss,
-        silhouette=score,
-        iterations_run=best.iterations,
-        wcss_history=best.history,
-    )
+    return replace(best, silhouette=silhouette(X, best.assignments)) if k >= 2 else best
 
 
 def silhouette(points, labels) -> float:
@@ -221,7 +210,7 @@ def silhouette(points, labels) -> float:
     X = np.asarray(points, dtype=float)
     lab = np.asarray(labels)
     if len(X) != len(lab):
-        raise ValueError(f"{len(X)} points vs {len(lab)} labels")
+        raise TscnetError(f"{len(X)} points vs {len(lab)} labels")
     _, own, sizes = np.unique(lab, return_inverse=True, return_counts=True)
     if len(sizes) < 2:
         raise TscnetError("silhouette needs at least 2 distinct labels")
@@ -239,13 +228,7 @@ def silhouette(points, labels) -> float:
         block = X[lo:lo + rows]
         r = len(block)
         D, T, S = dist[:r], tmp[:r], sums[:, :r]
-        # squared differences summed one dimension at a time, left to right
-        np.subtract(block[:, :1], cols[0], out=D)
-        np.multiply(D, D, out=D)
-        for j in range(1, len(cols)):
-            np.subtract(block[:, j:j + 1], cols[j], out=T)
-            np.multiply(T, T, out=T)
-            np.add(D, T, out=D)
+        _sq_dists(block, cols, D, T)
         np.sqrt(np.maximum(D, 0.0, out=D), out=D)
         for c, (start, stop) in enumerate(runs):
             np.sum(D[:, start:stop], axis=1, out=S[c])
@@ -267,19 +250,27 @@ def select_k(
     seed: int = 7,
     restarts: int = DEFAULT_RESTARTS,
 ) -> tuple[KMeansModel, list[tuple[int, float]]]:
-    """Fit every k in [k_min, k_max], return (best model, full (k, silhouette) table).
+    """Fit every k in [k_min, min(k_max, n-1, distinct points)], return
+    (best model, full (k, silhouette) table).
 
-    The best model maximizes silhouette; ties go to the smallest k. It is the
-    fit ``kmeans_fit(points, best.k, seed, restarts)`` returns, so callers
-    need not refit it.
+    ``k_max`` is clamped: a silhouette needs a cluster with two points, and
+    each cluster needs a distinct point. A ``k_min`` below 2 or above the
+    clamped top raises a TscnetError. The best model maximizes silhouette;
+    ties go to the smallest k. It is the fit ``kmeans_fit(points, best.k,
+    seed, restarts)`` returns, so callers need not refit it.
     """
-    n = len(points)
-    if not 2 <= k_min <= k_max <= n - 1:
-        raise TscnetError(f"need 2 <= k_min <= k_max <= {n - 1}, got [{k_min}, {k_max}]")
+    X = _as_points(points)
+    n, distinct = len(X), count_distinct(X)
+    top = min(k_max, n - 1, distinct)
+    if not 2 <= k_min <= top:
+        raise TscnetError(
+            f"need 2 <= k_min <= min(k_max, n-1, distinct points); "
+            f"got k_min={k_min}, k_max={k_max}, n={n}, {distinct} distinct points"
+        )
     table = []
     best = None
-    for k in range(k_min, k_max + 1):
-        model = kmeans_fit(points, k, seed=seed, restarts=restarts)
+    for k in range(k_min, top + 1):
+        model = kmeans_fit(X, k, seed=seed, restarts=restarts)
         table.append((k, model.silhouette))
         if best is None or model.silhouette > best.silhouette:
             best = model

@@ -137,22 +137,20 @@ def stage1_label(
     return Records(tickers, X, model.assignments.astype(np.int64)), model, sweep
 
 
+def _check_k(k) -> None:
+    """Refuse a k that is neither an integer >= 2 nor "auto": the
+    autoencoder's labels need at least 2 clusters."""
+    if k != AUTO and (not isinstance(k, int) or k < 2):
+        raise TscnetError(f"k must be an integer >= 2 or {AUTO!r}, got {k!r}")
+
+
 def _resolve_k(points, k, k_min, k_max, seed) -> tuple[kmeans.KMeansModel, list[tuple[int, float]] | None]:
     """(fitted model, sweep): a fixed k >= 2 is fitted once with no sweep;
     "auto" runs the silhouette sweep and keeps its best fit.
     """
+    _check_k(k)
     if k == AUTO:
-        n, distinct = len(points), kmeans.count_distinct(points)
-        hi = min(k_max, n - 1, distinct)
-        if k_min > hi:
-            raise TscnetError(
-                f"auto-k needs k_min <= min(k_max, n-1, distinct points); "
-                f"got k_min={k_min}, n={n}, {distinct} distinct points"
-            )
-        return kmeans.select_k(points, k_min, hi, seed=seed)
-    # the autoencoder's labels need at least 2 clusters
-    if not isinstance(k, int) or k < 2:
-        raise TscnetError(f"k must be an integer >= 2 or {AUTO!r}, got {k!r}")
+        return kmeans.select_k(points, k_min, k_max, seed=seed)
     return kmeans.kmeans_fit(points, k, seed=seed), None
 
 
@@ -167,6 +165,8 @@ def split(records: Records, test_fraction: float, seed: int) -> tuple[Records, R
     if n < 2:
         raise TscnetError(f"need at least 2 records to split, got {n}")
     test_size = math.ceil(test_fraction * n)
+    if test_size == n:
+        raise TscnetError(f"test_fraction {test_fraction} leaves no training record of {n}")
     idx = list(range(n))
     Xorshift64Star(seed).shuffle(idx)
     return records.take(idx[test_size:]), records.take(idx[:test_size])
@@ -186,8 +186,6 @@ def stage2_train(
     :func:`stage1_label` carry return-ordered ids; a labels file is taken
     with whatever numbering it has.
     """
-    if not len(train_records):
-        raise TscnetError("no training records")
     y = train_records.clusters.astype(float).reshape(-1, 1)
     net = autonet.build_autoencoder(2, autonet.ENCODER_WIDTHS, num_clusters, 1, seed=seed)
     history = autonet.train(net, train_records.features, y, epochs=epochs, batch_size=batch_size, seed=seed)
@@ -243,10 +241,7 @@ class PipelineConfig:
     trading_days: int = features.TRADING_DAYS
 
     def __post_init__(self):
-        if self.k != AUTO:
-            # the autoencoder's labels need at least 2 clusters
-            if not isinstance(self.k, int) or self.k < 2:
-                raise TscnetError(f"k must be an integer >= 2 or {AUTO!r}, got {self.k!r}")
+        _check_k(self.k)
         if not 2 <= self.k_min <= self.k_max:
             raise TscnetError(f"need 2 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
         if self.epochs < 1 or self.batch_size < 1:

@@ -38,9 +38,16 @@ PALETTE = (
 )
 
 
-def _nice_step(span: float, target_ticks: int = 5) -> float:
-    raw = span / max(target_ticks, 1)
-    power = math.floor(math.log10(raw)) if raw > 0 else 0
+# _pad_range draws a span as flat when it is under _NARROW times the values'
+# magnitude, taken as at least _TINY: a tick step that small would not move a
+# float of that size, and near the subnormals it would round to zero.
+_NARROW = 1e-9
+_TINY = 1e-290
+
+
+def _nice_step(span: float) -> float:
+    raw = span / 5  # about five ticks
+    power = math.floor(math.log10(raw))
     base = raw / (10.0**power)
     for mult in (1.0, 2.0, 5.0):
         if base <= mult:
@@ -49,8 +56,8 @@ def _nice_step(span: float, target_ticks: int = 5) -> float:
 
 
 def _ticks(lo: float, hi: float) -> list[float]:
-    if hi <= lo:
-        return [lo]
+    """Ticks a nice step apart across a range from :func:`_pad_range`, whose
+    span keeps the step well above the values' float spacing."""
     step = _nice_step(hi - lo)
     first = math.ceil(lo / step) * step
     ticks = []
@@ -62,11 +69,11 @@ def _ticks(lo: float, hi: float) -> list[float]:
 
 
 def _pad_range(lo: float, hi: float) -> tuple[float, float]:
-    if hi > lo:
+    if hi - lo > max(abs(lo), abs(hi), _TINY) * _NARROW:
         pad = (hi - lo) * 0.05
         return lo - pad, hi + pad
-    # degenerate span: synthesize one
-    pad = abs(lo) * 0.1 if lo != 0 else 1.0
+    # flat or nearly flat: synthesize a span around lo
+    pad = abs(lo) * 0.1 if abs(lo) >= _TINY else 1.0
     return lo - pad, lo + pad
 
 
@@ -151,7 +158,7 @@ def line_chart(xs, ys, title: str, x_label: str, y_label: str) -> str:
     xs = [float(v) for v in xs]
     ys = [float(v) for v in ys]
     if not xs or len(xs) != len(ys):
-        raise ValueError(f"need matching non-empty series, got {len(xs)} x {len(ys)}")
+        raise TscnetError(f"need matching non-empty series, got {len(xs)} x {len(ys)}")
     frame = _Frame(xs, ys)
     body = _axes(frame, title, x_label, y_label)
     coords = " ".join(f"{_fmt(frame.x(x))},{_fmt(frame.y(y))}" for x, y in zip(xs, ys))
@@ -173,9 +180,9 @@ def scatter_chart(points, title: str, x_label: str, y_label: str, num_clusters: 
     """
     pts = [(float(x), float(y), int(lab), bool(miss)) for x, y, lab, miss in points]
     if not pts:
-        raise ValueError("no points to plot")
+        raise TscnetError("no points to plot")
     if num_clusters < 1:
-        raise ValueError(f"num_clusters must be >= 1, got {num_clusters}")
+        raise TscnetError(f"num_clusters must be >= 1, got {num_clusters}")
     frame = _Frame([p[0] for p in pts], [p[1] for p in pts])
     body = _axes(frame, title, x_label, y_label)
     for x, y, lab, miss in pts:

@@ -308,6 +308,12 @@ class TestForward:
         with pytest.raises(TscnetError, match=r"^batch shape \(4, 3\) does not match input width 2$"):
             forward(net, np.zeros((4, 3)))
 
+    def test_one_dimensional_batch_rejected(self):
+        # a single sample is a (1, width) batch; a bare row is not reshaped
+        net = build_autoencoder(seed=7)
+        with pytest.raises(TscnetError, match=r"^batch shape \(2,\) does not match input width 2$"):
+            forward(net, np.zeros(2))
+
     def test_non_finite_rejected(self):
         net = build_autoencoder(seed=7)
         with pytest.raises(TscnetError, match=r"^batch contains NaN or infinity$"):
@@ -503,6 +509,14 @@ class TestTrain:
         with pytest.raises(TscnetError, match=r"^no training samples$"):
             train(net, np.zeros((0, 2)), np.zeros((0, 1)), epochs=1, batch_size=4, seed=7)
 
+    @pytest.mark.parametrize("batch_size", [4, 2])
+    def test_one_dimensional_inputs_rejected(self, batch_size):
+        # a 1-D y is one target per sample; a 1-D X is not reshaped into a column
+        net = build_autoencoder(2, (4,), 2, 1, seed=7)
+        # the full batch (4) and a minibatch (2) both reach forward's shape check
+        with pytest.raises(TscnetError, match=rf"^batch shape \({batch_size},\) does not match input width 2$"):
+            train(net, np.zeros(4), np.zeros(4), epochs=1, batch_size=batch_size, seed=7)
+
     def test_mismatched_lengths(self):
         net = build_autoencoder(seed=7)
         with pytest.raises(TscnetError, match=r"^3 inputs vs 2 targets$"):
@@ -616,7 +630,7 @@ class TestRoundLabels:
         assert list(round_labels(raw, 4)) == [0, 2, 0, 2, 3, 3, 0]
 
     def test_num_clusters_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TscnetError, match=r"^num_clusters must be >= 2, got 1$"):
             round_labels([0.1], 1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

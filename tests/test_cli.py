@@ -514,6 +514,14 @@ class TestRun:
         assert after == before
         assert not list(out_dir.glob(".*.tmp"))
 
+    def test_split_leaving_no_training_record(self, workdir, tmp_path, capsys):
+        # 70 tickers: ceil(0.99 * 70) = 70 go to the test set
+        config = write_config(tmp_path / "run.cfg", workdir["prices"], tmp_path / "out",
+                              test_fraction=0.99)
+        _, stderr = run_cli(capsys, ["run", str(config)], expect=1)
+        assert stderr == "error: [split] test_fraction 0.99 leaves no training record of 70\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config(self, tmp_path, capsys):
         _, stderr = run_cli(capsys, ["run", str(tmp_path / "absent.cfg")], expect=1)
         assert stderr.startswith("error:")
@@ -631,6 +639,20 @@ class TestReport:
         assert stderr.startswith("error: ") and where in stderr
         assert len(stderr.splitlines()) == 1
         assert not (run_dir / LOSS_SVG).exists()
+
+    @pytest.mark.parametrize("name, text", [
+        # a tenth of 5e-324 underflows to zero
+        (LOSS_CSV, "epoch,loss\n1,5e-324\n2,5e-324\n"),
+        # volatilities one float apart
+        (LABELS_CSV, "ticker,volatility,return,cluster\n"
+                     "AAA,0.1456654466814668,0.1,0\nBBB,0.14566544668146683,0.2,1\n"),
+    ])
+    def test_nearly_flat_values_still_chart(self, run_dir, capsys, name, text):
+        (run_dir / name).write_text(text, encoding="utf-8")
+        stdout, _ = run_cli(capsys, ["report", "--out-dir", str(run_dir)])
+        assert sum(1 for line in stdout.splitlines() if line.startswith("wrote ")) == 5
+        for chart in (LOSS_SVG, SCATTER_KMEANS_SVG):
+            ET.fromstring((run_dir / chart).read_text(encoding="utf-8"))
 
     def test_cluster_past_palette_in_labels(self, run_dir, capsys):
         labels = run_dir / LABELS_CSV

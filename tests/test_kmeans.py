@@ -95,10 +95,34 @@ def reference_repair_empty(X, centroids, labels, own_d2, k):
     return labels, own_d2
 
 
+# the stopping rule the reference keeps: once the centroids move less than
+# TOL, a restart had POLISH_BUDGET more passes to reach an exact fixed point
+TOL = 1e-4
+POLISH_BUDGET = 100
+
+
+def reference_kmeanspp_init(X, k, rng):
+    """k-means++ seeding with each point's squared distance from ``np.sum``."""
+    n = len(X)
+    centroids = np.empty((k, X.shape[1]), dtype=float)
+    centroids[0] = X[rng.below(n)]
+    d2 = np.sum((X - centroids[0]) ** 2, axis=1)
+    for j in range(1, k):
+        total = float(d2.sum())
+        if total > 0.0:
+            r = rng.random() * total
+            idx = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
+        else:
+            idx = rng.below(n)
+        centroids[j] = X[idx]
+        np.minimum(d2, np.sum((X - centroids[j]) ** 2, axis=1), out=d2)
+    return centroids
+
+
 def reference_lloyd(X, k, rng):
     """One restart as the (n, k, d) assignment and per-cluster mean loop ran it:
     (centroids, labels, wcss, iterations, history)."""
-    centroids = kmeans._kmeanspp_init(X, k, rng)
+    centroids = reference_kmeanspp_init(X, k, rng)
     history = []
     polish = None
     iterations = 0
@@ -115,8 +139,8 @@ def reference_lloyd(X, k, rng):
         centroids = new_centroids
         if shift == 0.0:
             break
-        if shift < kmeans.TOL:
-            polish = kmeans._POLISH_BUDGET if polish is None else polish - 1
+        if shift < TOL:
+            polish = POLISH_BUDGET if polish is None else polish - 1
             if polish == 0:
                 break
     labels, own_d2 = reference_assign_all(X, centroids)
@@ -278,7 +302,7 @@ class TestSilhouette:
             silhouette(np.zeros((4, 2)), [1, 1, 1, 1])
 
     def test_length_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TscnetError, match=r"^4 points vs 2 labels$"):
             silhouette(np.zeros((4, 2)), [0, 1])
 
     def test_all_singletons_scores_zero(self):
@@ -338,7 +362,10 @@ class TestSilhouetteMatchesReference:
 
 
 class TestLloydMatchesReference:
-    """Every restart of the per-dimension Lloyd equals the reference exactly."""
+    """Every restart of the per-dimension Lloyd equals the reference exactly,
+    which seeds with ``np.sum`` distances and stops by the former tolerance
+    and polish rule: on these inputs every restart reaches an exact fixed
+    point either way."""
 
     @staticmethod
     def check(X, k, seed, restarts=3):
@@ -348,10 +375,11 @@ class TestLloydMatchesReference:
             centroids, labels, wcss, iterations, history = reference_lloyd(
                 X, k, Xorshift64Star(derive_seed(seed, r)))
             assert np.all(got.centroids == centroids)
-            assert np.all(got.labels == labels)
+            assert np.all(got.assignments == labels)
             assert got.wcss == wcss
-            assert got.history == history
-            assert got.iterations == iterations
+            assert got.wcss_history == history
+            assert got.iterations_run == iterations
+            assert got.silhouette is None
 
     @pytest.mark.parametrize("seed", [1, 3, 5, 7, 11])
     def test_blobs_every_sweep_k(self, seed):
@@ -421,12 +449,25 @@ class TestSelectK:
 
     def test_preconditions(self):
         X, _ = make_blob_points(seed=9)  # 40 points
-        with pytest.raises(TscnetError, match=r"^need 2 <= k_min <= k_max <= 39, got \[1, 5\]$"):
+        with pytest.raises(TscnetError, match=(
+            r"^need 2 <= k_min <= min\(k_max, n-1, distinct points\); "
+            r"got k_min=1, k_max=5, n=40, 40 distinct points$"
+        )):
             select_k(X, 1, 5, seed=7)
-        with pytest.raises(TscnetError, match=r"^need 2 <= k_min <= k_max <= 39, got \[5, 4\]$"):
+        with pytest.raises(TscnetError, match=r"got k_min=5, k_max=4, n=40, 40 distinct points$"):
             select_k(X, 5, 4, seed=7)
-        with pytest.raises(TscnetError, match=r"^need 2 <= k_min <= k_max <= 3, got \[2, 4\]$"):
-            select_k(np.zeros((4, 2)), 2, 4, seed=7)  # k_max > n - 1
+        with pytest.raises(TscnetError, match=r"got k_min=2, k_max=4, n=4, 1 distinct points$"):
+            select_k(np.zeros((4, 2)), 2, 4, seed=7)
+        with pytest.raises(TscnetError, match=r"^expected a non-empty 2-D point array, got shape \(0,\)$"):
+            select_k([], 2, 4, seed=7)
+
+    def test_k_max_clamped(self):
+        # 4 points: k stops at n - 1 = 3; 5 points on 3 values: at 3 distinct points
+        _, table = select_k(np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), 2, 10, seed=7)
+        assert [k for k, _ in table] == [2, 3]
+        X = np.array([[0.0, 0.0], [0.0, 0.0], [5.0, 5.0], [5.0, 5.0], [9.0, 0.0]])
+        _, table = select_k(X, 2, 10, seed=7)
+        assert [k for k, _ in table] == [2, 3]
 
 
 class TestRelabel:

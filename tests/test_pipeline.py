@@ -113,6 +113,14 @@ class TestSplit:
         with pytest.raises(TscnetError, match=r"^need at least 2 records to split, got 0$"):
             split(make_records(0), 0.33, 7)
 
+    def test_no_training_record_left(self):
+        with pytest.raises(TscnetError, match=r"^test_fraction 0\.999 leaves no training record of 500$"):
+            split(make_records(500), 0.999, 7)
+        with pytest.raises(TscnetError, match=r"^test_fraction 0\.6 leaves no training record of 2$"):
+            split(make_records(2), 0.6, 7)
+        train_recs, _ = split(make_records(2), 0.5, 7)
+        assert len(train_recs) == 1
+
     @settings(deadline=None, max_examples=60)
     @given(
         st.integers(min_value=2, max_value=80),
@@ -121,6 +129,10 @@ class TestSplit:
     )
     def test_partition_property(self, n, fraction, seed):
         records = make_records(n)
+        if math.ceil(fraction * n) == n:
+            with pytest.raises(TscnetError, match=r"leaves no training record"):
+                split(records, fraction, seed)
+            return
         train_recs, test_recs = split(records, fraction, seed)
         assert len(test_recs) == math.ceil(fraction * n)
         assert sorted(train_recs.tickers + test_recs.tickers) == sorted(records.tickers)

@@ -1,8 +1,11 @@
 """Chart rendering tests: structure, determinism, and input validation."""
 
+import math
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tscnet.errors import TscnetError
 from tscnet.svgplot import PALETTE, line_chart, scatter_chart
@@ -10,6 +13,11 @@ from tscnet.svgplot import PALETTE, line_chart, scatter_chart
 
 def parse(svg: str) -> ET.Element:
     return ET.fromstring(svg)
+
+
+def count_ticks(svg: str) -> int:
+    """Tick labels on both axes: the 11-point text elements."""
+    return len(re.findall(r'<text [^>]*font-size="11"', svg))
 
 
 class TestLineChart:
@@ -47,12 +55,25 @@ class TestLineChart:
         assert "a &lt; b &amp; c" in svg
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TscnetError, match=r"^need matching non-empty series, got 0 x 0$"):
             line_chart([], [], "t", "x", "y")
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TscnetError, match=r"^need matching non-empty series, got 2 x 1$"):
             line_chart([1, 2], [1], "t", "x", "y")
+
+    @pytest.mark.parametrize("ys", [
+        # one float apart: a tick step of the span's size does not move a float this large
+        [0.1456654466814668, 0.14566544668146683],
+        [0.25, 0.25 + 5e-17],
+        # subnormal: a tenth of 5e-324 is 0, and so is 10.0 ** -324
+        [5e-324, 5e-324],
+        [0.0, 4.4e-323],
+    ])
+    def test_nearly_flat_series_drawn_flat(self, ys):
+        svg = line_chart([1, 2], ys, "t", "x", "y")
+        parse(svg)
+        assert count_ticks(svg) <= 2 * 7
 
     def test_span_past_float_range_rejected(self):
         with pytest.raises(TscnetError, match=r"^chart values span more than a float can hold$"):
@@ -102,11 +123,11 @@ class TestScatterChart:
         parse(svg)
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TscnetError, match=r"^no points to plot$"):
             scatter_chart([], "t", "x", "y", 2)
 
     def test_cluster_count_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TscnetError, match=r"^num_clusters must be >= 1, got 0$"):
             scatter_chart(self.POINTS, "t", "x", "y", 0)
 
     def test_legend_cycles_palette_past_ten_clusters(self):
@@ -117,3 +138,23 @@ class TestScatterChart:
         assert fills[7] == PALETTE[0]
         assert fills[-k:] == [PALETTE[c % len(PALETTE)] for c in range(k)]
         assert f">cluster {k - 1}</text>" in svg
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
+
+
+@settings(deadline=None, max_examples=200)
+@given(finite, finite, st.integers(min_value=0, max_value=60))
+def test_any_finite_values_give_a_bounded_chart(a, b, ulps):
+    # b, and a moved by a few floats, cover the near-flat spans as well as wide ones
+    near = a
+    for _ in range(ulps):
+        near = math.nextafter(near, math.inf)
+    for ys in ([a, b], [a, near]):
+        try:
+            svg = line_chart([0, 1], ys, "t", "x", "y")
+        except TscnetError as exc:
+            assert str(exc) == "chart values span more than a float can hold"
+            continue
+        parse(svg)
+        assert count_ticks(svg) <= 2 * 7
