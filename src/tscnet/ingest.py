@@ -8,6 +8,15 @@ anything downstream:
 * prices CSV: UTF-8, LF line endings, header exactly ``ticker,date,adj_close``,
   ISO-8601 dates, decimal prices
 * ticker list: plain text, one symbol per line or comma-separated
+
+A prices file is read in one pass. Each distinct date field is parsed once,
+and each distinct ticker field is stripped, checked and filtered once, on its
+first row. A kept row appends its date ordinal and its close to two typed
+columns of its ticker, 16 bytes a row; beyond that, memory holds one dict
+entry per distinct date field and ticker field. At the end each ticker's
+columns are put in date order: a ticker whose dates already rise is copied as
+it is, any other takes one stable sort by date and keeps the last row of each
+date, so the last occurrence in the file wins.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+from array import array
 
 import numpy as np
 
@@ -45,24 +55,6 @@ def parse_ticker_list(text: str) -> list[str]:
     return out
 
 
-def _parse_row(row: list[str], lineno: int) -> tuple[str, dt.date, float]:
-    if len(row) != 3:
-        raise TscnetError(f"line {lineno}: expected 3 fields, got {len(row)}")
-    try:
-        date = dt.date.fromisoformat(row[1].strip())
-    except ValueError as exc:
-        raise TscnetError(f"line {lineno}: bad date {row[1]!r}: {exc}") from exc
-    try:
-        close = float(row[2])
-    except ValueError as exc:
-        raise TscnetError(f"line {lineno}: bad price {row[2]!r}") from exc
-    if not math.isfinite(close):
-        raise TscnetError(f"line {lineno}: non-finite price {row[2]!r}")
-    if close <= 0:
-        raise TscnetError(f"line {lineno}: non-positive price {close}")
-    return row[0].strip(), date, close
-
-
 def _check_ticker(ticker: str, lineno: int) -> None:
     """A symbol must be printable and hold no comma, so it fits one field of
     the artifact CSVs."""
@@ -70,6 +62,31 @@ def _check_ticker(ticker: str, lineno: int) -> None:
         raise TscnetError(f"line {lineno}: empty ticker")
     if "," in ticker or not ticker.isprintable():
         raise TscnetError(f"line {lineno}: ticker {ticker!r} holds a comma or a non-printable character")
+
+
+def _ordinal(text: str, lineno: int, start_date: dt.date) -> int:
+    """A date field's ordinal, or -1 when it is before ``start_date``."""
+    try:
+        date = dt.date.fromisoformat(text.strip())
+    except ValueError as exc:
+        raise TscnetError(f"line {lineno}: bad date {text!r}: {exc}") from exc
+    return date.toordinal() if date >= start_date else -1
+
+
+def _in_date_order(days: array, prices: array) -> tuple[np.ndarray, bool]:
+    """One ticker's closes in date order, and whether a date repeated.
+
+    A stable sort keeps rows of one date in file order, so the last of each
+    run of equal dates is the date's last occurrence in the file.
+    """
+    d = np.frombuffer(days, dtype=np.int64)
+    p = np.frombuffer(prices, dtype=np.float64)
+    if (d[1:] > d[:-1]).all():
+        return p.copy(), False
+    order = np.argsort(d, kind="stable")
+    d = d[order]
+    last = np.append(d[1:] != d[:-1], True)
+    return p[order[last]], not last.all()
 
 
 def load_price_table(
@@ -88,10 +105,14 @@ def load_price_table(
     the warnings with a reason; when no ticker is left, NoData carries them.
     """
     wanted = set(tickers) if tickers is not None else None
-    # ticker -> {date: close}; dict preserves arrival order, last write wins
-    rows: dict[str, dict[dt.date, float]] = {}
-    dupes: set[str] = set()
-    filtered_out: dict[str, None] = {}
+    # date field as read -> ordinal, or -1 before start_date
+    ordinal_of: dict[str, int] = {}
+    # ticker field as read, and stripped symbol -> slot, or -1 when filtered out
+    slot_of: dict[str, int] = {}
+    symbol_slot: dict[str, int] = {}
+    # per slot, in file order: date ordinals and closes
+    days: list[array] = []
+    prices: list[array] = []
 
     try:
         fh = open(path, "r", encoding="utf-8", newline="")
@@ -114,42 +135,63 @@ def load_price_table(
                 lineno, end = end + 1, reader.line_num
                 if not row:
                     continue
-                ticker, date, close = _parse_row(row, lineno)
-                per = rows.get(ticker)
-                if per is None:
-                    if ticker in filtered_out:
-                        continue
-                    _check_ticker(ticker, lineno)
-                    if wanted is not None and ticker not in wanted:
-                        filtered_out[ticker] = None
-                        continue
-                    # register the ticker even if every row is filtered out, so
-                    # the exclusion warning below can name it
-                    per = rows[ticker] = {}
-                if date < start_date:
-                    continue
-                if date in per:
-                    dupes.add(ticker)
-                per[date] = close
+                try:
+                    field, date_text, price_text = row
+                except ValueError:
+                    raise TscnetError(f"line {lineno}: expected 3 fields, got {len(row)}") from None
+                day = ordinal_of.get(date_text)
+                if day is None:
+                    day = ordinal_of[date_text] = _ordinal(date_text, lineno, start_date)
+                try:
+                    close = float(price_text)
+                except ValueError as exc:
+                    raise TscnetError(f"line {lineno}: bad price {price_text!r}") from exc
+                if not 0 < close < math.inf:
+                    if not math.isfinite(close):
+                        raise TscnetError(f"line {lineno}: non-finite price {price_text!r}")
+                    raise TscnetError(f"line {lineno}: non-positive price {close}")
+                slot = slot_of.get(field)
+                if slot is None:
+                    symbol = field.strip()
+                    slot = symbol_slot.get(symbol)
+                    if slot is None:
+                        _check_ticker(symbol, lineno)
+                        slot = -1
+                        if wanted is None or symbol in wanted:
+                            # a slot even if every row is before start_date,
+                            # so the exclusion warning below can name it
+                            slot = len(days)
+                            days.append(array("q"))
+                            prices.append(array("d"))
+                        symbol_slot[symbol] = slot
+                    slot_of[field] = slot
+                if slot >= 0 and day >= 0:
+                    days[slot].append(day)
+                    prices[slot].append(close)
         except csv.Error as exc:
             raise TscnetError(f"{path} line {reader.line_num}: {exc}") from None
         except TscnetError as exc:
             raise TscnetError(f"{path} {exc}") from None
 
-    warnings = [f"{t}: excluded, not in ticker filter" for t in filtered_out]
-    for t in sorted(dupes):
-        warnings.append(f"{t}: duplicate (ticker, date) rows, kept last occurrence")
-
+    warnings = [f"{t}: excluded, not in ticker filter" for t, slot in symbol_slot.items() if slot < 0]
+    short = []
     closes: dict[str, np.ndarray] = {}
-    for ticker in sorted(rows):
-        per = rows[ticker]
-        if len(per) < MIN_ROWS:
-            warnings.append(f"{ticker}: excluded, fewer than {MIN_ROWS} usable rows")
+    for ticker, slot in sorted(symbol_slot.items()):
+        if slot < 0:
             continue
-        closes[ticker] = np.array([per[d] for d in sorted(per)], dtype=np.float64)
+        column, repeated = _in_date_order(days[slot], prices[slot])
+        # free the slot's columns as each ticker is done
+        days[slot] = prices[slot] = None
+        if repeated:
+            warnings.append(f"{ticker}: duplicate (ticker, date) rows, kept last occurrence")
+        if len(column) < MIN_ROWS:
+            short.append(f"{ticker}: excluded, fewer than {MIN_ROWS} usable rows")
+        else:
+            closes[ticker] = column
+    warnings += short
 
     if wanted is not None:
-        for t in sorted(wanted - set(rows)):
+        for t in sorted(wanted - symbol_slot.keys()):
             warnings.append(f"{t}: excluded, no rows in file")
     if not closes:
         raise NoData(f"{path}: no ticker with at least {MIN_ROWS} usable rows", warnings)

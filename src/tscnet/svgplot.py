@@ -12,7 +12,6 @@ plain substring count.
 from __future__ import annotations
 
 import math
-from xml.sax.saxutils import escape
 
 from .errors import TscnetError
 
@@ -55,9 +54,13 @@ def _nice_step(span: float) -> float:
     return 10.0 ** (power + 1)
 
 
-def _ticks(lo: float, hi: float) -> list[float]:
+def _ticks(lo: float, hi: float) -> list[tuple[float, str]]:
     """Ticks a nice step apart across a range from :func:`_pad_range`, whose
-    span keeps the step well above the values' float spacing."""
+    span keeps the step well above the values' float spacing, with labels.
+
+    A label has 6 significant digits, or as many more as it takes to tell
+    ticks one step apart at the magnitude of the largest tick.
+    """
     step = _nice_step(hi - lo)
     first = math.ceil(lo / step) * step
     ticks = []
@@ -65,7 +68,9 @@ def _ticks(lo: float, hi: float) -> list[float]:
     while t <= hi + step * 1e-9:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
         t += step
-    return ticks
+    top = max(abs(ticks[0]), abs(ticks[-1]), step)
+    digits = max(6, math.floor(math.log10(top)) - math.floor(math.log10(step)) + 1)
+    return [(t, f"{t:.{digits}g}") for t in ticks]
 
 
 def _pad_range(lo: float, hi: float) -> tuple[float, float]:
@@ -81,8 +86,9 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _fmt_tick(v: float) -> str:
-    return f"{v:.6g}"
+def _escape(text: str) -> str:
+    """Escape XML character data: ``&`` first, then ``>`` and ``<``."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 class _Frame:
@@ -110,36 +116,36 @@ class _Frame:
 def _axes(frame: _Frame, title: str, x_label: str, y_label: str) -> list[str]:
     parts = [
         f'<text x="{WIDTH / 2:.0f}" y="22" text-anchor="middle" font-size="15" '
-        f'font-family="sans-serif">{escape(title)}</text>',
+        f'font-family="sans-serif">{_escape(title)}</text>',
         f'<rect x="{frame.px_lo}" y="{frame.py_hi}" width="{frame.px_hi - frame.px_lo}" '
         f'height="{frame.py_lo - frame.py_hi}" fill="none" stroke="#444444"/>',
     ]
-    for t in _ticks(frame.x_lo, frame.x_hi):
+    for t, label in _ticks(frame.x_lo, frame.x_hi):
         px = frame.x(t)
         parts.append(
             f'<line x1="{_fmt(px)}" y1="{frame.py_lo}" x2="{_fmt(px)}" y2="{frame.py_lo + 5}" stroke="#444444"/>'
         )
         parts.append(
             f'<text x="{_fmt(px)}" y="{frame.py_lo + 18}" text-anchor="middle" font-size="11" '
-            f'font-family="sans-serif">{escape(_fmt_tick(t))}</text>'
+            f'font-family="sans-serif">{_escape(label)}</text>'
         )
-    for t in _ticks(frame.y_lo, frame.y_hi):
+    for t, label in _ticks(frame.y_lo, frame.y_hi):
         py = frame.y(t)
         parts.append(
             f'<line x1="{frame.px_lo - 5}" y1="{_fmt(py)}" x2="{frame.px_lo}" y2="{_fmt(py)}" stroke="#444444"/>'
         )
         parts.append(
             f'<text x="{frame.px_lo - 8}" y="{_fmt(py + 4)}" text-anchor="end" font-size="11" '
-            f'font-family="sans-serif">{escape(_fmt_tick(t))}</text>'
+            f'font-family="sans-serif">{_escape(label)}</text>'
         )
     parts.append(
         f'<text x="{(frame.px_lo + frame.px_hi) / 2:.0f}" y="{HEIGHT - 10}" text-anchor="middle" '
-        f'font-size="12" font-family="sans-serif">{escape(x_label)}</text>'
+        f'font-size="12" font-family="sans-serif">{_escape(x_label)}</text>'
     )
     parts.append(
         f'<text x="16" y="{(frame.py_lo + frame.py_hi) / 2:.0f}" text-anchor="middle" font-size="12" '
         f'font-family="sans-serif" transform="rotate(-90 16 {(frame.py_lo + frame.py_hi) / 2:.0f})">'
-        f"{escape(y_label)}</text>"
+        f"{_escape(y_label)}</text>"
     )
     return parts
 

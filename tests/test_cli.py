@@ -398,6 +398,17 @@ class TestClosedStdout:
         assert child.returncode == 1
 
 
+class TestColdStart:
+    def test_cli_import_loads_no_network_stack(self):
+        # pathlib itself imports urllib.parse, so the package urllib is always there
+        code = ("import sys, tscnet.cli; print(' '.join(sorted(m for m in sys.modules "
+                "if m == 'urllib.request' or m.split('.')[0] in ('http', 'ssl', 'socket', 'email'))))")
+        env = dict(os.environ, PYTHONPATH=str(Path(tscnet.__file__).parents[1]))
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env=env, timeout=120, check=True)
+        assert child.stdout.split() == []
+
+
 class TestEvaluate:
     def test_accuracy_and_misses(self, workdir, tmp_path, capsys):
         out = tmp_path / "evaluation.csv"

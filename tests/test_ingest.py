@@ -2,10 +2,12 @@
 
 import datetime as dt
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from conftest import write_prices_csv
 from tscnet.errors import NoData, TscnetError
 from tscnet.ingest import load_price_table, parse_ticker_list
 
@@ -256,3 +258,21 @@ class TestRoundTrip:
         assert warnings == []
         # distinct closes, so equal lists also pin the date order
         assert loaded["AAA"].tolist() == list(closes)
+
+
+class TestMemory:
+    def test_peak_per_row_is_bounded(self, tmp_path):
+        # 125 tickers of 1600 closes: 200,000 rows. A dict entry, a date and
+        # a float per row peaked near 100 bytes a row; two typed columns of
+        # 8 bytes each stay well under 48.
+        path = tmp_path / "prices.csv"
+        write_prices_csv(path, [(f"T{i:03d}", 0.2, 0.1) for i in range(125)], n_returns=1599)
+        tracemalloc.start()
+        try:
+            closes, warnings = load_price_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert warnings == []
+        assert sum(len(c) for c in closes.values()) == 200_000
+        assert peak / 200_000 < 48

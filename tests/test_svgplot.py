@@ -75,6 +75,15 @@ class TestLineChart:
         parse(svg)
         assert count_ticks(svg) <= 2 * 7
 
+    @pytest.mark.parametrize("top", [1.0 + 1e-8, 1.0 + 1e-7])
+    def test_tick_labels_tell_ticks_apart(self, top):
+        # six significant digits would label every tick of these spans "1"
+        svg = line_chart([1, 2], [1.0, top], "t", "x", "y")
+        labels = re.findall(r'<text [^>]*text-anchor="end"[^>]*>([^<]*)</text>', svg)
+        assert len(labels) >= 2
+        assert len(set(labels)) == len(labels)
+        assert [float(v) for v in labels] == sorted(float(v) for v in labels)
+
     def test_span_past_float_range_rejected(self):
         with pytest.raises(TscnetError, match=r"^chart values span more than a float can hold$"):
             line_chart([1, 2], [1e308, -1e308], "t", "x", "y")
