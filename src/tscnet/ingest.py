@@ -180,7 +180,8 @@ def load_price_table(
         if slot < 0:
             continue
         column, repeated = _in_date_order(days[slot], prices[slot])
-        # free the slot's columns as each ticker is done
+        # free each ticker's columns once done, so they and the output do
+        # not all live at once
         days[slot] = prices[slot] = None
         if repeated:
             warnings.append(f"{ticker}: duplicate (ticker, date) rows, kept last occurrence")

@@ -262,9 +262,8 @@ class TestRoundTrip:
 
 class TestMemory:
     def test_peak_per_row_is_bounded(self, tmp_path):
-        # 125 tickers of 1600 closes: 200,000 rows. A dict entry, a date and
-        # a float per row peaked near 100 bytes a row; two typed columns of
-        # 8 bytes each stay well under 48.
+        # 125 tickers of 1600 closes: 200,000 rows. The loader keeps 16 bytes
+        # a row in its columns, the output 8; the rest of the bound is slack.
         path = tmp_path / "prices.csv"
         write_prices_csv(path, [(f"T{i:03d}", 0.2, 0.1) for i in range(125)], n_returns=1599)
         tracemalloc.start()
