@@ -10,13 +10,12 @@ anything downstream:
 * ticker list: plain text, one symbol per line or comma-separated
 
 A prices file is read in one pass. Each distinct date field is parsed once,
-and each distinct ticker field is stripped, checked and filtered once, on its
-first row. A kept row appends its date ordinal and its close to two typed
+and each distinct ticker symbol is checked and filtered once, on its first
+row. A kept row appends its date ordinal and its close to two typed
 columns of its ticker, 16 bytes a row; beyond that, memory holds one dict
-entry per distinct date field and ticker field. At the end each ticker's
-columns are put in date order: a ticker whose dates already rise is copied as
-it is, any other takes one stable sort by date and keeps the last row of each
-date, so the last occurrence in the file wins.
+entry per distinct date field and ticker symbol. At the end each ticker's
+columns are put in date order by one stable sort by date, which keeps the last
+row of each date, so the last occurrence in the file wins.
 """
 
 from __future__ import annotations
@@ -81,11 +80,10 @@ def _in_date_order(days: array, prices: array) -> tuple[np.ndarray, bool]:
     """
     d = np.frombuffer(days, dtype=np.int64)
     p = np.frombuffer(prices, dtype=np.float64)
-    if (d[1:] > d[:-1]).all():
-        return p.copy(), False
     order = np.argsort(d, kind="stable")
     d = d[order]
-    last = np.append(d[1:] != d[:-1], True)
+    last = np.ones(len(d), dtype=bool)
+    last[:-1] = d[1:] != d[:-1]
     return p[order[last]], not last.all()
 
 
@@ -107,9 +105,8 @@ def load_price_table(
     wanted = set(tickers) if tickers is not None else None
     # date field as read -> ordinal, or -1 before start_date
     ordinal_of: dict[str, int] = {}
-    # ticker field as read, and stripped symbol -> slot, or -1 when filtered out
+    # stripped ticker symbol -> slot, or -1 when filtered out
     slot_of: dict[str, int] = {}
-    symbol_slot: dict[str, int] = {}
     # per slot, in file order: date ordinals and closes
     days: list[array] = []
     prices: list[array] = []
@@ -150,21 +147,18 @@ def load_price_table(
                     if not math.isfinite(close):
                         raise TscnetError(f"line {lineno}: non-finite price {price_text!r}")
                     raise TscnetError(f"line {lineno}: non-positive price {close}")
-                slot = slot_of.get(field)
+                symbol = field.strip()
+                slot = slot_of.get(symbol)
                 if slot is None:
-                    symbol = field.strip()
-                    slot = symbol_slot.get(symbol)
-                    if slot is None:
-                        _check_ticker(symbol, lineno)
-                        slot = -1
-                        if wanted is None or symbol in wanted:
-                            # a slot even if every row is before start_date,
-                            # so the exclusion warning below can name it
-                            slot = len(days)
-                            days.append(array("q"))
-                            prices.append(array("d"))
-                        symbol_slot[symbol] = slot
-                    slot_of[field] = slot
+                    _check_ticker(symbol, lineno)
+                    slot = -1
+                    if wanted is None or symbol in wanted:
+                        # a slot even if every row is before start_date, so
+                        # the exclusion warning below can name it
+                        slot = len(days)
+                        days.append(array("q"))
+                        prices.append(array("d"))
+                    slot_of[symbol] = slot
                 if slot >= 0 and day >= 0:
                     days[slot].append(day)
                     prices[slot].append(close)
@@ -173,10 +167,10 @@ def load_price_table(
         except TscnetError as exc:
             raise TscnetError(f"{path} {exc}") from None
 
-    warnings = [f"{t}: excluded, not in ticker filter" for t, slot in symbol_slot.items() if slot < 0]
+    warnings = [f"{t}: excluded, not in ticker filter" for t, slot in slot_of.items() if slot < 0]
     short = []
     closes: dict[str, np.ndarray] = {}
-    for ticker, slot in sorted(symbol_slot.items()):
+    for ticker, slot in sorted(slot_of.items()):
         if slot < 0:
             continue
         column, repeated = _in_date_order(days[slot], prices[slot])
@@ -192,7 +186,7 @@ def load_price_table(
     warnings += short
 
     if wanted is not None:
-        for t in sorted(wanted - symbol_slot.keys()):
+        for t in sorted(wanted - slot_of.keys()):
             warnings.append(f"{t}: excluded, no rows in file")
     if not closes:
         raise NoData(f"{path}: no ticker with at least {MIN_ROWS} usable rows", warnings)
