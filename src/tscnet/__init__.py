@@ -4,64 +4,63 @@ Stage I derives annualized ⟨volatility, return⟩ features from daily closing
 prices and labels them with k-means (silhouette-selected k). Stage II trains
 a from-scratch dense autoencoder to predict those cluster labels and scores
 it on held-out records.
+
+Importing the package loads no stage: each name in ``__all__``, and each
+submodule (``tscnet.ingest``, ``tscnet.pipeline``, ...), is imported on first
+access (PEP 562). So ``python -m tscnet --help`` starts without NumPy.
 """
 
-from .autonet import (
-    DenseNetwork,
-    TrainHistory,
-    build_autoencoder,
-    count_parameters,
-    forward,
-    load_model,
-    mse_loss,
-    predict_labels,
-    save_model,
-    train,
-)
-from .errors import TscnetError
-from .features import build_feature_table
-from .ingest import load_price_table
-from .kmeans import KMeansModel, kmeans_fit, select_k, silhouette
-from .pipeline import (
-    EvaluationReport,
-    PipelineConfig,
-    Records,
-    evaluate,
-    parse_config,
-    run_pipeline,
-    split,
-    stage1_label,
-    stage2_train,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DenseNetwork",
-    "EvaluationReport",
-    "KMeansModel",
-    "PipelineConfig",
-    "Records",
-    "TrainHistory",
-    "TscnetError",
-    "build_autoencoder",
-    "build_feature_table",
-    "count_parameters",
-    "evaluate",
-    "forward",
-    "kmeans_fit",
-    "load_model",
-    "load_price_table",
-    "mse_loss",
-    "parse_config",
-    "predict_labels",
-    "run_pipeline",
-    "save_model",
-    "select_k",
-    "silhouette",
-    "split",
-    "stage1_label",
-    "stage2_train",
-    "train",
-    "__version__",
-]
+# the module that defines each public name
+_HOMES = {
+    "DenseNetwork": "autonet",
+    "EvaluationReport": "pipeline",
+    "KMeansModel": "kmeans",
+    "PipelineConfig": "pipeline",
+    "Records": "pipeline",
+    "TrainHistory": "autonet",
+    "TscnetError": "errors",
+    "build_autoencoder": "autonet",
+    "build_feature_table": "features",
+    "count_parameters": "autonet",
+    "evaluate": "pipeline",
+    "forward": "autonet",
+    "kmeans_fit": "kmeans",
+    "load_model": "autonet",
+    "load_price_table": "ingest",
+    "mse_loss": "autonet",
+    "parse_config": "pipeline",
+    "predict_labels": "autonet",
+    "run_pipeline": "pipeline",
+    "save_model": "autonet",
+    "select_k": "kmeans",
+    "silhouette": "kmeans",
+    "split": "pipeline",
+    "stage1_label": "pipeline",
+    "stage2_train": "pipeline",
+    "train": "autonet",
+}
+
+_SUBMODULES = frozenset(
+    ("autonet", "cli", "defaults", "errors", "features", "ingest", "kmeans", "pipeline", "rng", "svgplot")
+)
+
+__all__ = [*_HOMES, "__version__"]
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        # the import binds the submodule on the package, so this runs once per name
+        return importlib.import_module(f"{__name__}.{name}")
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

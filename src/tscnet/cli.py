@@ -5,6 +5,10 @@ Exit codes: 0 on success, 1 on data or runtime errors (message on stderr),
 the reader has gone, so there is no one to report to. The warnings of
 ingest go to stderr before the error line when no ticker of a prices file
 is usable or when a later stage of `run` fails.
+
+Building the parser loads no stage module, so `--help` and usage errors start
+without NumPy; each verb imports the modules it uses, as modules, so every
+call goes through a module attribute.
 """
 
 from __future__ import annotations
@@ -14,9 +18,13 @@ import contextlib
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import autonet, features, kmeans, pipeline, svgplot
+from .defaults import AUTO, TRADING_DAYS
 from .errors import TscnetError
+
+if TYPE_CHECKING:
+    from . import autonet, kmeans
 
 K_SWEEP_SVG = "k_sweep.svg"
 LOSS_SVG = "loss.svg"
@@ -46,8 +54,8 @@ def _seed(text: str) -> int:
 
 
 def _k_value(text: str):
-    if text.lower() == pipeline.AUTO:
-        return pipeline.AUTO
+    if text.lower() == AUTO:
+        return AUTO
     return _positive_int(text)
 
 
@@ -67,7 +75,7 @@ def _add_ingest_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--trading-days",
         type=_positive_int,
-        default=features.TRADING_DAYS,
+        default=TRADING_DAYS,
         help="annualization factor (default %(default)s)",
     )
 
@@ -85,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("label", help="compute features, fit k-means, write return-ordered labels")
     _add_ingest_flags(p)
-    p.add_argument("--k", type=_k_value, default=pipeline.AUTO, help="cluster count or 'auto' (default)")
+    p.add_argument("--k", type=_k_value, default=AUTO, help="cluster count or 'auto' (default)")
     p.add_argument("--k-min", type=_positive_int, default=2, help="sweep lower bound for auto k")
     p.add_argument("--k-max", type=_positive_int, default=10, help="sweep upper bound for auto k")
     _add_seed_flag(p)
@@ -127,6 +135,8 @@ def _warn(messages) -> None:
 def _load_model(path: Path) -> tuple[autonet.DenseNetwork, int]:
     """The model at ``path`` and its cluster count: the width of its one
     sigmoid (latent) layer. It must map the 2 features to 1 output."""
+    from . import autonet
+
     net = autonet.load_model(path)
     ends = (net.input_width, net.specs[-1].output_width)
     if ends != (2, 1):
@@ -144,6 +154,8 @@ def _stage1(args: argparse.Namespace, k: int | str):
 
     Warnings from loading go to stderr before Stage 1 runs.
     """
+    from . import pipeline
+
     closes, warns = pipeline.load_table(args.prices, args.tickers, args.start_date)
     _warn(warns)
     return pipeline.stage1_label(
@@ -161,6 +173,8 @@ def _k_line(model: kmeans.KMeansModel) -> str:
 
 
 def cmd_label(args: argparse.Namespace) -> int:
+    from . import pipeline
+
     records, model, _ = _stage1(args, args.k)
     pipeline.write_files(args.out.parent, {args.out.name: pipeline.labels_csv(records)})
     print(_k_line(model))
@@ -168,7 +182,9 @@ def cmd_label(args: argparse.Namespace) -> int:
 
 
 def cmd_select_k(args: argparse.Namespace) -> int:
-    _, best, sweep = _stage1(args, pipeline.AUTO)
+    from . import pipeline
+
+    _, best, sweep = _stage1(args, AUTO)
     for k, score in sweep:
         print(f"k={k} silhouette={score:.12g}")
     print(f"best k={best.k}")
@@ -178,6 +194,8 @@ def cmd_select_k(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from . import autonet, pipeline
+
     records = pipeline.read_labels_csv(args.labels)
     num_clusters = int(records.clusters.max()) + 1
     if num_clusters < 2:
@@ -204,6 +222,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import pipeline
+
     net, num_clusters = _load_model(args.model)
     records = pipeline.read_labels_csv(args.labels)
     report = pipeline.evaluate(net, records, num_clusters)
@@ -220,6 +240,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from . import pipeline
+
     config = pipeline.parse_config(args.config)
     result = pipeline.run_pipeline(config)
     _warn(result.warnings)
@@ -244,6 +266,8 @@ def _charting(source: Path):
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from . import autonet, pipeline, svgplot
+
     out: Path = args.out_dir
     labels_path = out / pipeline.LABELS_CSV
     model_path = out / pipeline.MODEL_FILE

@@ -21,10 +21,9 @@ import math
 
 import numpy as np
 
+from .defaults import TRADING_DAYS
 from .errors import TscnetError
 from .ingest import MIN_ROWS
-
-TRADING_DAYS = 252
 
 
 def build_feature_table(

@@ -26,10 +26,9 @@ from pathlib import Path
 import numpy as np
 
 from . import autonet, features, ingest, kmeans, svgplot
+from .defaults import AUTO
 from .errors import PipelineError, TscnetError, reading_utf8
 from .rng import Xorshift64Star
-
-AUTO = "auto"
 
 LABELS_CSV = "labels.csv"
 MODEL_FILE = "model.tscnet"

@@ -408,6 +408,28 @@ class TestColdStart:
                                env=env, timeout=120, check=True)
         assert child.stdout.split() == []
 
+    @staticmethod
+    def child_imports(args):
+        """Exit code of a child interpreter given ``args``, and every module it imported."""
+        env = dict(os.environ, PYTHONPATH=str(Path(tscnet.__file__).parents[1]))
+        child = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                               text=True, env=env, timeout=120)
+        # each import prints "import time: self | cumulative | name" to stderr
+        return child.returncode, {line.split("|")[-1].strip() for line in child.stderr.splitlines()
+                                  if line.startswith("import time:")}
+
+    @pytest.mark.parametrize("args, code", [
+        (["-m", "tscnet", "--help"], 0),
+        (["-m", "tscnet"], 2),
+        (["-m", "tscnet", "label", "--k", "x"], 2),
+        (["-c", "import tscnet"], 0),
+    ], ids=["help", "no-verb", "usage-error", "import"])
+    def test_starts_without_numpy(self, args, code):
+        exit_code, modules = self.child_imports(args)
+        assert exit_code == code
+        assert "tscnet" in modules
+        assert {"numpy", "tscnet.pipeline"} & modules == set()
+
 
 class TestEvaluate:
     def test_accuracy_and_misses(self, workdir, tmp_path, capsys):
