@@ -44,23 +44,27 @@ _HOMES = {
     "train": "autonet",
 }
 
-_SUBMODULES = frozenset(
-    ("autonet", "cli", "defaults", "errors", "features", "ingest", "kmeans", "pipeline", "rng", "svgplot")
-)
-
 __all__ = [*_HOMES, "__version__"]
 
 
 def __getattr__(name):
-    if name in _SUBMODULES:
-        # the import binds the submodule on the package, so this runs once per name
-        return importlib.import_module(f"{__name__}.{name}")
-    if name not in _HOMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
-    globals()[name] = value
-    return value
+    if name in _HOMES:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"), name)
+        globals()[name] = value
+        return value
+    # a submodule; the import binds it on the package, so this runs once per name.
+    # Underscore names are never tried: importing __main__ would run the CLI.
+    if not name.startswith("_"):
+        try:
+            return importlib.import_module(f"{__name__}.{name}")
+        except ModuleNotFoundError as err:
+            if err.name != f"{__name__}.{name}":
+                raise
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__) | _SUBMODULES)
+    import pkgutil
+
+    submodules = {info.name for info in pkgutil.iter_modules(__path__) if not info.name.startswith("_")}
+    return sorted(set(globals()) | set(__all__) | submodules)

@@ -18,13 +18,9 @@ import contextlib
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .defaults import AUTO, TRADING_DAYS
 from .errors import TscnetError
-
-if TYPE_CHECKING:
-    from . import autonet, kmeans
 
 K_SWEEP_SVG = "k_sweep.svg"
 LOSS_SVG = "loss.svg"

@@ -408,6 +408,16 @@ class TestColdStart:
                                env=env, timeout=120, check=True)
         assert child.stdout.split() == []
 
+    def test_stage_imports_load_no_network_stack(self):
+        # tscnet.cli alone loads no stage; pipeline imports every stage, svgplot included
+        code = ("import sys, tscnet.cli, tscnet.pipeline; assert 'tscnet.svgplot' in sys.modules; "
+                "print(' '.join(sorted(m for m in sys.modules "
+                "if m == 'urllib.request' or m.split('.')[0] in ('http', 'ssl', 'socket', 'email'))))")
+        env = dict(os.environ, PYTHONPATH=str(Path(tscnet.__file__).parents[1]))
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env=env, timeout=120, check=True)
+        assert child.stdout.split() == []
+
     @staticmethod
     def child_imports(args):
         """Exit code of a child interpreter given ``args``, and every module it imported."""

@@ -1,6 +1,7 @@
 """The package's public surface: names load on first access, from their home modules."""
 
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,12 @@ import pytest
 
 import tscnet
 
-SUBMODULES = ("autonet", "cli", "defaults", "errors", "features", "ingest", "kmeans", "pipeline", "rng", "svgplot")
+SUBMODULES = tuple(sorted(info.name for info in pkgutil.iter_modules(tscnet.__path__)
+                          if not info.name.startswith("_")))
+
+
+def test_submodule_listing_finds_the_stages():
+    assert {"cli", "ingest", "kmeans", "autonet", "pipeline", "svgplot"} <= set(SUBMODULES)
 
 
 @pytest.mark.parametrize("name", [name for name in tscnet.__all__ if name != "__version__"])
@@ -47,3 +53,10 @@ def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         tscnet.no_such_name
     assert not hasattr(tscnet, "no_such_name")
+
+
+def test_underscore_names_are_not_imported():
+    # tscnet.__main__ would run the CLI if the lookup imported it
+    with pytest.raises(AttributeError, match="__main__"):
+        tscnet.__main__
+    assert "tscnet.__main__" not in sys.modules
