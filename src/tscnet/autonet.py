@@ -40,7 +40,7 @@ ACTIVATIONS = ("relu", "sigmoid", "linear")
 # the paper's encoder; the decoder mirrors it
 ENCODER_WIDTHS = (100, 50, 20)
 
-DEFAULT_LR = 0.001
+LR = 0.001
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
@@ -241,17 +241,16 @@ def backward(net: DenseNetwork, acts: list[np.ndarray], target) -> np.ndarray:
 class AdamState:
     """First/second-moment vectors plus the step counter for Adam."""
 
-    def __init__(self, size: int, lr: float = DEFAULT_LR):
+    def __init__(self, size: int):
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
-        self.lr = lr
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update, applied to ``theta`` in place.
 
-    theta <- theta - lr * m_hat / (sqrt(v_hat) + eps).
+    theta <- theta - LR * m_hat / (sqrt(v_hat) + eps).
     """
     if theta.shape != grad.shape or theta.shape != state.m.shape:
         raise TscnetError(f"theta {theta.shape}, grad {grad.shape} and state {state.m.shape} differ")
@@ -263,7 +262,7 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     m += (1.0 - BETA1) * grad
     v *= BETA2
     v += (1.0 - BETA2) * (grad * grad)
-    theta -= state.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+    theta -= LR * (m / c1) / (np.sqrt(v / c2) + EPS)
 
 
 @dataclass(frozen=True)
@@ -283,7 +282,6 @@ def train(
     epochs: int = 1000,
     batch_size: int = 1024,
     seed: int = 7,
-    lr: float = DEFAULT_LR,
 ) -> TrainHistory:
     """Minibatch Adam training; mutates ``net`` and returns the loss history.
 
@@ -312,7 +310,7 @@ def train(
         raise TscnetError("epochs and batch_size must be >= 1")
 
     n = len(Xa)
-    state = AdamState(net.theta.size, lr=lr)
+    state = AdamState(net.theta.size)
     rng = Xorshift64Star(seed)
     single_batch = batch_size >= n
 

@@ -14,13 +14,12 @@ call goes through a module attribute.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import sys
 from pathlib import Path
 
 from .defaults import AUTO, TRADING_DAYS
-from .errors import TscnetError
+from .errors import TscnetError, naming
 
 K_SWEEP_SVG = "k_sweep.svg"
 LOSS_SVG = "loss.svg"
@@ -95,13 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed_flag(p)
     p.add_argument("--out", required=True, type=Path, help="labels CSV to write")
 
-    p = sub.add_parser("select-k", help="silhouette sweep over a k range")
-    _add_ingest_flags(p)
-    p.add_argument("--k-min", type=_positive_int, default=2, help="lowest k to try")
-    p.add_argument("--k-max", type=_positive_int, default=10, help="highest k to try")
-    _add_seed_flag(p)
-    p.add_argument("--out", type=Path, help="optional k,silhouette CSV to write")
-
     p = sub.add_parser("train", help="train the autoencoder on a labels CSV")
     p.add_argument("--labels", required=True, type=Path, help="labels CSV from the label step")
     p.add_argument("--epochs", type=_positive_int, default=1000, help="training epochs (default %(default)s)")
@@ -145,25 +137,6 @@ def _load_model(path: Path) -> tuple[autonet.DenseNetwork, int]:
     return net, widths[0]
 
 
-def _stage1(args: argparse.Namespace, k: int | str):
-    """Stage 1 on the prices named by the ingest flags: (records, model, sweep).
-
-    Warnings from loading go to stderr before Stage 1 runs.
-    """
-    from . import pipeline
-
-    closes, warns = pipeline.load_table(args.prices, args.tickers, args.start_date)
-    _warn(warns)
-    return pipeline.stage1_label(
-        closes,
-        k=k,
-        seed=args.seed,
-        trading_days=args.trading_days,
-        k_min=args.k_min,
-        k_max=args.k_max,
-    )
-
-
 def _k_line(model: kmeans.KMeansModel) -> str:
     return f"k={model.k} silhouette={model.silhouette:.12g}"
 
@@ -171,21 +144,24 @@ def _k_line(model: kmeans.KMeansModel) -> str:
 def cmd_label(args: argparse.Namespace) -> int:
     from . import pipeline
 
-    records, model, _ = _stage1(args, args.k)
+    closes, warns = pipeline.load_table(args.prices, args.tickers, args.start_date)
+    # before Stage 1, which may fail on what ingest dropped
+    _warn(warns)
+    records, model, sweep = pipeline.stage1_label(
+        closes,
+        k=args.k,
+        seed=args.seed,
+        trading_days=args.trading_days,
+        k_min=args.k_min,
+        k_max=args.k_max,
+    )
     pipeline.write_files(args.out.parent, {args.out.name: pipeline.labels_csv(records)})
-    print(_k_line(model))
-    return 0
-
-
-def cmd_select_k(args: argparse.Namespace) -> int:
-    from . import pipeline
-
-    _, best, sweep = _stage1(args, AUTO)
-    for k, score in sweep:
-        print(f"k={k} silhouette={score:.12g}")
-    print(f"best k={best.k}")
-    if args.out is not None:
-        pipeline.write_files(args.out.parent, {args.out.name: pipeline.sweep_csv(sweep)})
+    if sweep is None:
+        print(_k_line(model))
+    else:
+        for k, score in sweep:
+            print(f"k={k} silhouette={score:.12g}")
+        print(f"best k={model.k}")
     return 0
 
 
@@ -252,15 +228,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _charting(source: Path):
-    """Re-raise a TscnetError from the block naming the file its values came from."""
-    try:
-        yield
-    except TscnetError as exc:
-        raise TscnetError(f"{source}: {exc}") from None
-
-
 def cmd_report(args: argparse.Namespace) -> int:
     from . import autonet, pipeline, svgplot
 
@@ -280,7 +247,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     predicted = autonet.predict_labels(net, records.features, num_clusters)[1].tolist()
 
     texts: dict[str, str] = {}
-    with _charting(sweep_path):
+    with naming(sweep_path):
         if sweep is not None:
             texts[K_SWEEP_SVG] = svgplot.line_chart(
                 [k for k, _ in sweep],
@@ -289,7 +256,7 @@ def cmd_report(args: argparse.Namespace) -> int:
                 "k",
                 "mean silhouette",
             )
-    with _charting(loss_path):
+    with naming(loss_path):
         texts[LOSS_SVG] = svgplot.line_chart(
             [e for e, _ in losses],
             [v for _, v in losses],
@@ -297,7 +264,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             "epoch",
             "MSE",
         )
-    with _charting(labels_path):
+    with naming(labels_path):
         texts.update(pipeline.scatter_charts(records, predicted, num_clusters))
     texts[SCATTER_POINTS_CSV] = pipeline.csv_text(POINTS_HEADER, (
         f"{t},{v:.12g},{r:.12g},{c},{p},{int(p != c)}" for (t, v, r, c), p in zip(records.rows(), predicted)
@@ -313,7 +280,6 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 _DISPATCH = {
     "label": cmd_label,
-    "select-k": cmd_select_k,
     "train": cmd_train,
     "evaluate": cmd_evaluate,
     "run": cmd_run,

@@ -24,6 +24,15 @@ def reading_utf8(path):
         raise TscnetError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
+@contextlib.contextmanager
+def naming(path):
+    """Re-raise a TscnetError from the block with ``path`` in front of its message."""
+    try:
+        yield
+    except TscnetError as exc:
+        raise TscnetError(f"{path}: {exc}") from None
+
+
 class NoData(TscnetError):
     """No ticker produced a usable price series; ``warnings`` says why each
     ticker was dropped."""

@@ -2,11 +2,10 @@
 
 Reads ticker lists and per-ticker adjusted-close tables from disk and produces
 one date-ordered float64 array of closes per ticker. The CSV contract is
-narrow on purpose so a live fetcher can be slotted in later without touching
-anything downstream:
+narrow:
 
-* prices CSV: UTF-8, LF line endings, header exactly ``ticker,date,adj_close``,
-  ISO-8601 dates, decimal prices
+* prices CSV: UTF-8, LF or CRLF line endings, header exactly
+  ``ticker,date,adj_close``, ISO-8601 dates, decimal prices
 * ticker list: plain text, one symbol per line or comma-separated
 
 A prices file is read in one pass. Each distinct date field is parsed once,

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autonet, features, ingest, kmeans, svgplot
 from .defaults import AUTO
-from .errors import PipelineError, TscnetError, reading_utf8
+from .errors import PipelineError, TscnetError, naming, reading_utf8
 from .rng import Xorshift64Star
 
 LABELS_CSV = "labels.csv"
@@ -102,7 +102,7 @@ def load_table(prices_path, tickers_path, start_date) -> tuple[dict[str, np.ndar
     """
     tickers = None
     if tickers_path is not None:
-        with reading_utf8(tickers_path):
+        with reading_utf8(tickers_path), naming(tickers_path):
             tickers = ingest.parse_ticker_list(Path(tickers_path).read_text(encoding="utf-8"))
     start = start_date if start_date is not None else dt.date.min
     return ingest.load_price_table(prices_path, tickers, start)
@@ -267,10 +267,8 @@ def parse_config(path) -> PipelineConfig:
             text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise TscnetError(f"cannot read config {path}: {exc}") from exc
-    try:
+    with naming(path):
         return _config_from(text, path.resolve().parent)
-    except TscnetError as exc:
-        raise TscnetError(f"{path}: {exc}") from None
 
 
 def _config_from(text: str, base: Path) -> PipelineConfig:

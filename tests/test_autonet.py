@@ -531,13 +531,14 @@ class TestTrain:
         assert net.theta.tobytes() == before.tobytes()
 
     def test_divergence_names_first_non_finite_epoch(self):
-        # the first epoch-end loss overflows to inf; every later one would be nan.
-        # NumPy's overflow warnings would print before the error, so none may escape.
+        # a finite but huge target squares past the float range, so the first
+        # epoch-end loss is inf. NumPy's overflow warnings would print before
+        # the error, so none may escape.
         net = build_autoencoder(2, (8,), 2, 1, seed=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TscnetError, match=r"loss inf at epoch 1$"):
-                train(net, [[0.2, 0.1], [0.3, 0.5]], [0.0, 1.0], epochs=5, lr=1e300)
+                train(net, [[0.2, 0.1], [0.3, 0.5]], [0.0, 1e200], epochs=5)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_targets_rejected_before_training(self, bad):

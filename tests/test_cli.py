@@ -25,9 +25,7 @@ from tscnet.pipeline import (
     MODEL_FILE,
     SCATTER_AUTONET_SVG,
     SCATTER_KMEANS_SVG,
-    SWEEP_COLUMNS,
     SWEEP_CSV,
-    read_csv,
 )
 
 
@@ -83,6 +81,13 @@ class TestUsageErrors:
             main(["decorate"])
         assert exc.value.code == 2
 
+    def test_select_k_is_gone(self, workdir, capsys):
+        # `label --k auto` prints the sweep that this verb printed
+        with pytest.raises(SystemExit) as exc:
+            main(["select-k", "--prices", str(workdir["prices"])])
+        assert exc.value.code == 2
+        assert "invalid choice: 'select-k'" in capsys.readouterr().err
+
     def test_bad_k(self, workdir):
         with pytest.raises(SystemExit) as exc:
             main(["label", "--prices", str(workdir["prices"]), "--k", "0", "--out", "x.csv"])
@@ -100,7 +105,6 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("verb, flags", [
         ("label", ["--prices", "{prices}", "--out", "{tmp}/labels.csv"]),
-        ("select-k", ["--prices", "{prices}"]),
         ("train", ["--labels", "{labels}", "--out-dir", "{tmp}/model"]),
     ])
     def test_negative_seed(self, workdir, tmp_path, capsys, verb, flags):
@@ -121,7 +125,7 @@ class TestUsageErrors:
         assert "argument --start-date: expected YYYY-MM-DD, got '2019-13-01'" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("verb", ["label", "select-k", "train", "evaluate", "run", "report"])
+    @pytest.mark.parametrize("verb", ["label", "train", "evaluate", "run", "report"])
     def test_help_exits_zero(self, verb):
         with pytest.raises(SystemExit) as exc:
             main([verb, "--help"])
@@ -165,7 +169,7 @@ class TestLabel:
         out = tmp_path / "labels.csv"
         stdout, _ = run_cli(capsys, ["label", "--prices", str(workdir["prices"]),
                                      "--seed", "7", "--out", str(out)])
-        assert stdout.startswith("k=4 ")
+        assert stdout.splitlines()[-1] == "best k=4"
 
     def test_repeat_is_byte_identical(self, workdir, tmp_path, capsys):
         a = tmp_path / "a.csv"
@@ -237,6 +241,20 @@ class TestLabel:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["prices.csv", "run.cfg"]
 
     @pytest.mark.parametrize("verb", ["label", "run"])
+    def test_empty_ticker_list_names_its_file(self, workdir, tmp_path, capsys, verb):
+        tickers = tmp_path / "tickers.txt"
+        tickers.write_text(",,\n\n,,\n", encoding="utf-8")
+        config = write_config(tmp_path / "run.cfg", workdir["prices"], tmp_path / "out",
+                              tickers_path=tickers)
+        argv = ["run", str(config)] if verb == "run" else [
+            "label", "--prices", str(workdir["prices"]), "--tickers", str(tickers),
+            "--out", str(tmp_path / "labels.csv")]
+        _, stderr = run_cli(capsys, argv, expect=1)
+        stage = "[ingest] " if verb == "run" else ""
+        assert stderr == f"error: {stage}{tickers}: no ticker symbols found\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "tickers.txt"]
+
+    @pytest.mark.parametrize("verb", ["label", "run"])
     def test_ingest_warnings_precede_a_later_error(self, tmp_path, capsys, verb):
         # SHT is dropped at ingest, which leaves 3 tickers: too few for k = 4
         prices = tmp_path / "prices.csv"
@@ -255,18 +273,21 @@ class TestLabel:
 
 
 class TestSelectK:
+    """`label --k auto` prints one line per swept k, then the best k."""
+
     def test_sweep_output(self, workdir, tmp_path, capsys):
-        sweep_csv = tmp_path / "sweep.csv"
-        stdout, _ = run_cli(capsys, ["select-k", "--prices", str(workdir["prices"]),
+        out = tmp_path / "labels.csv"
+        stdout, _ = run_cli(capsys, ["label", "--prices", str(workdir["prices"]), "--k", "auto",
                                      "--k-min", "2", "--k-max", "8", "--seed", "7",
-                                     "--out", str(sweep_csv)])
+                                     "--out", str(out)])
         lines = stdout.splitlines()
         assert lines[-1] == "best k=4"
-        assert sum(1 for line in lines if line.startswith("k=")) == 7
-        sweep = read_csv(sweep_csv, SWEEP_COLUMNS)
-        assert [k for k, _ in sweep] == list(range(2, 9))
-        best = max(sweep, key=lambda pair: pair[1])
-        assert best[0] == 4
+        sweep = [line.split() for line in lines[:-1]]
+        assert [k for k, _ in sweep] == [f"k={k}" for k in range(2, 9)]
+        scores = [float(s.removeprefix("silhouette=")) for _, s in sweep]
+        assert scores.index(max(scores)) == 2
+        # the labels are those of the chosen k
+        assert out.read_bytes() == workdir["labels"].read_bytes()
 
     @pytest.fixture()
     def six_tickers(self, tmp_path):
@@ -275,18 +296,19 @@ class TestSelectK:
         return prices
 
     def test_k_max_clamped_to_n_minus_one(self, six_tickers, tmp_path, capsys):
-        stdout, _ = run_cli(capsys, ["select-k", "--prices", str(six_tickers),
-                                     "--k-min", "2", "--k-max", "10"])
+        stdout, _ = run_cli(capsys, ["label", "--prices", str(six_tickers), "--k", "auto",
+                                     "--k-min", "2", "--k-max", "10",
+                                     "--out", str(tmp_path / "labels.csv")])
         lines = stdout.splitlines()
         assert [line.split()[0] for line in lines[:-1]] == [f"k={k}" for k in range(2, 6)]
-        label_out, _ = run_cli(capsys, ["label", "--prices", str(six_tickers), "--k", "auto",
-                                        "--out", str(tmp_path / "labels.csv")])
-        assert lines[-1] == f"best {label_out.split()[0]}"
+        assert lines[-1] in {f"best k={k}" for k in range(2, 6)}
 
-    def test_k_min_above_n_minus_one(self, six_tickers, capsys):
-        _, stderr = run_cli(capsys, ["select-k", "--prices", str(six_tickers),
-                                     "--k-min", "6"], expect=1)
+    def test_k_min_above_n_minus_one(self, six_tickers, tmp_path, capsys):
+        out = tmp_path / "labels.csv"
+        _, stderr = run_cli(capsys, ["label", "--prices", str(six_tickers), "--k", "auto",
+                                     "--k-min", "6", "--out", str(out)], expect=1)
         assert stderr.startswith("error: ") and len(stderr.splitlines()) == 1
+        assert not out.exists()
 
 
 class TestDistinctPoints:
@@ -313,12 +335,7 @@ class TestDistinctPoints:
     def test_auto_sweep_stops_at_distinct_points(self, two_paths, tmp_path, capsys):
         stdout, stderr = run_cli(capsys, ["label", "--prices", str(two_paths),
                                           "--out", str(tmp_path / "labels.csv")])
-        assert (stdout, stderr) == ("k=2 silhouette=1\n", "")
-        sweep_csv = tmp_path / "sweep.csv"
-        stdout, stderr = run_cli(capsys, ["select-k", "--prices", str(two_paths),
-                                          "--out", str(sweep_csv)])
         assert (stdout, stderr) == ("k=2 silhouette=1\nbest k=2\n", "")
-        assert [k for k, _ in read_csv(sweep_csv, SWEEP_COLUMNS)] == [2]
 
 
 class TestTrain:

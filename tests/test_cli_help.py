@@ -20,7 +20,6 @@ predictor.
 positional arguments:
   verb
     label     compute features, fit k-means, write return-ordered labels
-    select-k  silhouette sweep over a k range
     train     train the autoencoder on a labels CSV
     evaluate  score predictions against the k-means labels
     run       execute the full pipeline from a config file
@@ -48,25 +47,6 @@ options:
   --k-max K_MAX         sweep upper bound for auto k
   --seed SEED           random seed >= 0 (default 7)
   --out OUT             labels CSV to write
-""",
-    'select-k': """\
-usage: tscnet select-k [-h] --prices PRICES [--tickers TICKERS]
-                       [--start-date START_DATE] [--trading-days TRADING_DAYS]
-                       [--k-min K_MIN] [--k-max K_MAX] [--seed SEED]
-                       [--out OUT]
-
-options:
-  -h, --help            show this help message and exit
-  --prices PRICES       prices CSV (ticker,date,adj_close)
-  --tickers TICKERS     optional ticker allowlist file
-  --start-date START_DATE
-                        drop rows before this date (YYYY-MM-DD)
-  --trading-days TRADING_DAYS
-                        annualization factor (default 252)
-  --k-min K_MIN         lowest k to try
-  --k-max K_MAX         highest k to try
-  --seed SEED           random seed >= 0 (default 7)
-  --out OUT             optional k,silhouette CSV to write
 """,
     'train': """\
 usage: tscnet train [-h] --labels LABELS [--epochs EPOCHS] [--batch BATCH]
