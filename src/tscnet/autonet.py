@@ -32,6 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .defaults import BATCH_SIZE, EPOCHS, SEED
 from .errors import TscnetError, reading_utf8
 from .rng import Xorshift64Star
 
@@ -125,7 +126,7 @@ def build_autoencoder(
     encoder_widths: list[int] | tuple[int, ...] = ENCODER_WIDTHS,
     latent_width: int = 4,
     output_width: int = 1,
-    seed: int = 7,
+    seed: int = SEED,
 ) -> DenseNetwork:
     """Encoder (relu), sigmoid latent, mirrored relu decoder, linear head.
 
@@ -279,9 +280,9 @@ def train(
     net: DenseNetwork,
     X,
     y,
-    epochs: int = 1000,
-    batch_size: int = 1024,
-    seed: int = 7,
+    epochs: int = EPOCHS,
+    batch_size: int = BATCH_SIZE,
+    seed: int = SEED,
 ) -> TrainHistory:
     """Minibatch Adam training; mutates ``net`` and returns the loss history.
 

@@ -18,15 +18,13 @@ import os
 import sys
 from pathlib import Path
 
-from .defaults import AUTO, TRADING_DAYS
+from .defaults import AUTO, BATCH_SIZE, EPOCHS, K_MAX, K_MIN, SEED, TRADING_DAYS
 from .errors import TscnetError, naming
 
 K_SWEEP_SVG = "k_sweep.svg"
 LOSS_SVG = "loss.svg"
 SCATTER_POINTS_CSV = "scatter_points.csv"
 POINTS_HEADER = ("ticker", "volatility", "return", "kmeans", "predicted", "missed")
-
-DEFAULT_SEED = 7
 
 
 def _int_at_least(text: str, low: int, kind: str) -> int:
@@ -63,20 +61,8 @@ def _iso_date(text: str):
         raise argparse.ArgumentTypeError(f"expected YYYY-MM-DD, got {text!r}")
 
 
-def _add_ingest_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--prices", required=True, type=Path, help="prices CSV (ticker,date,adj_close)")
-    sub.add_argument("--tickers", type=Path, help="optional ticker allowlist file")
-    sub.add_argument("--start-date", type=_iso_date, help="drop rows before this date (YYYY-MM-DD)")
-    sub.add_argument(
-        "--trading-days",
-        type=_positive_int,
-        default=TRADING_DAYS,
-        help="annualization factor (default %(default)s)",
-    )
-
-
 def _add_seed_flag(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=_seed, default=DEFAULT_SEED, help="random seed >= 0 (default %(default)s)")
+    sub.add_argument("--seed", type=_seed, default=SEED, help="random seed >= 0 (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,17 +73,21 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb")
 
     p = sub.add_parser("label", help="compute features, fit k-means, write return-ordered labels")
-    _add_ingest_flags(p)
+    p.add_argument("--prices", required=True, type=Path, help="prices CSV (ticker,date,adj_close)")
+    p.add_argument("--tickers", type=Path, help="optional ticker allowlist file")
+    p.add_argument("--start-date", type=_iso_date, help="drop rows before this date (YYYY-MM-DD)")
+    p.add_argument("--trading-days", type=_positive_int, default=TRADING_DAYS,
+                   help="annualization factor (default %(default)s)")
     p.add_argument("--k", type=_k_value, default=AUTO, help="cluster count or 'auto' (default)")
-    p.add_argument("--k-min", type=_positive_int, default=2, help="sweep lower bound for auto k")
-    p.add_argument("--k-max", type=_positive_int, default=10, help="sweep upper bound for auto k")
+    p.add_argument("--k-min", type=_positive_int, default=K_MIN, help="sweep lower bound for auto k")
+    p.add_argument("--k-max", type=_positive_int, default=K_MAX, help="sweep upper bound for auto k")
     _add_seed_flag(p)
     p.add_argument("--out", required=True, type=Path, help="labels CSV to write")
 
     p = sub.add_parser("train", help="train the autoencoder on a labels CSV")
     p.add_argument("--labels", required=True, type=Path, help="labels CSV from the label step")
-    p.add_argument("--epochs", type=_positive_int, default=1000, help="training epochs (default %(default)s)")
-    p.add_argument("--batch", type=_positive_int, default=1024, help="batch size (default %(default)s)")
+    p.add_argument("--epochs", type=_positive_int, default=EPOCHS, help="training epochs (default %(default)s)")
+    p.add_argument("--batch", type=_positive_int, default=BATCH_SIZE, help="batch size (default %(default)s)")
     _add_seed_flag(p)
     p.add_argument("--out-dir", required=True, type=Path, help="directory for model.tscnet and loss.csv")
 
@@ -137,8 +127,8 @@ def _load_model(path: Path) -> tuple[autonet.DenseNetwork, int]:
     return net, widths[0]
 
 
-def _k_line(model: kmeans.KMeansModel) -> str:
-    return f"k={model.k} silhouette={model.silhouette:.12g}"
+def _k_line(k: int, score: float) -> str:
+    return f"k={k} silhouette={score:.12g}"
 
 
 def cmd_label(args: argparse.Namespace) -> int:
@@ -156,11 +146,9 @@ def cmd_label(args: argparse.Namespace) -> int:
         k_max=args.k_max,
     )
     pipeline.write_files(args.out.parent, {args.out.name: pipeline.labels_csv(records)})
-    if sweep is None:
-        print(_k_line(model))
-    else:
-        for k, score in sweep:
-            print(f"k={k} silhouette={score:.12g}")
+    for k, score in sweep or [(model.k, model.silhouette)]:
+        print(_k_line(k, score))
+    if sweep is not None:
         print(f"best k={model.k}")
     return 0
 
@@ -217,7 +205,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = pipeline.parse_config(args.config)
     result = pipeline.run_pipeline(config)
     _warn(result.warnings)
-    print(_k_line(result.model))
+    print(_k_line(result.model.k, result.model.silhouette))
     test = len(result.report.records)
     print(f"train={len(result.records) - test} test={test}")
     print(f"final_loss={result.history.final_loss():.12g}")

@@ -34,8 +34,10 @@ def build_feature_table(
 
     Every series needs at least MIN_ROWS closes (two returns, for a sample
     std), all finite and above 0. Ingest drops or refuses any other; here
-    one raises a TscnetError naming its ticker.
+    one raises a TscnetError naming its ticker, as does ``trading_days`` < 1.
     """
+    if trading_days < 1:
+        raise TscnetError(f"trading_days must be >= 1, got {trading_days}")
     table = np.empty((len(closes), 2))
     for row, (ticker, c) in zip(table, closes.items()):
         p = np.asarray(c, dtype=float)

@@ -31,6 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .defaults import K_MAX, K_MIN, SEED
 from .errors import TscnetError
 from .rng import Xorshift64Star, derive_seed
 
@@ -169,7 +170,7 @@ def _as_points(points) -> np.ndarray:
     return X
 
 
-def kmeans_fit(points, k: int, seed: int = 7, restarts: int = DEFAULT_RESTARTS) -> KMeansModel:
+def kmeans_fit(points, k: int, seed: int = SEED, restarts: int = DEFAULT_RESTARTS) -> KMeansModel:
     """Best-of-restarts Lloyd fit, ranked by lowest wcss.
 
     Deterministic for fixed (points, k, seed, restarts): restart r draws from
@@ -248,9 +249,9 @@ def silhouette(points, labels) -> float:
 
 def select_k(
     points,
-    k_min: int = 2,
-    k_max: int = 10,
-    seed: int = 7,
+    k_min: int = K_MIN,
+    k_max: int = K_MAX,
+    seed: int = SEED,
     restarts: int = DEFAULT_RESTARTS,
 ) -> tuple[KMeansModel, list[tuple[int, float]]]:
     """Fit every k in [k_min, min(k_max, n-1, distinct points)], return

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autonet, features, ingest, kmeans, svgplot
-from .defaults import AUTO
+from .defaults import AUTO, BATCH_SIZE, EPOCHS, K_MAX, K_MIN, SEED, TEST_FRACTION, TRADING_DAYS
 from .errors import PipelineError, TscnetError, naming, reading_utf8
 from .rng import Xorshift64Star
 
@@ -111,10 +111,10 @@ def load_table(prices_path, tickers_path, start_date) -> tuple[dict[str, np.ndar
 def stage1_label(
     closes: dict[str, np.ndarray],
     k: int | str = AUTO,
-    seed: int = 7,
-    trading_days: int = features.TRADING_DAYS,
-    k_min: int = 2,
-    k_max: int = 10,
+    seed: int = SEED,
+    trading_days: int = TRADING_DAYS,
+    k_min: int = K_MIN,
+    k_max: int = K_MAX,
 ) -> tuple[Records, kmeans.KMeansModel, list[tuple[int, float]] | None]:
     """Features plus k-means labels for every ticker of ``closes``, in its
     order.
@@ -122,7 +122,8 @@ def stage1_label(
     Returns (records, fitted model, sweep). ``k`` is an integer or "auto";
     auto sweeps [k_min, min(k_max, n-1, distinct points)], keeps the
     silhouette maximizer and returns the (k, silhouette) table as ``sweep``,
-    which is None for a fixed k.
+    which is None for a fixed k. ``k``, ``k_min`` and ``k_max`` must pass
+    :func:`_check_k`, as in a :class:`PipelineConfig`, also when k is fixed.
 
     Clusters are numbered by descending mean return
     (:func:`kmeans.relabel_by_return`): cluster 0 has the highest return, so
@@ -136,18 +137,22 @@ def stage1_label(
     return Records(tickers, X, model.assignments.astype(np.int64)), model, sweep
 
 
-def _check_k(k) -> None:
-    """Refuse a k that is neither an integer >= 2 nor "auto": the
-    autoencoder's labels need at least 2 clusters."""
+def _check_k(k, k_min, k_max) -> None:
+    """The one k rule of a config, of ``label`` and of :func:`stage1_label`:
+    k is "auto" or an integer >= 2 (the autoencoder needs 2 clusters to tell
+    apart), and 2 <= k_min <= k_max whether k is fixed or "auto".
+    :func:`kmeans.select_k` clamps k_max to the data on its own."""
     if k != AUTO and (not isinstance(k, int) or k < 2):
         raise TscnetError(f"k must be an integer >= 2 or {AUTO!r}, got {k!r}")
+    if not 2 <= k_min <= k_max:
+        raise TscnetError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
 
 
 def _resolve_k(points, k, k_min, k_max, seed) -> tuple[kmeans.KMeansModel, list[tuple[int, float]] | None]:
     """(fitted model, sweep): a fixed k >= 2 is fitted once with no sweep;
     "auto" runs the silhouette sweep and keeps its best fit.
     """
-    _check_k(k)
+    _check_k(k, k_min, k_max)
     if k == AUTO:
         return kmeans.select_k(points, k_min, k_max, seed=seed)
     return kmeans.kmeans_fit(points, k, seed=seed), None
@@ -174,9 +179,9 @@ def split(records: Records, test_fraction: float, seed: int) -> tuple[Records, R
 def stage2_train(
     train_records: Records,
     num_clusters: int,
-    epochs: int = 1000,
-    batch_size: int = 1024,
-    seed: int = 7,
+    epochs: int = EPOCHS,
+    batch_size: int = BATCH_SIZE,
+    seed: int = SEED,
 ) -> tuple[autonet.DenseNetwork, autonet.TrainHistory]:
     """Train the autoencoder to regress cluster ids from ⟨volatility, ret⟩.
 
@@ -231,18 +236,16 @@ class PipelineConfig:
     tickers_path: Path | None = None
     start_date: dt.date | None = None
     k: int | str = AUTO
-    k_min: int = 2
-    k_max: int = 10
-    seed: int = 7
-    epochs: int = 1000
-    batch_size: int = 1024
-    test_fraction: float = 0.33
-    trading_days: int = features.TRADING_DAYS
+    k_min: int = K_MIN
+    k_max: int = K_MAX
+    seed: int = SEED
+    epochs: int = EPOCHS
+    batch_size: int = BATCH_SIZE
+    test_fraction: float = TEST_FRACTION
+    trading_days: int = TRADING_DAYS
 
     def __post_init__(self):
-        _check_k(self.k)
-        if not 2 <= self.k_min <= self.k_max:
-            raise TscnetError(f"need 2 <= k_min <= k_max, got [{self.k_min}, {self.k_max}]")
+        _check_k(self.k, self.k_min, self.k_max)
         if self.epochs < 1 or self.batch_size < 1:
             raise TscnetError("epochs and batch_size must be >= 1")
         if not 0.0 < self.test_fraction < 1.0:
@@ -254,9 +257,11 @@ class PipelineConfig:
 
 
 def parse_config(path) -> PipelineConfig:
-    """Parse a key-value config file (``key = value`` or ``key: value`` lines).
+    """Parse a key-value config file of ``key = value`` lines, each split at
+    its first ``=``.
 
-    Blank lines and ``#`` comments are ignored. Relative paths resolve
+    Blank lines and lines that start with ``#`` are ignored; a ``#`` after a
+    value is part of it, as a path may hold one. Relative paths resolve
     against the config file's directory. The keys are the field names of
     PipelineConfig; unknown or duplicate keys are rejected. Every error
     names the config file.
@@ -278,11 +283,8 @@ def _config_from(text: str, base: Path) -> PipelineConfig:
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        for sep in ("=", ":"):
-            if sep in stripped:
-                key, value = stripped.split(sep, 1)
-                break
-        else:
+        key, sep, value = stripped.partition("=")
+        if not sep:
             raise TscnetError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key = key.strip()
         value = value.strip()

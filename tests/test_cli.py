@@ -5,19 +5,24 @@ raises SystemExit for those).
 """
 
 import argparse
+import inspect
 import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import tscnet
 from conftest import blob_targets, write_prices_csv
+from tscnet import autonet, defaults, features, kmeans, pipeline
 from tscnet.autonet import LayerSpec, build_network, save_model
 from tscnet.cli import K_SWEEP_SVG, LOSS_SVG, SCATTER_POINTS_CSV, build_parser, main
+from tscnet.errors import TscnetError
 from tscnet.pipeline import (
+    AUTO,
     EVAL_CSV,
     LABELS_CSV,
     LOSS_CSV,
@@ -26,6 +31,7 @@ from tscnet.pipeline import (
     SCATTER_AUTONET_SVG,
     SCATTER_KMEANS_SVG,
     SWEEP_CSV,
+    PipelineConfig,
 )
 
 
@@ -336,6 +342,32 @@ class TestDistinctPoints:
         stdout, stderr = run_cli(capsys, ["label", "--prices", str(two_paths),
                                           "--out", str(tmp_path / "labels.csv")])
         assert (stdout, stderr) == ("k=2 silhouette=1\nbest k=2\n", "")
+
+
+class TestKRule:
+    """`label` accepts and refuses a k setting as a `run` config does."""
+
+    def label(self, workdir, capsys, out, k, k_min, k_max, expect):
+        return run_cli(capsys, ["label", "--prices", str(workdir["prices"]), "--k", str(k),
+                                "--k-min", str(k_min), "--k-max", str(k_max), "--out", str(out)],
+                       expect=expect)
+
+    @pytest.mark.parametrize("k, k_min, k_max", [(4, 9, 3), (AUTO, 1, 10), (AUTO, 9, 3), (1, 2, 10)])
+    def test_refused_as_by_a_config(self, workdir, tmp_path, capsys, k, k_min, k_max):
+        with pytest.raises(TscnetError) as refused:
+            PipelineConfig(prices_path=workdir["prices"], k=k, k_min=k_min, k_max=k_max)
+        out = tmp_path / "labels.csv"
+        _, stderr = self.label(workdir, capsys, out, k, k_min, k_max, expect=1)
+        assert stderr == f"error: {refused.value}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("k, k_min, k_max", [(4, 9, 10), (AUTO, 3, 3)])
+    def test_accepted_as_by_a_config(self, workdir, tmp_path, capsys, k, k_min, k_max):
+        PipelineConfig(prices_path=workdir["prices"], k=k, k_min=k_min, k_max=k_max)
+        out = tmp_path / "labels.csv"
+        stdout, _ = self.label(workdir, capsys, out, k, k_min, k_max, expect=0)
+        assert stdout.startswith("k=3 silhouette=" if k == AUTO else "k=4 silhouette=")
+        assert out.exists()
 
 
 class TestTrain:
@@ -738,3 +770,42 @@ class TestSeedResolution:
         run_cli(capsys, ["label", "--prices", str(workdir["prices"]), "--k", "4",
                          "--out", str(env_set)])
         assert flagged.read_bytes() == env_set.read_bytes()
+
+
+class TestDefaults:
+    """Every surface reads each run default from `tscnet.defaults`."""
+
+    EXPECTED = {
+        "k": defaults.AUTO,
+        "k_min": defaults.K_MIN,
+        "k_max": defaults.K_MAX,
+        "seed": defaults.SEED,
+        "trading_days": defaults.TRADING_DAYS,
+        "epochs": defaults.EPOCHS,
+        "batch_size": defaults.BATCH_SIZE,
+        "test_fraction": defaults.TEST_FRACTION,
+    }
+
+    def test_parser_defaults(self):
+        label = build_parser().parse_args(["label", "--prices", "p.csv", "--out", "l.csv"])
+        train = build_parser().parse_args(["train", "--labels", "l.csv", "--out-dir", "o"])
+        assert (label.k, label.k_min, label.k_max, label.seed, label.trading_days) == (
+            defaults.AUTO, defaults.K_MIN, defaults.K_MAX, defaults.SEED, defaults.TRADING_DAYS)
+        assert (train.epochs, train.batch, train.seed) == (defaults.EPOCHS, defaults.BATCH_SIZE, defaults.SEED)
+
+    def test_config_defaults(self):
+        found = {f.name: f.default for f in fields(PipelineConfig) if f.name in self.EXPECTED}
+        assert found == self.EXPECTED
+
+    @pytest.mark.parametrize("fn, names", [
+        (pipeline.stage1_label, {"k", "seed", "trading_days", "k_min", "k_max"}),
+        (pipeline.stage2_train, {"epochs", "batch_size", "seed"}),
+        (features.build_feature_table, {"trading_days"}),
+        (kmeans.kmeans_fit, {"seed"}),
+        (kmeans.select_k, {"k_min", "k_max", "seed"}),
+        (autonet.build_autoencoder, {"seed"}),
+        (autonet.train, {"epochs", "batch_size", "seed"}),
+    ], ids=lambda v: getattr(v, "__qualname__", ""))
+    def test_library_defaults(self, fn, names):
+        params = inspect.signature(fn).parameters
+        assert {name: params[name].default for name in names} == {name: self.EXPECTED[name] for name in names}

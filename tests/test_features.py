@@ -146,6 +146,12 @@ class TestBuildFeatureTable:
         with pytest.raises(TscnetError, match=short_series("TWO", 2)):
             build_feature_table(closes)
 
+    @pytest.mark.parametrize("days", [0, -252])
+    def test_trading_days_below_one_refused(self, days):
+        closes = {"AAA": np.array([100.0, 101.0, 99.5])}
+        with pytest.raises(TscnetError, match=f"^trading_days must be >= 1, got {days}$"):
+            build_feature_table(closes, days)
+
 
 class TestLabelsCsv:
     def test_round_trip(self, tmp_path):

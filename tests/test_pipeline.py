@@ -213,6 +213,14 @@ class TestStage1:
         with pytest.raises(TscnetError, match=r"^k must be an integer >= 2 or 'auto', got 'five'$"):
             stage1_label(closes, k="five", seed=7)
 
+    @pytest.mark.parametrize("k, k_min, k_max", [(4, 9, 3), (AUTO, 1, 10)])
+    def test_k_range_refused_as_by_a_config(self, blob_closes, tmp_path, k, k_min, k_max):
+        closes, _ = blob_closes
+        with pytest.raises(TscnetError) as refused:
+            PipelineConfig(prices_path=tmp_path / "p.csv", k=k, k_min=k_min, k_max=k_max)
+        with pytest.raises(TscnetError, match=f"^{re.escape(str(refused.value))}$"):
+            stage1_label(closes, k=k, seed=7, k_min=k_min, k_max=k_max)
+
     def test_short_series_dropped_at_ingest(self, tmp_path):
         path = tmp_path / "prices.csv"
         rows = ["ticker,date,adj_close"]
@@ -370,7 +378,7 @@ class TestParseConfig:
         cfg = parse_config(self.write(tmp_path, "\n".join([
             "# nightly run",
             "prices_path = prices.csv",
-            "k: auto",
+            "k = auto",
             "k_min = 2",
             "k_max = 8",
             "seed = 11",
@@ -434,6 +442,16 @@ class TestParseConfig:
     def test_line_without_separator_rejected(self, tmp_path):
         with pytest.raises(TscnetError, match=r"run\.cfg: line 2: expected 'key = value', got 'just words'$"):
             parse_config(self.write(tmp_path, "prices_path = p.csv\njust words\n"))
+
+    def test_colon_separator_rejected(self, tmp_path):
+        # `=` is the one separator, so a colon line is a line without one
+        with pytest.raises(TscnetError, match=r"run\.cfg: line 2: expected 'key = value', got 'k: auto'$"):
+            parse_config(self.write(tmp_path, "prices_path = p.csv\nk: auto\n"))
+
+    def test_equals_sign_in_a_path(self, tmp_path):
+        cfg = parse_config(self.write(tmp_path, "prices_path = a=b/p.csv\nout_dir = out#1\n"))
+        assert cfg.prices_path == tmp_path / "a=b" / "p.csv"
+        assert cfg.out_dir == tmp_path / "out#1"
 
     def test_missing_file(self, tmp_path):
         path = tmp_path / "absent.cfg"
