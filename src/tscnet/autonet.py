@@ -296,6 +296,8 @@ def train(
     Each step is one Adam update of ``net.theta``. With one full batch, each
     epoch-end forward pass, which gives the epoch's loss, is also the next
     epoch's training forward, so an epoch costs one forward and one backward.
+    With minibatches the epoch-end pass keeps only its outputs, so no
+    full-data activations live through the next epoch's steps.
     """
     Xa = np.asarray(X, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -332,10 +334,15 @@ def train(
                 for start in range(0, n, batch_size):
                     rows = order[start : start + batch_size]
                     step(forward(net, Xa[rows])[1], ya[rows])
-            # the old acts are freed only once the new ones exist; freeing them
-            # first lets malloc hand their pages back and fault them in again
-            # every epoch, which cost more than the forward this loop saves
-            out, acts = forward(net, Xa)
+            if single_batch:
+                # the old acts are freed only once the new ones exist; freeing
+                # them first lets malloc hand their pages back and fault them
+                # in again every epoch, which cost more than the forward this
+                # loop saves
+                out, acts = forward(net, Xa)
+            else:
+                # minibatches never read the full-data acts: keep only the outputs
+                out = forward(net, Xa)[0]
             losses.append(mse_loss(out, ya))
             if not math.isfinite(losses[-1]):
                 raise TscnetError(f"training diverged: loss {losses[-1]} at epoch {epoch}")

@@ -134,6 +134,8 @@ def _k_line(k: int, score: float) -> str:
 def cmd_label(args: argparse.Namespace) -> int:
     from . import pipeline
 
+    # the k rule before ingest, as `run` meets it in its config
+    pipeline._check_k(args.k, args.k_min, args.k_max)
     closes, warns = pipeline.load_table(args.prices, args.tickers, args.start_date)
     # before Stage 1, which may fail on what ingest dropped
     _warn(warns)

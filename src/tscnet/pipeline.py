@@ -284,9 +284,10 @@ def _config_from(text: str, base: Path) -> PipelineConfig:
         if not stripped or stripped.startswith("#"):
             continue
         key, sep, value = stripped.partition("=")
-        if not sep:
-            raise TscnetError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         key = key.strip()
+        # a key is one word, so `prices_path: a=b.csv` is no `key = value` line
+        if not sep or not key.isidentifier():
+            raise TscnetError(f"line {lineno}: expected 'key = value', got {stripped!r}")
         value = value.strip()
         if key not in known:
             raise TscnetError(f"line {lineno}: unknown key {key!r}")
@@ -529,6 +530,8 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
         k_min=config.k_min,
         k_max=config.k_max,
     )
+    # nothing after Stage 1 reads the prices, which grow as tickers x days
+    del closes
     train_set, test_set = _stage("split", warnings, split, records, config.test_fraction, config.seed)
     net, history = _stage(
         "train",

@@ -11,6 +11,7 @@ writes out its own Adam, so it shares no training code with the module.
 import math
 import re
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -623,6 +624,28 @@ class TestTrainCallPath:
             "backward": epochs * batches,
             "adam_step": epochs * batches,
         }
+
+    def test_minibatches_drop_the_epoch_end_acts(self, monkeypatch):
+        # 12 rows in batches of 5: only the epoch-end pass sees all 12 rows.
+        # Its hidden activations must be gone by the next full-data pass; the
+        # outputs give the epoch's loss, and acts[0] is the caller's X
+        X, truth = make_blob_points(seed=3, per_cluster=3)
+        full_passes, hidden = 0, []
+
+        def tracking(net, batch):
+            nonlocal full_passes
+            if len(batch) == len(X):
+                assert all(ref() is None for ref in hidden)
+                full_passes += 1
+            out, acts = forward(net, batch)
+            if len(batch) == len(X):
+                hidden.extend(weakref.ref(a) for a in acts[1:-1])
+            return out, acts
+
+        monkeypatch.setattr(autonet, "forward", tracking)
+        net = build_autoencoder(2, (6, 4), 2, 1, seed=3)
+        train(net, X, truth, epochs=4, batch_size=5, seed=3)
+        assert full_passes == 4 and len(hidden) == 4 * (len(net.layers) - 1)
 
 
 class TestRoundLabels:

@@ -361,6 +361,16 @@ class TestKRule:
         assert stderr == f"error: {refused.value}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("k, k_min, k_max", [(4, 9, 3), (AUTO, 1, 10), (AUTO, 9, 3), (1, 2, 10)])
+    def test_refused_before_ingest(self, tmp_path, capsys, k, k_min, k_max):
+        # as `run` meets the rule in its config: the missing prices go unread
+        with pytest.raises(TscnetError) as refused:
+            PipelineConfig(prices_path=tmp_path / "absent.csv", k=k, k_min=k_min, k_max=k_max)
+        out = tmp_path / "labels.csv"
+        _, stderr = self.label({"prices": tmp_path / "absent.csv"}, capsys, out, k, k_min, k_max, expect=1)
+        assert stderr == f"error: {refused.value}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("k, k_min, k_max", [(4, 9, 10), (AUTO, 3, 3)])
     def test_accepted_as_by_a_config(self, workdir, tmp_path, capsys, k, k_min, k_max):
         PipelineConfig(prices_path=workdir["prices"], k=k, k_min=k_min, k_max=k_max)

@@ -262,7 +262,7 @@ class TestRoundTrip:
 
 class TestMemory:
     def test_peak_per_row_is_bounded(self, tmp_path):
-        # 125 tickers of 1600 closes: 200,000 rows. The loader keeps 16 bytes
+        # 125 tickers of 1600 closes: 200,000 rows. The loader keeps 12 bytes
         # a row in its columns, the output 8; the rest of the bound is slack.
         path = tmp_path / "prices.csv"
         write_prices_csv(path, [(f"T{i:03d}", 0.2, 0.1) for i in range(125)], n_returns=1599)
@@ -274,4 +274,4 @@ class TestMemory:
             tracemalloc.stop()
         assert warnings == []
         assert sum(len(c) for c in closes.values()) == 200_000
-        assert peak / 200_000 < 48
+        assert peak / 200_000 < 16

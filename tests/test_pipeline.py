@@ -4,6 +4,7 @@ import datetime as dt
 import hashlib
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import BLOB_CENTERS, blob_targets, records_of, widths, write_prices_csv
 import tscnet
-from tscnet import autonet
+from tscnet import autonet, pipeline
 from tscnet.autonet import DenseNetwork, LayerSpec, TrainHistory, load_model
 from tscnet.autonet import count_parameters
 from tscnet.errors import PipelineError, TscnetError
@@ -448,6 +449,12 @@ class TestParseConfig:
         with pytest.raises(TscnetError, match=r"run\.cfg: line 2: expected 'key = value', got 'k: auto'$"):
             parse_config(self.write(tmp_path, "prices_path = p.csv\nk: auto\n"))
 
+    def test_colon_line_holding_an_equals_sign_rejected(self, tmp_path):
+        # the line splits at the `=` in the path, but its key part is no key
+        with pytest.raises(TscnetError, match=(
+                r"run\.cfg: line 1: expected 'key = value', got 'prices_path: /data/a=b/prices\.csv'$")):
+            parse_config(self.write(tmp_path, "prices_path: /data/a=b/prices.csv\n"))
+
     def test_equals_sign_in_a_path(self, tmp_path):
         cfg = parse_config(self.write(tmp_path, "prices_path = a=b/p.csv\nout_dir = out#1\n"))
         assert cfg.prices_path == tmp_path / "a=b" / "p.csv"
@@ -579,6 +586,26 @@ class TestRunPipeline:
             run_pipeline(config)
         assert exc.value.stage == "ingest"
         assert "[ingest]" in str(exc.value)
+
+    def test_prices_freed_before_training(self, tmp_path, prices, monkeypatch):
+        # nothing after Stage 1 reads the price table, so none of it may live
+        # through training
+        refs = []
+        load, train = pipeline.load_table, autonet.train
+
+        def loading(*args):
+            closes, warnings = load(*args)
+            refs.extend(weakref.ref(column) for column in closes.values())
+            return closes, warnings
+
+        def training(*args, **kwargs):
+            assert all(ref() is None for ref in refs)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "load_table", loading)
+        monkeypatch.setattr(autonet, "train", training)
+        run_pipeline(self.run_config(prices, tmp_path / "out"))
+        assert len(refs) == 70
 
     def test_result_exposes_records_and_history(self, tmp_path, prices):
         result = run_pipeline(self.run_config(prices, tmp_path / "out"))
