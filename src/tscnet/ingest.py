@@ -8,14 +8,36 @@ narrow:
   ``ticker,date,adj_close``, ISO-8601 dates, decimal prices
 * ticker list: plain text, one symbol per line or comma-separated
 
-A prices file is read in one pass. Each distinct date field is parsed once,
-and each distinct ticker symbol is checked and filtered once, on its first
-row. A kept row appends its date ordinal and its close to two typed
-columns of its ticker, 12 bytes a row: a 4-byte ordinal (none exceeds
-3,652,059, that of ``date.max``) and an 8-byte close. Beyond that, memory
-holds one dict entry per distinct date field and ticker symbol. At the end
-each ticker's columns are put in date order by one stable sort by date, which
-keeps the last row of each date, so the last occurrence in the file wins.
+A prices file is read in one pass, by one of two readers. Each distinct date
+field is parsed once, and each distinct ticker symbol is checked and filtered
+once, on its first row; memory holds one dict entry per distinct date field
+and ticker symbol. A kept row costs 12 bytes: a 4-byte date ordinal (none
+exceeds 3,652,059, that of ``date.max``) and an 8-byte close.
+
+* The clean-file reader takes a file whose header line is exactly
+  ``ticker,date,adj_close``, whose every later line holds two commas and no
+  quote, CR or NUL, with no blank line before the last row and no line
+  longer than ``csv.field_size_limit()``. It reads about CHUNK_BYTES at a
+  time, cut at a newline, column by column: one split per chunk, a dict
+  lookup per field (a field first seen is parsed or checked once), and
+  ``np.fromiter(map(float, ...))`` for the closes. Kept rows go, in file
+  order, into fixed-size blocks of BLOCK_ROWS rows, and each ticker keeps
+  the (start, end) runs of its rows. A file
+  grouped by ticker costs one run per ticker; a file with more runs than 32
+  plus one per 32 rows, such as one ordered by date, goes to the row reader.
+* The row reader takes any file: a ``csv.reader`` loop that appends each
+  kept row to two typed columns of its ticker. It is the one place that
+  names a bad line. The clean-file reader raises nothing: on any doubt (any
+  check above, a bad date, ticker or price, or bytes that are not UTF-8) it
+  stops, and the row reader reads the file from the start, so every error
+  and its precedence are the row reader's.
+
+At the end each ticker's rows are put in date order by one stable sort by
+date, which keeps the last row of each date, so the last occurrence in the
+file wins. From the clean-file reader the sorted closes are written back in
+place: each ticker's array is a view of a block, or of a copy of its runs
+when they span blocks. The day blocks are dropped at the end of the load,
+and a close block once no view of it is left.
 """
 
 from __future__ import annotations
@@ -23,6 +45,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
+import mmap
 from array import array
 
 import numpy as np
@@ -30,9 +53,16 @@ import numpy as np
 from .errors import NoData, TscnetError, reading_utf8
 
 PRICES_HEADER = ["ticker", "date", "adj_close"]
+HEADER_LINE = (",".join(PRICES_HEADER) + "\n").encode()
 
 # the fewest usable rows a ticker needs: two returns, for a sample std
 MIN_ROWS = 3
+
+# the clean-file reader's read size, and the rows per storage block
+CHUNK_BYTES = 16384
+BLOCK_ROWS = 8192
+# every byte but the five that decide how csv.reader splits a line
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b',\n\r"\x00')
 
 
 def parse_ticker_list(text: str) -> list[str]:
@@ -72,11 +102,14 @@ def _ordinal(text: str, lineno: int, start_date: dt.date) -> int:
     return date.toordinal() if date >= start_date else -1
 
 
-def _in_date_order(days: array, prices: array) -> tuple[np.ndarray, bool]:
-    """One ticker's closes in date order, and whether a date repeated.
+def _in_date_order(days, prices) -> tuple[np.ndarray, bool]:
+    """One ticker's closes in date order, as a new array, and whether a date
+    repeated.
 
-    A stable sort keeps rows of one date in file order, so the last of each
-    run of equal dates is the date's last occurrence in the file.
+    ``days`` and ``prices`` are its rows in file order: typed ``array``s from
+    the row reader, int32 and float64 ndarrays from the clean-file reader. A
+    stable sort keeps rows of one date in file order, so the last of each run
+    of equal dates is the date's last occurrence in the file.
     """
     d = np.frombuffer(days, dtype=np.intc)
     p = np.frombuffer(prices, dtype=np.float64)
@@ -87,22 +120,168 @@ def _in_date_order(days: array, prices: array) -> tuple[np.ndarray, bool]:
     return p[order[last]], not last.all()
 
 
-def load_price_table(
-    path,
-    tickers: list[str] | None = None,
-    start_date: dt.date = dt.date.min,
-) -> tuple[dict[str, np.ndarray], list[str]]:
-    """Load a prices CSV into one array of closes per ticker.
+def _line_chunks(fh, limit: int):
+    """The lines of binary ``fh`` from where it stands, in chunks of whole
+    lines of about CHUNK_BYTES, each ending with a newline.
 
-    Returns (closes, warnings). ``closes`` maps each kept ticker, in
-    ascending ticker order, to a float64 array of its closes in date order.
-    Rows dated before ``start_date`` are dropped. When ``tickers`` is given,
-    only those symbols are loaded. Duplicate (ticker, date) rows keep the last
-    occurrence. A ticker with fewer than MIN_ROWS usable rows is excluded.
-    Every ticker present in the file but absent from ``closes`` appears in
-    the warnings with a reason; when no ticker is left, NoData carries them.
+    Blank lines may only end the file, where they are dropped, and so may a
+    last line without a newline, which gets one. A blank line before a row,
+    or a line longer than ``limit``, raises ValueError.
     """
-    wanted = set(tickers) if tickers is not None else None
+    while chunk := fh.read(CHUNK_BYTES):
+        if not chunk.endswith(b"\n"):
+            chunk += fh.readline(limit + 1)
+        if len(chunk) > limit and max(map(len, chunk.split(b"\n"))) > limit:
+            raise ValueError("a line longer than the csv field limit")
+        if chunk.startswith(b"\n") or chunk.endswith(b"\n\n") or not chunk.endswith(b"\n"):
+            # the end of the file, unless a row follows
+            while more := fh.read(CHUNK_BYTES):
+                if more.strip(b"\n"):
+                    raise ValueError("a blank line before a row")
+            chunk = chunk.rstrip(b"\n")
+            if chunk:
+                yield chunk + b"\n"
+            return
+        yield chunk
+
+
+def _block_pieces(start: int, end: int):
+    """(block, lo, hi) for each block that the stored rows [start, end) touch."""
+    while start < end:
+        block, lo = divmod(start, BLOCK_ROWS)
+        hi = min(BLOCK_ROWS, lo + end - start)
+        yield block, lo, hi
+        start += hi - lo
+
+
+def _day_block() -> np.ndarray:
+    """BLOCK_ROWS int32 day ordinals in an anonymous memory map of their own.
+
+    The day blocks live only as long as the load, and a map dropped leaves
+    no hole in the malloc heap. The close blocks outlive the load, as the
+    closes, and come from the heap: once they are freed, later stages reuse
+    that space instead of faulting in new pages.
+    """
+    return np.frombuffer(mmap.mmap(-1, BLOCK_ROWS * np.dtype(np.intc).itemsize), np.intc)
+
+
+def _codes(table: dict, keys: list, new) -> np.ndarray:
+    """The int32 codes ``table`` gives ``keys``; a key it lacks is first
+    added as ``new(key)``, in order of first appearance."""
+    try:
+        return np.fromiter(map(table.__getitem__, keys), np.intc, len(keys))
+    except KeyError:
+        for key in dict.fromkeys(keys):
+            if key not in table:
+                table[key] = new(key)
+        return np.fromiter(map(table.__getitem__, keys), np.intc, len(keys))
+
+
+def _read_clean(path, wanted: set[str] | None, start_date: dt.date):
+    """Read a clean prices file column by column into fixed-size blocks.
+
+    Returns what ``_read_rows`` returns, or None on any doubt; it raises
+    nothing of its own. Fields stay bytes: ``float`` parses ASCII bytes as
+    it parses the same str and refuses other bytes, and only the first
+    occurrence of a date or ticker field is decoded.
+    """
+    limit = csv.field_size_limit()
+    # date field -> ordinal, or -1 before start_date; ticker field -> slot
+    ordinal_of: dict[bytes, int] = {}
+    slot_by_field: dict[bytes, int] = {}
+    # stripped ticker symbol -> slot, or -1 when filtered out
+    slot_of: dict[str, int] = {}
+    # per slot, flat (start, end) pairs of its runs of stored rows
+    runs: list[list[int]] = []
+    day_blocks: list[np.ndarray] = []
+    close_blocks: list[np.ndarray] = []
+    stored = run_count = 0
+
+    def new_slot(field: bytes) -> int:
+        symbol = field.decode().strip()
+        slot = slot_of.get(symbol)
+        if slot is None:
+            _check_ticker(symbol, 0)
+            slot = -1
+            if wanted is None or symbol in wanted:
+                slot = len(runs)
+                runs.append([])
+            slot_of[symbol] = slot
+        return slot
+
+    try:
+        with open(path, "rb") as fh:
+            # the row reader must be able to read the file again from the start
+            if not fh.seekable() or fh.readline(len(HEADER_LINE)) != HEADER_LINE:
+                return None
+            for chunk in _line_chunks(fh, limit):
+                # every line holds exactly two commas, and no quote, CR or NUL
+                seps = chunk.translate(None, _NOT_SEPARATORS)
+                if seps != b",,\n" * (len(seps) // 3):
+                    return None
+                fields = chunk.replace(b"\n", b",").split(b",")
+                fields.pop()
+                slots = _codes(slot_by_field, fields[0::3], new_slot)
+                days = _codes(ordinal_of, fields[1::3], lambda text: _ordinal(text.decode(), 0, start_date))
+                closes = np.fromiter(map(float, fields[2::3]), np.float64, len(slots))
+                del fields
+                if not (closes.min() > 0 and closes.max() < math.inf):
+                    return None
+                keep = (slots != -1) & (days != -1)
+                if not keep.all():
+                    slots, days, closes = slots[keep], days[keep], closes[keep]
+                if not len(slots):
+                    continue
+                bounds = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist(), len(slots)]
+                for lo, hi in zip(bounds, bounds[1:]):
+                    slot_runs = runs[slots[lo]]
+                    if slot_runs and slot_runs[-1] == stored + lo:
+                        slot_runs[-1] = stored + hi
+                    else:
+                        slot_runs += (stored + lo, stored + hi)
+                        run_count += 1
+                done = 0
+                for block, lo, hi in _block_pieces(stored, stored + len(days)):
+                    if block == len(day_blocks):
+                        day_blocks.append(_day_block())
+                        close_blocks.append(np.empty(BLOCK_ROWS, np.float64))
+                    day_blocks[block][lo:hi] = days[done:done + hi - lo]
+                    close_blocks[block][lo:hi] = closes[done:done + hi - lo]
+                    done += hi - lo
+                stored += done
+                # a file ordered by date shows here within its first chunks
+                if run_count > 32 + stored // 32:
+                    return None
+    except (OSError, ValueError, TscnetError):
+        # open or read, a decode error, a long line, a bad price, date or ticker
+        return None
+
+    def column(slot: int) -> tuple[np.ndarray, bool]:
+        pieces = [(day_blocks[block][lo:hi], close_blocks[block][lo:hi])
+                  for start, end in zip(runs[slot][0::2], runs[slot][1::2])
+                  for block, lo, hi in _block_pieces(start, end)]
+        runs[slot] = None
+        if len(pieces) == 1:
+            days, prices = pieces[0]
+        else:
+            days = np.concatenate([np.empty(0, np.intc), *(d for d, _ in pieces)])
+            prices = np.concatenate([np.empty(0, np.float64), *(p for _, p in pieces)])
+        ordered, repeated = _in_date_order(days, prices)
+        prices[:len(ordered)] = ordered
+        return prices[:len(ordered)], repeated
+
+    return slot_of, column
+
+
+def _read_rows(path, wanted: set[str] | None, start_date: dt.date):
+    """Read any prices file row by row; raise a TscnetError at the first bad
+    line, naming the file and the line.
+
+    Returns (slot_of, column): ``slot_of`` maps each stripped ticker symbol
+    in the file, in order of first appearance, to its slot, or to -1 when
+    the filter drops it; ``column(slot)`` gives ``_in_date_order``'s result
+    for the slot once, and frees the slot's rows.
+    """
     # date field as read -> ordinal, or -1 before start_date
     ordinal_of: dict[str, int] = {}
     # stripped ticker symbol -> slot, or -1 when filtered out
@@ -154,7 +333,7 @@ def load_price_table(
                     slot = -1
                     if wanted is None or symbol in wanted:
                         # a slot even if every row is before start_date, so
-                        # the exclusion warning below can name it
+                        # the exclusion warning can name it
                         slot = len(days)
                         days.append(array("i"))
                         prices.append(array("d"))
@@ -167,22 +346,47 @@ def load_price_table(
         except TscnetError as exc:
             raise TscnetError(f"{path} {exc}") from None
 
+    def column(slot: int) -> tuple[np.ndarray, bool]:
+        ordered = _in_date_order(days[slot], prices[slot])
+        # free each ticker's columns once done, so they and the output do
+        # not all live at once
+        days[slot] = prices[slot] = None
+        return ordered
+
+    return slot_of, column
+
+
+def load_price_table(
+    path,
+    tickers: list[str] | None = None,
+    start_date: dt.date = dt.date.min,
+) -> tuple[dict[str, np.ndarray], list[str]]:
+    """Load a prices CSV into one array of closes per ticker.
+
+    Returns (closes, warnings). ``closes`` maps each kept ticker, in
+    ascending ticker order, to a float64 array of its closes in date order.
+    Rows dated before ``start_date`` are dropped. When ``tickers`` is given,
+    only those symbols are loaded. Duplicate (ticker, date) rows keep the last
+    occurrence. A ticker with fewer than MIN_ROWS usable rows is excluded.
+    Every ticker present in the file but absent from ``closes`` appears in
+    the warnings with a reason; when no ticker is left, NoData carries them.
+    """
+    wanted = set(tickers) if tickers is not None else None
+    slot_of, column = _read_clean(path, wanted, start_date) or _read_rows(path, wanted, start_date)
+
     warnings = [f"{t}: excluded, not in ticker filter" for t, slot in slot_of.items() if slot < 0]
     short = []
     closes: dict[str, np.ndarray] = {}
     for ticker, slot in sorted(slot_of.items()):
         if slot < 0:
             continue
-        column, repeated = _in_date_order(days[slot], prices[slot])
-        # free each ticker's columns once done, so they and the output do
-        # not all live at once
-        days[slot] = prices[slot] = None
+        ordered, repeated = column(slot)
         if repeated:
             warnings.append(f"{ticker}: duplicate (ticker, date) rows, kept last occurrence")
-        if len(column) < MIN_ROWS:
+        if len(ordered) < MIN_ROWS:
             short.append(f"{ticker}: excluded, fewer than {MIN_ROWS} usable rows")
         else:
-            closes[ticker] = column
+            closes[ticker] = ordered
     warnings += short
 
     if wanted is not None:

@@ -1,13 +1,17 @@
 """Price CSV ingestion tests."""
 
+import csv
 import datetime as dt
+import os
 import re
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from conftest import write_prices_csv
+from tscnet import ingest
 from tscnet.errors import NoData, TscnetError
 from tscnet.ingest import load_price_table, parse_ticker_list
 
@@ -247,6 +251,145 @@ class TestLoadPriceTable:
         assert {"SHT", "OLD"} <= warned
 
 
+def _outcome(path, **kwargs):
+    """What load_price_table did, in a form that compares closes bit for bit."""
+    try:
+        closes, warnings = load_price_table(path, **kwargs)
+    except NoData as exc:
+        return "no data", str(exc), exc.warnings
+    except TscnetError as exc:
+        return "error", str(exc)
+    return "ok", [(t, c.tobytes()) for t, c in closes.items()], warnings
+
+
+def _row_reader_outcome(path, monkeypatch, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(ingest, "_read_clean", lambda *args: None)
+        return _outcome(path, **kwargs)
+
+
+def _date_ordered(tickers, days):
+    return "ticker,date,adj_close\n" + "".join(
+        f"T{t:02d},2019-01-{d + 2:02d},{t + d + 1}\n" for d in range(days) for t in range(tickers))
+
+
+class TestCleanFileReader:
+    """The clean-file reader takes files it can prove clean and gives every
+    other file, unread, to the row reader."""
+
+    @pytest.mark.parametrize("text, kwargs", [
+        (GOOD_CSV, {}),
+        (GOOD_CSV.rstrip("\n"), {}),
+        (GOOD_CSV + "\n\n\n", {}),
+        # a late correction row: AAA comes back for a second run
+        (GOOD_CSV + "AAA,2019-01-03,7.0\n", {}),
+        (GOOD_CSV + "AAA,2019-01-07,8.0\n", {"tickers": ["AAA", "ZZZ"], "start_date": dt.date(2019, 1, 3)}),
+        (GOOD_CSV.replace("BBB,", " BBB,", 1), {}),
+    ], ids=["grouped", "no-final-newline", "trailing-blank-lines", "late-row", "filter-and-start",
+            "padded-ticker"])
+    def test_clean_file_reads_no_csv_row(self, tmp_path, monkeypatch, text, kwargs):
+        path = _write(tmp_path, text)
+        expected = _row_reader_outcome(path, monkeypatch, **kwargs)
+        readers = []
+        real_reader = csv.reader
+        monkeypatch.setattr(csv, "reader", lambda *args: readers.append(args) or real_reader(*args))
+        assert _outcome(path, **kwargs) == expected
+        assert readers == []
+
+    def test_blank_lines_ending_a_chunk_stay_clean(self, tmp_path, monkeypatch):
+        # the trailing blank lines start exactly at the second read
+        text = GOOD_CSV + "\n\n"
+        monkeypatch.setattr(ingest, "CHUNK_BYTES", len(GOOD_CSV) - len("ticker,date,adj_close\n"))
+        assert ingest._read_clean(_write(tmp_path, text), None, dt.date.min) is not None
+
+    @pytest.mark.parametrize("text", [
+        GOOD_CSV.replace("\n", "\r\n"),
+        GOOD_CSV.replace("AAA,2019-01-03,101.5", 'AAA,2019-01-03,"101.5"'),
+        # a quote far from the start, after the first chunks were stored
+        GOOD_CSV + "".join(f"CCC,{dt.date(2000, 1, 1) + dt.timedelta(days=i)},1.5\n" for i in range(2000))
+        + '"DDD",2019-01-02,1.0\n',
+        GOOD_CSV.replace("BBB,", "\nBBB,", 1),
+        GOOD_CSV + "BBB,2019-01-07,abc\n",
+        GOOD_CSV + "BBB,2019-01-07,0\n",
+        GOOD_CSV + "BBB,2019-01-07\n",
+        GOOD_CSV + "BBB,2019-01-07,1.0,x\n",
+        GOOD_CSV + "BBB,2019-13-07,1.0\n",
+        GOOD_CSV + "B\x00B,2019-01-07,1.0\n",
+        GOOD_CSV.replace("ticker,date,adj_close", "ticker,date,adj_close,"),
+        _date_ordered(40, 5),
+    ], ids=["crlf", "quote", "late-quote", "blank-line", "bad-last-price", "zero-price", "short-row",
+            "long-row", "bad-date", "nul", "header", "date-ordered"])
+    def test_a_doubt_gives_the_row_readers_outcome(self, tmp_path, monkeypatch, text):
+        path = _write(tmp_path, text)
+        assert ingest._read_clean(path, None, dt.date.min) is None
+        assert _outcome(path) == _row_reader_outcome(path, monkeypatch)
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_a_pipe_is_read_once(self, tmp_path):
+        # a date-ordered file, which the clean-file reader would give up on
+        # after reading some of it
+        text = _date_ordered(40, 5)
+        expected = _outcome(_write(tmp_path, text))
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, text.encode())
+            os.close(write_end)
+            assert _outcome(f"/dev/fd/{read_end}") == expected
+        finally:
+            os.close(read_end)
+
+    def test_a_few_runs_per_ticker_stay_clean(self, tmp_path):
+        # 30 tickers of 40 days, each in two halves: 60 runs in 1200 rows,
+        # under the limit of 32 runs plus one per 32 rows
+        days = [dt.date(2019, 1, 2) + dt.timedelta(days=d) for d in range(40)]
+        text = "ticker,date,adj_close\n" + "".join(
+            f"T{t:02d},{days[d].isoformat()},{t + d + 1}\n" for half in (range(25), range(25, 40))
+            for t in range(30) for d in half)
+        path = _write(tmp_path, text)
+        assert ingest._read_clean(path, None, dt.date.min) is not None
+        closes, _ = load_price_table(path)
+        assert closes["T07"].tolist() == [float(8 + d) for d in range(40)]
+
+    @pytest.mark.parametrize("row", [b"C\xffC,2019-01-02,1\n", b"CCC,2019-01-02,1\xff\n"])
+    def test_non_utf8_byte(self, tmp_path, row):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(GOOD_CSV.encode() + row)
+        assert ingest._read_clean(path, None, dt.date.min) is None
+        assert _outcome(path) == ("error", f"{path}: not UTF-8 text (invalid start byte)")
+
+    @pytest.mark.parametrize("at, message", [
+        (2_000, "not UTF-8 text (invalid start byte)"),
+        (12_000, "line 3: bad price 'abc'"),
+        (100_000, "line 3: bad price 'abc'"),
+    ])
+    def test_first_error_does_not_depend_on_read_ahead(self, tmp_path, at, message):
+        # which of a bad row and a later non-UTF-8 byte is reported depends
+        # only on the row reader's own decoding, not on how far the
+        # clean-file reader read before it gave up
+        text = "ticker,date,adj_close\nAAA,2019-01-02,1\nAAA,2019-01-03,abc\n"
+        day = dt.date(2000, 1, 1)
+        while len(text) < at:
+            text += f"BBB,{day.isoformat()},2\n"
+            day += dt.timedelta(days=1)
+        path = tmp_path / "prices.csv"
+        path.write_bytes(text.encode() + b"CCC,2019-01-02,\xff\n")
+        sep = ":" if message.startswith("not") else ""
+        assert _outcome(path) == ("error", f"{path}{sep} {message}")
+
+    def test_closes_are_views_freed_with_the_table(self, tmp_path, monkeypatch):
+        # with 4-row blocks the 7-row ticker spans blocks, so its closes are a
+        # view of a copy; the others are views of one shared block
+        monkeypatch.setattr(ingest, "BLOCK_ROWS", 4)
+        text = GOOD_CSV + "".join(f"CCC,2019-01-{d:02d},{d}.5\n" for d in range(2, 9))
+        closes, _ = load_price_table(_write(tmp_path, text))
+        assert all(c.base is not None for c in closes.values())
+        assert closes["AAA"].base is not closes["CCC"].base
+        assert closes["CCC"].tolist() == [2.5, 3.5, 4.5, 5.5, 6.5, 7.5, 8.5]
+        bases = [weakref.ref(c.base) for c in closes.values()]
+        del closes
+        assert [ref() for ref in bases] == [None] * len(bases)
+
+
 class TestRoundTrip:
     def test_write_then_load_is_bitwise(self, tmp_path):
         closes = (100.0, 100.1, 99.97, 101.123456789012345)
@@ -275,3 +418,30 @@ class TestMemory:
         assert warnings == []
         assert sum(len(c) for c in closes.values()) == 200_000
         assert peak / 200_000 < 16
+
+    @pytest.mark.parametrize("reader", ["clean", "rows"])
+    def test_peak_per_row_with_the_blocks_is_bounded(self, tmp_path, monkeypatch, reader):
+        # the clean-file reader's day blocks are memory maps, which
+        # tracemalloc does not see: their bytes are added to the traced peak.
+        # Its close blocks and the row reader's columns are traced.
+        path = tmp_path / "prices.csv"
+        write_prices_csv(path, [(f"T{i:03d}", 0.2, 0.1) for i in range(125)], n_returns=1599)
+        mapped = []
+        real_day_block = ingest._day_block
+
+        def day_block():
+            mapped.append(real_day_block())
+            return mapped[-1]
+
+        monkeypatch.setattr(ingest, "_day_block", day_block)
+        if reader == "rows":
+            monkeypatch.setattr(ingest, "_read_clean", lambda *args: None)
+        tracemalloc.start()
+        try:
+            closes, _ = load_price_table(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(c) for c in closes.values()) == 200_000
+        assert (reader == "clean") == bool(mapped)
+        assert (peak + sum(b.nbytes for b in mapped)) / 200_000 < 16

@@ -6,7 +6,8 @@ ticker fields, date strings that differ as text but not as dates, an
 optional start date and ticker filter, and at most one bad row. The loader
 must agree with ``reference_load``, a plain dict-per-ticker loader: the same
 closes bit for bit, the same warnings in the same order, or the same error
-message.
+message. Each property also runs with tiny chunks and blocks, so that the
+clean-file reader's chunk cuts and block edges fall between any two rows.
 """
 
 import csv
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from tscnet import ingest
 from tscnet.errors import NoData, TscnetError, reading_utf8
 from tscnet.ingest import MIN_ROWS, PRICES_HEADER, load_price_table
 
@@ -201,7 +203,19 @@ def write(path, text):
     path.write_bytes(text.encode("utf-8"))
 
 
-def test_matches_the_reference_loader(prices_path):
+@pytest.fixture
+def tiny_chunks(monkeypatch):
+    """Chunks of 64 bytes, about four rows, and blocks of 4 rows."""
+    monkeypatch.setattr(ingest, "CHUNK_BYTES", 64)
+    monkeypatch.setattr(ingest, "BLOCK_ROWS", 4)
+
+
+# clean files, which the clean-file reader takes: three tickers of three days
+CLEAN = "ticker,date,adj_close\n" + "".join(
+    f"{t},{d.isoformat()},{i + 1}\n" for i, (t, d) in enumerate((t, d) for t in "ABC" for d in DAYS[:3]))
+
+
+def check_matches_reference(prices_path):
     @settings(deadline=None, max_examples=150)
     @given(price_files())
     # last occurrence wins across text forms of one date and padded tickers
@@ -212,6 +226,22 @@ def test_matches_the_reference_loader(prices_path):
     @example(("ticker,date,adj_close\nA,2019-01-02,0\n", None, DAYS[3]))
     # a quoted field that runs on to the next line moves the line numbers
     @example(('ticker,date,adj_close\nA,"2019-01-02\n",1\nA,2019-01-03,nan\n', None, None))
+    # clean files: a ticker filter, a start date inside a run, a duplicate
+    # inside a run, and a ticker that comes back later
+    @example((CLEAN, ["B", "Z"], None))
+    @example((CLEAN, None, DAYS[1]))
+    @example((CLEAN + "C,2019-01-04,7\nC,2019-01-04,8\nC,2019-01-05,9\n", None, None))
+    @example((CLEAN + "A,2019-01-02,7\nA,2019-01-05,8\n", ["A", "C"], DAYS[1]))
+    # 64-byte chunks cut right after the fourth row, on a change of ticker
+    @example(("ticker,date,adj_close\n" + "".join(f"A,{d.isoformat()},1{i}\n" for i, d in enumerate(DAYS[:4]))
+              + "B,2019-01-02,1\nB,2019-01-03,2\nB,2019-01-04,3\n", None, None))
+    # a 2-field line and a 4-field line hold four commas between them
+    @example(("ticker,date,adj_close\nA,2019-01-02,1\nA,2019-01-03\n2,A,2019-01-04,3\n", None, None))
+    # a clean line with a field longer than csv.field_size_limit()
+    @example((CLEAN + "A" * (csv.field_size_limit() + 1) + ",2019-01-02,1\n", None, None))
+    # no final newline, and blank lines at the end
+    @example((CLEAN.rstrip("\n"), None, None))
+    @example((CLEAN + "\n\n", None, None))
     def check(case):
         text, tickers, start = case
         write(prices_path, text)
@@ -220,6 +250,14 @@ def test_matches_the_reference_loader(prices_path):
             reference_load, prices_path, **kwargs)
 
     check()
+
+
+def test_matches_the_reference_loader(prices_path):
+    check_matches_reference(prices_path)
+
+
+def test_matches_the_reference_loader_in_tiny_chunks(prices_path, tiny_chunks):
+    check_matches_reference(prices_path)
 
 
 @st.composite
@@ -232,7 +270,7 @@ def shuffled_files(draw):
     return draw(csv_text(rows)), draw(csv_text(shuffled)), draw(FILTER), draw(START)
 
 
-def test_row_order_does_not_matter_without_duplicates(prices_path):
+def check_row_order_does_not_matter(prices_path):
     @settings(deadline=None, max_examples=80)
     @given(shuffled_files())
     def check(case):
@@ -249,3 +287,11 @@ def test_row_order_does_not_matter_without_duplicates(prices_path):
         assert sorted(after[-1]) == sorted(before[-1])
 
     check()
+
+
+def test_row_order_does_not_matter_without_duplicates(prices_path):
+    check_row_order_does_not_matter(prices_path)
+
+
+def test_row_order_does_not_matter_in_tiny_chunks(prices_path, tiny_chunks):
+    check_row_order_does_not_matter(prices_path)
