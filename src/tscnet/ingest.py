@@ -8,11 +8,13 @@ narrow:
   ``ticker,date,adj_close``, ISO-8601 dates, decimal prices
 * ticker list: plain text, one symbol per line or comma-separated
 
-A prices file is read in one pass, by one of two readers. Each distinct date
-field is parsed once, and each distinct ticker symbol is checked and filtered
-once, on its first row; memory holds one dict entry per distinct date field
-and ticker symbol. A kept row costs 12 bytes: a 4-byte date ordinal (none
-exceeds 3,652,059, that of ``date.max``) and an 8-byte close.
+A prices file is read by one of two readers, in one pass per reader; a file
+the clean-file reader gives up on is read a second time, from the start, by
+the row reader. A reader parses each distinct date field once, and checks
+and filters each distinct ticker symbol once, on its first row; memory
+holds one dict entry per distinct date field and ticker symbol. A kept row
+costs 12 bytes: a 4-byte date ordinal (none exceeds 3,652,059, that of
+``date.max``) and an 8-byte close.
 
 * The clean-file reader takes a file whose header line is exactly
   ``ticker,date,adj_close``, whose every later line holds two commas and no

@@ -6,12 +6,12 @@ distance-weighted probabilistic sampling (k-means++ style) from its own
 deterministic random stream, so restarts are order-independent and a fixed
 (seed, restarts) pair reproduces the fitted model bit for bit.
 
-Convergence: a restart runs until an exact Lloyd fixed point, an assignment
-pass that leaves every centroid unchanged (recomputed means of an identical
-partition are bitwise identical), so the fitted-model invariants (centroid ==
-mean of members, every point nearest its centroid) hold exactly. No restart
-runs more than ``MAX_ITER`` assignment passes; a final assignment makes the
-labels agree with the centroids a restart cut there ends with.
+Convergence: a restart runs until an exact Lloyd fixed point, a pass whose
+recomputed centroid array equals the one it assigned to (recomputed means of
+an identical partition are bitwise identical), so the fitted-model invariants
+(centroid == mean of members, every point nearest its centroid) hold exactly.
+No restart runs more than ``MAX_ITER`` assignment passes; a final assignment
+makes the labels agree with the centroids a restart cut there ends with.
 
 Every squared distance, in the seeding, the assignment and the silhouette,
 comes from :func:`_sq_dists`, which sums squared differences one dimension
@@ -45,11 +45,10 @@ _BLOCK_BYTES = 1 << 20
 
 @dataclass(frozen=True)
 class KMeansModel:
-    """A fitted k-means model, or one restart of it. Treat as immutable.
+    """A fitted k-means model: the lowest-wcss restart. Treat as immutable.
 
-    ``wcss_history`` holds the restart's within-cluster sum of squares after
-    each (assign, update) pair; it is non-increasing up to float noise.
-    ``silhouette`` is None when k == 1 (undefined) and for a single restart.
+    ``iterations_run`` counts that restart's assignment passes.
+    ``silhouette`` is None when k == 1 (undefined).
     """
 
     k: int
@@ -58,7 +57,6 @@ class KMeansModel:
     wcss: float
     silhouette: float | None
     iterations_run: int
-    wcss_history: tuple[float, ...]
 
 
 def _sq_dists(rows: np.ndarray, cols: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
@@ -127,12 +125,11 @@ def _kmeanspp_init(cols: np.ndarray, k: int, rng: Xorshift64Star) -> np.ndarray:
     return centroids
 
 
-def _lloyd(X: np.ndarray, k: int, rng: Xorshift64Star) -> KMeansModel:
-    """One restart, seeded from ``rng``; its ``silhouette`` is None."""
+def _lloyd(X: np.ndarray, k: int, rng: Xorshift64Star):
+    """One restart, seeded from ``rng``: (centroids, labels, wcss, iterations)."""
     cols = X.T.copy()
     centroids = _kmeanspp_init(cols, k, rng)
     d2, tmp = np.empty((k, len(X))), np.empty((k, len(X)))
-    history = []
     for iterations in range(1, MAX_ITER + 1):
         labels, own_d2 = _assign_all(cols, centroids, d2, tmp)
         counts = np.bincount(labels, minlength=k)
@@ -140,17 +137,15 @@ def _lloyd(X: np.ndarray, k: int, rng: Xorshift64Star) -> KMeansModel:
         new_centroids = np.empty_like(centroids)
         for j, col in enumerate(cols):
             new_centroids[:, j] = np.bincount(labels, weights=col, minlength=k) / counts
-        diffs = X - new_centroids[labels]
-        history.append(float(np.sum(diffs * diffs)))
-        shift = float(np.sqrt(np.max(np.sum((new_centroids - centroids) ** 2, axis=1))))
+        done = np.array_equal(new_centroids, centroids)
         centroids = new_centroids
-        if shift == 0.0:
+        if done:
             break
     # make labels consistent with the final centroids (no-op when the loop
     # ended on an exact fixed point)
     labels, own_d2 = _assign_all(cols, centroids, d2, tmp)
     _repair_empty(X, centroids, labels, own_d2, np.bincount(labels, minlength=k))
-    return KMeansModel(k, centroids, labels, float(own_d2.sum()), None, iterations, tuple(history))
+    return centroids, labels, float(own_d2.sum()), iterations
 
 
 def count_distinct(points) -> int:
@@ -186,12 +181,13 @@ def kmeans_fit(points, k: int, seed: int = SEED, restarts: int = DEFAULT_RESTART
     if k > distinct:
         raise TscnetError(f"k={k} is above the {distinct} distinct points")
 
-    best = None
-    for r in range(restarts):
-        cand = _lloyd(X, k, Xorshift64Star(derive_seed(seed, r)))
-        if best is None or cand.wcss < best.wcss:
-            best = cand
-    return replace(best, silhouette=silhouette(X, best.assignments)) if k >= 2 else best
+    # min keeps the first of equal wcss values, so a tie keeps the earliest restart
+    centroids, labels, wcss, iterations = min(
+        (_lloyd(X, k, Xorshift64Star(derive_seed(seed, r))) for r in range(restarts)),
+        key=lambda fit: fit[2],
+    )
+    score = silhouette(X, labels) if k >= 2 else None
+    return KMeansModel(k, centroids, labels, wcss, score, iterations)
 
 
 def silhouette(points, labels) -> float:
