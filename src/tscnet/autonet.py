@@ -16,7 +16,8 @@ each spec with its ``weights`` and ``biases`` as views of ``theta``, so
 :func:`backward` returns one gradient vector in the same layout and one
 Adam update over ``theta`` updates the whole network. :func:`forward`
 returns the outputs and the activation list ``[X, a1, ..., aL]`` that
-:func:`backward` consumes.
+:func:`backward` consumes, or, for prediction, the outputs alone. Training
+passes write into one :class:`Workspace` per :func:`train` call.
 
 Initialization is uniform on +/-sqrt(6 / (fan_in + fan_out)) with zero
 biases, drawn row-major from the package's deterministic generator, so a
@@ -170,21 +171,47 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def _activation_backward(name: str, delta: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Gradient w.r.t. the pre-activation, given ``delta`` w.r.t. the output ``a``.
+def _activation_backward(name: str, delta: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Gradient w.r.t. the pre-activation, given ``delta`` w.r.t. the output
+    ``a``, written into ``out``, an array shaped like ``a``.
 
     For relu, ``a > 0`` holds exactly where the pre-activation is > 0.
     """
     if name == "relu":
-        grad = (a > 0.0).astype(float)
-        grad *= delta
-        return grad
-    if name == "sigmoid":
-        return delta * (a * (1.0 - a))
-    return delta
+        np.greater(a, 0.0, out=out)
+        out *= delta
+    elif name == "sigmoid":
+        np.multiply(delta, a * (1.0 - a), out=out)
+    else:
+        np.copyto(out, delta)
+    return out
 
 
-def forward(net: DenseNetwork, batch) -> tuple[np.ndarray, list[np.ndarray]]:
+class Workspace:
+    """Arrays that :func:`forward` and :func:`backward` write into when a
+    training loop passes them, for batches of up to ``rows`` rows: each
+    layer's activation, and two flat buffers for :func:`backward`'s
+    gradients w.r.t. pre-activations and layer inputs.
+
+    A step that reuses them allocates nothing as wide as a hidden layer, so
+    the allocator never hands those pages back to be faulted in again at
+    the next step. The arrays a pass returns are overwritten by the next
+    pass that writes into the same workspace.
+    """
+
+    def __init__(self, net: DenseNetwork, rows: int) -> None:
+        self.acts = [np.empty((rows, spec.output_width)) for spec in net.specs]
+        size = rows * max(spec.output_width for spec in net.specs)
+        self.deltas = (np.empty(size), np.empty(size))
+
+    def delta(self, which: int, rows: int, width: int) -> np.ndarray:
+        """A (rows, width) array over the start of flat buffer ``which``."""
+        return self.deltas[which][: rows * width].reshape(rows, width)
+
+
+def forward(
+    net: DenseNetwork, batch, keep_acts: bool = True, ws: Workspace | None = None
+) -> tuple[np.ndarray, list[np.ndarray] | None]:
     """Run a batch through the network; returns (outputs, acts).
 
     ``acts`` is ``[X, a1, ..., aL]``: the input, then each layer's
@@ -193,6 +220,12 @@ def forward(net: DenseNetwork, batch) -> tuple[np.ndarray, list[np.ndarray]]:
     (n, output_width). Weights large enough to overflow give NaN or
     infinite outputs without a NumPy warning; :func:`round_labels` and the
     training loss check reject them.
+
+    With ``keep_acts`` False, ``acts`` is None and each layer's input is
+    dropped once its output exists, so at most two adjacent layers'
+    activations live at once. With a :class:`Workspace`, each layer's
+    product is written into its first n rows of ``ws.acts``. Either way the
+    outputs are the same bits.
     """
     X = np.asarray(batch, dtype=float)
     if X.ndim != 2 or X.shape[1] != net.input_width:
@@ -201,11 +234,13 @@ def forward(net: DenseNetwork, batch) -> tuple[np.ndarray, list[np.ndarray]]:
         raise TscnetError("batch contains NaN or infinity")
     acts = [X]
     with np.errstate(over="ignore", invalid="ignore"):
-        for layer in net.layers:
-            z = acts[-1] @ layer.weights.T
+        for i, layer in enumerate(net.layers):
+            z = np.matmul(acts[-1], layer.weights.T, out=None if ws is None else ws.acts[i][: len(X)])
+            if not keep_acts:
+                acts.pop()
             z += layer.biases
             acts.append(_activate(layer.spec.activation, z))
-    return acts[-1], acts
+    return acts[-1], acts if keep_acts else None
 
 
 def mse_loss(pred, target) -> float:
@@ -218,8 +253,13 @@ def mse_loss(pred, target) -> float:
     return float(np.mean(diff * diff))
 
 
-def backward(net: DenseNetwork, acts: list[np.ndarray], target) -> np.ndarray:
-    """Gradient of mse_loss w.r.t. ``net.theta``, laid out like it, from the ``acts`` of :func:`forward`."""
+def backward(net: DenseNetwork, acts: list[np.ndarray], target, ws: Workspace | None = None) -> np.ndarray:
+    """Gradient of mse_loss w.r.t. ``net.theta``, laid out like it, from the ``acts`` of :func:`forward`.
+
+    With a :class:`Workspace`, the per-layer gradients w.r.t. pre-activations
+    and inputs are written into its flat buffers, and the result is the same
+    bits.
+    """
     t = np.asarray(target, dtype=float)
     pred = acts[-1]
     if t.shape != pred.shape:
@@ -228,14 +268,18 @@ def backward(net: DenseNetwork, acts: list[np.ndarray], target) -> np.ndarray:
     delta = 2.0 * (pred - t) / pred.size
     grad = np.empty_like(net.theta)
     views = net.views(grad)
+    n = len(pred)
     for idx in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[idx]
-        dz = _activation_backward(layer.spec.activation, delta, acts[idx + 1])
+        spec = layer.spec
+        # dz goes to the first buffer, then the next delta, made from it, to the second
+        dz_out = np.empty((n, spec.output_width)) if ws is None else ws.delta(0, n, spec.output_width)
+        dz = _activation_backward(spec.activation, delta, acts[idx + 1], dz_out)
         grad_w, grad_b = views[idx]
         np.matmul(dz.T, acts[idx], out=grad_w)
         np.sum(dz, axis=0, out=grad_b)
         if idx > 0:
-            delta = dz @ layer.weights
+            delta = np.matmul(dz, layer.weights, out=None if ws is None else ws.delta(1, n, spec.input_width))
     return grad
 
 
@@ -296,8 +340,11 @@ def train(
     Each step is one Adam update of ``net.theta``. With one full batch, each
     epoch-end forward pass, which gives the epoch's loss, is also the next
     epoch's training forward, so an epoch costs one forward and one backward.
-    With minibatches the epoch-end pass keeps only its outputs, so no
-    full-data activations live through the next epoch's steps.
+    With minibatches the epoch-end pass keeps only its outputs, dropping
+    each layer's input once its output exists, so no full-data activations
+    live through the next epoch's steps. The steps, and the full-batch
+    passes, write their activations and gradients into one
+    :class:`Workspace` allocated per call.
     """
     Xa = np.asarray(X, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -316,14 +363,15 @@ def train(
     state = AdamState(net.theta.size)
     rng = Xorshift64Star(seed)
     single_batch = batch_size >= n
+    ws = Workspace(net, min(batch_size, n))
 
     def step(acts: list[np.ndarray], target: np.ndarray) -> None:
-        adam_step(net.theta, backward(net, acts, target), state)
+        adam_step(net.theta, backward(net, acts, target, ws=ws), state)
 
     losses = []
     # a diverging run overflows before the epoch-end check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        acts = forward(net, Xa)[1] if single_batch else None
+        acts = forward(net, Xa, ws=ws)[1] if single_batch else None
         for epoch in range(1, epochs + 1):
             if single_batch:
                 step(acts, ya)
@@ -333,16 +381,13 @@ def train(
                 order = np.array(idx)
                 for start in range(0, n, batch_size):
                     rows = order[start : start + batch_size]
-                    step(forward(net, Xa[rows])[1], ya[rows])
+                    step(forward(net, Xa[rows], ws=ws)[1], ya[rows])
             if single_batch:
-                # the old acts are freed only once the new ones exist; freeing
-                # them first lets malloc hand their pages back and fault them
-                # in again every epoch, which cost more than the forward this
-                # loop saves
-                out, acts = forward(net, Xa)
+                # the step has read the acts, so the pass may write over them
+                out, acts = forward(net, Xa, ws=ws)
             else:
                 # minibatches never read the full-data acts: keep only the outputs
-                out = forward(net, Xa)[0]
+                out = forward(net, Xa, keep_acts=False)[0]
             losses.append(mse_loss(out, ya))
             if not math.isfinite(losses[-1]):
                 raise TscnetError(f"training diverged: loss {losses[-1]} at epoch {epoch}")
@@ -367,8 +412,9 @@ def round_labels(raw, num_clusters: int) -> np.ndarray:
 def predict_labels(net: DenseNetwork, X, num_clusters: int) -> tuple[np.ndarray, np.ndarray]:
     """(raw, labels) for a batch: the network's (n,) raw outputs and the
     integer labels :func:`round_labels` makes of them. The network must have
-    one output."""
-    out, _ = forward(net, X)
+    one output. It keeps no hidden activations (``forward``'s
+    ``keep_acts=False``)."""
+    out, _ = forward(net, X, keep_acts=False)
     if out.shape[1] != 1:
         raise TscnetError(f"label prediction expects a 1-wide output, got {out.shape[1]}")
     raw = out[:, 0]

@@ -136,14 +136,14 @@ def cmd_label(args: argparse.Namespace) -> int:
 
     # the k rule before ingest, as `run` meets it in its config
     pipeline._check_k(args.k, args.k_min, args.k_max)
-    closes, warns = pipeline.load_table(args.prices, args.tickers, args.start_date)
+    tickers, points, warns = pipeline.load_table(args.prices, args.tickers, args.start_date, args.trading_days)
     # before Stage 1, which may fail on what ingest dropped
     _warn(warns)
     records, model, sweep = pipeline.stage1_label(
-        closes,
+        tickers,
+        points,
         k=args.k,
         seed=args.seed,
-        trading_days=args.trading_days,
         k_min=args.k_min,
         k_max=args.k_max,
     )

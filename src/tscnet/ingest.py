@@ -12,34 +12,40 @@ A prices file is read by one of two readers, in one pass per reader; a file
 the clean-file reader gives up on is read a second time, from the start, by
 the row reader. A reader parses each distinct date field once, and checks
 and filters each distinct ticker symbol once, on its first row; memory
-holds one dict entry per distinct date field and ticker symbol. A kept row
-costs 12 bytes: a 4-byte date ordinal (none exceeds 3,652,059, that of
-``date.max``) and an 8-byte close.
+holds one dict entry per distinct date field and ticker symbol.
 
 * The clean-file reader takes a file whose header line is exactly
   ``ticker,date,adj_close``, whose every later line holds two commas and no
   quote, CR or NUL, with no blank line before the last row and no line
-  longer than ``csv.field_size_limit()``. It reads about CHUNK_BYTES at a
+  longer than ``csv.field_size_limit()``, and in which each ticker's kept
+  rows have strictly ascending dates. It reads about CHUNK_BYTES at a
   time, cut at a newline, column by column: one split per chunk, a dict
   lookup per field (a field first seen is parsed or checked once), and
-  ``np.fromiter(map(float, ...))`` for the closes. Kept rows go, in file
-  order, into fixed-size blocks of BLOCK_ROWS rows, and each ticker keeps
-  the (start, end) runs of its rows. A file
-  grouped by ticker costs one run per ticker; a file with more runs than 32
-  plus one per 32 rows, such as one ordered by date, goes to the row reader.
+  ``np.fromiter(map(float, ...))`` for the closes. Each kept row's date is
+  checked against the ticker's last kept date, one int32 per ticker, and
+  is not stored: a kept row costs 8 bytes, its close, in file order in
+  fixed-size heap blocks of BLOCK_ROWS rows. Each ticker keeps the (start,
+  end) runs of its rows, and its closes are a view of a block, or a copy
+  of its runs when they span blocks. A file grouped by ticker costs one
+  run per ticker; a file with more runs than 32 plus one per 32 rows, such
+  as one ordered by date, goes to the row reader.
 * The row reader takes any file: a ``csv.reader`` loop that appends each
-  kept row to two typed columns of its ticker. It is the one place that
-  names a bad line. The clean-file reader raises nothing: on any doubt (any
-  check above, a bad date, ticker or price, or bytes that are not UTF-8) it
-  stops, and the row reader reads the file from the start, so every error
-  and its precedence are the row reader's.
+  kept row to two typed columns of its ticker, a 4-byte date ordinal (none
+  exceeds 3,652,059, that of ``date.max``) and an 8-byte close, 12 bytes
+  a row. It is the one place that names a bad line. The clean-file reader
+  raises nothing: on any doubt (any check above, a bad date, ticker or
+  price, or bytes that are not UTF-8) it stops, and the row reader reads
+  the file from the start, so every error, warning and its precedence are
+  the row reader's. At the end it puts each ticker's rows in date order by
+  one stable sort by date, which keeps the last row of each date, so the
+  last occurrence in the file wins.
 
-At the end each ticker's rows are put in date order by one stable sort by
-date, which keeps the last row of each date, so the last occurrence in the
-file wins. From the clean-file reader the sorted closes are written back in
-place: each ticker's array is a view of a block, or of a copy of its runs
-when they span blocks. The day blocks are dropped at the end of the load,
-and a close block once no view of it is left.
+So these files are read twice: a file with CRLF line ends, a quoted field,
+a blank line before a row, or an unparsable row, found wherever it sits;
+one in which a ticker repeats a date or goes back in time, such as a late
+correction row for a date already given; and one whose tickers come in
+too many runs, such as a file ordered by date, which the clean-file
+reader leaves within its first chunks.
 """
 
 from __future__ import annotations
@@ -47,7 +53,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import math
-import mmap
 from array import array
 
 import numpy as np
@@ -108,10 +113,10 @@ def _in_date_order(days, prices) -> tuple[np.ndarray, bool]:
     """One ticker's closes in date order, as a new array, and whether a date
     repeated.
 
-    ``days`` and ``prices`` are its rows in file order: typed ``array``s from
-    the row reader, int32 and float64 ndarrays from the clean-file reader. A
-    stable sort keeps rows of one date in file order, so the last of each run
-    of equal dates is the date's last occurrence in the file.
+    ``days`` and ``prices`` are its rows in file order, as the row reader's
+    typed ``array``s. A stable sort keeps rows of one date in file order, so
+    the last of each run of equal dates is the date's last occurrence in the
+    file.
     """
     d = np.frombuffer(days, dtype=np.intc)
     p = np.frombuffer(prices, dtype=np.float64)
@@ -156,17 +161,6 @@ def _block_pieces(start: int, end: int):
         start += hi - lo
 
 
-def _day_block() -> np.ndarray:
-    """BLOCK_ROWS int32 day ordinals in an anonymous memory map of their own.
-
-    The day blocks live only as long as the load, and a map dropped leaves
-    no hole in the malloc heap. The close blocks outlive the load, as the
-    closes, and come from the heap: once they are freed, later stages reuse
-    that space instead of faulting in new pages.
-    """
-    return np.frombuffer(mmap.mmap(-1, BLOCK_ROWS * np.dtype(np.intc).itemsize), np.intc)
-
-
 def _codes(table: dict, keys: list, new) -> np.ndarray:
     """The int32 codes ``table`` gives ``keys``; a key it lacks is first
     added as ``new(key)``, in order of first appearance."""
@@ -185,7 +179,10 @@ def _read_clean(path, wanted: set[str] | None, start_date: dt.date):
     Returns what ``_read_rows`` returns, or None on any doubt; it raises
     nothing of its own. Fields stay bytes: ``float`` parses ASCII bytes as
     it parses the same str and refuses other bytes, and only the first
-    occurrence of a date or ticker field is decoded.
+    occurrence of a date or ticker field is decoded. Each kept row's date
+    must be later than that of the ticker's kept row before it, so a
+    ticker's closes in file order are its closes in date order, and no date
+    is stored.
     """
     limit = csv.field_size_limit()
     # date field -> ordinal, or -1 before start_date; ticker field -> slot
@@ -193,9 +190,10 @@ def _read_clean(path, wanted: set[str] | None, start_date: dt.date):
     slot_by_field: dict[bytes, int] = {}
     # stripped ticker symbol -> slot, or -1 when filtered out
     slot_of: dict[str, int] = {}
-    # per slot, flat (start, end) pairs of its runs of stored rows
+    # per slot, flat (start, end) pairs of its runs of stored rows, and the
+    # ordinal of its last stored row (0 is below every date's)
     runs: list[list[int]] = []
-    day_blocks: list[np.ndarray] = []
+    last_day = array("i")
     close_blocks: list[np.ndarray] = []
     stored = run_count = 0
 
@@ -208,6 +206,7 @@ def _read_clean(path, wanted: set[str] | None, start_date: dt.date):
             if wanted is None or symbol in wanted:
                 slot = len(runs)
                 runs.append([])
+                last_day.append(0)
             slot_of[symbol] = slot
         return slot
 
@@ -234,20 +233,29 @@ def _read_clean(path, wanted: set[str] | None, start_date: dt.date):
                     slots, days, closes = slots[keep], days[keep], closes[keep]
                 if not len(slots):
                     continue
-                bounds = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist(), len(slots)]
+                starts = np.flatnonzero(slots[1:] != slots[:-1]) + 1
+                # a repeated or earlier date within a run of one ticker
+                later = days[1:] > days[:-1]
+                later[starts - 1] = True
+                if not later.all():
+                    return None
+                bounds = [0, *starts.tolist(), len(slots)]
                 for lo, hi in zip(bounds, bounds[1:]):
-                    slot_runs = runs[slots[lo]]
+                    slot = slots[lo]
+                    # ... or from a ticker's last run to its next
+                    if days[lo] <= last_day[slot]:
+                        return None
+                    last_day[slot] = days[hi - 1]
+                    slot_runs = runs[slot]
                     if slot_runs and slot_runs[-1] == stored + lo:
                         slot_runs[-1] = stored + hi
                     else:
                         slot_runs += (stored + lo, stored + hi)
                         run_count += 1
                 done = 0
-                for block, lo, hi in _block_pieces(stored, stored + len(days)):
-                    if block == len(day_blocks):
-                        day_blocks.append(_day_block())
+                for block, lo, hi in _block_pieces(stored, stored + len(closes)):
+                    if block == len(close_blocks):
                         close_blocks.append(np.empty(BLOCK_ROWS, np.float64))
-                    day_blocks[block][lo:hi] = days[done:done + hi - lo]
                     close_blocks[block][lo:hi] = closes[done:done + hi - lo]
                     done += hi - lo
                 stored += done
@@ -259,18 +267,13 @@ def _read_clean(path, wanted: set[str] | None, start_date: dt.date):
         return None
 
     def column(slot: int) -> tuple[np.ndarray, bool]:
-        pieces = [(day_blocks[block][lo:hi], close_blocks[block][lo:hi])
+        pieces = [close_blocks[block][lo:hi]
                   for start, end in zip(runs[slot][0::2], runs[slot][1::2])
                   for block, lo, hi in _block_pieces(start, end)]
         runs[slot] = None
         if len(pieces) == 1:
-            days, prices = pieces[0]
-        else:
-            days = np.concatenate([np.empty(0, np.intc), *(d for d, _ in pieces)])
-            prices = np.concatenate([np.empty(0, np.float64), *(p for _, p in pieces)])
-        ordered, repeated = _in_date_order(days, prices)
-        prices[:len(ordered)] = ordered
-        return prices[:len(ordered)], repeated
+            return pieces[0], False
+        return np.concatenate([np.empty(0, np.float64), *pieces]), False
 
     return slot_of, column
 

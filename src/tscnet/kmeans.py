@@ -93,10 +93,18 @@ def _assign_all(cols: np.ndarray, centroids: np.ndarray, d2: np.ndarray, tmp: np
 def _repair_empty(X, centroids, labels, own_d2, counts):
     """Reseed each empty cluster at the point farthest from its centroid.
 
-    ``counts`` holds the cluster sizes and is kept up to date.
+    ``counts`` holds the cluster sizes and is kept up to date. With at least
+    k distinct points some point lies off its centroid, unless its squared
+    distance underflows to 0: then no point can fill the cluster, and a
+    TscnetError says so.
     """
     for j in np.flatnonzero(counts == 0):
         p = int(np.argmax(own_d2))
+        if own_d2[p] == 0.0:
+            raise TscnetError(
+                f"k={len(centroids)}: every point's squared distance to its centroid underflows to 0, "
+                "so an empty cluster cannot be refilled"
+            )
         counts[labels[p]] -= 1
         centroids[j] = X[p]
         labels[p] = j

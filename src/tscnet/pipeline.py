@@ -95,34 +95,45 @@ class EvaluationReport:
     accuracy: float
 
 
-def load_table(prices_path, tickers_path, start_date) -> tuple[dict[str, np.ndarray], list[str]]:
-    """Load a prices CSV, keeping the symbols in ``tickers_path`` when given
-    and the rows from ``start_date`` on when given. Returns (closes,
-    warnings), as :func:`ingest.load_price_table` does.
+def load_table(
+    prices_path, tickers_path, start_date, trading_days: int = TRADING_DAYS
+) -> tuple[tuple[str, ...], np.ndarray, list[str]]:
+    """The ⟨volatility, ret⟩ features of a prices CSV, keeping the symbols in
+    ``tickers_path`` when given and the rows from ``start_date`` on when
+    given.
+
+    Returns (tickers, features, warnings): ``tickers`` in ascending order,
+    row i of the (n, 2) ``features`` that of ``tickers[i]``
+    (:func:`features.build_feature_table`), and the warnings of
+    :func:`ingest.load_price_table`. The closes, which grow as tickers x
+    days, are freed before it returns, so none is alive in Stage 1's
+    k-means.
     """
     tickers = None
     if tickers_path is not None:
         with reading_utf8(tickers_path), naming(tickers_path):
             tickers = ingest.parse_ticker_list(Path(tickers_path).read_text(encoding="utf-8"))
     start = start_date if start_date is not None else dt.date.min
-    return ingest.load_price_table(prices_path, tickers, start)
+    closes, warnings = ingest.load_price_table(prices_path, tickers, start)
+    return (*features.build_feature_table(closes, trading_days), warnings)
 
 
 def stage1_label(
-    closes: dict[str, np.ndarray],
+    tickers: tuple[str, ...],
+    points: np.ndarray,
     k: int | str = AUTO,
     seed: int = SEED,
-    trading_days: int = TRADING_DAYS,
     k_min: int = K_MIN,
     k_max: int = K_MAX,
 ) -> tuple[Records, kmeans.KMeansModel, list[tuple[int, float]] | None]:
-    """Features plus k-means labels for every ticker of ``closes``, in its
-    order.
+    """k-means labels for the features :func:`load_table` gives: ``points``
+    is (n, 2), row i the ⟨volatility, ret⟩ pair of ``tickers[i]``.
 
-    Returns (records, fitted model, sweep). ``k`` is an integer or "auto";
-    auto sweeps [k_min, min(k_max, n-1, distinct points)], keeps the
-    silhouette maximizer and returns the (k, silhouette) table as ``sweep``,
-    which is None for a fixed k. ``k``, ``k_min`` and ``k_max`` must pass
+    Returns (records, fitted model, sweep), the records in the order of
+    ``tickers``. ``k`` is an integer or "auto"; auto sweeps [k_min,
+    min(k_max, n-1, distinct points)], keeps the silhouette maximizer and
+    returns the (k, silhouette) table as ``sweep``, which is None for a
+    fixed k. ``k``, ``k_min`` and ``k_max`` must pass
     :func:`_check_k`, as in a :class:`PipelineConfig`, also when k is fixed.
 
     Clusters are numbered by descending mean return
@@ -131,10 +142,9 @@ def stage1_label(
     along return only: two clusters that differ only in volatility get
     adjacent ids in no geometric order, and the target can still fold there.
     """
-    tickers, X = features.build_feature_table(closes, trading_days)
-    model, sweep = _resolve_k(X, k, k_min, k_max, seed)
+    model, sweep = _resolve_k(points, k, k_min, k_max, seed)
     model = kmeans.relabel_by_return(model)
-    return Records(tickers, X, model.assignments.astype(np.int64)), model, sweep
+    return Records(tickers, points, model.assignments.astype(np.int64)), model, sweep
 
 
 def _check_k(k, k_min, k_max) -> None:
@@ -516,22 +526,20 @@ def run_pipeline(config: PipelineConfig) -> PipelineResult:
     name. A fixed-k run removes a ``k_sweep.csv`` left in ``out_dir`` by an
     earlier auto-k run.
     """
-    closes, warnings = _stage(
-        "ingest", (), load_table, config.prices_path, config.tickers_path, config.start_date
+    tickers, points, warnings = _stage(
+        "ingest", (), load_table, config.prices_path, config.tickers_path, config.start_date, config.trading_days
     )
     records, model, sweep = _stage(
         "label",
         warnings,
         stage1_label,
-        closes,
+        tickers,
+        points,
         k=config.k,
         seed=config.seed,
-        trading_days=config.trading_days,
         k_min=config.k_min,
         k_max=config.k_max,
     )
-    # nothing after Stage 1 reads the prices, which grow as tickers x days
-    del closes
     train_set, test_set = _stage("split", warnings, split, records, config.test_fraction, config.seed)
     net, history = _stage(
         "train",

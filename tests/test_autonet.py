@@ -10,8 +10,8 @@ writes out its own Adam, so it shares no training code with the module.
 
 import math
 import re
+import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -37,6 +37,7 @@ from tscnet.autonet import (
     round_labels,
     save_model,
     train,
+    Workspace,
 )
 from tscnet.errors import TscnetError
 from tscnet.rng import Xorshift64Star, derive_seed
@@ -402,6 +403,50 @@ class TestBackward:
         want = np.concatenate([g.ravel() for g in reference_grads(net, X, y)])
         assert grad.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("activations", [
+        ("relu", "relu", "sigmoid", "relu", "linear"),
+        # a hidden linear layer passes its delta through unchanged
+        ("linear", "sigmoid", "linear", "relu", "relu"),
+    ])
+    def test_workspace_gives_the_same_bits(self, activations):
+        widths = (2, 9, 6, 3, 7, 1)
+        specs = [LayerSpec(i, o, a) for i, o, a in zip(widths, widths[1:], activations)]
+        net = build_network(specs, seed=5)
+        ws = Workspace(net, 40)
+        gen = Xorshift64Star(4)
+        for n in (40, 17, 1):
+            X = np.array([[gen.uniform(-2, 2), gen.uniform(-2, 2)] for _ in range(n)])
+            y = np.array([[gen.uniform(-1, 1)] for _ in range(n)])
+            out, acts = forward(net, X)
+            ws_out, ws_acts = forward(net, X, ws=ws)
+            assert [a.tobytes() for a in ws_acts] == [a.tobytes() for a in acts]
+            assert np.shares_memory(ws_out, ws.acts[-1])
+            assert backward(net, ws_acts, y, ws=ws).tobytes() == backward(net, acts, y).tobytes()
+
+    def test_workspace_passes_allocate_no_hidden_width(self):
+        # a step's forward and backward into a workspace allocate less than
+        # one 100-wide hidden activation; without one, each allocates more
+        net = build_autoencoder(seed=7)
+        n = 1024
+        X = np.random.default_rng(5).uniform(-1.0, 1.0, (n, 2))
+        y = np.random.default_rng(6).uniform(0.0, 3.0, (n, 1))
+        ws = Workspace(net, n)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                result = fn()
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        acts, with_ws = peak(lambda: forward(net, X, ws=ws)[1])
+        _, backward_with_ws = peak(lambda: backward(net, acts, y, ws=ws))
+        acts, without = peak(lambda: forward(net, X)[1])
+        _, backward_without = peak(lambda: backward(net, acts, y))
+        hidden = 100 * 8 * n
+        assert max(with_ws, backward_with_ws) < hidden < min(without, backward_without)
+
 
 class TestAdam:
     def test_zero_gradient_fixed_point(self):
@@ -627,25 +672,28 @@ class TestTrainCallPath:
 
     def test_minibatches_drop_the_epoch_end_acts(self, monkeypatch):
         # 12 rows in batches of 5: only the epoch-end pass sees all 12 rows.
-        # Its hidden activations must be gone by the next full-data pass; the
-        # outputs give the epoch's loss, and acts[0] is the caller's X
+        # It keeps no hidden activations, and its outputs give the epoch's
+        # loss; every step writes its products into one workspace of 5 rows
         X, truth = make_blob_points(seed=3, per_cluster=3)
-        full_passes, hidden = 0, []
+        full_passes, workspaces = [], []
 
-        def tracking(net, batch):
-            nonlocal full_passes
+        def tracking(net, batch, **kwargs):
+            out, acts = forward(net, batch, **kwargs)
             if len(batch) == len(X):
-                assert all(ref() is None for ref in hidden)
-                full_passes += 1
-            out, acts = forward(net, batch)
-            if len(batch) == len(X):
-                hidden.extend(weakref.ref(a) for a in acts[1:-1])
+                full_passes.append(acts)
+            else:
+                workspaces.append(kwargs["ws"])
+                # the sigmoid makes a new array of its layer's product
+                shared = [np.shares_memory(a, buf) for a, buf in zip(acts[1:], kwargs["ws"].acts)]
+                assert shared == [spec.activation != "sigmoid" for spec in net.specs]
             return out, acts
 
         monkeypatch.setattr(autonet, "forward", tracking)
         net = build_autoencoder(2, (6, 4), 2, 1, seed=3)
         train(net, X, truth, epochs=4, batch_size=5, seed=3)
-        assert full_passes == 4 and len(hidden) == 4 * (len(net.layers) - 1)
+        assert full_passes == [None] * 4
+        assert len(workspaces) == 4 * 3 and all(ws is workspaces[0] for ws in workspaces)
+        assert [buf.shape for buf in workspaces[0].acts] == [(5, w) for w in widths(net)[1:]]
 
 
 class TestRoundLabels:
@@ -668,6 +716,25 @@ class TestRoundLabels:
         raw, labels = predict_labels(net, X, 4)
         assert raw.tolist() == [row[0] for row in X]
         assert list(labels) == [1, 0, 2, 3, 1]
+
+    def test_predict_labels_keeps_no_hidden_activations(self):
+        # all of forward's activations are 2 + 100 + 50 + 20 + 4 + 20 + 50 +
+        # 100 + 1 = 347 floats a record; one layer's input and output at a
+        # time are at most 100 + 50
+        net = build_autoencoder(seed=7)
+        n = 20_000
+        X = np.random.default_rng(3).uniform(-1.0, 1.0, (n, 2))
+        tracemalloc.start()
+        try:
+            raw, labels = predict_labels(net, X, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / (8 * n) < 200
+        out, acts = forward(net, X, keep_acts=False)
+        assert acts is None
+        assert out.tobytes() == forward(net, X)[0].tobytes() == raw.tobytes()
+        assert labels.tolist() == round_labels(raw, 4).tolist()
 
     def test_predict_labels_needs_single_output(self):
         net = DenseNetwork([LayerSpec(2, 2, "linear")], np.zeros(6))

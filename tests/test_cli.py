@@ -808,7 +808,8 @@ class TestDefaults:
         assert found == self.EXPECTED
 
     @pytest.mark.parametrize("fn, names", [
-        (pipeline.stage1_label, {"k", "seed", "trading_days", "k_min", "k_max"}),
+        (pipeline.load_table, {"trading_days"}),
+        (pipeline.stage1_label, {"k", "seed", "k_min", "k_max"}),
         (pipeline.stage2_train, {"epochs", "batch_size", "seed"}),
         (features.build_feature_table, {"trading_days"}),
         (kmeans.kmeans_fit, {"seed"}),

@@ -2,6 +2,7 @@
 
 import csv
 import datetime as dt
+import mmap
 import os
 import re
 import tracemalloc
@@ -281,11 +282,11 @@ class TestCleanFileReader:
         (GOOD_CSV, {}),
         (GOOD_CSV.rstrip("\n"), {}),
         (GOOD_CSV + "\n\n\n", {}),
-        # a late correction row: AAA comes back for a second run
-        (GOOD_CSV + "AAA,2019-01-03,7.0\n", {}),
+        # AAA comes back for a second run, with later dates
+        (GOOD_CSV + "AAA,2019-01-07,7.0\n", {}),
         (GOOD_CSV + "AAA,2019-01-07,8.0\n", {"tickers": ["AAA", "ZZZ"], "start_date": dt.date(2019, 1, 3)}),
         (GOOD_CSV.replace("BBB,", " BBB,", 1), {}),
-    ], ids=["grouped", "no-final-newline", "trailing-blank-lines", "late-row", "filter-and-start",
+    ], ids=["grouped", "no-final-newline", "trailing-blank-lines", "later-run", "filter-and-start",
             "padded-ticker"])
     def test_clean_file_reads_no_csv_row(self, tmp_path, monkeypatch, text, kwargs):
         path = _write(tmp_path, text)
@@ -295,6 +296,18 @@ class TestCleanFileReader:
         monkeypatch.setattr(csv, "reader", lambda *args: readers.append(args) or real_reader(*args))
         assert _outcome(path, **kwargs) == expected
         assert readers == []
+
+    def test_two_runs_of_a_ticker_in_one_chunk_stay_clean(self, tmp_path, monkeypatch):
+        # each 64-byte chunk holds AAA, BBB and AAA again, with AAA's dates rising
+        text = "ticker,date,adj_close\n" + "".join(
+            f"AAA,2019-01-{2 * d + 2:02d},{d + 1}\nBBB,2019-01-{d + 2:02d},{d + 5}\nAAA,2019-01-{2 * d + 3:02d},{d + 9}\n"
+            for d in range(4))
+        path = _write(tmp_path, text)
+        expected = _row_reader_outcome(path, monkeypatch)
+        monkeypatch.setattr(ingest, "CHUNK_BYTES", 64)
+        assert ingest._read_clean(path, None, dt.date.min) is not None
+        assert _outcome(path) == expected
+        assert load_price_table(path)[0]["AAA"].tolist() == [1, 9, 2, 10, 3, 11, 4, 12]
 
     def test_blank_lines_ending_a_chunk_stay_clean(self, tmp_path, monkeypatch):
         # the trailing blank lines start exactly at the second read
@@ -317,8 +330,18 @@ class TestCleanFileReader:
         GOOD_CSV + "B\x00B,2019-01-07,1.0\n",
         GOOD_CSV.replace("ticker,date,adj_close", "ticker,date,adj_close,"),
         _date_ordered(40, 5),
+        # a ticker's kept dates must rise strictly: within a run...
+        GOOD_CSV.replace("AAA,2019-01-03", "AAA,2019-01-02"),
+        GOOD_CSV.replace("AAA,2019-01-03,101.5\nAAA,2019-01-04", "AAA,2019-01-04,101.5\nAAA,2019-01-03"),
+        # ... and from a ticker's run to its next: a late correction row
+        GOOD_CSV + "AAA,2019-01-03,7.0\n",
+        GOOD_CSV + "AAA,2019-01-04,7.0\n",
+        # AAA's last date is carried over many chunks
+        GOOD_CSV + "".join(f"CCC,{dt.date(2000, 1, 1) + dt.timedelta(days=i)},1.5\n" for i in range(2000))
+        + "AAA,2019-01-03,7.0\n",
     ], ids=["crlf", "quote", "late-quote", "blank-line", "bad-last-price", "zero-price", "short-row",
-            "long-row", "bad-date", "nul", "header", "date-ordered"])
+            "long-row", "bad-date", "nul", "header", "date-ordered", "repeated-date", "earlier-date",
+            "late-row", "late-row-same-date", "late-row-far"])
     def test_a_doubt_gives_the_row_readers_outcome(self, tmp_path, monkeypatch, text):
         path = _write(tmp_path, text)
         assert ingest._read_clean(path, None, dt.date.min) is None
@@ -377,15 +400,15 @@ class TestCleanFileReader:
         assert _outcome(path) == ("error", f"{path}{sep} {message}")
 
     def test_closes_are_views_freed_with_the_table(self, tmp_path, monkeypatch):
-        # with 4-row blocks the 7-row ticker spans blocks, so its closes are a
-        # view of a copy; the others are views of one shared block
+        # with 4-row blocks AAA (rows 0-2) is a view of the first block, and
+        # BBB (3-5) and CCC (6-12) span blocks, so theirs are copies of their runs
         monkeypatch.setattr(ingest, "BLOCK_ROWS", 4)
         text = GOOD_CSV + "".join(f"CCC,2019-01-{d:02d},{d}.5\n" for d in range(2, 9))
         closes, _ = load_price_table(_write(tmp_path, text))
-        assert all(c.base is not None for c in closes.values())
-        assert closes["AAA"].base is not closes["CCC"].base
+        assert closes["AAA"].base is not None
+        assert closes["BBB"].base is None and closes["CCC"].base is None
         assert closes["CCC"].tolist() == [2.5, 3.5, 4.5, 5.5, 6.5, 7.5, 8.5]
-        bases = [weakref.ref(c.base) for c in closes.values()]
+        bases = [weakref.ref(c if c.base is None else c.base) for c in closes.values()]
         del closes
         assert [ref() for ref in bases] == [None] * len(bases)
 
@@ -405,8 +428,9 @@ class TestRoundTrip:
 
 class TestMemory:
     def test_peak_per_row_is_bounded(self, tmp_path):
-        # 125 tickers of 1600 closes: 200,000 rows. The loader keeps 12 bytes
-        # a row in its columns, the output 8; the rest of the bound is slack.
+        # 125 tickers of 1600 closes: 200,000 rows. The clean-file reader
+        # keeps 8 bytes a row, the row reader 12 in its columns and the
+        # output 8; the rest of the bound is slack.
         path = tmp_path / "prices.csv"
         write_prices_csv(path, [(f"T{i:03d}", 0.2, 0.1) for i in range(125)], n_returns=1599)
         tracemalloc.start()
@@ -421,19 +445,24 @@ class TestMemory:
 
     @pytest.mark.parametrize("reader", ["clean", "rows"])
     def test_peak_per_row_with_the_blocks_is_bounded(self, tmp_path, monkeypatch, reader):
-        # the clean-file reader's day blocks are memory maps, which
-        # tracemalloc does not see: their bytes are added to the traced peak.
-        # Its close blocks and the row reader's columns are traced.
+        # the traced peak plus the bytes of any memory map, which tracemalloc
+        # does not see. The clean-file reader stores 8 bytes a row, a close,
+        # and the output is views of its blocks; the row reader stores 12 in
+        # its columns and writes the sorted closes out, 8 more.
+        bound = {"clean": 11, "rows": 16}[reader]
         path = tmp_path / "prices.csv"
         write_prices_csv(path, [(f"T{i:03d}", 0.2, 0.1) for i in range(125)], n_returns=1599)
         mapped = []
-        real_day_block = ingest._day_block
 
-        def day_block():
-            mapped.append(real_day_block())
-            return mapped[-1]
+        class Recorded(mmap.mmap):
+            def __new__(cls, *args, **kwargs):
+                mapped.append(super().__new__(cls, *args, **kwargs))
+                return mapped[-1]
 
-        monkeypatch.setattr(ingest, "_day_block", day_block)
+        monkeypatch.setattr(mmap, "mmap", Recorded)
+        readers = []
+        real_reader = csv.reader
+        monkeypatch.setattr(csv, "reader", lambda *args: readers.append(args) or real_reader(*args))
         if reader == "rows":
             monkeypatch.setattr(ingest, "_read_clean", lambda *args: None)
         tracemalloc.start()
@@ -443,5 +472,5 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert sum(len(c) for c in closes.values()) == 200_000
-        assert (reader == "clean") == bool(mapped)
-        assert (peak + sum(b.nbytes for b in mapped)) / 200_000 < 16
+        assert (reader == "rows") == bool(readers)
+        assert (peak + sum(len(m) for m in mapped)) / 200_000 < bound

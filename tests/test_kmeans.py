@@ -10,6 +10,7 @@ bit to the NumPy code they replaced.
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -252,6 +253,19 @@ class TestKmeansFit:
         with pytest.raises(TscnetError, match=r"^k=3 is above the 2 distinct points$"):
             kmeans_fit(X, 3, seed=7)
         assert kmeans_fit(X, 2, seed=7).wcss == 0.0
+
+    def test_underflowing_distances_refused(self):
+        # the points are distinct, but at 1e-165 every squared distance is 0:
+        # no point lies off its centroid to refill an empty cluster
+        X, _ = make_blob_points(seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TscnetError, match=r"^k=3: every point's squared distance to its centroid "
+                                                  r"underflows to 0, so an empty cluster cannot be refilled$"):
+                kmeans_fit(X * 1e-165, 3, seed=7)
+            model = kmeans_fit(X * 1e-150, 3, seed=7)
+        check_model_invariants(X * 1e-150, model)
+        assert np.bincount(model.assignments).min() > 0
 
     def test_duplicate_points_handled(self):
         X = np.array([[1.0, 1.0]] * 6 + [[5.0, 5.0]] * 2)

@@ -12,10 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import BLOB_CENTERS, blob_targets, records_of, widths, write_prices_csv
 import tscnet
-from tscnet import autonet, pipeline
+from tscnet import autonet, cli, ingest, kmeans, pipeline
 from tscnet.autonet import DenseNetwork, LayerSpec, TrainHistory, load_model
 from tscnet.autonet import count_parameters
 from tscnet.errors import PipelineError, TscnetError
+from tscnet.features import build_feature_table
 from tscnet.ingest import load_price_table
 from tscnet.rng import Xorshift64Star
 from tscnet.pipeline import (
@@ -54,13 +55,13 @@ def linear_net(w_vol, w_ret, bias):
 
 
 @pytest.fixture(scope="module")
-def blob_closes(tmp_path_factory):
+def blob_features(tmp_path_factory):
     root = tmp_path_factory.mktemp("blobs")
     targets = blob_targets(seed=5)
     path = root / "prices.csv"
     write_prices_csv(path, targets)
-    closes, _ = load_price_table(path)
-    return closes, targets
+    tickers, points, _ = load_table(path, None, None)
+    return (tickers, points), targets
 
 
 class TestRecords:
@@ -154,9 +155,9 @@ class TestSplit:
 
 
 class TestStage1:
-    def test_blob_labels_recover_truth(self, blob_closes):
-        closes, targets = blob_closes
-        records, model, _ = stage1_label(closes, k=4, seed=7)
+    def test_blob_labels_recover_truth(self, blob_features):
+        features, targets = blob_features
+        records, model, _ = stage1_label(*features, k=4, seed=7)
         assert model.k == 4
         assert len(records) == 70
         truth = {t: min(range(4), key=lambda c: (BLOB_CENTERS[c][0] - v) ** 2 + (BLOB_CENTERS[c][1] - r) ** 2)
@@ -171,31 +172,31 @@ class TestStage1:
             assert fitted_of.setdefault(true_c, fit_c) == fit_c
         assert len(set(fitted_of.values())) == 4
 
-    def test_auto_k_picks_four(self, blob_closes):
-        closes, _ = blob_closes
-        records, model, _ = stage1_label(closes, k=AUTO, seed=7)
+    def test_auto_k_picks_four(self, blob_features):
+        features, _ = blob_features
+        records, model, _ = stage1_label(*features, k=AUTO, seed=7)
         assert model.k == 4
         assert model.silhouette is not None
         assert set(records.clusters.tolist()) == {0, 1, 2, 3}
 
-    def test_sweep_only_for_auto_k(self, blob_closes):
-        closes, _ = blob_closes
-        _, model, sweep = stage1_label(closes, k=AUTO, seed=7, k_max=6)
+    def test_sweep_only_for_auto_k(self, blob_features):
+        features, _ = blob_features
+        _, model, sweep = stage1_label(*features, k=AUTO, seed=7, k_max=6)
         assert [k for k, _ in sweep] == [2, 3, 4, 5, 6]
         assert dict(sweep)[model.k] == model.silhouette
-        assert stage1_label(closes, k=4, seed=7)[2] is None
+        assert stage1_label(*features, k=4, seed=7)[2] is None
 
-    def test_records_sorted_by_ticker(self, blob_closes):
-        closes, _ = blob_closes
-        records, _, _ = stage1_label(closes, k=4, seed=7)
+    def test_records_sorted_by_ticker(self, blob_features):
+        features, _ = blob_features
+        records, _, _ = stage1_label(*features, k=4, seed=7)
         assert list(records.tickers) == sorted(records.tickers)
 
-    def test_canonical_orders_clusters_by_return(self, blob_closes):
+    def test_canonical_orders_clusters_by_return(self, blob_features):
         # seed 7's raw k-means++ numbering on this fixture is not
         # return-monotone, at k = 4 and at the k = 4 the sweep picks
-        closes, _ = blob_closes
+        features, _ = blob_features
         for k in (4, AUTO):
-            records, model, _ = stage1_label(closes, k=k, seed=7)
+            records, model, _ = stage1_label(*features, k=k, seed=7)
             means = {}
             for _, _, ret, cluster in records.rows():
                 means.setdefault(cluster, []).append(ret)
@@ -204,23 +205,23 @@ class TestStage1:
             assert ordered == sorted(ordered, reverse=True)
             assert list(model.centroids[:, 1]) == sorted(model.centroids[:, 1], reverse=True)
 
-    def test_k_exceeding_tickers_rejected(self, blob_closes):
-        closes, _ = blob_closes
+    def test_k_exceeding_tickers_rejected(self, blob_features):
+        features, _ = blob_features
         with pytest.raises(TscnetError, match=r"^k=71 outside \[1, 70\]$"):
-            stage1_label(closes, k=71, seed=7)
+            stage1_label(*features, k=71, seed=7)
 
-    def test_bogus_k_rejected(self, blob_closes):
-        closes, _ = blob_closes
+    def test_bogus_k_rejected(self, blob_features):
+        features, _ = blob_features
         with pytest.raises(TscnetError, match=r"^k must be an integer >= 2 or 'auto', got 'five'$"):
-            stage1_label(closes, k="five", seed=7)
+            stage1_label(*features, k="five", seed=7)
 
     @pytest.mark.parametrize("k, k_min, k_max", [(4, 9, 3), (AUTO, 1, 10)])
-    def test_k_range_refused_as_by_a_config(self, blob_closes, tmp_path, k, k_min, k_max):
-        closes, _ = blob_closes
+    def test_k_range_refused_as_by_a_config(self, blob_features, tmp_path, k, k_min, k_max):
+        features, _ = blob_features
         with pytest.raises(TscnetError) as refused:
             PipelineConfig(prices_path=tmp_path / "p.csv", k=k, k_min=k_min, k_max=k_max)
         with pytest.raises(TscnetError, match=f"^{re.escape(str(refused.value))}$"):
-            stage1_label(closes, k=k, seed=7, k_min=k_min, k_max=k_max)
+            stage1_label(*features, k=k, seed=7, k_min=k_min, k_max=k_max)
 
     def test_short_series_dropped_at_ingest(self, tmp_path):
         path = tmp_path / "prices.csv"
@@ -233,8 +234,8 @@ class TestStage1:
         rows.append("SHT,2020-01-02,10")
         rows.append("SHT,2020-01-03,11")
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
-        closes, warnings = load_price_table(path)
-        records, _, _ = stage1_label(closes, k=2, seed=7)
+        tickers, points, warnings = load_table(path, None, None)
+        records, _, _ = stage1_label(tickers, points, k=2, seed=7)
         assert set(records.tickers) == {"AAA", "BBB", "CCC"}
         assert any(w.startswith("SHT:") for w in warnings)
 
@@ -248,9 +249,9 @@ class TestStage2:
         _, history = stage2_train(make_records(8), num_clusters=4, epochs=3, seed=7)
         assert len(history.losses) == 3
 
-    def test_blobs_reach_low_loss(self, blob_closes):
-        closes, _ = blob_closes
-        records, _, _ = stage1_label(closes, k=4, seed=7)
+    def test_blobs_reach_low_loss(self, blob_features):
+        features, _ = blob_features
+        records, _, _ = stage1_label(*features, k=4, seed=7)
         train_recs, test_recs = split(records, 0.33, 7)
         net, history = stage2_train(train_recs, num_clusters=4, epochs=1000, seed=7)
         assert history.final_loss() < 0.05
@@ -587,22 +588,52 @@ class TestRunPipeline:
         assert exc.value.stage == "ingest"
         assert "[ingest]" in str(exc.value)
 
-    def test_prices_freed_before_training(self, tmp_path, prices, monkeypatch):
-        # nothing after Stage 1 reads the price table, so none of it may live
-        # through training
-        refs = []
-        load, train = pipeline.load_table, autonet.train
+    @staticmethod
+    def watch_prices(monkeypatch):
+        """Weakrefs to every close column that ingest loads; each entry of
+        k-means from outside it asserts that all of them are dead."""
+        refs, entries = [], []
+        load = ingest.load_price_table
 
         def loading(*args):
             closes, warnings = load(*args)
             refs.extend(weakref.ref(column) for column in closes.values())
             return closes, warnings
 
+        monkeypatch.setattr(ingest, "load_price_table", loading)
+        for name in ("select_k", "kmeans_fit"):
+            def entering(*args, _fn=getattr(kmeans, name), _name=name, **kwargs):
+                entries.append(_name)
+                assert all(ref() is None for ref in refs)
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(kmeans, name, entering)
+        return refs, entries
+
+    @pytest.mark.parametrize("k, entries", [
+        (4, ["kmeans_fit"]),
+        # the sweep over k = 2..5 fits each k through the module namespace
+        (AUTO, ["select_k"] + ["kmeans_fit"] * 4),
+    ], ids=["fixed-k", "auto-k"])
+    def test_prices_freed_before_k_means(self, tmp_path, prices, monkeypatch, k, entries):
+        # nothing after the features reads the price table, which grows as
+        # tickers x days, so none of it may live through Stage 1's k-means,
+        # in a run and in `label`
+        refs, entered = self.watch_prices(monkeypatch)
+        run_pipeline(self.run_config(prices, tmp_path / "out", k=k, k_max=5, epochs=2))
+        assert cli.main(["label", "--prices", str(prices), "--k", str(k), "--k-max", "5",
+                         "--out", str(tmp_path / "labels.csv")]) == 0
+        assert len(refs) == 2 * 70
+        assert entered == entries * 2
+
+    def test_prices_freed_before_training(self, tmp_path, prices, monkeypatch):
+        refs, _ = self.watch_prices(monkeypatch)
+        train = autonet.train
+
         def training(*args, **kwargs):
             assert all(ref() is None for ref in refs)
             return train(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, "load_table", loading)
         monkeypatch.setattr(autonet, "train", training)
         run_pipeline(self.run_config(prices, tmp_path / "out"))
         assert len(refs) == 70
@@ -628,14 +659,17 @@ class TestLoadTable:
         )
         keep = tmp_path / "keep.txt"
         keep.write_text("AAA\n", encoding="utf-8")
-        closes, warnings = load_table(prices, keep, dt.date(2020, 1, 2))
-        assert list(closes) == ["AAA"]
-        assert closes["AAA"].tolist() == [2.0, 3.0, 4.0]
+        tickers, points, warnings = load_table(prices, keep, dt.date(2020, 1, 2), trading_days=5)
+        assert tickers == ("AAA",)
+        assert points.tolist() == build_feature_table({"AAA": np.array([2.0, 3.0, 4.0])}, 5)[1].tolist()
         assert warnings == ["BBB: excluded, not in ticker filter"]
 
     def test_no_filters_loads_everything(self, blob_prices_csv):
-        closes, _ = load_table(blob_prices_csv, None, None)
-        assert len(closes) == 70
+        tickers, points, _ = load_table(blob_prices_csv, None, None)
+        closes, _ = load_price_table(blob_prices_csv)
+        assert tickers == tuple(closes)
+        assert points.tolist() == build_feature_table(closes)[1].tolist()
+        assert len(tickers) == 70
 
     def test_non_utf8_ticker_file(self, tmp_path, blob_prices_csv):
         keep = tmp_path / "keep.txt"
