@@ -15,9 +15,9 @@ then biases, in layer order, each array row-major. ``net.layers`` gives
 each spec with its ``weights`` and ``biases`` as views of ``theta``, so
 :func:`backward` returns one gradient vector in the same layout and one
 Adam update over ``theta`` updates the whole network. :func:`forward`
-returns the outputs and the activation list ``[X, a1, ..., aL]`` that
-:func:`backward` consumes, or, for prediction, the outputs alone. Training
-passes write into one :class:`Workspace` per :func:`train` call.
+given a :class:`Workspace` is a training pass: it writes every activation
+into the workspace and returns ``[X, a1, ..., aL]`` for :func:`backward`.
+Given none it is a prediction pass, which keeps only the outputs.
 
 Initialization is uniform on +/-sqrt(6 / (fan_in + fan_out)) with zero
 biases, drawn row-major from the package's deterministic generator, so a
@@ -153,21 +153,16 @@ def count_parameters(net: DenseNetwork) -> int:
     return net.theta.size
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # split by sign so exp never overflows
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
+    """Apply the activation to the pre-activation ``z`` in place; returns ``z``."""
     if name == "relu":
-        return np.maximum(z, 0.0, out=z)
-    if name == "sigmoid":
-        return _sigmoid(z)
+        np.maximum(z, 0.0, out=z)
+    elif name == "sigmoid":
+        # split by sign so exp never overflows
+        pos = z >= 0
+        ez = np.exp(z[~pos])
+        z[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        z[~pos] = ez / (1.0 + ez)
     return z
 
 
@@ -188,10 +183,9 @@ def _activation_backward(name: str, delta: np.ndarray, a: np.ndarray, out: np.nd
 
 
 class Workspace:
-    """Arrays that :func:`forward` and :func:`backward` write into when a
-    training loop passes them, for batches of up to ``rows`` rows: each
-    layer's activation, and two flat buffers for :func:`backward`'s
-    gradients w.r.t. pre-activations and layer inputs.
+    """The arrays of training passes of up to ``rows`` rows: each layer's
+    activation, which :func:`forward` writes, and two flat buffers for
+    :func:`backward`'s gradients w.r.t. pre-activations and layer inputs.
 
     A step that reuses them allocates nothing as wide as a hidden layer, so
     the allocator never hands those pages back to be faulted in again at
@@ -209,38 +203,36 @@ class Workspace:
         return self.deltas[which][: rows * width].reshape(rows, width)
 
 
-def forward(
-    net: DenseNetwork, batch, keep_acts: bool = True, ws: Workspace | None = None
-) -> tuple[np.ndarray, list[np.ndarray] | None]:
+def forward(net: DenseNetwork, batch, ws: Workspace | None = None) -> tuple[np.ndarray, list[np.ndarray] | None]:
     """Run a batch through the network; returns (outputs, acts).
 
-    ``acts`` is ``[X, a1, ..., aL]``: the input, then each layer's
-    activation, so ``acts[i]`` is the input of layer ``i`` and ``acts[-1]``
-    is ``outputs``. ``batch`` is (n, input_width); outputs are
-    (n, output_width). Weights large enough to overflow give NaN or
-    infinite outputs without a NumPy warning; :func:`round_labels` and the
-    training loss check reject them.
+    ``batch`` is (n, input_width); outputs are (n, output_width). Weights
+    large enough to overflow give NaN or infinite outputs without a NumPy
+    warning; :func:`round_labels` and the training loss check reject them.
 
-    With ``keep_acts`` False, ``acts`` is None and each layer's input is
-    dropped once its output exists, so at most two adjacent layers'
-    activations live at once. With a :class:`Workspace`, each layer's
-    product is written into its first n rows of ``ws.acts``. Either way the
-    outputs are the same bits.
+    With a :class:`Workspace` this is a training pass: each layer's
+    activation is written into its first n rows of ``ws.acts``, and
+    ``acts`` is ``[X, a1, ..., aL]``, so ``acts[i]`` is the input of layer
+    ``i`` and ``acts[-1]`` is ``outputs``. Without one it is a prediction
+    pass: ``acts`` is None and each layer's input is dropped once its output
+    exists, so at most two adjacent layers' activations live at once. Either
+    way the outputs are the same bits.
     """
     X = np.asarray(batch, dtype=float)
     if X.ndim != 2 or X.shape[1] != net.input_width:
         raise TscnetError(f"batch shape {X.shape} does not match input width {net.input_width}")
     if not np.all(np.isfinite(X)):
         raise TscnetError("batch contains NaN or infinity")
-    acts = [X]
+    a, acts = X, None if ws is None else [X]
     with np.errstate(over="ignore", invalid="ignore"):
         for i, layer in enumerate(net.layers):
-            z = np.matmul(acts[-1], layer.weights.T, out=None if ws is None else ws.acts[i][: len(X)])
-            if not keep_acts:
-                acts.pop()
-            z += layer.biases
-            acts.append(_activate(layer.spec.activation, z))
-    return acts[-1], acts if keep_acts else None
+            # without a workspace, rebinding ``a`` drops the layer's input
+            a = np.matmul(a, layer.weights.T, out=None if ws is None else ws.acts[i][: len(X)])
+            a += layer.biases
+            _activate(layer.spec.activation, a)
+            if acts is not None:
+                acts.append(a)
+    return a, acts
 
 
 def mse_loss(pred, target) -> float:
@@ -253,12 +245,12 @@ def mse_loss(pred, target) -> float:
     return float(np.mean(diff * diff))
 
 
-def backward(net: DenseNetwork, acts: list[np.ndarray], target, ws: Workspace | None = None) -> np.ndarray:
-    """Gradient of mse_loss w.r.t. ``net.theta``, laid out like it, from the ``acts`` of :func:`forward`.
+def backward(net: DenseNetwork, acts: list[np.ndarray], target, ws: Workspace) -> np.ndarray:
+    """Gradient of mse_loss w.r.t. ``net.theta``, laid out like it, from the
+    ``acts`` of a training :func:`forward` pass.
 
-    With a :class:`Workspace`, the per-layer gradients w.r.t. pre-activations
-    and inputs are written into its flat buffers, and the result is the same
-    bits.
+    The per-layer gradients w.r.t. pre-activations and inputs are written
+    into the flat buffers of ``ws``, which must hold ``len(acts[0])`` rows.
     """
     t = np.asarray(target, dtype=float)
     pred = acts[-1]
@@ -273,29 +265,32 @@ def backward(net: DenseNetwork, acts: list[np.ndarray], target, ws: Workspace | 
         layer = net.layers[idx]
         spec = layer.spec
         # dz goes to the first buffer, then the next delta, made from it, to the second
-        dz_out = np.empty((n, spec.output_width)) if ws is None else ws.delta(0, n, spec.output_width)
-        dz = _activation_backward(spec.activation, delta, acts[idx + 1], dz_out)
+        dz = _activation_backward(spec.activation, delta, acts[idx + 1], ws.delta(0, n, spec.output_width))
         grad_w, grad_b = views[idx]
         np.matmul(dz.T, acts[idx], out=grad_w)
         np.sum(dz, axis=0, out=grad_b)
         if idx > 0:
-            delta = np.matmul(dz, layer.weights, out=None if ws is None else ws.delta(1, n, spec.input_width))
+            delta = np.matmul(dz, layer.weights, out=ws.delta(1, n, spec.input_width))
     return grad
 
 
 class AdamState:
-    """First/second-moment vectors plus the step counter for Adam."""
+    """First/second-moment vectors, the step counter, and two scratch
+    vectors that each step writes its temporaries into."""
 
     def __init__(self, size: int):
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
+        self.scratch = (np.empty(size), np.empty(size))
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update, applied to ``theta`` in place.
 
-    theta <- theta - LR * m_hat / (sqrt(v_hat) + eps).
+    theta <- theta - LR * m_hat / (sqrt(v_hat) + eps). Every temporary is
+    written into ``state.scratch``, so a step allocates nothing as large as
+    ``theta``.
     """
     if theta.shape != grad.shape or theta.shape != state.m.shape:
         raise TscnetError(f"theta {theta.shape}, grad {grad.shape} and state {state.m.shape} differ")
@@ -303,11 +298,14 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     c1 = 1.0 - BETA1**state.t
     c2 = 1.0 - BETA2**state.t
     m, v = state.m, state.v
+    a, b = state.scratch
     m *= BETA1
-    m += (1.0 - BETA1) * grad
+    m += np.multiply(grad, 1.0 - BETA1, out=a)
     v *= BETA2
-    v += (1.0 - BETA2) * (grad * grad)
-    theta -= LR * (m / c1) / (np.sqrt(v / c2) + EPS)
+    v += np.multiply(np.multiply(grad, grad, out=a), 1.0 - BETA2, out=a)
+    np.multiply(np.divide(m, c1, out=a), LR, out=a)
+    np.add(np.sqrt(np.divide(v, c2, out=b), out=b), EPS, out=b)
+    theta -= np.divide(a, b, out=a)
 
 
 @dataclass(frozen=True)
@@ -337,14 +335,13 @@ def train(
     targets, or epochs or batch_size below 1, raise a TscnetError up front; a
     non-finite epoch-end loss stops training with one naming the epoch.
 
-    Each step is one Adam update of ``net.theta``. With one full batch, each
-    epoch-end forward pass, which gives the epoch's loss, is also the next
-    epoch's training forward, so an epoch costs one forward and one backward.
-    With minibatches the epoch-end pass keeps only its outputs, dropping
-    each layer's input once its output exists, so no full-data activations
-    live through the next epoch's steps. The steps, and the full-batch
-    passes, write their activations and gradients into one
-    :class:`Workspace` allocated per call.
+    Each step is one Adam update of ``net.theta``. Every training pass
+    writes its activations and gradients into one :class:`Workspace`
+    allocated per call. With one full batch, each epoch-end forward pass,
+    which gives the epoch's loss, is also the next epoch's training pass,
+    so an epoch costs one forward and one backward. With minibatches the
+    epoch-end pass is a prediction pass, which keeps only its outputs, so
+    no full-data activations live through the next epoch's steps.
     """
     Xa = np.asarray(X, dtype=float)
     ya = np.asarray(y, dtype=float)
@@ -366,12 +363,12 @@ def train(
     ws = Workspace(net, min(batch_size, n))
 
     def step(acts: list[np.ndarray], target: np.ndarray) -> None:
-        adam_step(net.theta, backward(net, acts, target, ws=ws), state)
+        adam_step(net.theta, backward(net, acts, target, ws), state)
 
     losses = []
     # a diverging run overflows before the epoch-end check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        acts = forward(net, Xa, ws=ws)[1] if single_batch else None
+        acts = forward(net, Xa, ws)[1] if single_batch else None
         for epoch in range(1, epochs + 1):
             if single_batch:
                 step(acts, ya)
@@ -381,13 +378,10 @@ def train(
                 order = np.array(idx)
                 for start in range(0, n, batch_size):
                     rows = order[start : start + batch_size]
-                    step(forward(net, Xa[rows], ws=ws)[1], ya[rows])
-            if single_batch:
-                # the step has read the acts, so the pass may write over them
-                out, acts = forward(net, Xa, ws=ws)
-            else:
-                # minibatches never read the full-data acts: keep only the outputs
-                out = forward(net, Xa, keep_acts=False)[0]
+                    step(forward(net, Xa[rows], ws)[1], ya[rows])
+            # one full batch: the step has read the acts, so the pass may write
+            # over them; minibatches never read the full-data acts
+            out, acts = forward(net, Xa, ws if single_batch else None)
             losses.append(mse_loss(out, ya))
             if not math.isfinite(losses[-1]):
                 raise TscnetError(f"training diverged: loss {losses[-1]} at epoch {epoch}")
@@ -412,9 +406,9 @@ def round_labels(raw, num_clusters: int) -> np.ndarray:
 def predict_labels(net: DenseNetwork, X, num_clusters: int) -> tuple[np.ndarray, np.ndarray]:
     """(raw, labels) for a batch: the network's (n,) raw outputs and the
     integer labels :func:`round_labels` makes of them. The network must have
-    one output. It keeps no hidden activations (``forward``'s
-    ``keep_acts=False``)."""
-    out, _ = forward(net, X, keep_acts=False)
+    one output. It runs a prediction pass, which keeps no hidden
+    activations."""
+    out, _ = forward(net, X)
     if out.shape[1] != 1:
         raise TscnetError(f"label prediction expects a 1-wide output, got {out.shape[1]}")
     raw = out[:, 0]

@@ -43,6 +43,7 @@ from tscnet.autonet import (
     forward,
     predict_labels,
     round_labels,
+    Workspace,
 )
 from tscnet.kmeans import kmeans_fit, select_k, silhouette
 from tscnet.pipeline import (
@@ -137,11 +138,12 @@ def test_criterion_04_gradient_check():
     while checked < 50:
         net, X, y = _draw_gradcheck_candidate(index)
         index += 1
-        _, acts = forward(net, X)
+        ws = Workspace(net, len(X))
+        _, acts = forward(net, X, ws)
         if relu_kink_margin(net, acts) < 1e-3:
             rejected += 1
             continue
-        analytic = [g for pair in net.views(backward(net, acts, y)) for g in pair]
+        analytic = [g for pair in net.views(backward(net, acts, y, ws)) for g in pair]
         numeric = numeric_gradients(net, X, y, eps=1e-5)
         for a, n in zip(analytic, numeric):
             if not np.all(np.abs(a - n) <= np.maximum(1e-4 * np.abs(n), 1e-7)):

@@ -21,6 +21,7 @@ from conftest import make_blob_points, parameter_counts, relu_kink_margin, width
 
 from tscnet import autonet
 from tscnet.autonet import (
+    _activate,
     AdamState,
     DenseNetwork,
     LayerSpec,
@@ -84,9 +85,15 @@ def numeric_gradients(net, X, y, eps=1e-5):
     return grads
 
 
+def training_pass(net, X):
+    """(outputs, acts, ws): a training forward pass into a fresh workspace of ``len(X)`` rows."""
+    ws = Workspace(net, len(X))
+    return (*forward(net, X, ws), ws)
+
+
 def flat_gradients(net, X, y):
-    _, acts = forward(net, X)
-    return [g for pair in net.views(backward(net, acts, y)) for g in pair]
+    _, acts, ws = training_pass(net, X)
+    return [g for pair in net.views(backward(net, acts, y, ws)) for g in pair]
 
 
 def reference_sigmoid(z):
@@ -275,7 +282,7 @@ class TestForward:
     def test_zero_network_outputs_zero(self):
         specs = [LayerSpec(2, 3, "relu"), LayerSpec(3, 2, "sigmoid"), LayerSpec(2, 1, "linear")]
         net = DenseNetwork(specs, np.zeros(9 + 8 + 3))
-        out, acts = forward(net, [[5.0, -3.0], [0.1, 0.2]])
+        out, acts, _ = training_pass(net, [[5.0, -3.0], [0.1, 0.2]])
         # final linear layer sees sigmoid(0) = 0.5 inputs against zero weights
         assert np.all(out == 0.0)
         assert np.all(acts[2] == 0.5)
@@ -300,10 +307,12 @@ class TestForward:
 
     def test_shape_conservation(self):
         net = build_autoencoder(seed=7)
+        ws = Workspace(net, 17)
         for n in (1, 3, 17):
-            out, acts = forward(net, np.zeros((n, 2)))
+            out, acts = forward(net, np.zeros((n, 2)), ws)
             assert out.shape == (n, 1)
             assert [a.shape for a in acts] == [(n, w) for w in widths(net)]
+            assert forward(net, np.zeros((n, 2)))[0].shape == (n, 1)
 
     def test_wrong_width_rejected(self):
         net = build_autoencoder(seed=7)
@@ -321,11 +330,22 @@ class TestForward:
         with pytest.raises(TscnetError, match=r"^batch contains NaN or infinity$"):
             forward(net, [[np.nan, 0.0]])
 
+    def test_sigmoid_matches_reference_without_warning(self):
+        # the exp of either sign never overflows, and underflow is silent
+        values = [800.0, -800.0, 30.0, -30.0, 1e-300, -1e-300, 0.0, -0.0, 5e-324]
+        z = np.array([values])
+        want = reference_sigmoid(z.copy())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _activate("sigmoid", z)
+        assert got is z
+        assert got.tobytes() == want.tobytes()
+
     def test_latent_layer_in_unit_interval(self):
         net = build_autoencoder(seed=7)
         gen = Xorshift64Star(8)
         X = np.array([[gen.uniform(-5, 5), gen.uniform(-5, 5)] for _ in range(64)])
-        _, acts = forward(net, X)
+        _, acts, _ = training_pass(net, X)
         latent = acts[4]
         assert np.all(latent > 0.0)
         assert np.all(latent < 1.0)
@@ -359,8 +379,8 @@ class TestBackward:
     def test_zero_error_gives_zero_gradients(self):
         net = build_autoencoder(2, (4, 3), 2, 1, seed=7)
         X = np.array([[0.3, -0.2], [1.0, 0.5]])
-        out, acts = forward(net, X)
-        grad = backward(net, acts, out.copy())
+        out, acts, ws = training_pass(net, X)
+        grad = backward(net, acts, out.copy(), ws)
         assert grad.shape == net.theta.shape
         for dw, db in net.views(grad):
             assert np.all(dw == 0.0)
@@ -369,17 +389,17 @@ class TestBackward:
     def test_single_linear_layer_closed_form(self):
         w, b, x, y = 0.7, -0.3, 1.9, 0.25
         net = DenseNetwork([LayerSpec(1, 1, "linear")], [w, b])
-        _, acts = forward(net, [[x]])
-        (dw, db), = net.views(backward(net, acts, [[y]]))
+        _, acts, ws = training_pass(net, [[x]])
+        (dw, db), = net.views(backward(net, acts, [[y]], ws))
         err = w * x + b - y
         assert dw[0][0] == pytest.approx(2.0 * err * x, rel=1e-14)
         assert db[0] == pytest.approx(2.0 * err, rel=1e-14)
 
     def test_target_shape_mismatch(self):
         net = build_autoencoder(seed=7)
-        _, acts = forward(net, np.zeros((3, 2)))
+        _, acts, ws = training_pass(net, np.zeros((3, 2)))
         with pytest.raises(TscnetError, match=r"^target \(4, 1\) vs output \(3, 1\)$"):
-            backward(net, acts, np.zeros((4, 1)))
+            backward(net, acts, np.zeros((4, 1)), ws)
 
     def test_canonical_net_matches_finite_differences(self):
         net = build_autoencoder(seed=3)
@@ -388,7 +408,7 @@ class TestBackward:
         y = np.array([[float(gen.below(4))] for _ in range(8)])
         # central differences are only a valid oracle away from relu kinks:
         # every relu pre-activation must clear the 1e-5 step by a wide margin
-        _, acts = forward(net, X)
+        _, acts, _ = training_pass(net, X)
         assert relu_kink_margin(net, acts) >= 1e-4
         analytic = flat_gradients(net, X, y)
         numeric = numeric_gradients(net, X, y)
@@ -399,7 +419,8 @@ class TestBackward:
         X, truth = make_blob_points(seed=17, per_cluster=5)
         y = np.array(truth, dtype=float).reshape(-1, 1)
         net = build_autoencoder(seed=11)
-        grad = backward(net, forward(net, X)[1], y)
+        _, acts, ws = training_pass(net, X)
+        grad = backward(net, acts, y, ws)
         want = np.concatenate([g.ravel() for g in reference_grads(net, X, y)])
         assert grad.tobytes() == want.tobytes()
 
@@ -417,15 +438,17 @@ class TestBackward:
         for n in (40, 17, 1):
             X = np.array([[gen.uniform(-2, 2), gen.uniform(-2, 2)] for _ in range(n)])
             y = np.array([[gen.uniform(-1, 1)] for _ in range(n)])
-            out, acts = forward(net, X)
-            ws_out, ws_acts = forward(net, X, ws=ws)
-            assert [a.tobytes() for a in ws_acts] == [a.tobytes() for a in acts]
-            assert np.shares_memory(ws_out, ws.acts[-1])
-            assert backward(net, ws_acts, y, ws=ws).tobytes() == backward(net, acts, y).tobytes()
+            out, acts = forward(net, X, ws)
+            assert acts[0] is X and acts[-1] is out
+            assert [a.tobytes() for a in acts[1:]] == [a.tobytes() for a in reference_forward(net, X)[1]]
+            assert all(np.shares_memory(a, buf) for a, buf in zip(acts[1:], ws.acts))
+            want = np.concatenate([g.ravel() for g in reference_grads(net, X, y)])
+            assert backward(net, acts, y, ws).tobytes() == want.tobytes()
 
     def test_workspace_passes_allocate_no_hidden_width(self):
         # a step's forward and backward into a workspace allocate less than
-        # one 100-wide hidden activation; without one, each allocates more
+        # one 100-wide hidden activation; the allocating reference forward
+        # allocates more, so the bound can tell
         net = build_autoencoder(seed=7)
         n = 1024
         X = np.random.default_rng(5).uniform(-1.0, 1.0, (n, 2))
@@ -440,12 +463,11 @@ class TestBackward:
             finally:
                 tracemalloc.stop()
 
-        acts, with_ws = peak(lambda: forward(net, X, ws=ws)[1])
-        _, backward_with_ws = peak(lambda: backward(net, acts, y, ws=ws))
-        acts, without = peak(lambda: forward(net, X)[1])
-        _, backward_without = peak(lambda: backward(net, acts, y))
+        acts, with_ws = peak(lambda: forward(net, X, ws)[1])
+        _, backward_with_ws = peak(lambda: backward(net, acts, y, ws))
+        _, reference = peak(lambda: reference_forward(net, X))
         hidden = 100 * 8 * n
-        assert max(with_ws, backward_with_ws) < hidden < min(without, backward_without)
+        assert max(with_ws, backward_with_ws) < hidden < reference
 
 
 class TestAdam:
@@ -498,6 +520,28 @@ class TestAdam:
             adam_step(np.zeros(2), np.zeros(3), state)
         with pytest.raises(TscnetError, match=r"^theta \(3,\), grad \(3,\) and state \(2,\) differ$"):
             adam_step(np.zeros(3), np.zeros(3), state)
+
+
+def test_adam_step_allocates_less_than_theta():
+    # the temporaries go to the state's scratch vectors, with the bits of
+    # the one-line update
+    net = build_autoencoder(seed=7)
+    gen = np.random.default_rng(2)
+    state = AdamState(net.theta.size)
+    theta, m, v = net.theta.copy(), np.zeros_like(net.theta), np.zeros_like(net.theta)
+    for t in (1, 2):
+        grad = gen.standard_normal(net.theta.size)
+        tracemalloc.start()
+        try:
+            adam_step(net.theta, grad, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < net.theta.nbytes
+        m = 0.9 * m + (1.0 - 0.9) * grad
+        v = 0.999 * v + (1.0 - 0.999) * (grad * grad)
+        theta -= 0.001 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+        assert net.theta.tobytes() == theta.tobytes()
 
 
 class TestTrain:
@@ -672,26 +716,26 @@ class TestTrainCallPath:
 
     def test_minibatches_drop_the_epoch_end_acts(self, monkeypatch):
         # 12 rows in batches of 5: only the epoch-end pass sees all 12 rows.
-        # It keeps no hidden activations, and its outputs give the epoch's
-        # loss; every step writes its products into one workspace of 5 rows
+        # It is a prediction pass, which keeps no hidden activations, and its
+        # outputs give the epoch's loss; every step writes each layer's
+        # activation, the sigmoid's included, into one workspace of 5 rows
         X, truth = make_blob_points(seed=3, per_cluster=3)
         full_passes, workspaces = [], []
 
-        def tracking(net, batch, **kwargs):
-            out, acts = forward(net, batch, **kwargs)
+        def tracking(net, batch, ws=None):
+            out, acts = forward(net, batch, ws)
             if len(batch) == len(X):
-                full_passes.append(acts)
+                full_passes.append((ws, acts))
             else:
-                workspaces.append(kwargs["ws"])
-                # the sigmoid makes a new array of its layer's product
-                shared = [np.shares_memory(a, buf) for a, buf in zip(acts[1:], kwargs["ws"].acts)]
-                assert shared == [spec.activation != "sigmoid" for spec in net.specs]
+                workspaces.append(ws)
+                assert all(np.shares_memory(a, buf) for a, buf in zip(acts[1:], ws.acts))
             return out, acts
 
         monkeypatch.setattr(autonet, "forward", tracking)
         net = build_autoencoder(2, (6, 4), 2, 1, seed=3)
+        assert "sigmoid" in [spec.activation for spec in net.specs]
         train(net, X, truth, epochs=4, batch_size=5, seed=3)
-        assert full_passes == [None] * 4
+        assert full_passes == [(None, None)] * 4
         assert len(workspaces) == 4 * 3 and all(ws is workspaces[0] for ws in workspaces)
         assert [buf.shape for buf in workspaces[0].acts] == [(5, w) for w in widths(net)[1:]]
 
@@ -731,9 +775,10 @@ class TestRoundLabels:
         finally:
             tracemalloc.stop()
         assert peak / (8 * n) < 200
-        out, acts = forward(net, X, keep_acts=False)
+        out, acts = forward(net, X)
         assert acts is None
-        assert out.tobytes() == forward(net, X)[0].tobytes() == raw.tobytes()
+        # the prediction pass gives a training pass's bits
+        assert out.tobytes() == forward(net, X, Workspace(net, n))[0].tobytes() == raw.tobytes()
         assert labels.tolist() == round_labels(raw, 4).tolist()
 
     def test_predict_labels_needs_single_output(self):
@@ -848,6 +893,6 @@ def test_latent_always_in_unit_interval(batch, seed):
     gen = Xorshift64Star(seed)
     net = build_autoencoder(2, (5,), 3, 1, seed=seed & 0xFFFF)
     X = np.array([[gen.uniform(-100, 100), gen.uniform(-100, 100)] for _ in range(batch)])
-    _, acts = forward(net, X)
+    _, acts, _ = training_pass(net, X)
     latent = acts[2]
     assert np.all((latent >= 0.0) & (latent <= 1.0))

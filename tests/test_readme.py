@@ -1,5 +1,6 @@
-"""The README's CLI examples parse with the program's own parser, and its
-config example with the program's config parser."""
+"""The README's CLI examples parse with the program's own parser, its
+config example with the program's config parser, and its library example
+runs."""
 
 import argparse
 import re
@@ -54,3 +55,19 @@ def test_config_example_parses_to_the_defaults(tmp_path):
         if f.name in listed and f.name != "prices_path":  # the one key without a default
             expected = tmp_path / f.default if isinstance(f.default, Path) else f.default
             assert getattr(config, f.name) == expected, f.name
+
+
+def library_example() -> str:
+    """The fenced block under the README's library heading."""
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n", 1)[1]
+    return re.search(r"^```python\n(.*?)^```$", section, re.S | re.M).group(1)
+
+
+def test_library_example_runs(tmp_path, blob_prices_csv, monkeypatch, capsys):
+    # the fixture writes the prices.csv that the example reads
+    assert blob_prices_csv == tmp_path / "prices.csv"
+    monkeypatch.chdir(tmp_path)
+    exec(compile(library_example(), "README.md", "exec"), {})
+    # its last line prints the k, the final loss and the held-out accuracy
+    k, _, accuracy = capsys.readouterr().out.splitlines()[-1].split()
+    assert (k, accuracy) == ("4", "1.0")
