@@ -34,15 +34,27 @@ def build_feature_table(
 
     Every series needs at least MIN_ROWS closes (two returns, for a sample
     std), all finite and above 0. Ingest drops or refuses any other; here
-    one raises a TscnetError naming its ticker, as does ``trading_days`` < 1.
+    one raises a TscnetError naming its ticker, as does a series whose
+    features are not finite, such as one with consecutive closes further
+    apart than the float range. ``trading_days`` must be >= 1 and convert
+    to a float.
     """
     if trading_days < 1:
         raise TscnetError(f"trading_days must be >= 1, got {trading_days}")
+    try:
+        scale = math.sqrt(trading_days)
+    except OverflowError:
+        raise TscnetError("trading_days is too large to convert to a float") from None
     table = np.empty((len(closes), 2))
-    for row, (ticker, c) in zip(table, closes.items()):
-        p = np.asarray(c, dtype=float)
-        if p.ndim != 1 or p.size < MIN_ROWS or not np.all(np.isfinite(p)) or np.any(p <= 0):
-            raise TscnetError(f"{ticker}: need at least {MIN_ROWS} closes, all finite and > 0, got {p.size}")
-        r = np.log(p[1:] / p[:-1])
-        row[:] = np.std(r, ddof=1) * math.sqrt(trading_days), np.mean(r) * trading_days
+    # a ratio of closes past the float range gives a return that is not
+    # finite, and so features that are not; they are refused below
+    with np.errstate(all="ignore"):
+        for row, (ticker, c) in zip(table, closes.items()):
+            p = np.asarray(c, dtype=float)
+            if p.ndim != 1 or p.size < MIN_ROWS or not np.all(np.isfinite(p)) or np.any(p <= 0):
+                raise TscnetError(f"{ticker}: need at least {MIN_ROWS} closes, all finite and > 0, got {p.size}")
+            r = np.log(p[1:] / p[:-1])
+            row[:] = vol, ret = np.std(r, ddof=1) * scale, np.mean(r) * trading_days
+            if not (math.isfinite(vol) and math.isfinite(ret)):
+                raise TscnetError(f"{ticker}: volatility and return must be finite, got {vol} and {ret}")
     return tuple(closes), table

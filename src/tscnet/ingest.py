@@ -17,18 +17,16 @@ holds one dict entry per distinct date field and ticker symbol.
 * The clean-file reader takes a file whose header line is exactly
   ``ticker,date,adj_close``, whose every later line holds two commas and no
   quote, CR or NUL, with no blank line before the last row and no line
-  longer than ``csv.field_size_limit()``, and in which each ticker's kept
-  rows have strictly ascending dates. It reads about CHUNK_BYTES at a
-  time, cut at a newline, column by column: one split per chunk, a dict
-  lookup per field (a field first seen is parsed or checked once), and
-  ``np.fromiter(map(float, ...))`` for the closes. Each kept row's date is
-  checked against the ticker's last kept date, one int32 per ticker, and
-  is not stored: a kept row costs 8 bytes, its close, in file order in
-  fixed-size heap blocks of BLOCK_ROWS rows. Each ticker keeps the (start,
-  end) runs of its rows, and its closes are a view of a block, or a copy
-  of its runs when they span blocks. A file grouped by ticker costs one
-  run per ticker; a file with more runs than 32 plus one per 32 rows, such
-  as one ordered by date, goes to the row reader.
+  longer than ``csv.field_size_limit()``, and whose kept rows ascend by
+  ticker, in order of first appearance, then strictly by date. It reads
+  about CHUNK_BYTES at a time, cut at a newline, column by column: one
+  split per chunk, a dict lookup per field (a field first seen is parsed
+  or checked once), and ``np.fromiter(map(float, ...))`` for the closes.
+  Each kept row's (ticker, date) key is checked against the kept row
+  before it, and its date is not stored: a kept row costs 8 bytes, its
+  close, in file order in fixed-size heap blocks of BLOCK_ROWS rows. Each
+  ticker's rows are one range of the blocks, so its closes are a view of
+  a block, or a copy of its range when it spans blocks.
 * The row reader takes any file: a ``csv.reader`` loop that appends each
   kept row to two typed columns of its ticker, a 4-byte date ordinal (none
   exceeds 3,652,059, that of ``date.max``) and an 8-byte close, 12 bytes
@@ -43,9 +41,10 @@ holds one dict entry per distinct date field and ticker symbol.
 So these files are read twice: a file with CRLF line ends, a quoted field,
 a blank line before a row, or an unparsable row, found wherever it sits;
 one in which a ticker repeats a date or goes back in time, such as a late
-correction row for a date already given; and one whose tickers come in
-too many runs, such as a file ordered by date, which the clean-file
-reader leaves within its first chunks.
+correction row for a date already given; and one in which a ticker's rows
+come back after another ticker's, such as two appended exports or a file
+ordered by date, which the clean-file reader leaves at its first repeated
+ticker.
 """
 
 from __future__ import annotations
@@ -179,10 +178,9 @@ def _read_clean(path, wanted: set[str] | None, start_date: dt.date):
     Returns what ``_read_rows`` returns, or None on any doubt; it raises
     nothing of its own. Fields stay bytes: ``float`` parses ASCII bytes as
     it parses the same str and refuses other bytes, and only the first
-    occurrence of a date or ticker field is decoded. Each kept row's date
-    must be later than that of the ticker's kept row before it, so a
-    ticker's closes in file order are its closes in date order, and no date
-    is stored.
+    occurrence of a date or ticker field is decoded. The kept rows must
+    ascend by slot, then strictly by date, so each ticker's closes are one
+    range of stored rows, in date order, and no date is stored.
     """
     limit = csv.field_size_limit()
     # date field -> ordinal, or -1 before start_date; ticker field -> slot
@@ -190,12 +188,13 @@ def _read_clean(path, wanted: set[str] | None, start_date: dt.date):
     slot_by_field: dict[bytes, int] = {}
     # stripped ticker symbol -> slot, or -1 when filtered out
     slot_of: dict[str, int] = {}
-    # per slot, flat (start, end) pairs of its runs of stored rows, and the
-    # ordinal of its last stored row (0 is below every date's)
-    runs: list[list[int]] = []
-    last_day = array("i")
+    # per slot, the end of its stored rows, or 0 before it has any
+    end = array("q")
     close_blocks: list[np.ndarray] = []
-    stored = run_count = 0
+    stored = 0
+    # (slot << 22) | ordinal of the last stored row; every ordinal is below
+    # 2**22, as that of date.max is 3,652,059
+    last_key = -1
 
     def new_slot(field: bytes) -> int:
         symbol = field.decode().strip()
@@ -204,9 +203,8 @@ def _read_clean(path, wanted: set[str] | None, start_date: dt.date):
             _check_ticker(symbol, 0)
             slot = -1
             if wanted is None or symbol in wanted:
-                slot = len(runs)
-                runs.append([])
-                last_day.append(0)
+                slot = len(end)
+                end.append(0)
             slot_of[symbol] = slot
         return slot
 
@@ -233,25 +231,13 @@ def _read_clean(path, wanted: set[str] | None, start_date: dt.date):
                     slots, days, closes = slots[keep], days[keep], closes[keep]
                 if not len(slots):
                     continue
-                starts = np.flatnonzero(slots[1:] != slots[:-1]) + 1
-                # a repeated or earlier date within a run of one ticker
-                later = days[1:] > days[:-1]
-                later[starts - 1] = True
-                if not later.all():
+                keys = slots.astype(np.int64) << 22 | days
+                if not (keys[0] > last_key and (keys[1:] > keys[:-1]).all()):
                     return None
-                bounds = [0, *starts.tolist(), len(slots)]
-                for lo, hi in zip(bounds, bounds[1:]):
-                    slot = slots[lo]
-                    # ... or from a ticker's last run to its next
-                    if days[lo] <= last_day[slot]:
-                        return None
-                    last_day[slot] = days[hi - 1]
-                    slot_runs = runs[slot]
-                    if slot_runs and slot_runs[-1] == stored + lo:
-                        slot_runs[-1] = stored + hi
-                    else:
-                        slot_runs += (stored + lo, stored + hi)
-                        run_count += 1
+                last_key = int(keys[-1])
+                # each slot's last row in the chunk
+                for last in [*np.flatnonzero(slots[1:] != slots[:-1]).tolist(), len(slots) - 1]:
+                    end[slots[last]] = stored + last + 1
                 done = 0
                 for block, lo, hi in _block_pieces(stored, stored + len(closes)):
                     if block == len(close_blocks):
@@ -259,18 +245,17 @@ def _read_clean(path, wanted: set[str] | None, start_date: dt.date):
                     close_blocks[block][lo:hi] = closes[done:done + hi - lo]
                     done += hi - lo
                 stored += done
-                # a file ordered by date shows here within its first chunks
-                if run_count > 32 + stored // 32:
-                    return None
     except (OSError, ValueError, TscnetError):
         # open or read, a decode error, a long line, a bad price, date or ticker
         return None
 
+    # the rows are stored in slot order, so slot s's rows are [ends[s - 1],
+    # ends[s]), where a slot without rows ends where the slot before it does
+    ends = np.maximum.accumulate(np.frombuffer(end, np.int64))
+
     def column(slot: int) -> tuple[np.ndarray, bool]:
-        pieces = [close_blocks[block][lo:hi]
-                  for start, end in zip(runs[slot][0::2], runs[slot][1::2])
-                  for block, lo, hi in _block_pieces(start, end)]
-        runs[slot] = None
+        start = int(ends[slot - 1]) if slot else 0
+        pieces = [close_blocks[block][lo:hi] for block, lo, hi in _block_pieces(start, int(ends[slot]))]
         if len(pieces) == 1:
             return pieces[0], False
         return np.concatenate([np.empty(0, np.float64), *pieces]), False

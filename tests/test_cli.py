@@ -277,6 +277,31 @@ class TestLabel:
             f"error: {stage}k=4 outside [1, 3]",
         ]
 
+    @pytest.mark.parametrize("verb", ["label", "run"])
+    def test_returns_past_the_float_range_name_the_ticker(self, tmp_path, capsys, verb):
+        prices = tmp_path / "prices.csv"
+        series = (("AAA", "1e308 5e-324 1e308 1e308"), ("BBB", "4 3 2 1"), ("CCC", "2 2 3 2"))
+        prices.write_text("ticker,date,adj_close\n" + "".join(
+            f"{t},2020-01-0{d},{p}\n" for t, closes in series for d, p in enumerate(closes.split(), 1)
+        ), encoding="utf-8")
+        config = write_config(tmp_path / "run.cfg", prices, tmp_path / "out", k=2)
+        argv = ["run", str(config)] if verb == "run" else [
+            "label", "--prices", str(prices), "--k", "2", "--out", str(tmp_path / "labels.csv")]
+        _, stderr = run_cli(capsys, argv, expect=1)
+        stage = "[ingest] " if verb == "run" else ""
+        assert stderr == f"error: {stage}AAA: volatility and return must be finite, got nan and nan\n"
+
+    @pytest.mark.parametrize("verb", ["label", "run"])
+    def test_trading_days_without_a_float_value(self, workdir, tmp_path, capsys, verb):
+        days = "1" + "0" * 400
+        config = write_config(tmp_path / "run.cfg", workdir["prices"], tmp_path / "out", trading_days=days)
+        argv = ["run", str(config)] if verb == "run" else [
+            "label", "--prices", str(workdir["prices"]), "--trading-days", days,
+            "--out", str(tmp_path / "labels.csv")]
+        _, stderr = run_cli(capsys, argv, expect=1)
+        stage = "[ingest] " if verb == "run" else ""
+        assert stderr == f"error: {stage}trading_days is too large to convert to a float\n"
+
 
 class TestSelectK:
     """`label --k auto` prints one line per swept k, then the best k."""

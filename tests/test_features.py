@@ -152,6 +152,23 @@ class TestBuildFeatureTable:
         with pytest.raises(TscnetError, match=f"^trading_days must be >= 1, got {days}$"):
             build_feature_table(closes, days)
 
+    def test_trading_days_without_a_float_value_refused(self):
+        closes = {"AAA": np.array([100.0, 101.0, 99.5])}
+        with pytest.raises(TscnetError, match="^trading_days is too large to convert to a float$"):
+            build_feature_table(closes, 10**400)
+
+    @pytest.mark.parametrize("prices, trading_days, features", [
+        # consecutive closes further apart than the float range
+        ([1e308, 5e-324, 1e308, 1e308], TRADING_DAYS, "nan and nan"),
+        ([5e-324, 1e308, 1e308], TRADING_DAYS, "nan and inf"),
+        # a finite mean return that annualizes past the float range
+        ([1.0, 100.0, 10000.0], 10**308, "0.0 and inf"),
+    ], ids=["down-and-up", "up", "annualized"])
+    def test_features_that_are_not_finite_name_the_ticker(self, prices, trading_days, features):
+        closes = {"BBB": np.array([4.0, 3.0, 2.0, 1.0]), "AAA": np.array(prices)}
+        with pytest.raises(TscnetError, match=f"^AAA: volatility and return must be finite, got {features}$"):
+            build_feature_table(closes, trading_days)
+
 
 class TestLabelsCsv:
     def test_round_trip(self, tmp_path):

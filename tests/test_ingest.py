@@ -5,8 +5,11 @@ import datetime as dt
 import mmap
 import os
 import re
+import sys
 import tracemalloc
+import types
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,8 @@ from conftest import write_prices_csv
 from tscnet import ingest
 from tscnet.errors import NoData, TscnetError
 from tscnet.ingest import load_price_table, parse_ticker_list
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def _write(tmp_path, text, name="prices.csv"):
@@ -271,7 +276,8 @@ def _row_reader_outcome(path, monkeypatch, **kwargs):
 
 def _date_ordered(tickers, days):
     return "ticker,date,adj_close\n" + "".join(
-        f"T{t:02d},2019-01-{d + 2:02d},{t + d + 1}\n" for d in range(days) for t in range(tickers))
+        f"T{t:02d},{dt.date(2019, 1, 2) + dt.timedelta(days=d)},{t + d + 1}\n"
+        for d in range(days) for t in range(tickers))
 
 
 class TestCleanFileReader:
@@ -282,12 +288,13 @@ class TestCleanFileReader:
         (GOOD_CSV, {}),
         (GOOD_CSV.rstrip("\n"), {}),
         (GOOD_CSV + "\n\n\n", {}),
-        # AAA comes back for a second run, with later dates
-        (GOOD_CSV + "AAA,2019-01-07,7.0\n", {}),
+        # AAA's rows are broken only by BBB's, which the filter drops
         (GOOD_CSV + "AAA,2019-01-07,8.0\n", {"tickers": ["AAA", "ZZZ"], "start_date": dt.date(2019, 1, 3)}),
         (GOOD_CSV.replace("BBB,", " BBB,", 1), {}),
-    ], ids=["grouped", "no-final-newline", "trailing-blank-lines", "later-run", "filter-and-start",
-            "padded-ticker"])
+        # OLD, between AAA and BBB, keeps no row
+        (GOOD_CSV.replace("BBB,", "OLD,2018-06-01,3.0\nBBB,", 1), {"start_date": dt.date(2019, 1, 1)}),
+    ], ids=["grouped", "no-final-newline", "trailing-blank-lines", "filter-and-start", "padded-ticker",
+            "ticker-without-rows"])
     def test_clean_file_reads_no_csv_row(self, tmp_path, monkeypatch, text, kwargs):
         path = _write(tmp_path, text)
         expected = _row_reader_outcome(path, monkeypatch, **kwargs)
@@ -297,7 +304,7 @@ class TestCleanFileReader:
         assert _outcome(path, **kwargs) == expected
         assert readers == []
 
-    def test_two_runs_of_a_ticker_in_one_chunk_stay_clean(self, tmp_path, monkeypatch):
+    def test_two_runs_of_a_ticker_in_one_chunk_go_to_the_row_reader(self, tmp_path, monkeypatch):
         # each 64-byte chunk holds AAA, BBB and AAA again, with AAA's dates rising
         text = "ticker,date,adj_close\n" + "".join(
             f"AAA,2019-01-{2 * d + 2:02d},{d + 1}\nBBB,2019-01-{d + 2:02d},{d + 5}\nAAA,2019-01-{2 * d + 3:02d},{d + 9}\n"
@@ -305,9 +312,18 @@ class TestCleanFileReader:
         path = _write(tmp_path, text)
         expected = _row_reader_outcome(path, monkeypatch)
         monkeypatch.setattr(ingest, "CHUNK_BYTES", 64)
-        assert ingest._read_clean(path, None, dt.date.min) is not None
+        assert ingest._read_clean(path, None, dt.date.min) is None
         assert _outcome(path) == expected
         assert load_price_table(path)[0]["AAA"].tolist() == [1, 9, 2, 10, 3, 11, 4, 12]
+
+    def test_a_date_repeated_in_the_next_chunk_is_a_doubt(self, tmp_path, monkeypatch):
+        # the first chunk ends at AAA's second row, and the next repeats its date
+        text = GOOD_CSV.replace("AAA,2019-01-04", "AAA,2019-01-03")
+        path = _write(tmp_path, text)
+        expected = _row_reader_outcome(path, monkeypatch)
+        monkeypatch.setattr(ingest, "CHUNK_BYTES", len("AAA,2019-01-02,100.0\nAAA,2019-01-03,101.5\n"))
+        assert ingest._read_clean(path, None, dt.date.min) is None
+        assert _outcome(path) == expected
 
     def test_blank_lines_ending_a_chunk_stay_clean(self, tmp_path, monkeypatch):
         # the trailing blank lines start exactly at the second read
@@ -329,18 +345,20 @@ class TestCleanFileReader:
         GOOD_CSV + "BBB,2019-13-07,1.0\n",
         GOOD_CSV + "B\x00B,2019-01-07,1.0\n",
         GOOD_CSV.replace("ticker,date,adj_close", "ticker,date,adj_close,"),
+        # a ticker's kept rows must be one run: AAA comes back, with later dates
+        GOOD_CSV + "AAA,2019-01-07,7.0\n",
         _date_ordered(40, 5),
         # a ticker's kept dates must rise strictly: within a run...
         GOOD_CSV.replace("AAA,2019-01-03", "AAA,2019-01-02"),
         GOOD_CSV.replace("AAA,2019-01-03,101.5\nAAA,2019-01-04", "AAA,2019-01-04,101.5\nAAA,2019-01-03"),
-        # ... and from a ticker's run to its next: a late correction row
+        # ... and in a later run: a late correction row
         GOOD_CSV + "AAA,2019-01-03,7.0\n",
         GOOD_CSV + "AAA,2019-01-04,7.0\n",
-        # AAA's last date is carried over many chunks
+        # AAA comes back many chunks later
         GOOD_CSV + "".join(f"CCC,{dt.date(2000, 1, 1) + dt.timedelta(days=i)},1.5\n" for i in range(2000))
         + "AAA,2019-01-03,7.0\n",
     ], ids=["crlf", "quote", "late-quote", "blank-line", "bad-last-price", "zero-price", "short-row",
-            "long-row", "bad-date", "nul", "header", "date-ordered", "repeated-date", "earlier-date",
+            "long-row", "bad-date", "nul", "header", "later-run", "date-ordered", "repeated-date", "earlier-date",
             "late-row", "late-row-same-date", "late-row-far"])
     def test_a_doubt_gives_the_row_readers_outcome(self, tmp_path, monkeypatch, text):
         path = _write(tmp_path, text)
@@ -361,17 +379,54 @@ class TestCleanFileReader:
         finally:
             os.close(read_end)
 
-    def test_a_few_runs_per_ticker_stay_clean(self, tmp_path):
-        # 30 tickers of 40 days, each in two halves: 60 runs in 1200 rows,
-        # under the limit of 32 runs plus one per 32 rows
+    def test_two_appended_exports_go_to_the_row_reader(self, tmp_path, monkeypatch):
+        # 30 tickers of 40 days, each in two halves, as two grouped exports
+        # appended one after the other
         days = [dt.date(2019, 1, 2) + dt.timedelta(days=d) for d in range(40)]
         text = "ticker,date,adj_close\n" + "".join(
             f"T{t:02d},{days[d].isoformat()},{t + d + 1}\n" for half in (range(25), range(25, 40))
             for t in range(30) for d in half)
         path = _write(tmp_path, text)
-        assert ingest._read_clean(path, None, dt.date.min) is not None
+        assert ingest._read_clean(path, None, dt.date.min) is None
+        assert _outcome(path) == _row_reader_outcome(path, monkeypatch)
         closes, _ = load_price_table(path)
         assert closes["T07"].tolist() == [float(8 + d) for d in range(40)]
+
+    def test_a_date_ordered_file_is_left_after_its_first_chunk(self, tmp_path, monkeypatch):
+        # 500 tickers, so the first repeated ticker is in the first chunk
+        path = _write(tmp_path, _date_ordered(500, 50))
+        chunks = []
+        real_chunks = ingest._line_chunks
+        monkeypatch.setattr(ingest, "_line_chunks",
+                            lambda fh, limit: (chunks.append(len(c)) or c for c in real_chunks(fh, limit)))
+        assert ingest._read_clean(path, None, dt.date.min) is None
+        assert len(chunks) == 1
+
+    def test_the_benchmark_input_reads_no_csv_row(self, tmp_path, monkeypatch):
+        # the benchmark's own input stays on the clean path. gen.py is
+        # executed from its source; it puts perfbench/ on sys.path to import
+        # workloads.py, so sys.path and sys.modules are restored after it,
+        # and no bytecode is written under perfbench/
+        source = PERFBENCH / "gen.py"
+        gen = types.ModuleType("perfbench_gen")
+        gen.__file__ = str(source)
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        before = sorted(PERFBENCH.rglob("*"))
+        had_workloads = "workloads" in sys.modules
+        try:
+            exec(compile(source.read_text(encoding="utf-8"), str(source), "exec"), gen.__dict__)
+            gen.generate("paper", 11, tmp_path)
+        finally:
+            if not had_workloads:
+                sys.modules.pop("workloads", None)
+        assert sorted(PERFBENCH.rglob("*")) == before
+        readers = []
+        real_reader = csv.reader
+        monkeypatch.setattr(csv, "reader", lambda *args: readers.append(args) or real_reader(*args))
+        closes, warnings = load_price_table(tmp_path / "prices.csv")
+        assert readers == []
+        assert warnings == [] and len(closes) == 500
 
     @pytest.mark.parametrize("row", [b"C\xffC,2019-01-02,1\n", b"CCC,2019-01-02,1\xff\n"])
     def test_non_utf8_byte(self, tmp_path, row):
@@ -401,7 +456,7 @@ class TestCleanFileReader:
 
     def test_closes_are_views_freed_with_the_table(self, tmp_path, monkeypatch):
         # with 4-row blocks AAA (rows 0-2) is a view of the first block, and
-        # BBB (3-5) and CCC (6-12) span blocks, so theirs are copies of their runs
+        # BBB (3-5) and CCC (6-12) span blocks, so theirs are copies of their rows
         monkeypatch.setattr(ingest, "BLOCK_ROWS", 4)
         text = GOOD_CSV + "".join(f"CCC,2019-01-{d:02d},{d}.5\n" for d in range(2, 9))
         closes, _ = load_price_table(_write(tmp_path, text))

@@ -61,7 +61,10 @@ def file_bytes(header, row=None, max_rows=6):
 
 TICKER = st.sampled_from(["AAA", "BBB", "CCC", "DDD"])
 DATE = st.dates(dt.date(2020, 1, 1), dt.date(2020, 1, 9)).map(str)
-PRICE_ROW = (st.tuples(TICKER, DATE, st.floats(0.5, 2.0).map(repr))
+# closes near 1, and near both ends of the float range, where the ratio of
+# two closes can overflow or underflow
+CLOSE = st.floats(0.5, 2.0) | st.floats(5e-324, 1e-300) | st.floats(1e300, 1.7e308)
+PRICE_ROW = (st.tuples(TICKER, DATE, CLOSE.map(repr))
              | st.tuples(TICKER | FIELD, DATE | FIELD, NUMBER | FIELD)).map(list)
 
 # a model file: header, layer count, then layer lines and rows of numbers
@@ -190,8 +193,8 @@ def run_inputs(tmp_path_factory):
     return root
 
 
-def three_tickers(first):
-    series = ((first, "1 2 3 4"), ("BBB", "4 3 2 1"), ("CCC", "2 2 3 2"))
+def three_tickers(first, closes="1 2 3 4"):
+    series = ((first, closes), ("BBB", "4 3 2 1"), ("CCC", "2 2 3 2"))
     return "ticker,date,adj_close\n" + "".join(
         f"{t},2020-01-0{d},{p}\n" for t, prices in series for d, p in enumerate(prices.split(), 1))
 
@@ -208,6 +211,8 @@ def test_price_reader_and_run_on_fuzzed_prices(run_inputs):
     # with a comma in it, which would split its labels.csv row
     @example(three_tickers("AAA").encode())
     @example(three_tickers('"A,B"').encode())
+    # consecutive closes whose ratio overflows, then underflows
+    @example(three_tickers("AAA", "1e308 5e-324 1e308 1e308").encode())
     def check(data):
         path.write_bytes(data)
         check_loads(load_price_table, path)
