@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .defaults import BATCH_SIZE, EPOCHS, SEED
+from .defaults import BATCH_SIZE, EPOCHS, SEED, check_settings
 from .errors import TscnetError, reading_utf8
 from .rng import Xorshift64Star
 
@@ -332,8 +332,8 @@ def train(
     order is never touched; with smaller batches the row order is reshuffled
     each epoch from a stream seeded once at the start. Either way a fixed
     (seed, data, hyperparameters) tuple reproduces weights bitwise. Non-finite
-    targets, or epochs or batch_size below 1, raise a TscnetError up front; a
-    non-finite epoch-end loss stops training with one naming the epoch.
+    targets, or settings :func:`defaults.check_settings` refuses, raise a
+    TscnetError up front, and a non-finite epoch-end loss one naming the epoch.
 
     Each step is one Adam update of ``net.theta``. Every training pass
     writes its activations and gradients into one :class:`Workspace`
@@ -353,8 +353,7 @@ def train(
         raise TscnetError(f"{len(Xa)} inputs vs {len(ya)} targets")
     if not np.all(np.isfinite(ya)):
         raise TscnetError("targets contain NaN or infinity")
-    if epochs < 1 or batch_size < 1:
-        raise TscnetError("epochs and batch_size must be >= 1")
+    check_settings(epochs=epochs, batch_size=batch_size, seed=seed)
 
     n = len(Xa)
     state = AdamState(net.theta.size)

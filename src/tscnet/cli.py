@@ -7,8 +7,9 @@ ingest go to stderr before the error line when no ticker of a prices file
 is usable or when a later stage of `run` fails.
 
 Building the parser loads no stage module, so `--help` and usage errors start
-without NumPy; each verb imports the modules it uses, as modules, so every
-call goes through a module attribute.
+without NumPy; each verb imports the stage modules it uses, as modules, so
+every stage call goes through a module attribute. Names from `defaults` and
+`errors` are imported directly, and the perfbench tracer does not wrap them.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from .defaults import AUTO, BATCH_SIZE, EPOCHS, K_MAX, K_MIN, SEED, TRADING_DAYS
+from .defaults import AUTO, BATCH_SIZE, EPOCHS, K_MAX, K_MIN, SEED, TRADING_DAYS, check_settings
 from .errors import TscnetError, naming
 
 K_SWEEP_SVG = "k_sweep.svg"
@@ -134,8 +135,8 @@ def _k_line(k: int, score: float) -> str:
 def cmd_label(args: argparse.Namespace) -> int:
     from . import pipeline
 
-    # the k rule before ingest, as `run` meets it in its config
-    pipeline._check_k(args.k, args.k_min, args.k_max)
+    # every flag's range rule before ingest, as `run` meets them in its config
+    check_settings(k=args.k, k_min=args.k_min, k_max=args.k_max, seed=args.seed, trading_days=args.trading_days)
     tickers, points, warns = pipeline.load_table(args.prices, args.tickers, args.start_date, args.trading_days)
     # before Stage 1, which may fail on what ingest dropped
     _warn(warns)

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from .defaults import TRADING_DAYS
+from .defaults import TRADING_DAYS, check_settings
 from .errors import TscnetError
 from .ingest import MIN_ROWS
 
@@ -39,12 +39,8 @@ def build_feature_table(
     apart than the float range. ``trading_days`` must be >= 1 and convert
     to a float.
     """
-    if trading_days < 1:
-        raise TscnetError(f"trading_days must be >= 1, got {trading_days}")
-    try:
-        scale = math.sqrt(trading_days)
-    except OverflowError:
-        raise TscnetError("trading_days is too large to convert to a float") from None
+    check_settings(trading_days=trading_days)
+    scale = math.sqrt(trading_days)
     table = np.empty((len(closes), 2))
     # a ratio of closes past the float range gives a return that is not
     # finite, and so features that are not; they are refused below

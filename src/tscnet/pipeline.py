@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autonet, features, ingest, kmeans, svgplot
-from .defaults import AUTO, BATCH_SIZE, EPOCHS, K_MAX, K_MIN, SEED, TEST_FRACTION, TRADING_DAYS
+from .defaults import AUTO, BATCH_SIZE, EPOCHS, K_MAX, K_MIN, SEED, TEST_FRACTION, TRADING_DAYS, check_settings
 from .errors import PipelineError, TscnetError, naming, reading_utf8
 from .rng import Xorshift64Star
 
@@ -133,8 +133,8 @@ def stage1_label(
     ``tickers``. ``k`` is an integer or "auto"; auto sweeps [k_min,
     min(k_max, n-1, distinct points)], keeps the silhouette maximizer and
     returns the (k, silhouette) table as ``sweep``, which is None for a
-    fixed k. ``k``, ``k_min`` and ``k_max`` must pass
-    :func:`_check_k`, as in a :class:`PipelineConfig`, also when k is fixed.
+    fixed k. ``k``, ``k_min``, ``k_max`` and ``seed`` must pass
+    :func:`defaults.check_settings`, as in a :class:`PipelineConfig`.
 
     Clusters are numbered by descending mean return
     (:func:`kmeans.relabel_by_return`): cluster 0 has the highest return, so
@@ -147,22 +147,11 @@ def stage1_label(
     return Records(tickers, points, model.assignments.astype(np.int64)), model, sweep
 
 
-def _check_k(k, k_min, k_max) -> None:
-    """The one k rule of a config, of ``label`` and of :func:`stage1_label`:
-    k is "auto" or an integer >= 2 (the autoencoder needs 2 clusters to tell
-    apart), and 2 <= k_min <= k_max whether k is fixed or "auto".
-    :func:`kmeans.select_k` clamps k_max to the data on its own."""
-    if k != AUTO and (not isinstance(k, int) or k < 2):
-        raise TscnetError(f"k must be an integer >= 2 or {AUTO!r}, got {k!r}")
-    if not 2 <= k_min <= k_max:
-        raise TscnetError(f"need 2 <= k_min <= k_max, got [{k_min}, {k_max}]")
-
-
 def _resolve_k(points, k, k_min, k_max, seed) -> tuple[kmeans.KMeansModel, list[tuple[int, float]] | None]:
     """(fitted model, sweep): a fixed k >= 2 is fitted once with no sweep;
     "auto" runs the silhouette sweep and keeps its best fit.
     """
-    _check_k(k, k_min, k_max)
+    check_settings(k=k, k_min=k_min, k_max=k_max, seed=seed)
     if k == AUTO:
         return kmeans.select_k(points, k_min, k_max, seed=seed)
     return kmeans.kmeans_fit(points, k, seed=seed), None
@@ -171,10 +160,9 @@ def _resolve_k(points, k, k_min, k_max, seed) -> tuple[kmeans.KMeansModel, list[
 def split(records: Records, test_fraction: float, seed: int) -> tuple[Records, Records]:
     """Seeded-shuffle partition into (train, test); |test| = ceil(test_fraction * n).
 
-    ``test_fraction`` must lie in (0, 1), else TscnetError.
+    ``test_fraction`` and ``seed`` must pass :func:`defaults.check_settings`.
     """
-    if not 0.0 < test_fraction < 1.0:
-        raise TscnetError(f"test_fraction must be in (0, 1), got {test_fraction}")
+    check_settings(test_fraction=test_fraction, seed=seed)
     n = len(records)
     if n < 2:
         raise TscnetError(f"need at least 2 records to split, got {n}")
@@ -255,15 +243,9 @@ class PipelineConfig:
     trading_days: int = TRADING_DAYS
 
     def __post_init__(self):
-        _check_k(self.k, self.k_min, self.k_max)
-        if self.epochs < 1 or self.batch_size < 1:
-            raise TscnetError("epochs and batch_size must be >= 1")
-        if not 0.0 < self.test_fraction < 1.0:
-            raise TscnetError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
-        if self.trading_days < 1:
-            raise TscnetError(f"trading_days must be >= 1, got {self.trading_days}")
-        if self.seed < 0:
-            raise TscnetError(f"seed must be >= 0, got {self.seed}")
+        check_settings(k=self.k, k_min=self.k_min, k_max=self.k_max, seed=self.seed, epochs=self.epochs,
+                       batch_size=self.batch_size, test_fraction=self.test_fraction,
+                       trading_days=self.trading_days)
 
 
 def parse_config(path) -> PipelineConfig:

@@ -299,8 +299,21 @@ class TestLabel:
             "label", "--prices", str(workdir["prices"]), "--trading-days", days,
             "--out", str(tmp_path / "labels.csv")]
         _, stderr = run_cli(capsys, argv, expect=1)
-        stage = "[ingest] " if verb == "run" else ""
-        assert stderr == f"error: {stage}trading_days is too large to convert to a float\n"
+        # parse_config refuses it and names the config
+        where = f"{config}: " if verb == "run" else ""
+        assert stderr == f"error: {where}trading_days is too large to convert to a float\n"
+
+    @pytest.mark.parametrize("verb", ["label", "run"])
+    def test_trading_days_refused_before_the_prices_are_opened(self, tmp_path, capsys, verb):
+        days = "1" + "0" * 400
+        missing = tmp_path / "absent.csv"
+        config = write_config(tmp_path / "run.cfg", missing, tmp_path / "out", trading_days=days)
+        argv = ["run", str(config)] if verb == "run" else [
+            "label", "--prices", str(missing), "--trading-days", days, "--out", str(tmp_path / "labels.csv")]
+        _, stderr = run_cli(capsys, argv, expect=1)
+        where = f"{config}: " if verb == "run" else ""
+        assert stderr == f"error: {where}trading_days is too large to convert to a float\n"
+        assert "cannot open" not in stderr
 
 
 class TestSelectK:
@@ -841,6 +854,7 @@ class TestDefaults:
         (kmeans.select_k, {"k_min", "k_max", "seed"}),
         (autonet.build_autoencoder, {"seed"}),
         (autonet.train, {"epochs", "batch_size", "seed"}),
+        (defaults.check_settings, set(EXPECTED)),
     ], ids=lambda v: getattr(v, "__qualname__", ""))
     def test_library_defaults(self, fn, names):
         params = inspect.signature(fn).parameters
