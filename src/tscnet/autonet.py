@@ -9,7 +9,7 @@ layers, a sigmoid latent layer whose width equals the number of clusters,
 the mirrored decoder in relu, and a final linear layer. Weight matrices are
 stored as (output_width, input_width); a layer computes ``a = act(x @ W.T + b)``.
 
-A network is its layer specs plus one float64 parameter vector:
+A network is its layer specs plus one parameter vector:
 ``DenseNetwork(specs, theta)``, where ``theta`` holds every layer's weights
 then biases, in layer order, each array row-major. ``net.layers`` gives
 each spec with its ``weights`` and ``biases`` as views of ``theta``, so
@@ -19,9 +19,18 @@ given a :class:`Workspace` is a training pass: it writes every activation
 into the workspace and returns ``[X, a1, ..., aL]`` for :func:`backward`.
 Given none it is a prediction pass, which keeps only the outputs.
 
+Precision is a property of ``theta``: a network computes in float32 when
+``theta`` is float32 and in float64 otherwise, and its workspace and Adam
+state follow. Every network a caller builds or loads is float64, so every
+prediction pass is float64. Only :func:`train` works in ``TRAIN_DTYPE``
+(float32), on a copy of the network that it writes back when it ends;
+float32 halves the bytes of every matmul and Adam vector, and the trained
+parameters are then float32 values held exactly in float64.
+
 Initialization is uniform on +/-sqrt(6 / (fan_in + fan_out)) with zero
 biases, drawn row-major from the package's deterministic generator, so a
-fixed seed yields bitwise-identical networks everywhere.
+fixed seed yields bitwise-identical networks everywhere. Training
+reproduces bit for bit on one machine and BLAS build.
 """
 
 from __future__ import annotations
@@ -48,6 +57,9 @@ BETA2 = 0.999
 EPS = 1e-8
 
 MODEL_HEADER = "tscnet v1"
+
+# the precision of training; everything else computes in float64
+TRAIN_DTYPE = np.float32
 
 
 @dataclass(frozen=True)
@@ -77,8 +89,9 @@ class DenseNetwork:
     """Dense layers with chained widths whose parameters are one vector, ``theta``.
 
     The constructor checks the width chain and that ``theta`` holds exactly
-    the layers' parameters, and keeps its own float64 copy of ``theta``.
-    ``layers`` pairs each spec with (weights, biases) views of that copy.
+    the layers' parameters, and keeps its own copy of ``theta``: float32 if
+    ``theta`` is float32, float64 otherwise. ``layers`` pairs each spec with
+    (weights, biases) views of that copy.
     """
 
     def __init__(self, specs: list[LayerSpec] | tuple[LayerSpec, ...], theta) -> None:
@@ -88,7 +101,8 @@ class DenseNetwork:
         for prev, cur in zip(self.specs, self.specs[1:]):
             if prev.output_width != cur.input_width:
                 raise TscnetError(f"width chain broken: {prev.output_width} -> {cur.input_width}")
-        self.theta = np.array(theta, dtype=float)
+        theta = np.asarray(theta)
+        self.theta = np.array(theta, dtype=np.float32 if theta.dtype == np.float32 else float)
         size = sum(spec.output_width * (spec.input_width + 1) for spec in self.specs)
         if self.theta.shape != (size,):
             raise TscnetError(f"theta {self.theta.shape} does not hold the {size} parameters of the layers")
@@ -110,7 +124,9 @@ class DenseNetwork:
 
 
 def build_network(specs: list[LayerSpec], seed: int) -> DenseNetwork:
-    """Initialize an arbitrary stack of layers from one seeded stream."""
+    """Initialize an arbitrary stack of layers from one seeded stream; ``seed``
+    must pass :func:`defaults.check_settings`."""
+    check_settings(seed=seed)
     rng = Xorshift64Star(seed)
 
     def theta():
@@ -194,9 +210,10 @@ class Workspace:
     """
 
     def __init__(self, net: DenseNetwork, rows: int) -> None:
-        self.acts = [np.empty((rows, spec.output_width)) for spec in net.specs]
+        dtype = net.theta.dtype
+        self.acts = [np.empty((rows, spec.output_width), dtype) for spec in net.specs]
         size = rows * max(spec.output_width for spec in net.specs)
-        self.deltas = (np.empty(size), np.empty(size))
+        self.deltas = (np.empty(size, dtype), np.empty(size, dtype))
 
     def delta(self, which: int, rows: int, width: int) -> np.ndarray:
         """A (rows, width) array over the start of flat buffer ``which``."""
@@ -216,15 +233,17 @@ def forward(net: DenseNetwork, batch, ws: Workspace | None = None) -> tuple[np.n
     ``i`` and ``acts[-1]`` is ``outputs``. Without one it is a prediction
     pass: ``acts`` is None and each layer's input is dropped once its output
     exists, so at most two adjacent layers' activations live at once. Either
-    way the outputs are the same bits.
+    way the outputs are the same bits. The pass computes in the dtype of
+    ``net.theta``, and the batch is cast to it.
     """
-    X = np.asarray(batch, dtype=float)
-    if X.ndim != 2 or X.shape[1] != net.input_width:
-        raise TscnetError(f"batch shape {X.shape} does not match input width {net.input_width}")
-    if not np.all(np.isfinite(X)):
-        raise TscnetError("batch contains NaN or infinity")
-    a, acts = X, None if ws is None else [X]
     with np.errstate(over="ignore", invalid="ignore"):
+        # a value past a float32 network's range casts to inf, refused below
+        X = np.asarray(batch, dtype=net.theta.dtype)
+        if X.ndim != 2 or X.shape[1] != net.input_width:
+            raise TscnetError(f"batch shape {X.shape} does not match input width {net.input_width}")
+        if not np.all(np.isfinite(X)):
+            raise TscnetError("batch contains NaN or infinity")
+        a, acts = X, None if ws is None else [X]
         for i, layer in enumerate(net.layers):
             # without a workspace, rebinding ``a`` drops the layer's input
             a = np.matmul(a, layer.weights.T, out=None if ws is None else ws.acts[i][: len(X)])
@@ -252,7 +271,7 @@ def backward(net: DenseNetwork, acts: list[np.ndarray], target, ws: Workspace) -
     The per-layer gradients w.r.t. pre-activations and inputs are written
     into the flat buffers of ``ws``, which must hold ``len(acts[0])`` rows.
     """
-    t = np.asarray(target, dtype=float)
+    t = np.asarray(target, dtype=net.theta.dtype)
     pred = acts[-1]
     if t.shape != pred.shape:
         raise TscnetError(f"target {t.shape} vs output {pred.shape}")
@@ -276,21 +295,23 @@ def backward(net: DenseNetwork, acts: list[np.ndarray], target, ws: Workspace) -
 
 class AdamState:
     """First/second-moment vectors, the step counter, and two scratch
-    vectors that each step writes its temporaries into."""
+    vectors that each step writes its temporaries into, all of ``dtype``,
+    which is that of the ``theta`` the state updates."""
 
-    def __init__(self, size: int):
-        self.m = np.zeros(size)
-        self.v = np.zeros(size)
+    def __init__(self, size: int, dtype=np.float64):
+        self.m = np.zeros(size, dtype)
+        self.v = np.zeros(size, dtype)
         self.t = 0
-        self.scratch = (np.empty(size), np.empty(size))
+        self.scratch = (np.empty(size, dtype), np.empty(size, dtype))
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update, applied to ``theta`` in place.
 
-    theta <- theta - LR * m_hat / (sqrt(v_hat) + eps). Every temporary is
-    written into ``state.scratch``, so a step allocates nothing as large as
-    ``theta``.
+    theta <- theta - LR * m_hat / (sqrt(v_hat) + eps), where a first moment
+    below the dtype's smallest normal number counts as zero. Every temporary
+    is written into ``state.scratch``, so a step allocates nothing as large
+    as ``theta``.
     """
     if theta.shape != grad.shape or theta.shape != state.m.shape:
         raise TscnetError(f"theta {theta.shape}, grad {grad.shape} and state {state.m.shape} differ")
@@ -301,6 +322,10 @@ def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     a, b = state.scratch
     m *= BETA1
     m += np.multiply(grad, 1.0 - BETA1, out=a)
+    # a dead unit's zero gradient shrinks its first moment by BETA1 a step
+    # into float32's subnormal range, where arithmetic is many times slower;
+    # such a moment moves theta by less than 1e-31, so it is set to zero
+    np.copyto(m, 0.0, where=np.abs(m, out=a) < np.finfo(m.dtype).tiny)
     v *= BETA2
     v += np.multiply(np.multiply(grad, grad, out=a), 1.0 - BETA2, out=a)
     np.multiply(np.divide(m, c1, out=a), LR, out=a)
@@ -326,17 +351,25 @@ def train(
     batch_size: int = BATCH_SIZE,
     seed: int = SEED,
 ) -> TrainHistory:
-    """Minibatch Adam training; mutates ``net`` and returns the loss history.
+    """Minibatch Adam training in ``TRAIN_DTYPE``; mutates ``net`` and returns
+    the loss history.
 
     With batch_size >= n the whole dataset forms one batch and the sample
     order is never touched; with smaller batches the row order is reshuffled
     each epoch from a stream seeded once at the start. Either way a fixed
-    (seed, data, hyperparameters) tuple reproduces weights bitwise. Non-finite
-    targets, or settings :func:`defaults.check_settings` refuses, raise a
-    TscnetError up front, and a non-finite epoch-end loss one naming the epoch.
+    (seed, data, hyperparameters) tuple reproduces weights bit for bit on
+    one machine and BLAS build. Non-finite targets, inputs or targets past
+    the float32 range, or settings :func:`defaults.check_settings` refuses,
+    raise a TscnetError up front, and a non-finite epoch-end loss one naming
+    the epoch; either way ``net`` is left as it was.
 
-    Each step is one Adam update of ``net.theta``. Every training pass
-    writes its activations and gradients into one :class:`Workspace`
+    Training runs on a float32 copy of ``net``, the inputs and the targets,
+    and writes the trained parameters back into ``net.theta`` once at the
+    end, which holds them exactly. Each epoch's loss is the float64
+    :func:`mse_loss` of the copy's outputs against the float32 targets.
+
+    Each step is one Adam update of the copy's ``theta``. Every training
+    pass writes its activations and gradients into one :class:`Workspace`
     allocated per call. With one full batch, each epoch-end forward pass,
     which gives the epoch's loss, is also the next epoch's training pass,
     so an epoch costs one forward and one backward. With minibatches the
@@ -354,20 +387,28 @@ def train(
     if not np.all(np.isfinite(ya)):
         raise TscnetError("targets contain NaN or infinity")
     check_settings(epochs=epochs, batch_size=batch_size, seed=seed)
+    limit = float(np.finfo(TRAIN_DTYPE).max)
+    for name, arr in (("inputs", Xa), ("targets", ya)):
+        # NaN and infinite inputs are left to forward's check
+        big = arr[np.isfinite(arr) & (np.abs(arr) > limit)]
+        if big.size:
+            raise TscnetError(f"{name} hold {big[0]:.6g}, past the float32 range of training, +/-{limit:.6g}")
 
+    work = DenseNetwork(net.specs, net.theta.astype(TRAIN_DTYPE))
+    Xa, ya = Xa.astype(TRAIN_DTYPE), ya.astype(TRAIN_DTYPE)
     n = len(Xa)
-    state = AdamState(net.theta.size)
+    state = AdamState(work.theta.size, TRAIN_DTYPE)
     rng = Xorshift64Star(seed)
     single_batch = batch_size >= n
-    ws = Workspace(net, min(batch_size, n))
+    ws = Workspace(work, min(batch_size, n))
 
     def step(acts: list[np.ndarray], target: np.ndarray) -> None:
-        adam_step(net.theta, backward(net, acts, target, ws), state)
+        adam_step(work.theta, backward(work, acts, target, ws), state)
 
     losses = []
     # a diverging run overflows before the epoch-end check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
-        acts = forward(net, Xa, ws)[1] if single_batch else None
+        acts = forward(work, Xa, ws)[1] if single_batch else None
         for epoch in range(1, epochs + 1):
             if single_batch:
                 step(acts, ya)
@@ -377,13 +418,14 @@ def train(
                 order = np.array(idx)
                 for start in range(0, n, batch_size):
                     rows = order[start : start + batch_size]
-                    step(forward(net, Xa[rows], ws)[1], ya[rows])
+                    step(forward(work, Xa[rows], ws)[1], ya[rows])
             # one full batch: the step has read the acts, so the pass may write
             # over them; minibatches never read the full-data acts
-            out, acts = forward(net, Xa, ws if single_batch else None)
+            out, acts = forward(work, Xa, ws if single_batch else None)
             losses.append(mse_loss(out, ya))
             if not math.isfinite(losses[-1]):
                 raise TscnetError(f"training diverged: loss {losses[-1]} at epoch {epoch}")
+    net.theta[:] = work.theta
     return TrainHistory(losses=tuple(losses))
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .defaults import K_MAX, K_MIN, SEED
+from .defaults import K_MAX, K_MIN, SEED, check_settings
 from .errors import TscnetError
 from .rng import Xorshift64Star, derive_seed
 
@@ -178,7 +178,9 @@ def kmeans_fit(points, k: int, seed: int = SEED, restarts: int = DEFAULT_RESTART
 
     Deterministic for fixed (points, k, seed, restarts): restart r draws from
     its own stream derived from (seed, r), and ties keep the earliest restart.
+    ``seed`` must pass :func:`defaults.check_settings`.
     """
+    check_settings(seed=seed)
     X = _as_points(points)
     n = len(X)
     if k < 1 or k > n:
@@ -265,8 +267,10 @@ def select_k(
     each cluster needs a distinct point. A ``k_min`` below 2 or above the
     clamped top raises a TscnetError. The best model maximizes silhouette;
     ties go to the smallest k. It is the fit ``kmeans_fit(points, best.k,
-    seed, restarts)`` returns, so callers need not refit it.
+    seed, restarts)`` returns, so callers need not refit it. ``seed`` must
+    pass :func:`defaults.check_settings`.
     """
+    check_settings(seed=seed)
     X = _as_points(points)
     n, distinct = len(X), count_distinct(X)
     top = min(k_max, n - 1, distinct)

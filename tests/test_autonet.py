@@ -6,6 +6,8 @@ checked against central finite differences; Adam against a hand-unrolled
 recurrence. Training is checked bit for bit against ``reference_train``,
 the per-array loop that ran two forward passes per full-batch epoch and
 writes out its own Adam, so it shares no training code with the module.
+Both train in ``autonet.TRAIN_DTYPE``; the algebra tests build float64
+networks, which compute in float64.
 """
 
 import math
@@ -134,7 +136,7 @@ def reference_grads(net, batch, target):
     for idx in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[idx]
         if layer.spec.activation == "relu":
-            gate = (zs[idx] > 0.0).astype(float)
+            gate = (zs[idx] > 0.0).astype(zs[idx].dtype)
         elif layer.spec.activation == "sigmoid":
             gate = acts[idx] * (1.0 - acts[idx])
         else:
@@ -147,19 +149,22 @@ def reference_grads(net, batch, target):
     return out
 
 
-def reference_train(net, X, y, epochs, batch_size, seed, lr=0.001):
-    """The per-array training loop; returns the epoch-end losses.
+def reference_train(net, X, y, epochs, batch_size, seed, lr=0.001, dtype=autonet.TRAIN_DTYPE):
+    """The per-array training loop in ``dtype``; returns the epoch-end losses.
 
     Every epoch runs a training forward per batch and then a full-data
     forward for the loss, so a full-batch epoch runs the same forward twice.
     Adam updates each of the layers' own weight and bias arrays in turn,
-    with one first- and second-moment array per parameter array.
+    with one first- and second-moment array per parameter array. The
+    loop trains a ``dtype`` copy of ``net`` on ``dtype`` data and writes the
+    result back into ``net`` at the end.
     """
     b1, b2, eps = 0.9, 0.999, 1e-8
-    Xa = np.asarray(X, dtype=float)
-    ya = np.asarray(y, dtype=float).reshape(len(Xa), -1)
+    Xa = np.asarray(X, dtype=float).astype(dtype)
+    ya = np.asarray(y, dtype=float).reshape(len(Xa), -1).astype(dtype)
     n = len(Xa)
-    params = [arr for layer in net.layers for arr in (layer.weights, layer.biases)]
+    work = DenseNetwork(net.specs, net.theta.astype(dtype))
+    params = [arr for layer in work.layers for arr in (layer.weights, layer.biases)]
     ms = [np.zeros_like(p) for p in params]
     vs = [np.zeros_like(p) for p in params]
     t = 0
@@ -176,13 +181,15 @@ def reference_train(net, X, y, epochs, batch_size, seed, lr=0.001):
                 rows = order[start : start + batch_size]
                 t += 1
                 c1, c2 = 1.0 - b1**t, 1.0 - b2**t
-                for p, g, m, v in zip(params, reference_grads(net, Xa[rows], ya[rows]), ms, vs):
+                for p, g, m, v in zip(params, reference_grads(work, Xa[rows], ya[rows]), ms, vs):
                     m *= b1
                     m += (1.0 - b1) * g
+                    m[np.abs(m) < np.finfo(m.dtype).tiny] = 0.0
                     v *= b2
                     v += (1.0 - b2) * (g * g)
                     p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-            losses.append(mse_loss(reference_forward(net, Xa)[1][-1], ya))
+            losses.append(mse_loss(reference_forward(work, Xa)[1][-1], ya))
+    net.theta[:] = work.theta
     return tuple(losses)
 
 
@@ -329,6 +336,14 @@ class TestForward:
         net = build_autoencoder(seed=7)
         with pytest.raises(TscnetError, match=r"^batch contains NaN or infinity$"):
             forward(net, [[np.nan, 0.0]])
+
+    def test_value_past_a_float32_network_rejected_without_warning(self):
+        # the cast to the network's dtype gives inf, with no overflow warning
+        net = DenseNetwork([LayerSpec(2, 1, "linear")], np.zeros(3, np.float32))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TscnetError, match=r"^batch contains NaN or infinity$"):
+                forward(net, [[1e39, 0.0]])
 
     def test_sigmoid_matches_reference_without_warning(self):
         # the exp of either sign never overflows, and underflow is silent
@@ -514,6 +529,18 @@ class TestAdam:
         assert np.all(state.v >= 0.0)
         assert state.m.shape == theta.shape
 
+    def test_first_moment_below_the_normal_range_is_zeroed(self):
+        # one step shrinks a zero-gradient first moment by 0.9: past the
+        # smallest normal float32, which it becomes zero, but not float64
+        for dtype, zeroed in ((np.float32, True), (np.float64, False)):
+            theta = np.ones(1, dtype)
+            state = AdamState(1, dtype)
+            state.m[:] = 1.25e-38
+            adam_step(theta, np.zeros(1, dtype), state)
+            assert state.m.dtype == dtype
+            assert (state.m[0] == 0.0) == zeroed
+            assert theta.tolist() == [1.0]
+
     def test_shape_mismatch(self):
         state = AdamState(2)
         with pytest.raises(TscnetError, match=r"^theta \(2,\), grad \(3,\) and state \(2,\) differ$"):
@@ -621,14 +648,36 @@ class TestTrain:
         assert net.theta.tobytes() == before.tobytes()
 
     def test_divergence_names_first_non_finite_epoch(self):
-        # a finite but huge target squares past the float range, so the first
-        # epoch-end loss is inf. NumPy's overflow warnings would print before
-        # the error, so none may escape.
-        net = build_autoencoder(2, (8,), 2, 1, seed=0)
+        # the first row's output is its target, just inside the float32
+        # range, so only the second row has a gradient. The first step moves
+        # every parameter up by about the learning rate, which pushes the
+        # first row's float32 output past the range: the first epoch-end
+        # loss is inf. NumPy's overflow warnings would print before the
+        # error, so none may escape, and the network is left as it was.
+        net = DenseNetwork([LayerSpec(2, 1, "linear")], [1.0, 0.0, 0.0])
+        X = [[3.401e38, 0.0], [1.0, 1.0]]
+        y = [float(np.float32(3.401e38)), 10.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(TscnetError, match=r"loss inf at epoch 1$"):
-                train(net, [[0.2, 0.1], [0.3, 0.5]], [0.0, 1e200], epochs=5)
+            with pytest.raises(TscnetError, match=r"^training diverged: loss inf at epoch 1$"):
+                train(net, X, y, epochs=5)
+        assert net.theta.tolist() == [1.0, 0.0, 0.0]
+
+    @pytest.mark.parametrize("X, y, message", [
+        ([[0.2, 1e39], [0.3, 0.5]], [0.0, 1.0], "inputs hold 1e+39"),
+        ([[0.2, 0.1], [0.3, 0.5]], [0.0, -1e45], "targets hold -1e+45"),
+    ])
+    def test_values_past_float32_rejected_before_training(self, X, y, message):
+        # float64 holds them, the float32 training copy would not: refused
+        # up front, with no cast warning and the network left as it was
+        net = build_autoencoder(2, (8,), 2, 1, seed=0)
+        before = net.theta.copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TscnetError) as exc:
+                train(net, X, y, epochs=5)
+        assert str(exc.value) == f"{message}, past the float32 range of training, +/-3.40282e+38"
+        assert net.theta.tobytes() == before.tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_targets_rejected_before_training(self, bad):

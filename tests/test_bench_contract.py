@@ -4,17 +4,21 @@
 and derives the per-layer metrics that ``BENCHMARK.json`` declares from their
 spans. This test runs one traced ``run`` and ``report`` on the 70-ticker
 fixture, so a rename or a changed call path that breaks the traced benchmark
-fails in the test suite. The tracer is executed from its source file and
-nothing under ``perfbench/`` is written.
+fails in the test suite. A second test holds the model to what
+``perfbench/checks.py`` checks of it. The perfbench modules are executed
+from their source files and nothing under ``perfbench/`` is written.
 """
 
+import csv
 import json
 import math
 import types
 from pathlib import Path
 
+import numpy as np
+
 import tscnet
-from tscnet import cli
+from tscnet import autonet, cli, pipeline
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -24,15 +28,15 @@ COMPUTED_BY_RUNNER = {"cli.report_s", "trace.overhead_s"}
 EPOCHS = 20
 
 
-def _tracer():
-    path = ROOT / "perfbench" / "tracer.py"
-    module = types.ModuleType("perfbench_tracer")
+def _load(name):
+    path = ROOT / "perfbench" / name
+    module = types.ModuleType(f"perfbench_{path.stem}")
     exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
     return module
 
 
 def test_traced_run_and_report_give_every_declared_metric(tmp_path, blob_prices_csv):
-    tracer = _tracer()
+    tracer = _load("tracer.py")
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     declared = {metric["name"] for metric in bench["per_layer"]}
     out_dir = tmp_path / "out"
@@ -63,3 +67,27 @@ def test_traced_run_and_report_give_every_declared_metric(tmp_path, blob_prices_
     # evaluate, the labels written by run, and report's labels one each
     assert metrics["autonet.forward_calls"] == EPOCHS + 1 + 3
     assert metrics["autonet.backward_calls"] == metrics["autonet.adam_calls"] == EPOCHS
+
+
+def test_model_file_gives_the_evaluation_in_float64(tmp_path, blob_prices_csv):
+    # perfbench/checks.py recomputes raw_output with its own float64 forward
+    # pass of model.tscnet and allows checks.TOL. Training is float32, so
+    # every trained value is a float32 number, but each prediction pass is
+    # float64: a float32 one would miss the tolerance by about 1e-7
+    checks = _load("checks.py")
+    out_dir = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    config.write_text(
+        f"prices_path = {blob_prices_csv}\nout_dir = {out_dir}\nk = 4\nepochs = {EPOCHS}\n",
+        encoding="utf-8",
+    )
+    result = pipeline.run_pipeline(pipeline.parse_config(config))
+    net = autonet.load_model(out_dir / pipeline.MODEL_FILE)
+    assert net.theta.tobytes() == net.theta.astype(np.float32).astype(np.float64).tobytes()
+
+    with open(out_dir / pipeline.EVAL_CSV, encoding="utf-8", newline="") as fh:
+        raw = np.array([float(row[3]) for row in list(csv.reader(fh))[1:]])
+    features = result.report.records.features
+    assert autonet.predict_labels(net, features, result.model.k)[0].tobytes() == raw.tobytes()
+    independent = checks.forward(checks.read_model(out_dir / pipeline.MODEL_FILE), features)
+    assert float(np.max(np.abs(independent - raw))) <= checks.TOL

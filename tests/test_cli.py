@@ -662,6 +662,17 @@ class TestRun:
         assert stderr == "error: [split] test_fraction 0.99 leaves no training record of 70\n"
         assert not (tmp_path / "out").exists()
 
+    def test_features_past_float32_refused_before_training(self, workdir, tmp_path, capsys):
+        # returns near 1e42 are fine in float64 but not in float32 training:
+        # one error line, no cast warning, and no bundle
+        config = write_config(tmp_path / "run.cfg", workdir["prices"], tmp_path / "out",
+                              trading_days=10**45)
+        _, stderr = run_cli(capsys, ["run", str(config)], expect=1)
+        assert len(stderr.splitlines()) == 1
+        assert stderr.startswith("error: [train] inputs hold ")
+        assert stderr.endswith(", past the float32 range of training, +/-3.40282e+38\n")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config(self, tmp_path, capsys):
         _, stderr = run_cli(capsys, ["run", str(tmp_path / "absent.cfg")], expect=1)
         assert stderr.startswith("error:")

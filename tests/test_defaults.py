@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import tscnet
-from tscnet import autonet, defaults, features, pipeline
+from tscnet import autonet, defaults, features, kmeans, pipeline
 from tscnet.errors import TscnetError
 
 SOURCE = Path(tscnet.__file__).resolve().parent
@@ -36,6 +36,10 @@ USERS = [
     ({"epochs", "batch_size", "seed"}, _train),
     ({"test_fraction", "seed"}, _split),
     ({"k", "k_min", "k_max", "seed"}, lambda **s: pipeline.stage1_label(TICKERS, POINTS, **s)),
+    ({"seed"}, lambda **s: kmeans.kmeans_fit(POINTS, 2, **s)),
+    ({"seed"}, lambda **s: kmeans.select_k(POINTS, **s)),
+    ({"seed"}, lambda **s: autonet.build_autoencoder(2, (4,), 2, 1, **s)),
+    ({"seed"}, lambda **s: autonet.build_network([autonet.LayerSpec(2, 1, "linear")], **s)),
 ]
 
 BOUNDARIES = [
