@@ -1,8 +1,8 @@
 """File-based price ingestion.
 
 Reads ticker lists and per-ticker adjusted-close tables from disk and produces
-one date-ordered float64 array of closes per ticker. The CSV contract is
-narrow:
+one date-ordered float64 array of closes per ticker, or what a caller's
+``per_ticker`` function makes of it. The CSV contract is narrow:
 
 * prices CSV: UTF-8, LF or CRLF line endings, header exactly
   ``ticker,date,adj_close``, ISO-8601 dates, decimal prices
@@ -23,10 +23,11 @@ holds one dict entry per distinct date field and ticker symbol.
   split per chunk, a dict lookup per field (a field first seen is parsed
   or checked once), and ``np.fromiter(map(float, ...))`` for the closes.
   Each kept row's (ticker, date) key is checked against the kept row
-  before it, and its date is not stored: a kept row costs 8 bytes, its
-  close, in file order in fixed-size heap blocks of BLOCK_ROWS rows. Each
-  ticker's rows are one range of the blocks, so its closes are a view of
-  a block, or a copy of its range when it spans blocks.
+  before it, and its date is not stored. Each ticker's kept rows are one
+  run, so its closes are complete at the first kept row of the next
+  ticker, or at the end of the file: they are then joined into one new
+  array, or given to ``per_ticker``, and the reader holds no other close
+  than the current ticker's and the current chunk's.
 * The row reader takes any file: a ``csv.reader`` loop that appends each
   kept row to two typed columns of its ticker, a 4-byte date ordinal (none
   exceeds 3,652,059, that of ``date.max``) and an 8-byte close, 12 bytes
@@ -36,7 +37,12 @@ holds one dict entry per distinct date field and ticker symbol.
   the file from the start, so every error, warning and its precedence are
   the row reader's. At the end it puts each ticker's rows in date order by
   one stable sort by date, which keeps the last row of each date, so the
-  last occurrence in the file wins.
+  last occurrence in the file wins, and frees each ticker's columns as it
+  gives them out.
+
+A TscnetError from ``per_ticker`` is not a doubt: it is held, so that the
+reading's own errors, warnings and NoData come first, as they would if the
+closes were given to it after the read.
 
 So these files are read twice: a file with CRLF line ends, a quoted field,
 a blank line before a row, or an unparsable row, found wherever it sits;
@@ -64,9 +70,8 @@ HEADER_LINE = (",".join(PRICES_HEADER) + "\n").encode()
 # the fewest usable rows a ticker needs: two returns, for a sample std
 MIN_ROWS = 3
 
-# the clean-file reader's read size, and the rows per storage block
+# the clean-file reader's read size
 CHUNK_BYTES = 16384
-BLOCK_ROWS = 8192
 # every byte but the five that decide how csv.reader splits a line
 _NOT_SEPARATORS = bytes(b for b in range(256) if b not in b',\n\r"\x00')
 
@@ -151,15 +156,6 @@ def _line_chunks(fh, limit: int):
         yield chunk
 
 
-def _block_pieces(start: int, end: int):
-    """(block, lo, hi) for each block that the stored rows [start, end) touch."""
-    while start < end:
-        block, lo = divmod(start, BLOCK_ROWS)
-        hi = min(BLOCK_ROWS, lo + end - start)
-        yield block, lo, hi
-        start += hi - lo
-
-
 def _codes(table: dict, keys: list, new) -> np.ndarray:
     """The int32 codes ``table`` gives ``keys``; a key it lacks is first
     added as ``new(key)``, in order of first appearance."""
@@ -172,15 +168,19 @@ def _codes(table: dict, keys: list, new) -> np.ndarray:
         return np.fromiter(map(table.__getitem__, keys), np.intc, len(keys))
 
 
-def _read_clean(path, wanted: set[str] | None, start_date: dt.date):
-    """Read a clean prices file column by column into fixed-size blocks.
+def _read_clean(path, wanted: set[str] | None, start_date: dt.date, per_ticker=None):
+    """Read a clean prices file column by column, one ticker at a time.
 
     Returns what ``_read_rows`` returns, or None on any doubt; it raises
     nothing of its own. Fields stay bytes: ``float`` parses ASCII bytes as
     it parses the same str and refuses other bytes, and only the first
     occurrence of a date or ticker field is decoded. The kept rows must
     ascend by slot, then strictly by date, so each ticker's closes are one
-    range of stored rows, in date order, and no date is stored.
+    run of kept rows, in date order, and no date is kept. A ticker's run
+    ends at the first kept row of the next one, or at the end of the file:
+    its closes, pieces of one or more chunks, are then joined and given to
+    ``_settle``, and only what that returns is kept. A doubt found later
+    drops those values, and the row reader settles every ticker again.
     """
     limit = csv.field_size_limit()
     # date field -> ordinal, or -1 before start_date; ticker field -> slot
@@ -188,11 +188,14 @@ def _read_clean(path, wanted: set[str] | None, start_date: dt.date):
     slot_by_field: dict[bytes, int] = {}
     # stripped ticker symbol -> slot, or -1 when filtered out
     slot_of: dict[str, int] = {}
-    # per slot, the end of its stored rows, or 0 before it has any
-    end = array("q")
-    close_blocks: list[np.ndarray] = []
-    stored = 0
-    # (slot << 22) | ordinal of the last stored row; every ordinal is below
+    # per slot, its symbol and what _settle made of its closes, which is
+    # None, as for a short run, until its run ends or when it has no kept row
+    names: list[str] = []
+    settled: list = []
+    # the slot whose run the last kept row is in, and that run's closes so far
+    current = -1
+    pieces: list[np.ndarray] = []
+    # (slot << 22) | ordinal of the last kept row; every ordinal is below
     # 2**22, as that of date.max is 3,652,059
     last_key = -1
 
@@ -203,10 +206,15 @@ def _read_clean(path, wanted: set[str] | None, start_date: dt.date):
             _check_ticker(symbol, 0)
             slot = -1
             if wanted is None or symbol in wanted:
-                slot = len(end)
-                end.append(0)
+                slot = len(names)
+                names.append(symbol)
+                settled.append(None)
             slot_of[symbol] = slot
         return slot
+
+    def end_run() -> None:
+        settled[current] = _settle(per_ticker, names[current], np.concatenate(pieces))
+        pieces.clear()
 
     try:
         with open(path, "rb") as fh:
@@ -235,48 +243,42 @@ def _read_clean(path, wanted: set[str] | None, start_date: dt.date):
                 if not (keys[0] > last_key and (keys[1:] > keys[:-1]).all()):
                     return None
                 last_key = int(keys[-1])
-                # each slot's last row in the chunk
-                for last in [*np.flatnonzero(slots[1:] != slots[:-1]).tolist(), len(slots) - 1]:
-                    end[slots[last]] = stored + last + 1
-                done = 0
-                for block, lo, hi in _block_pieces(stored, stored + len(closes)):
-                    if block == len(close_blocks):
-                        close_blocks.append(np.empty(BLOCK_ROWS, np.float64))
-                    close_blocks[block][lo:hi] = closes[done:done + hi - lo]
-                    done += hi - lo
-                stored += done
+                # the chunk's runs of one slot; each but the last ends in it
+                starts = [0, *(np.flatnonzero(slots[1:] != slots[:-1]) + 1).tolist()]
+                for start, stop in zip(starts, [*starts[1:], len(slots)]):
+                    if slots[start] != current:
+                        if pieces:
+                            end_run()
+                        current = int(slots[start])
+                    pieces.append(closes[start:stop])
+            if pieces:
+                end_run()
     except (OSError, ValueError, TscnetError):
         # open or read, a decode error, a long line, a bad price, date or ticker
         return None
 
-    # the rows are stored in slot order, so slot s's rows are [ends[s - 1],
-    # ends[s]), where a slot without rows ends where the slot before it does
-    ends = np.maximum.accumulate(np.frombuffer(end, np.int64))
-
-    def column(slot: int) -> tuple[np.ndarray, bool]:
-        start = int(ends[slot - 1]) if slot else 0
-        pieces = [close_blocks[block][lo:hi] for block, lo, hi in _block_pieces(start, int(ends[slot]))]
-        if len(pieces) == 1:
-            return pieces[0], False
-        return np.concatenate([np.empty(0, np.float64), *pieces]), False
+    def column(slot: int) -> tuple[object, bool]:
+        return settled[slot], False
 
     return slot_of, column
 
 
-def _read_rows(path, wanted: set[str] | None, start_date: dt.date):
+def _read_rows(path, wanted: set[str] | None, start_date: dt.date, per_ticker=None):
     """Read any prices file row by row; raise a TscnetError at the first bad
     line, naming the file and the line.
 
     Returns (slot_of, column): ``slot_of`` maps each stripped ticker symbol
     in the file, in order of first appearance, to its slot, or to -1 when
-    the filter drops it; ``column(slot)`` gives ``_in_date_order``'s result
-    for the slot once, and frees the slot's rows.
+    the filter drops it; ``column(slot)``, called once per slot, frees the
+    slot's rows and gives (what ``_settle`` makes of its closes in date
+    order, whether a date repeated).
     """
     # date field as read -> ordinal, or -1 before start_date
     ordinal_of: dict[str, int] = {}
     # stripped ticker symbol -> slot, or -1 when filtered out
     slot_of: dict[str, int] = {}
-    # per slot, in file order: date ordinals and closes
+    # per slot, its symbol and, in file order, its date ordinals and closes
+    names: list[str] = []
     days: list[array] = []
     prices: list[array] = []
 
@@ -325,6 +327,7 @@ def _read_rows(path, wanted: set[str] | None, start_date: dt.date):
                         # a slot even if every row is before start_date, so
                         # the exclusion warning can name it
                         slot = len(days)
+                        names.append(symbol)
                         days.append(array("i"))
                         prices.append(array("d"))
                     slot_of[symbol] = slot
@@ -336,52 +339,83 @@ def _read_rows(path, wanted: set[str] | None, start_date: dt.date):
         except TscnetError as exc:
             raise TscnetError(f"{path} {exc}") from None
 
-    def column(slot: int) -> tuple[np.ndarray, bool]:
-        ordered = _in_date_order(days[slot], prices[slot])
+    def column(slot: int) -> tuple[object, bool]:
+        ordered, repeated = _in_date_order(days[slot], prices[slot])
         # free each ticker's columns once done, so they and the output do
         # not all live at once
         days[slot] = prices[slot] = None
-        return ordered
+        return _settle(per_ticker, names[slot], ordered), repeated
 
     return slot_of, column
+
+
+def _settle(per_ticker, ticker: str, closes: np.ndarray):
+    """What the table keeps of a ticker's closes in date order: None when
+    they are fewer than MIN_ROWS, else the closes when ``per_ticker`` is
+    None, else ``per_ticker(ticker, closes)``, or the TscnetError that
+    raised, held without its traceback so that it holds no closes."""
+    if len(closes) < MIN_ROWS:
+        return None
+    if per_ticker is None:
+        return closes
+    try:
+        return per_ticker(ticker, closes)
+    except TscnetError as exc:
+        return exc.with_traceback(None)
 
 
 def load_price_table(
     path,
     tickers: list[str] | None = None,
     start_date: dt.date = dt.date.min,
-) -> tuple[dict[str, np.ndarray], list[str]]:
+    per_ticker=None,
+) -> tuple[dict, list[str]]:
     """Load a prices CSV into one array of closes per ticker.
 
     Returns (closes, warnings). ``closes`` maps each kept ticker, in
-    ascending ticker order, to a float64 array of its closes in date order.
-    Rows dated before ``start_date`` are dropped. When ``tickers`` is given,
-    only those symbols are loaded. Duplicate (ticker, date) rows keep the last
-    occurrence. A ticker with fewer than MIN_ROWS usable rows is excluded.
-    Every ticker present in the file but absent from ``closes`` appears in
-    the warnings with a reason; when no ticker is left, NoData carries them.
+    ascending ticker order, to a new float64 array of its closes in date
+    order. Rows dated before ``start_date`` are dropped. When ``tickers`` is
+    given, only those symbols are loaded. Duplicate (ticker, date) rows keep
+    the last occurrence. A ticker with fewer than MIN_ROWS usable rows is
+    excluded. Every ticker present in the file but absent from ``closes``
+    appears in the warnings with a reason; when no ticker is left, NoData
+    carries them.
+
+    With ``per_ticker``, each kept ticker maps to ``per_ticker(ticker,
+    closes)`` instead, and its closes are not kept: the clean-file reader
+    calls it as soon as it has read the ticker's last row, so only one
+    ticker's closes are alive at a time. A TscnetError it raises is held;
+    once every read error, the warnings and NoData are settled, that of the
+    first such ticker in ascending order is raised.
     """
     wanted = set(tickers) if tickers is not None else None
-    slot_of, column = _read_clean(path, wanted, start_date) or _read_rows(path, wanted, start_date)
+    slot_of, column = (_read_clean(path, wanted, start_date, per_ticker)
+                       or _read_rows(path, wanted, start_date, per_ticker))
 
     warnings = [f"{t}: excluded, not in ticker filter" for t, slot in slot_of.items() if slot < 0]
     short = []
-    closes: dict[str, np.ndarray] = {}
+    table = {}
+    held = None
     for ticker, slot in sorted(slot_of.items()):
         if slot < 0:
             continue
-        ordered, repeated = column(slot)
+        value, repeated = column(slot)
         if repeated:
             warnings.append(f"{ticker}: duplicate (ticker, date) rows, kept last occurrence")
-        if len(ordered) < MIN_ROWS:
+        if value is None:
             short.append(f"{ticker}: excluded, fewer than {MIN_ROWS} usable rows")
+        elif isinstance(value, TscnetError):
+            if held is None:
+                held = value
         else:
-            closes[ticker] = ordered
+            table[ticker] = value
     warnings += short
 
     if wanted is not None:
         for t in sorted(wanted - slot_of.keys()):
             warnings.append(f"{t}: excluded, no rows in file")
-    if not closes:
+    if held is not None:
+        raise held
+    if not table:
         raise NoData(f"{path}: no ticker with at least {MIN_ROWS} usable rows", warnings)
-    return closes, warnings
+    return table, warnings

@@ -165,11 +165,24 @@ def count_distinct(points) -> int:
 
 
 def _as_points(points) -> np.ndarray:
+    """``points`` as an (n, d) float array, refused unless finite and close
+    enough that no squared distance overflows.
+
+    n · Σ_j span_j², with span_j the range of dimension j, bounds every
+    squared distance between two points, the k-means++ cumsum of n of them
+    and the wcss; past the float range these would read inf, and the
+    silhouette NaN.
+    """
     X = np.asarray(points, dtype=float)
     if X.ndim != 2 or X.size == 0:
         raise TscnetError(f"expected a non-empty 2-D point array, got shape {X.shape}")
     if not np.all(np.isfinite(X)):
         raise TscnetError("points contain NaN or infinity")
+    with np.errstate(over="ignore"):
+        span = X.max(axis=0) - X.min(axis=0)
+        bound = len(X) * float(np.sum(span * span))
+    if not np.isfinite(bound):
+        raise TscnetError(f"points too far apart: squared distances between {len(X)} points overflow a float")
     return X
 
 
@@ -217,7 +230,7 @@ def silhouette(points, labels) -> float:
     8 dimensions on, NumPy's pairwise sum over the coordinates may round
     differently in the last bit.
     """
-    X = np.asarray(points, dtype=float)
+    X = _as_points(points)
     lab = np.asarray(labels)
     if len(X) != len(lab):
         raise TscnetError(f"{len(X)} points vs {len(lab)} labels")

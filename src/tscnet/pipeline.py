@@ -103,19 +103,24 @@ def load_table(
     given.
 
     Returns (tickers, features, warnings): ``tickers`` in ascending order,
-    row i of the (n, 2) ``features`` that of ``tickers[i]``
-    (:func:`features.build_feature_table`), and the warnings of
-    :func:`ingest.load_price_table`. The closes, which grow as tickers x
-    days, are freed before it returns, so none is alive in Stage 1's
-    k-means.
+    row i of the (n, 2) ``features`` that of ``tickers[i]``, and the
+    warnings of :func:`ingest.load_price_table`. Each ticker's closes, which
+    grow as days, become its feature row
+    (:func:`features.build_feature_table`) as soon as ingest has read them
+    all, and are freed then: no more than one ticker's closes are alive at
+    a time, and none in Stage 1's k-means.
     """
     tickers = None
     if tickers_path is not None:
         with reading_utf8(tickers_path), naming(tickers_path):
             tickers = ingest.parse_ticker_list(Path(tickers_path).read_text(encoding="utf-8"))
     start = start_date if start_date is not None else dt.date.min
-    closes, warnings = ingest.load_price_table(prices_path, tickers, start)
-    return (*features.build_feature_table(closes, trading_days), warnings)
+
+    def feature_row(ticker, closes):
+        return features.build_feature_table({ticker: closes}, trading_days)[1]
+
+    rows, warnings = ingest.load_price_table(prices_path, tickers, start, feature_row)
+    return tuple(rows), np.concatenate(list(rows.values())), warnings
 
 
 def stage1_label(

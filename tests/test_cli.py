@@ -673,6 +673,21 @@ class TestRun:
         assert stderr.endswith(", past the float32 range of training, +/-3.40282e+38\n")
         assert not (tmp_path / "out").exists()
 
+    def test_features_whose_squared_distances_overflow_are_refused(self, workdir, tmp_path, capsys):
+        # returns near 1e300: finite features, but squared distances past the
+        # float range. One error line, no warning, and nothing written
+        message = "points too far apart: squared distances between 70 points overflow a float\n"
+        config = write_config(tmp_path / "run.cfg", workdir["prices"], tmp_path / "out",
+                              trading_days=10**300)
+        _, stderr = run_cli(capsys, ["run", str(config)], expect=1)
+        assert stderr == f"error: [label] {message}"
+        assert not (tmp_path / "out").exists()
+        _, stderr = run_cli(capsys, ["label", "--prices", str(workdir["prices"]), "--k", "4",
+                                     "--trading-days", str(10**300), "--out", str(tmp_path / "labels.csv")],
+                            expect=1)
+        assert stderr == f"error: {message}"
+        assert not (tmp_path / "labels.csv").exists()
+
     def test_missing_config(self, tmp_path, capsys):
         _, stderr = run_cli(capsys, ["run", str(tmp_path / "absent.cfg")], expect=1)
         assert stderr.startswith("error:")

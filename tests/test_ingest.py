@@ -15,8 +15,9 @@ import numpy as np
 import pytest
 
 from conftest import write_prices_csv
-from tscnet import ingest
+from tscnet import ingest, pipeline
 from tscnet.errors import NoData, TscnetError
+from tscnet.features import build_feature_table
 from tscnet.ingest import load_price_table, parse_ticker_list
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -425,8 +426,11 @@ class TestCleanFileReader:
         real_reader = csv.reader
         monkeypatch.setattr(csv, "reader", lambda *args: readers.append(args) or real_reader(*args))
         closes, warnings = load_price_table(tmp_path / "prices.csv")
+        tickers, points, table_warnings = pipeline.load_table(tmp_path / "prices.csv", None, None)
         assert readers == []
         assert warnings == [] and len(closes) == 500
+        expected = build_feature_table(closes)
+        assert (tickers, points.tobytes(), table_warnings) == (expected[0], expected[1].tobytes(), warnings)
 
     @pytest.mark.parametrize("row", [b"C\xffC,2019-01-02,1\n", b"CCC,2019-01-02,1\xff\n"])
     def test_non_utf8_byte(self, tmp_path, row):
@@ -454,18 +458,19 @@ class TestCleanFileReader:
         sep = ":" if message.startswith("not") else ""
         assert _outcome(path) == ("error", f"{path}{sep} {message}")
 
-    def test_closes_are_views_freed_with_the_table(self, tmp_path, monkeypatch):
-        # with 4-row blocks AAA (rows 0-2) is a view of the first block, and
-        # BBB (3-5) and CCC (6-12) span blocks, so theirs are copies of their rows
-        monkeypatch.setattr(ingest, "BLOCK_ROWS", 4)
-        text = GOOD_CSV + "".join(f"CCC,2019-01-{d:02d},{d}.5\n" for d in range(2, 9))
-        closes, _ = load_price_table(_write(tmp_path, text))
-        assert closes["AAA"].base is not None
-        assert closes["BBB"].base is None and closes["CCC"].base is None
+    def test_closes_are_arrays_freed_with_the_table(self, tmp_path, monkeypatch):
+        # 64-byte chunks cut BBB's rows after its first and CCC's after its
+        # second and sixth; each ticker's closes are an array of its own
+        monkeypatch.setattr(ingest, "CHUNK_BYTES", 64)
+        path = _write(tmp_path, GOOD_CSV + "".join(f"CCC,2019-01-{d:02d},{d}.5\n" for d in range(2, 9)))
+        assert ingest._read_clean(path, None, dt.date.min) is not None
+        closes, _ = load_price_table(path)
+        assert all(c.base is None for c in closes.values())
+        assert closes["BBB"].tolist() == [50.0, 50.5, 50.25]
         assert closes["CCC"].tolist() == [2.5, 3.5, 4.5, 5.5, 6.5, 7.5, 8.5]
-        bases = [weakref.ref(c if c.base is None else c.base) for c in closes.values()]
+        refs = [weakref.ref(c) for c in closes.values()]
         del closes
-        assert [ref() for ref in bases] == [None] * len(bases)
+        assert [ref() for ref in refs] == [None] * len(refs)
 
 
 class TestRoundTrip:
@@ -483,9 +488,9 @@ class TestRoundTrip:
 
 class TestMemory:
     def test_peak_per_row_is_bounded(self, tmp_path):
-        # 125 tickers of 1600 closes: 200,000 rows. The clean-file reader
-        # keeps 8 bytes a row, the row reader 12 in its columns and the
-        # output 8; the rest of the bound is slack.
+        # 125 tickers of 1600 closes: 200,000 rows. The output keeps 8 bytes
+        # a row, and the row reader 12 more in its columns; the rest of the
+        # bound is slack.
         path = tmp_path / "prices.csv"
         write_prices_csv(path, [(f"T{i:03d}", 0.2, 0.1) for i in range(125)], n_returns=1599)
         tracemalloc.start()
@@ -499,11 +504,11 @@ class TestMemory:
         assert peak / 200_000 < 16
 
     @pytest.mark.parametrize("reader", ["clean", "rows"])
-    def test_peak_per_row_with_the_blocks_is_bounded(self, tmp_path, monkeypatch, reader):
+    def test_peak_per_row_with_memory_maps_is_bounded(self, tmp_path, monkeypatch, reader):
         # the traced peak plus the bytes of any memory map, which tracemalloc
-        # does not see. The clean-file reader stores 8 bytes a row, a close,
-        # and the output is views of its blocks; the row reader stores 12 in
-        # its columns and writes the sorted closes out, 8 more.
+        # does not see. The clean-file reader keeps 8 bytes a row, the
+        # output's close, and one chunk; the row reader stores 12 in its
+        # columns and writes the sorted closes out, 8 more.
         bound = {"clean": 11, "rows": 16}[reader]
         path = tmp_path / "prices.csv"
         write_prices_csv(path, [(f"T{i:03d}", 0.2, 0.1) for i in range(125)], n_returns=1599)

@@ -6,8 +6,8 @@ ticker fields, date strings that differ as text but not as dates, an
 optional start date and ticker filter, and at most one bad row. The loader
 must agree with ``reference_load``, a plain dict-per-ticker loader: the same
 closes bit for bit, the same warnings in the same order, or the same error
-message. Each property also runs with tiny chunks and blocks, so that the
-clean-file reader's chunk cuts and block edges fall between any two rows.
+message. Each property also runs with tiny chunks, so that the clean-file
+reader's chunk cuts fall between any two rows.
 """
 
 import csv
@@ -205,9 +205,8 @@ def write(path, text):
 
 @pytest.fixture
 def tiny_chunks(monkeypatch):
-    """Chunks of 64 bytes, about four rows, and blocks of 4 rows."""
+    """Chunks of 64 bytes, about four rows."""
     monkeypatch.setattr(ingest, "CHUNK_BYTES", 64)
-    monkeypatch.setattr(ingest, "BLOCK_ROWS", 4)
 
 
 # clean files, which the clean-file reader takes: three tickers of three days

@@ -246,6 +246,23 @@ class TestKmeansFit:
     def test_non_finite_points(self):
         with pytest.raises(TscnetError, match=r"^points contain NaN or infinity$"):
             kmeans_fit(np.array([[0.0, np.nan], [1.0, 2.0]]), 1, seed=7)
+        with pytest.raises(TscnetError, match=r"^points contain NaN or infinity$"):
+            silhouette(np.array([[0.0, np.nan], [1.0, 2.0], [2.0, 2.0]]), [0, 1, 1])
+
+    def test_points_whose_squared_distances_overflow_are_refused(self):
+        # finite points whose squared distances are not: the fit would give
+        # wcss = inf and silhouette = NaN, with overflow warnings
+        X = np.array([[0.0, 0.0], [1e200, 0.0], [1.0, 1.0], [2e200, 1.0]])
+        message = r"^points too far apart: squared distances between 4 points overflow a float$"
+        with pytest.raises(TscnetError, match=message):
+            kmeans_fit(X, 2, seed=7)
+        with pytest.raises(TscnetError, match=message):
+            select_k(X, 2, 3, seed=7)
+        with pytest.raises(TscnetError, match=message):
+            silhouette(X, [0, 1, 0, 1])
+        # n times the sum of the squared spans, 4 * (2e150**2 + 1), is finite
+        model = kmeans_fit(X * 1e-50, 2, seed=7)
+        assert math.isfinite(model.wcss) and -1.0 <= model.silhouette <= 1.0
 
     def test_k_above_distinct_points_rejected(self):
         # two distinct points, one of them also written with a -0.0

@@ -1,10 +1,14 @@
 """Pipeline tests: splitting, staged fitting, evaluation, config, artifacts."""
 
+import csv
 import datetime as dt
 import hashlib
 import math
 import re
+import tracemalloc
+import types
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +48,8 @@ from tscnet.pipeline import (
     stage2_train,
     write_files,
 )
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def make_records(n, cluster_of=lambda i: i % 4):
@@ -676,6 +682,113 @@ class TestLoadTable:
         keep.write_bytes(b"T000\n\xff\xfe\n")
         with pytest.raises(TscnetError, match=r"keep\.txt: not UTF-8 text \(invalid start byte\)$"):
             load_table(blob_prices_csv, keep, None)
+
+    @pytest.mark.parametrize("runs, keep, start, chunk_rows", [
+        ([("AAA", range(2, 12)), ("BBB", range(2, 5))], None, None, [4, 4, 4, 1]),
+        ([("AAA", range(2, 6)), ("BBB", range(2, 6)), ("CCC", range(2, 5))], None, None, [4, 4, 3]),
+        ([("AAA", range(2, 5)), ("FFF", range(2, 5)), ("BBB", range(2, 7))], ["AAA", "BBB"], None, [4, 4, 3]),
+        # BBB's rows before the start date are file rows 3 to 5, across the first cut
+        ([("AAA", range(10, 13)), ("BBB", range(2, 11))], None, dt.date(2019, 1, 5), [4, 4, 4]),
+        ([("AAA", range(2, 6)), ("SSS", range(2, 4)), ("BBB", range(2, 6))], None, None, [4, 4, 2]),
+    ], ids=["spans-chunks", "ends-at-chunk-end", "filtered-between", "start-cuts-across", "short-ticker"])
+    def test_features_match_the_closes_in_tiny_chunks(self, tmp_path, monkeypatch, runs, keep, start, chunk_rows):
+        # 19-byte rows, so each 64-byte chunk is cut after 4 rows
+        prices = tmp_path / "prices.csv"
+        prices.write_text("ticker,date,adj_close\n" + "".join(
+            f"{t},2019-01-{d:02d},{d * (i + 2) % 9 + 1}.5\n" for i, (t, days) in enumerate(runs) for d in days),
+            encoding="utf-8")
+        keep_path = None
+        if keep is not None:
+            keep_path = tmp_path / "keep.txt"
+            keep_path.write_text("\n".join(keep), encoding="utf-8")
+        monkeypatch.setattr(ingest, "CHUNK_BYTES", 64)
+        chunks, readers = [], []
+        real_chunks, real_reader = ingest._line_chunks, csv.reader
+        monkeypatch.setattr(ingest, "_line_chunks",
+                            lambda fh, limit: (chunks.append(c.count(b"\n")) or c for c in real_chunks(fh, limit)))
+        monkeypatch.setattr(csv, "reader", lambda *args: readers.append(args) or real_reader(*args))
+        tickers, points, warnings = load_table(prices, keep_path, start)
+        assert chunks == chunk_rows and readers == []
+        closes, expected_warnings = load_price_table(prices, keep, start or dt.date.min)
+        expected_tickers, expected_points = build_feature_table(closes)
+        assert (tickers, points.tobytes(), warnings) == (expected_tickers, expected_points.tobytes(),
+                                                         expected_warnings)
+
+    def test_peak_holds_one_tickers_closes(self, tmp_path):
+        # 500 tickers of 1600 closes: 800,000 rows, whose closes alone take
+        # 6.4 MB. Each ticker's closes become its feature row as soon as they
+        # are read, so only one ticker's closes and one chunk are alive
+        rng = np.random.default_rng(5)
+        closes = 100 * np.exp(np.cumsum(rng.normal(0, 0.01, (500, 1600)), axis=1))
+        days = [(dt.date(2015, 1, 1) + dt.timedelta(days=d)).isoformat() for d in range(1600)]
+        path = tmp_path / "prices.csv"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("ticker,date,adj_close\n")
+            for t, row in enumerate(closes.tolist()):
+                fh.write("".join(f"T{t:03d},{day},{c:.4f}\n" for day, c in zip(days, row)))
+        tracemalloc.start()
+        try:
+            tickers, points, warnings = load_table(path, None, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(tickers) == 500 and points.shape == (500, 2) and warnings == []
+        assert peak < 1_000_000
+
+    @pytest.mark.parametrize("reader", ["clean", "rows"])
+    def test_the_first_ticker_in_order_whose_features_overflow_is_named(self, tmp_path, monkeypatch, reader):
+        # consecutive closes further apart than the float range give returns
+        # that are not finite. ZZZ comes first in the file, AAA in order
+        prices = tmp_path / "prices.csv"
+        prices.write_text("ticker,date,adj_close\n" + "".join(
+            f"{t},2019-01-0{d},{c}\n" for t, closes in [("ZZZ", "1e-300 1e300 1"), ("MMM", "1 2 3"),
+                                                        ("AAA", "1e-300 1e300 1")]
+            for d, c in zip((2, 3, 4), closes.split())), encoding="utf-8")
+        if reader == "rows":
+            monkeypatch.setattr(ingest, "_read_clean", lambda *args: None)
+        with pytest.raises(TscnetError, match=r"^AAA: volatility and return must be finite, got "):
+            load_table(prices, None, None)
+
+    def test_a_bad_row_after_a_ticker_whose_features_overflow_wins(self, tmp_path, monkeypatch):
+        # the first 64-byte chunk ends at BBB's first row, so the clean-file
+        # reader reads all of AAA before it finds the bad row
+        monkeypatch.setattr(ingest, "CHUNK_BYTES", 64)
+        prices = tmp_path / "prices.csv"
+        prices.write_text("ticker,date,adj_close\nAAA,2019-01-02,1e-300\nAAA,2019-01-03,1e300\n"
+                          "AAA,2019-01-04,1\nBBB,2019-01-02,1\nBBB,2019-01-03,abc\n", encoding="utf-8")
+        with pytest.raises(TscnetError, match=rf"^{re.escape(str(prices))} line 6: bad price 'abc'$"):
+            load_table(prices, None, None)
+
+    def test_a_quoted_last_row_gives_the_same_features(self, tmp_path, monkeypatch, blob_prices_csv):
+        text = blob_prices_csv.read_text(encoding="utf-8")
+        ticker, date, close = text.splitlines()[-1].split(",")
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text(text.removesuffix(f"{close}\n") + f'"{close}"\n', encoding="utf-8")
+        readers = []
+        real_reader = csv.reader
+        monkeypatch.setattr(csv, "reader", lambda *args: readers.append(args) or real_reader(*args))
+        tickers, points, warnings = load_table(blob_prices_csv, None, None)
+        assert readers == []
+        assert load_table(quoted, None, None)[0] == tickers
+        assert load_table(quoted, None, None)[1].tobytes() == points.tobytes()
+        assert readers
+
+    def test_traced_features_are_built_per_ticker_inside_ingest(self, blob_prices_csv):
+        # perfbench/tracer.py reads features.build_s from these spans
+        source = PERFBENCH / "tracer.py"
+        tracer = types.ModuleType("perfbench_tracer")
+        exec(compile(source.read_text(encoding="utf-8"), str(source), "exec"), tracer.__dict__)
+        recorder = tracer.Recorder()
+        recorder.op = 0
+        recorder.install(tscnet)
+        try:
+            tickers, _, _ = pipeline.load_table(blob_prices_csv, None, None)
+        finally:
+            recorder.uninstall()
+        spans = recorder.dump()["spans"]
+        (ingest_span,) = [i for i, span in enumerate(spans) if span[1] == "ingest.load_price_table"]
+        parents = [span[4] for span in spans if span[1] == "features.build_feature_table"]
+        assert len(tickers) == 70 and parents == [ingest_span] * 70
 
 
 class TestWriteFiles:
