@@ -26,8 +26,8 @@ holds one dict entry per distinct date field and ticker symbol.
   before it, and its date is not stored. Each ticker's kept rows are one
   run, so its closes are complete at the first kept row of the next
   ticker, or at the end of the file: they are then joined into one new
-  array, or given to ``per_ticker``, and the reader holds no other close
-  than the current ticker's and the current chunk's.
+  array, or given to ``per_ticker``. With ``per_ticker``, no close is held
+  but the current ticker's and the current chunk's.
 * The row reader takes any file: a ``csv.reader`` loop that appends each
   kept row to two typed columns of its ticker, a 4-byte date ordinal (none
   exceeds 3,652,059, that of ``date.max``) and an 8-byte close, 12 bytes

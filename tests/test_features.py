@@ -130,6 +130,26 @@ class TestAnnualize:
             features_of([10.0, 10.1], trading_days=10)
 
 
+class TestMatchesNumpy:
+    @given(
+        st.lists(st.floats(min_value=5e-324, max_value=1.7e308), min_size=3, max_size=600),
+        st.sampled_from([1, TRADING_DAYS, 10**308]),
+    )
+    def test_same_bits_as_numpy_std_and_mean(self, prices, trading_days):
+        # the features are np.std(r, ddof=1) and np.mean(r), annualized, to
+        # the last bit; 600 closes take NumPy's pairwise sums past one block
+        p = np.array(prices)
+        with np.errstate(all="ignore"):
+            r = np.log(p[1:] / p[:-1])
+            vol, ret = np.std(r, ddof=1) * math.sqrt(trading_days), np.mean(r) * trading_days
+        if math.isfinite(vol) and math.isfinite(ret):
+            assert np.array(features_of(prices, trading_days)).tobytes() == np.array([vol, ret]).tobytes()
+        else:
+            message = f"AAA: volatility and return must be finite, got {vol} and {ret}"
+            with pytest.raises(TscnetError, match=f"^{re.escape(message)}$"):
+                features_of(prices, trading_days)
+
+
 class TestBuildFeatureTable:
     def test_ticker_order_and_values(self):
         # rows follow the order of the mapping; load_price_table gives ticker order
