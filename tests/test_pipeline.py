@@ -769,9 +769,9 @@ class TestLoadTable:
         monkeypatch.setattr(csv, "reader", lambda *args: readers.append(args) or real_reader(*args))
         tickers, points, warnings = load_table(blob_prices_csv, None, None)
         assert readers == []
-        assert load_table(quoted, None, None)[0] == tickers
-        assert load_table(quoted, None, None)[1].tobytes() == points.tobytes()
+        quoted_tickers, quoted_points, quoted_warnings = load_table(quoted, None, None)
         assert readers
+        assert (quoted_tickers, quoted_points.tobytes(), quoted_warnings) == (tickers, points.tobytes(), warnings)
 
     def test_traced_features_are_built_per_ticker_inside_ingest(self, blob_prices_csv):
         # perfbench/tracer.py reads features.build_s from these spans
