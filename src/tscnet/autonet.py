@@ -6,18 +6,25 @@ loop. The only library facility used is array arithmetic.
 
 Architecture produced by :func:`build_autoencoder`: an encoder of relu
 layers, a sigmoid latent layer whose width equals the number of clusters,
-the mirrored decoder in relu, and a final linear layer. Weight matrices are
-stored as (output_width, input_width); a layer computes ``a = act(x @ W.T + b)``.
+the mirrored decoder in relu, and a final linear layer.
 
 A network is its layer specs plus one parameter vector:
-``DenseNetwork(specs, theta)``, where ``theta`` holds every layer's weights
-then biases, in layer order, each array row-major. ``net.layers`` gives
-each spec with its ``weights`` and ``biases`` as views of ``theta``, so
-:func:`backward` returns one gradient vector in the same layout and one
-Adam update over ``theta`` updates the whole network. :func:`forward`
-given a :class:`Workspace` is a training pass: it writes every activation
-into the workspace and returns ``[X, a1, ..., aL]`` for :func:`backward`.
-Given none it is a prediction pass, which keeps only the outputs.
+``DenseNetwork(specs, theta)``, where ``theta`` holds, in layer order, each
+layer's row-major (output_width, input_width + 1) matrix ``[W | b]``: its
+weights with the biases as a last column. ``net.layers`` gives each spec
+with that ``matrix`` and its ``weights`` and ``biases`` as views of
+``theta``, so :func:`backward` returns one gradient vector in the same
+layout and one Adam update over ``theta`` updates the whole network.
+
+Every pass runs feature-major, one column per row of the batch. Each
+layer's input is a (width + 1, n) array whose last row is all ones, so
+``z = [W | b] @ a`` is one matmul that adds the bias (Bishop 2006, *Pattern
+Recognition and Machine Learning*, sections 3.1 and 5.1), and in
+:func:`backward` one matmul ``dz @ a.T`` gives the weight and bias
+gradients together. :func:`forward` given a :class:`Workspace` is a
+training pass: it writes every activation into the workspace and returns
+them for :func:`backward`. Given none it is a prediction pass, which keeps
+only the outputs. Both run the same matmuls, so they give the same bits.
 
 Precision is a property of ``theta``: a network computes in float32 when
 ``theta`` is float32 and in float64 otherwise, and its workspace and Adam
@@ -35,7 +42,6 @@ reproduces bit for bit on one machine and BLAS build.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -78,9 +84,13 @@ class LayerSpec:
 
 
 class Layer(NamedTuple):
-    """One layer of a :class:`DenseNetwork`: its spec and views of the network's ``theta``."""
+    """One layer of a :class:`DenseNetwork`: its spec and views of the
+    network's ``theta``: the (output_width, input_width + 1) ``matrix``
+    ``[W | b]``, and its ``weights`` and ``biases`` columns, which are
+    strided."""
 
     spec: LayerSpec
+    matrix: np.ndarray
     weights: np.ndarray
     biases: np.ndarray
 
@@ -90,8 +100,9 @@ class DenseNetwork:
 
     The constructor checks the width chain and that ``theta`` holds exactly
     the layers' parameters, and keeps its own copy of ``theta``: float32 if
-    ``theta`` is float32, float64 otherwise. ``layers`` pairs each spec with
-    (weights, biases) views of that copy.
+    ``theta`` is float32, float64 otherwise. ``theta`` holds each layer's
+    (output_width, input_width + 1) matrix ``[W | b]`` row-major, in layer
+    order. ``layers`` pairs each spec with views of that copy.
     """
 
     def __init__(self, specs: list[LayerSpec] | tuple[LayerSpec, ...], theta) -> None:
@@ -103,39 +114,51 @@ class DenseNetwork:
                 raise TscnetError(f"width chain broken: {prev.output_width} -> {cur.input_width}")
         theta = np.asarray(theta)
         self.theta = np.array(theta, dtype=np.float32 if theta.dtype == np.float32 else float)
-        size = sum(spec.output_width * (spec.input_width + 1) for spec in self.specs)
+        size = _size(self.specs)
         if self.theta.shape != (size,):
             raise TscnetError(f"theta {self.theta.shape} does not hold the {size} parameters of the layers")
-        self.layers = tuple(Layer(spec, *pair) for spec, pair in zip(self.specs, self.views(self.theta)))
+        self.layers = tuple(
+            Layer(spec, m, m[:, :-1], m[:, -1]) for spec, m in zip(self.specs, self.matrices(self.theta))
+        )
+
+    def matrices(self, vec: np.ndarray) -> list[np.ndarray]:
+        """Per-layer (output_width, input_width + 1) views ``[W | b]`` of a
+        vector laid out like ``theta``."""
+        out, pos = [], 0
+        for spec in self.specs:
+            rows, cols = spec.output_width, spec.input_width + 1
+            out.append(vec[pos : pos + rows * cols].reshape(rows, cols))
+            pos += rows * cols
+        return out
 
     def views(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Per-layer (weights, biases) views of a vector laid out like ``theta``."""
-        out, pos = [], 0
-        for spec in self.specs:
-            rows, cols = spec.output_width, spec.input_width
-            end = pos + rows * cols
-            out.append((vec[pos:end].reshape(rows, cols), vec[end : end + rows]))
-            pos = end + rows
-        return out
+        return [(m[:, :-1], m[:, -1]) for m in self.matrices(vec)]
 
     @property
     def input_width(self) -> int:
         return self.specs[0].input_width
 
 
+def _size(specs) -> int:
+    """The number of parameters, weights and biases, of a stack of layers."""
+    return sum(spec.output_width * (spec.input_width + 1) for spec in specs)
+
+
 def build_network(specs: list[LayerSpec], seed: int) -> DenseNetwork:
     """Initialize an arbitrary stack of layers from one seeded stream; ``seed``
-    must pass :func:`defaults.check_settings`."""
+    must pass :func:`defaults.check_settings`. The stream gives each layer's
+    weights row-major, in layer order; every bias starts at zero."""
     check_settings(seed=seed)
     rng = Xorshift64Star(seed)
-
-    def theta():
-        for spec in specs:
-            limit = math.sqrt(6.0 / (spec.input_width + spec.output_width))
-            yield from (rng.uniform(-limit, limit) for _ in range(spec.output_width * spec.input_width))
-            yield from itertools.repeat(0.0, spec.output_width)
-
-    return DenseNetwork(specs, np.fromiter(theta(), dtype=float))
+    net = DenseNetwork(specs, np.zeros(_size(specs)))
+    for layer in net.layers:
+        spec = layer.spec
+        limit = math.sqrt(6.0 / (spec.input_width + spec.output_width))
+        count = spec.output_width * spec.input_width
+        draws = np.fromiter((rng.uniform(-limit, limit) for _ in range(count)), dtype=float, count=count)
+        layer.weights[...] = draws.reshape(layer.weights.shape)
+    return net
 
 
 def build_autoencoder(
@@ -199,59 +222,99 @@ def _activation_backward(name: str, delta: np.ndarray, a: np.ndarray, out: np.nd
 
 
 class Workspace:
-    """The arrays of training passes of up to ``rows`` rows: each layer's
-    activation, which :func:`forward` writes, and two flat buffers for
-    :func:`backward`'s gradients w.r.t. pre-activations and layer inputs.
+    """The arrays of training passes of up to ``rows`` rows, all
+    feature-major. :meth:`arrays` gives a pass of n rows each layer's input,
+    a (width + 1, n) array whose last row is all ones, and then the
+    (output_width, n) outputs; :func:`forward` writes them. Two flat buffers
+    hold :func:`backward`'s gradients w.r.t. pre-activations and layer
+    inputs.
 
-    A step that reuses them allocates nothing as wide as a hidden layer, so
-    the allocator never hands those pages back to be faulted in again at
-    the next step. The arrays a pass returns are overwritten by the next
-    pass that writes into the same workspace.
+    A step that reuses the arrays allocates nothing as wide as a hidden
+    layer, so the allocator never hands those pages back to be faulted in
+    again at the next step. The arrays a pass returns are overwritten by the
+    next pass that writes into the same workspace.
     """
 
     def __init__(self, net: DenseNetwork, rows: int) -> None:
         dtype = net.theta.dtype
-        self.acts = [np.empty((rows, spec.output_width), dtype) for spec in net.specs]
+        self.heights = [spec.input_width + 1 for spec in net.specs] + [net.specs[-1].output_width]
+        self.buffers = [np.empty(height * rows, dtype) for height in self.heights]
         size = rows * max(spec.output_width for spec in net.specs)
         self.deltas = (np.empty(size, dtype), np.empty(size, dtype))
+        self.layout: list[np.ndarray] = []
 
-    def delta(self, which: int, rows: int, width: int) -> np.ndarray:
-        """A (rows, width) array over the start of flat buffer ``which``."""
-        return self.deltas[which][: rows * width].reshape(rows, width)
+    def arrays(self, n: int) -> list[np.ndarray]:
+        """The (height, n) arrays of a pass of n rows, each over the start of
+        its buffer, with the ones rows of the layers' inputs set.
+
+        Each is C-ordered, like a prediction pass's arrays: a view of the
+        first n columns of a wider array would reach BLAS with another
+        leading dimension, which can change the bits of a one-row matmul.
+        So a pass of another n than the last lays the arrays out again and
+        sets their ones rows; no pass writes over them.
+        """
+        if not self.layout or self.layout[0].shape[1] != n:
+            self.layout = [buf[: height * n].reshape(height, n) for buf, height in zip(self.buffers, self.heights)]
+            for a in self.layout[:-1]:
+                a[-1] = 1.0
+        return self.layout
+
+    def delta(self, which: int, width: int, n: int) -> np.ndarray:
+        """A (width, n) array over the start of flat buffer ``which``."""
+        return self.deltas[which][: width * n].reshape(width, n)
+
+
+def _with_ones_row(width: int, n: int, dtype) -> np.ndarray:
+    """A (width + 1, n) array whose last row is all ones and whose other rows are unset."""
+    a = np.empty((width + 1, n), dtype)
+    a[-1] = 1.0
+    return a
 
 
 def forward(net: DenseNetwork, batch, ws: Workspace | None = None) -> tuple[np.ndarray, list[np.ndarray] | None]:
     """Run a batch through the network; returns (outputs, acts).
 
-    ``batch`` is (n, input_width); outputs are (n, output_width). Weights
-    large enough to overflow give NaN or infinite outputs without a NumPy
-    warning; :func:`round_labels` and the training loss check reject them.
+    ``batch`` is (n, input_width); outputs are (n, output_width). The pass
+    runs feature-major: the batch is copied, transposed, over a ones row,
+    and each layer computes ``act([W | b] @ a)`` into the rows above the
+    ones row of the next layer's input. Weights large enough to overflow
+    give NaN or infinite outputs without a NumPy warning;
+    :func:`round_labels` and the training loss check reject them.
 
-    With a :class:`Workspace` this is a training pass: each layer's
-    activation is written into its first n rows of ``ws.acts``, and
-    ``acts`` is ``[X, a1, ..., aL]``, so ``acts[i]`` is the input of layer
-    ``i`` and ``acts[-1]`` is ``outputs``. Without one it is a prediction
+    With a :class:`Workspace` this is a training pass: ``acts`` is
+    ``ws.arrays(n)``, so ``acts[i]`` is the (width + 1, n) input of layer
+    ``i`` and ``outputs`` is ``acts[-1].T``. Without one it is a prediction
     pass: ``acts`` is None and each layer's input is dropped once its output
     exists, so at most two adjacent layers' activations live at once. Either
     way the outputs are the same bits. The pass computes in the dtype of
     ``net.theta``, and the batch is cast to it.
     """
+    dtype = net.theta.dtype
     with np.errstate(over="ignore", invalid="ignore"):
         # a value past a float32 network's range casts to inf, refused below
-        X = np.asarray(batch, dtype=net.theta.dtype)
+        X = np.asarray(batch, dtype=dtype)
         if X.ndim != 2 or X.shape[1] != net.input_width:
             raise TscnetError(f"batch shape {X.shape} does not match input width {net.input_width}")
         if not np.all(np.isfinite(X)):
             raise TscnetError("batch contains NaN or infinity")
-        a, acts = X, None if ws is None else [X]
+        n = len(X)
+        acts = None if ws is None else ws.arrays(n)
+        last = len(net.layers) - 1
+        a = _with_ones_row(net.input_width, n, dtype) if acts is None else acts[0]
+        a[:-1] = X.T
         for i, layer in enumerate(net.layers):
-            # without a workspace, rebinding ``a`` drops the layer's input
-            a = np.matmul(a, layer.weights.T, out=None if ws is None else ws.acts[i][: len(X)])
-            a += layer.biases
-            _activate(layer.spec.activation, a)
             if acts is not None:
-                acts.append(a)
-    return a, acts
+                out = acts[i + 1]
+            elif i == last:
+                out = np.empty((layer.spec.output_width, n), dtype)
+            else:
+                out = _with_ones_row(layer.spec.output_width, n, dtype)
+            z = out if i == last else out[:-1]
+            np.matmul(layer.matrix, a, out=z)
+            _activate(layer.spec.activation, z)
+            # without a workspace, rebinding ``a`` drops the layer's input
+            a = out
+    return a.T, acts
 
 
 def mse_loss(pred, target) -> float:
@@ -268,28 +331,37 @@ def backward(net: DenseNetwork, acts: list[np.ndarray], target, ws: Workspace) -
     """Gradient of mse_loss w.r.t. ``net.theta``, laid out like it, from the
     ``acts`` of a training :func:`forward` pass.
 
-    The per-layer gradients w.r.t. pre-activations and inputs are written
-    into the flat buffers of ``ws``, which must hold ``len(acts[0])`` rows.
+    ``target`` is (n, output_width), like the outputs. Each layer's weight
+    and bias gradients are one matmul, ``dz @ a.T``, written into that
+    layer's ``[W | b]`` view of the gradient vector: the ones row of the
+    input ``a`` sums ``dz`` over the batch into the bias column. The
+    gradients w.r.t. pre-activations and inputs are written into the flat
+    buffers of ``ws``, which must hold n rows.
     """
-    t = np.asarray(target, dtype=net.theta.dtype)
     pred = acts[-1]
-    if t.shape != pred.shape:
-        raise TscnetError(f"target {t.shape} vs output {pred.shape}")
+    t = np.asarray(target, dtype=net.theta.dtype)
+    if t.shape != pred.T.shape:
+        raise TscnetError(f"target {t.shape} vs output {pred.T.shape}")
     # d(mean squared error)/d(pred): mean runs over every entry
-    delta = 2.0 * (pred - t) / pred.size
+    delta = 2.0 * (pred - t.T) / pred.size
     grad = np.empty_like(net.theta)
-    views = net.views(grad)
-    n = len(pred)
-    for idx in range(len(net.layers) - 1, -1, -1):
+    matrices = net.matrices(grad)
+    n = pred.shape[1]
+    last = len(net.layers) - 1
+    for idx in range(last, -1, -1):
         layer = net.layers[idx]
         spec = layer.spec
+        a = acts[idx + 1] if idx == last else acts[idx + 1][:-1]
         # dz goes to the first buffer, then the next delta, made from it, to the second
-        dz = _activation_backward(spec.activation, delta, acts[idx + 1], ws.delta(0, n, spec.output_width))
-        grad_w, grad_b = views[idx]
-        np.matmul(dz.T, acts[idx], out=grad_w)
-        np.sum(dz, axis=0, out=grad_b)
+        dz = _activation_backward(spec.activation, delta, a, ws.delta(0, spec.output_width, n))
+        np.matmul(dz, acts[idx].T, out=matrices[idx])
         if idx > 0:
-            delta = np.matmul(dz, layer.weights, out=ws.delta(1, n, spec.input_width))
+            out = ws.delta(1, spec.input_width, n)
+            if spec.output_width == 1:
+                # an outer product: the same bits as a matmul with K = 1, faster
+                delta = np.multiply(layer.weights.T, dz, out=out)
+            else:
+                delta = np.matmul(layer.weights.T, dz, out=out)
     return grad
 
 
@@ -478,7 +550,7 @@ def load_model(path) -> DenseNetwork:
     """
     with open(path, "r", encoding="utf-8") as fh, reading_utf8(path):
         lines = [(lineno, line) for lineno, line in enumerate(fh, start=1) if line.strip()]
-    specs, arrays, pos = [], [], -1  # pos indexes the line last taken
+    specs, matrices, pos = [], [], -1  # pos indexes the line last taken
 
     def take(what: str) -> list[str]:
         nonlocal pos
@@ -487,14 +559,14 @@ def load_model(path) -> DenseNetwork:
             raise TscnetError(f"file ends before {what}")
         return lines[pos][1].split()
 
-    def take_floats(count: int, what: str) -> None:
+    def take_floats(count: int, what: str) -> np.ndarray:
         parts = take(what)
         if len(parts) != count:
             raise TscnetError(f"expected {count} values for {what}, got {len(parts)}")
         values = np.array([float(p) for p in parts])
         if not np.all(np.isfinite(values)):
             raise TscnetError(f"non-finite value in {what}")
-        arrays.append(values)
+        return values
 
     try:
         if take("the header") != MODEL_HEADER.split():
@@ -510,13 +582,12 @@ def load_model(path) -> DenseNetwork:
             if specs and specs[-1].output_width != spec.input_width:
                 raise TscnetError(f"width chain broken: {specs[-1].output_width} -> {spec.input_width}")
             specs.append(spec)
-            for r in range(spec.output_width):
-                take_floats(spec.input_width, f"layer {li} row {r}")
-            take_floats(spec.output_width, f"layer {li} biases")
+            weights = np.array([take_floats(spec.input_width, f"layer {li} row {r}") for r in range(spec.output_width)])
+            matrices.append(np.column_stack((weights, take_floats(spec.output_width, f"layer {li} biases"))))
         if pos + 1 < len(lines):
             pos += 1
             raise TscnetError(f"{len(lines) - pos} trailing lines after the last layer")
     except (ValueError, TscnetError) as exc:
         where = f" line {lines[pos][0]}" if pos < len(lines) else ""
         raise TscnetError(f"{path}{where}: {exc}") from None
-    return DenseNetwork(specs, np.concatenate(arrays))
+    return DenseNetwork(specs, np.concatenate([m.ravel() for m in matrices]))

@@ -48,12 +48,13 @@ def parameter_counts(net) -> list[int]:
 def relu_kink_margin(net, acts) -> float:
     """Smallest |z| over the relu layers' pre-activations, 1.0 with no relu layer.
 
-    Each ``z = a_prev @ W.T + b`` is recomputed from the activation list of
-    a forward pass, whose entry i is the input of layer i.
+    Each ``z = [W | b] @ a_prev`` is recomputed from the activation list of
+    a training forward pass, whose entry i is the feature-major input of
+    layer i over a ones row.
     """
     return min(
         (
-            float(np.min(np.abs(a_prev @ layer.weights.T + layer.biases)))
+            float(np.min(np.abs(layer.matrix @ a_prev)))
             for a_prev, layer in zip(acts, net.layers)
             if layer.spec.activation == "relu"
         ),

@@ -10,6 +10,7 @@ Both train in ``autonet.TRAIN_DTYPE``; the algebra tests build float64
 networks, which compute in float64.
 """
 
+import hashlib
 import math
 import re
 import tracemalloc
@@ -69,20 +70,20 @@ def oracle_forward(net, X):
 
 
 def numeric_gradients(net, X, y, eps=1e-5):
+    # the weight and bias views of theta are strided, so each entry is
+    # perturbed through its index: ravel() would perturb a copy
     grads = []
     for layer in net.layers:
         for arr in (layer.weights, layer.biases):
             g = np.zeros_like(arr)
-            flat = arr.ravel()
-            gflat = g.ravel()
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + eps
+            for i in np.ndindex(arr.shape):
+                orig = arr[i]
+                arr[i] = orig + eps
                 up = mse_loss(forward(net, X)[0], y)
-                flat[i] = orig - eps
+                arr[i] = orig - eps
                 down = mse_loss(forward(net, X)[0], y)
-                flat[i] = orig
-                gflat[i] = (up - down) / (2.0 * eps)
+                arr[i] = orig
+                g[i] = (up - down) / (2.0 * eps)
             grads.append(g)
     return grads
 
@@ -107,12 +108,20 @@ def reference_sigmoid(z):
     return out
 
 
+def with_ones(a):
+    """A new C-ordered array of ``a`` over a row of ones."""
+    out = np.ones((a.shape[0] + 1, a.shape[1]), a.dtype)
+    out[:-1] = a
+    return out
+
+
 def reference_forward(net, batch):
-    """(pre-activations, activations), each layer written out as ``z = a @ W.T + b``."""
+    """(pre-activations, activations), feature-major (width, n), each layer
+    written out as ``z = [W | b] @ [a; 1]``."""
     zs, acts = [], []
-    a = batch
+    a = np.asarray(batch).T
     for layer in net.layers:
-        z = a @ layer.weights.T + layer.biases
+        z = layer.matrix @ with_ones(a)
         if layer.spec.activation == "relu":
             a = np.maximum(z, 0.0)
         elif layer.spec.activation == "sigmoid":
@@ -125,13 +134,14 @@ def reference_forward(net, batch):
 
 
 def reference_grads(net, batch, target):
-    """Per-array gradients in layer order, weights before biases.
+    """Per-layer gradients of ``[W | b]``, in layer order.
 
     The relu gradient is a 0/1 float mask of ``z > 0`` and the linear one a
-    ones mask.
+    ones mask. Every gradient w.r.t. a layer's input is a matmul, the
+    head's included.
     """
     zs, acts = reference_forward(net, batch)
-    delta = 2.0 * (acts[-1] - target) / acts[-1].size
+    delta = 2.0 * (acts[-1] - np.asarray(target).T) / acts[-1].size
     out = []
     for idx in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[idx]
@@ -142,10 +152,10 @@ def reference_grads(net, batch, target):
         else:
             gate = np.ones_like(zs[idx])
         dz = delta * gate
-        a_prev = acts[idx - 1] if idx > 0 else batch
-        out[:0] = [dz.T @ a_prev, dz.sum(axis=0)]
+        a_prev = acts[idx - 1] if idx > 0 else np.asarray(batch).T
+        out[:0] = [dz @ with_ones(a_prev).T]
         if idx > 0:
-            delta = dz @ layer.weights
+            delta = layer.weights.T @ dz
     return out
 
 
@@ -154,17 +164,17 @@ def reference_train(net, X, y, epochs, batch_size, seed, lr=0.001, dtype=autonet
 
     Every epoch runs a training forward per batch and then a full-data
     forward for the loss, so a full-batch epoch runs the same forward twice.
-    Adam updates each of the layers' own weight and bias arrays in turn,
-    with one first- and second-moment array per parameter array. The
-    loop trains a ``dtype`` copy of ``net`` on ``dtype`` data and writes the
-    result back into ``net`` at the end.
+    Adam updates each layer's own ``[W | b]`` matrix in turn, with one
+    first- and second-moment array per matrix. The loop trains a ``dtype``
+    copy of ``net`` on ``dtype`` data and writes the result back into
+    ``net`` at the end.
     """
     b1, b2, eps = 0.9, 0.999, 1e-8
     Xa = np.asarray(X, dtype=float).astype(dtype)
     ya = np.asarray(y, dtype=float).reshape(len(Xa), -1).astype(dtype)
     n = len(Xa)
     work = DenseNetwork(net.specs, net.theta.astype(dtype))
-    params = [arr for layer in work.layers for arr in (layer.weights, layer.biases)]
+    params = [layer.matrix for layer in work.layers]
     ms = [np.zeros_like(p) for p in params]
     vs = [np.zeros_like(p) for p in params]
     t = 0
@@ -188,7 +198,7 @@ def reference_train(net, X, y, epochs, batch_size, seed, lr=0.001, dtype=autonet
                     v *= b2
                     v += (1.0 - b2) * (g * g)
                     p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
-            losses.append(mse_loss(reference_forward(work, Xa)[1][-1], ya))
+            losses.append(mse_loss(reference_forward(work, Xa)[1][-1].T, ya))
     net.theta[:] = work.theta
     return tuple(losses)
 
@@ -220,10 +230,13 @@ class TestConstruction:
             LayerSpec(1, 1, "tanh")
 
     def test_layers_are_views_of_theta(self):
+        # theta holds each layer's [W | b] row-major, in layer order
         net = build_autoencoder(2, (4, 3), 2, 1, seed=7)
-        joined = [arr.ravel() for layer in net.layers for arr in (layer.weights, layer.biases)]
+        joined = [np.column_stack((layer.weights, layer.biases)).ravel() for layer in net.layers]
         assert np.concatenate(joined).tobytes() == net.theta.tobytes()
         for layer in net.layers:
+            assert layer.matrix.shape == (layer.spec.output_width, layer.spec.input_width + 1)
+            assert np.shares_memory(layer.matrix, net.theta)
             assert np.shares_memory(layer.weights, net.theta)
             assert np.shares_memory(layer.biases, net.theta)
         X = np.array([[0.3, -0.2]])
@@ -292,8 +305,9 @@ class TestForward:
         out, acts, _ = training_pass(net, [[5.0, -3.0], [0.1, 0.2]])
         # final linear layer sees sigmoid(0) = 0.5 inputs against zero weights
         assert np.all(out == 0.0)
-        assert np.all(acts[2] == 0.5)
-        assert acts[-1] is out
+        assert np.all(acts[2][:-1] == 0.5)
+        assert out.shape == (2, 1) and np.shares_memory(out, acts[-1])
+        assert out.tobytes() == acts[-1].T.tobytes()
 
     def test_relu_gates_negative_input(self):
         net = DenseNetwork([LayerSpec(1, 1, "relu")] * 2, [1.0, 0.0, 1.0, 0.0])
@@ -318,7 +332,8 @@ class TestForward:
         for n in (1, 3, 17):
             out, acts = forward(net, np.zeros((n, 2)), ws)
             assert out.shape == (n, 1)
-            assert [a.shape for a in acts] == [(n, w) for w in widths(net)]
+            # each layer's input over a ones row, then the outputs
+            assert [a.shape for a in acts] == [(w + 1, n) for w in widths(net)[:-1]] + [(1, n)]
             assert forward(net, np.zeros((n, 2)))[0].shape == (n, 1)
 
     def test_wrong_width_rejected(self):
@@ -361,7 +376,7 @@ class TestForward:
         gen = Xorshift64Star(8)
         X = np.array([[gen.uniform(-5, 5), gen.uniform(-5, 5)] for _ in range(64)])
         _, acts, _ = training_pass(net, X)
-        latent = acts[4]
+        latent = acts[4][:-1]
         assert np.all(latent > 0.0)
         assert np.all(latent < 1.0)
 
@@ -454,11 +469,52 @@ class TestBackward:
             X = np.array([[gen.uniform(-2, 2), gen.uniform(-2, 2)] for _ in range(n)])
             y = np.array([[gen.uniform(-1, 1)] for _ in range(n)])
             out, acts = forward(net, X, ws)
-            assert acts[0] is X and acts[-1] is out
-            assert [a.tobytes() for a in acts[1:]] == [a.tobytes() for a in reference_forward(net, X)[1]]
-            assert all(np.shares_memory(a, buf) for a, buf in zip(acts[1:], ws.acts))
+            assert acts[0].tobytes() == with_ones(X.T).tobytes()
+            assert out.tobytes() == acts[-1].T.tobytes()
+            got = [a[:-1] for a in acts[1:-1]] + [acts[-1]]
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in reference_forward(net, X)[1]]
+            assert all(np.shares_memory(a, buf) for a, buf in zip(acts, ws.buffers))
             want = np.concatenate([g.ravel() for g in reference_grads(net, X, y)])
             assert backward(net, acts, y, ws).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1, 64, 335, 1024])
+    def test_head_input_gradient_is_the_matmul_bits(self, dtype, n):
+        # backward multiplies the 1-wide head's weights by dz with a
+        # broadcast; the K = 1 matmul it stands for gives the same bits
+        net = build_autoencoder(seed=7)
+        head = DenseNetwork(net.specs, net.theta.astype(dtype)).layers[-1]
+        dz = np.random.default_rng(n).standard_normal((1, n)).astype(dtype)
+        broadcast = np.multiply(head.weights.T, dz)
+        assert broadcast.shape == (100, n)
+        assert broadcast.tobytes() == np.matmul(head.weights.T, dz).tobytes()
+
+    def test_short_batches_keep_the_ones_rows(self):
+        # passes of 40 rows, then fewer, then 40 again share one workspace:
+        # each short pass gives the prediction pass's bits (a strided view of
+        # the first n columns gave other bits at some n), the ones row under
+        # every layer's input stays exactly 1.0 through forward and backward,
+        # and the next full pass gives the first one's bits again
+        built = build_autoencoder(2, (9, 6), 3, 1, seed=5)
+        net = DenseNetwork(built.specs, built.theta.astype(np.float32))
+        assert "sigmoid" in [spec.activation for spec in net.specs]
+        ws = Workspace(net, 40)
+        gen = np.random.default_rng(8)
+        X = gen.uniform(-2.0, 2.0, (40, 2)).astype(np.float32)
+        y = gen.uniform(0.0, 3.0, (40, 1)).astype(np.float32)
+        out, acts = forward(net, X, ws)
+        first = [out.tobytes(), backward(net, acts, y, ws).tobytes()]
+        for n in (1, 2, 3, 17):
+            out, acts = forward(net, X[:n], ws)
+            grad = backward(net, acts, y[:n], ws)
+            assert out.tobytes() == forward(net, X[:n])[0].tobytes()
+            want = np.concatenate([g.ravel() for g in reference_grads(net, X[:n], y[:n])])
+            assert grad.tobytes() == want.tobytes()
+            assert [a.shape[1] for a in acts] == [n] * len(acts)
+            for a in acts[:-1]:
+                assert np.all(a[-1] == 1.0)
+            out, acts = forward(net, X, ws)
+            assert [out.tobytes(), backward(net, acts, y, ws).tobytes()] == first
 
     def test_workspace_passes_allocate_no_hidden_width(self):
         # a step's forward and backward into a workspace allocate less than
@@ -777,7 +833,7 @@ class TestTrainCallPath:
                 full_passes.append((ws, acts))
             else:
                 workspaces.append(ws)
-                assert all(np.shares_memory(a, buf) for a, buf in zip(acts[1:], ws.acts))
+                assert all(np.shares_memory(a, buf) for a, buf in zip(acts, ws.buffers))
             return out, acts
 
         monkeypatch.setattr(autonet, "forward", tracking)
@@ -786,7 +842,8 @@ class TestTrainCallPath:
         train(net, X, truth, epochs=4, batch_size=5, seed=3)
         assert full_passes == [(None, None)] * 4
         assert len(workspaces) == 4 * 3 and all(ws is workspaces[0] for ws in workspaces)
-        assert [buf.shape for buf in workspaces[0].acts] == [(5, w) for w in widths(net)[1:]]
+        heights = [w + 1 for w in widths(net)[:-1]] + [1]
+        assert [buf.shape for buf in workspaces[0].buffers] == [(h * 5,) for h in heights]
 
 
 class TestRoundLabels:
@@ -850,6 +907,21 @@ class TestModelFile:
         assert loaded.theta.tobytes() == net.theta.tobytes()
         X = np.array([[0.123, -4.56], [7.0, 0.0]])
         assert np.array_equal(forward(net, X)[0], forward(loaded, X)[0])
+
+    @pytest.mark.parametrize("latent, seed, digest", [
+        (2, 1, "0c55fc1a96a80d02479b2f8e572854d53bb37c364a2b7a72e836010297a03384"),
+        (4, 7, "f7c9dc408d75d5623a0788c00757400cd5627324feafec8a19b95bea9b24b890"),
+        (10, 12345, "50364f0a2717ca237bce8011b6b0043059dd6e1eb764b9541f8ed318538cc7d7"),
+    ])
+    def test_fresh_model_file_is_pinned(self, tmp_path, latent, seed, digest):
+        # pinned before theta held each layer as [W | b]: the layout of theta
+        # moves no weight of the file, and load then save gives its bytes
+        path = tmp_path / "model.tscnet"
+        save_model(build_autoencoder(latent_width=latent, seed=seed), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        again = tmp_path / "again.tscnet"
+        save_model(load_model(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
     def test_header_first_line(self, tmp_path):
         net = build_autoencoder(1, [1], 2, 1, seed=7)
@@ -943,5 +1015,5 @@ def test_latent_always_in_unit_interval(batch, seed):
     net = build_autoencoder(2, (5,), 3, 1, seed=seed & 0xFFFF)
     X = np.array([[gen.uniform(-100, 100), gen.uniform(-100, 100)] for _ in range(batch)])
     _, acts, _ = training_pass(net, X)
-    latent = acts[2]
+    latent = acts[2][:-1]
     assert np.all((latent >= 0.0) & (latent <= 1.0))

@@ -16,6 +16,12 @@ final loss moved. The labels, `k_sweep.csv` and `k_sweep.svg` kept their
 digests, because Stage 1 is untouched; the scatter files and `loss.svg`
 kept theirs too, since the predicted labels and the plotted loss did not
 change at this fixture's precision.
+
+Re-pinned again when each layer's bias was folded into its matmul, so that
+every pass runs feature-major over a ones row: the sums of each matmul and
+of each bias gradient run in another order, which moves the float32 outputs
+by up to one ulp. The model, the loss, the evaluation, the manifests and the
+printed final loss moved; every other file kept its digest.
 """
 
 import hashlib
@@ -28,7 +34,7 @@ from tscnet.cli import main
 RUN_STDOUT = (
     "k=4 silhouette=0.871128843809\n"
     "train=46 test=24\n"
-    "final_loss=1.36332867558\n"
+    "final_loss=1.36332871824\n"
     "accuracy=0.25\n"
     "artifact evaluation.csv\n"
     "{sweep}"
@@ -41,11 +47,11 @@ RUN_STDOUT = (
 )
 
 SHARED = {
-    "evaluation.csv": "05202139decc9b7bf47ed1ca9972b4b6cd260d3cd2f67700985bf20bf7def8fe",
+    "evaluation.csv": "9e46949569cc1f21c5ff0947bff76326d6f8b42f491db6ddab3c3a455e476b37",
     "labels.csv": "3e3a2b268e671ebd95d089c43e79371f3bee0eb5ad6b946cdf42e95156dc7c0e",
-    "loss.csv": "90365b9eabbe03615a1380ebaf48f3263ee668457c2bf6e59485331160a68419",
+    "loss.csv": "362750f45893003ce7ac9d866a3db87bf94d35bd4fc39bc0cb752f52c1bb2548",
     "loss.svg": "f8647028896cf911d979b4736bd8966fa6b119d31eeb6607fcc4b1935d79e3d8",
-    "model.tscnet": "d82537f518bd403d08ce0b7b38da8c04a67dd041919866ef3fcef492ac0d3f9d",
+    "model.tscnet": "66ac219dbd885e7328544873803e96e408ee84e7063b7f7ba56d9d40967dc25a",
     "scatter_autoencoder.svg": "92c191608755fe477347863aec2a64e25a72014c2798027e4c15d6921ad5bda2",
     "scatter_kmeans.svg": "fdfc90a4028cc2b99b8bd42e274eb3d004a9b8909df97e226676c6fc3abad18b",
     "scatter_points.csv": "ad656c6993bf683446527423d41362184f60e5f37dba63a1fb11b824ca0586cd",
@@ -56,7 +62,7 @@ GOLDEN = {
         "stdout": RUN_STDOUT.format(sweep=""),
         "files": {
             **SHARED,
-            "manifest.txt": "81423d781e5e0b8398502da7773dfed724f6e8e11046c616b7dca8c872ca3902",
+            "manifest.txt": "e14de6f18e448e368a16da4391754687f491f0f07285759a99f78f672ae49082",
         },
     },
     "auto": {
@@ -65,7 +71,7 @@ GOLDEN = {
             **SHARED,
             "k_sweep.csv": "09705d9aeaa67a42cdd63a803d0dc9ff7916c66a29fe37b5b7f36cfd51f9d704",
             "k_sweep.svg": "9026d10ffa64551158f33650a9f6544421107de0024f9e26a5d788e464a3e5ed",
-            "manifest.txt": "a368d474593c433d580158cde205911ef4cb26b139677dc30ae7867fd3217d9b",
+            "manifest.txt": "d216fd0dc629d61386798baf7727a2958375a5d5d0cea7aeabae37ea32bec420",
         },
     },
 }
