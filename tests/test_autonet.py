@@ -4,7 +4,7 @@ The forward oracle below evaluates the network neuron by neuron with
 scalar math, sharing no array code with the implementation. Gradients are
 checked against central finite differences; Adam against a hand-unrolled
 recurrence. Training is checked bit for bit against ``reference_train``,
-the per-array loop that ran two forward passes per full-batch epoch and
+the per-layer loop that ran two forward passes per full-batch epoch and
 writes out its own Adam, so it shares no training code with the module.
 Both train in ``autonet.TRAIN_DTYPE``; the algebra tests build float64
 networks, which compute in float64.
@@ -160,7 +160,7 @@ def reference_grads(net, batch, target):
 
 
 def reference_train(net, X, y, epochs, batch_size, seed, lr=0.001, dtype=autonet.TRAIN_DTYPE):
-    """The per-array training loop in ``dtype``; returns the epoch-end losses.
+    """The per-layer training loop in ``dtype``; returns the epoch-end losses.
 
     Every epoch runs a training forward per batch and then a full-data
     forward for the loss, so a full-batch epoch runs the same forward twice.
