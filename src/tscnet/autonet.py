@@ -131,10 +131,6 @@ class DenseNetwork:
             pos += rows * cols
         return out
 
-    def views(self, vec: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per-layer (weights, biases) views of a vector laid out like ``theta``."""
-        return [(m[:, :-1], m[:, -1]) for m in self.matrices(vec)]
-
     @property
     def input_width(self) -> int:
         return self.specs[0].input_width
@@ -232,16 +228,27 @@ class Workspace:
     A step that reuses the arrays allocates nothing as wide as a hidden
     layer, so the allocator never hands those pages back to be faulted in
     again at the next step. The arrays a pass returns are overwritten by the
-    next pass that writes into the same workspace.
+    next pass that writes into the same workspace. A workspace serves only
+    networks of its layer specs and dtype (:meth:`check`).
     """
 
     def __init__(self, net: DenseNetwork, rows: int) -> None:
-        dtype = net.theta.dtype
+        self.specs, self.rows = net.specs, rows
+        self.dtype = dtype = net.theta.dtype
         self.heights = [spec.input_width + 1 for spec in net.specs] + [net.specs[-1].output_width]
         self.buffers = [np.empty(height * rows, dtype) for height in self.heights]
         size = rows * max(spec.output_width for spec in net.specs)
         self.deltas = (np.empty(size, dtype), np.empty(size, dtype))
         self.layout: list[np.ndarray] = []
+
+    def check(self, net: DenseNetwork, n: int) -> None:
+        """Raise a TscnetError unless a pass of ``net`` over n rows fits."""
+        if n > self.rows:
+            raise TscnetError(f"a pass of {n} rows does not fit a workspace of {self.rows} rows")
+        if net.theta.dtype != self.dtype:
+            raise TscnetError(f"a {net.theta.dtype} network does not fit a {self.dtype} workspace")
+        if net.specs is not self.specs and net.specs != self.specs:
+            raise TscnetError("the workspace was built for other layers than the network's")
 
     def arrays(self, n: int) -> list[np.ndarray]:
         """The (height, n) arrays of a pass of n rows, each over the start of
@@ -298,7 +305,10 @@ def forward(net: DenseNetwork, batch, ws: Workspace | None = None) -> tuple[np.n
         if not np.all(np.isfinite(X)):
             raise TscnetError("batch contains NaN or infinity")
         n = len(X)
-        acts = None if ws is None else ws.arrays(n)
+        acts = None
+        if ws is not None:
+            ws.check(net, n)
+            acts = ws.arrays(n)
         last = len(net.layers) - 1
         a = _with_ones_row(net.input_width, n, dtype) if acts is None else acts[0]
         a[:-1] = X.T
@@ -336,9 +346,10 @@ def backward(net: DenseNetwork, acts: list[np.ndarray], target, ws: Workspace) -
     layer's ``[W | b]`` view of the gradient vector: the ones row of the
     input ``a`` sums ``dz`` over the batch into the bias column. The
     gradients w.r.t. pre-activations and inputs are written into the flat
-    buffers of ``ws``, which must hold n rows.
+    buffers of ``ws``, which must fit the pass (:meth:`Workspace.check`).
     """
     pred = acts[-1]
+    ws.check(net, pred.shape[1])
     t = np.asarray(target, dtype=net.theta.dtype)
     if t.shape != pred.T.shape:
         raise TscnetError(f"target {t.shape} vs output {pred.T.shape}")

@@ -6,7 +6,8 @@ one date-ordered float64 array of closes per ticker, or what a caller's
 
 * prices CSV: UTF-8, LF or CRLF line endings, header exactly
   ``ticker,date,adj_close``, ISO-8601 dates, decimal prices
-* ticker list: plain text, one symbol per line or comma-separated
+* ticker list: UTF-8 text, one symbol per line or comma-separated;
+  ``pipeline.load_table`` drops a leading byte order mark
 
 A prices file is read by one of two readers, in one pass per reader; a file
 the clean-file reader gives up on is read a second time, from the start, by
@@ -31,26 +32,28 @@ holds one dict entry per distinct date field and ticker symbol.
 * The row reader takes any file: a ``csv.reader`` loop that appends each
   kept row to two typed columns of its ticker, a 4-byte date ordinal (none
   exceeds 3,652,059, that of ``date.max``) and an 8-byte close, 12 bytes
-  a row. It is the one place that names a bad line. The clean-file reader
-  raises nothing: on any doubt (any check above, a bad date, ticker or
-  price, or bytes that are not UTF-8) it stops, and the row reader reads
-  the file from the start, so every error, warning and its precedence are
-  the row reader's. At the end it puts each ticker's rows in date order by
-  one stable sort by date, which keeps the last row of each date, so the
-  last occurrence in the file wins, and frees each ticker's columns as it
-  gives them out.
+  a row. Once the file is read, it takes the tickers in ascending order:
+  it puts each one's rows in date order by one stable sort by date, which
+  keeps the last row of each date, so the last occurrence in the file
+  wins, frees the ticker's columns, and gives the closes to ``per_ticker``.
 
-A TscnetError from ``per_ticker`` is not a doubt: it is held, so that the
-reading's own errors, warnings and NoData come first, as they would if the
-closes were given to it after the read.
+Every error a load raises comes from the row reader: first that of the
+first bad line in the file, naming the file and the line, then that of the
+first ticker in ascending order that ``per_ticker`` refuses. A byte that is
+not UTF-8 is decoded as a lone surrogate, which every check of a row
+refuses, so it too is named at its line. The clean-file reader raises
+nothing: on any doubt (any check above, a bad date, ticker or price, bytes
+that are not UTF-8, or a TscnetError from ``per_ticker``) it stops, and the
+row reader reads the file from the start, so every error, warning and its
+precedence are the row reader's.
 
 So these files are read twice: a file with CRLF line ends, a quoted field,
 a blank line before a row, or an unparsable row, found wherever it sits;
 one in which a ticker repeats a date or goes back in time, such as a late
-correction row for a date already given; and one in which a ticker's rows
+correction row for a date already given; one in which a ticker's rows
 come back after another ticker's, such as two appended exports or a file
 ordered by date, which the clean-file reader leaves at its first repeated
-ticker.
+ticker; and one with a ticker that ``per_ticker`` refuses.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ from array import array
 
 import numpy as np
 
-from .errors import NoData, TscnetError, reading_utf8
+from .errors import NoData, TscnetError
 
 PRICES_HEADER = ["ticker", "date", "adj_close"]
 HEADER_LINE = (",".join(PRICES_HEADER) + "\n").encode()
@@ -102,6 +105,33 @@ def _check_ticker(ticker: str, lineno: int) -> None:
         raise TscnetError(f"line {lineno}: empty ticker")
     if "," in ticker or not ticker.isprintable():
         raise TscnetError(f"line {lineno}: ticker {ticker!r} holds a comma or a non-printable character")
+
+
+def _slot(symbol: str, lineno: int, wanted: set[str] | None, slot_of: dict[str, int], names: list[str]) -> int:
+    """The slot of a stripped ticker symbol. A symbol first seen is checked,
+    then given -1 when ``wanted`` drops it, else the next slot, in order of
+    first appearance, with its name appended to ``names``."""
+    slot = slot_of.get(symbol)
+    if slot is None:
+        _check_ticker(symbol, lineno)
+        slot = -1
+        if wanted is None or symbol in wanted:
+            slot = len(names)
+            names.append(symbol)
+        slot_of[symbol] = slot
+    return slot
+
+
+def _not_utf8(fields: list[str]) -> str | None:
+    """Why the bytes of a row decoded with ``errors="surrogateescape"`` are
+    not UTF-8 text, or None when they are. The fields are joined as in an
+    unquoted line, so a byte cut short by the end of a field reads as it does
+    in the file, except at the very end of a file with no last newline."""
+    try:
+        (",".join(fields) + "\n").encode("utf-8", "surrogateescape").decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return exc.reason
+    return None
 
 
 def _ordinal(text: str, lineno: int, start_date: dt.date) -> int:
@@ -171,8 +201,9 @@ def _codes(table: dict, keys: list, new) -> np.ndarray:
 def _read_clean(path, wanted: set[str] | None, start_date: dt.date, per_ticker=None):
     """Read a clean prices file column by column, one ticker at a time.
 
-    Returns what ``_read_rows`` returns, or None on any doubt; it raises
-    nothing of its own. Fields stay bytes: ``float`` parses ASCII bytes as
+    Returns what ``_read_rows`` returns, with no repeated date, or None on
+    any doubt, a TscnetError from ``per_ticker`` among them: it raises
+    nothing. Fields stay bytes: ``float`` parses ASCII bytes as
     it parses the same str and refuses other bytes, and only the first
     occurrence of a date or ticker field is decoded. The kept rows must
     ascend by slot, then strictly by date, so each ticker's closes are one
@@ -188,29 +219,16 @@ def _read_clean(path, wanted: set[str] | None, start_date: dt.date, per_ticker=N
     slot_by_field: dict[bytes, int] = {}
     # stripped ticker symbol -> slot, or -1 when filtered out
     slot_of: dict[str, int] = {}
-    # per slot, its symbol and what _settle made of its closes, which is
-    # None, as for a short run, until its run ends or when it has no kept row
+    # per slot, its symbol, and what _settle made of its closes once its run
+    # ended; a slot with no kept row has none
     names: list[str] = []
-    settled: list = []
+    settled: dict[int, object] = {}
     # the slot whose run the last kept row is in, and that run's closes so far
     current = -1
     pieces: list[np.ndarray] = []
     # (slot << 22) | ordinal of the last kept row; every ordinal is below
     # 2**22, as that of date.max is 3,652,059
     last_key = -1
-
-    def new_slot(field: bytes) -> int:
-        symbol = field.decode().strip()
-        slot = slot_of.get(symbol)
-        if slot is None:
-            _check_ticker(symbol, 0)
-            slot = -1
-            if wanted is None or symbol in wanted:
-                slot = len(names)
-                names.append(symbol)
-                settled.append(None)
-            slot_of[symbol] = slot
-        return slot
 
     def end_run() -> None:
         settled[current] = _settle(per_ticker, names[current], np.concatenate(pieces))
@@ -228,7 +246,8 @@ def _read_clean(path, wanted: set[str] | None, start_date: dt.date, per_ticker=N
                     return None
                 fields = chunk.replace(b"\n", b",").split(b",")
                 fields.pop()
-                slots = _codes(slot_by_field, fields[0::3], new_slot)
+                slots = _codes(slot_by_field, fields[0::3],
+                               lambda field: _slot(field.decode().strip(), 0, wanted, slot_of, names))
                 days = _codes(ordinal_of, fields[1::3], lambda text: _ordinal(text.decode(), 0, start_date))
                 closes = np.fromiter(map(float, fields[2::3]), np.float64, len(slots))
                 del fields
@@ -254,24 +273,22 @@ def _read_clean(path, wanted: set[str] | None, start_date: dt.date, per_ticker=N
             if pieces:
                 end_run()
     except (OSError, ValueError, TscnetError):
-        # open or read, a decode error, a long line, a bad price, date or ticker
+        # open or read, a decode error, a long line, a bad price, date or
+        # ticker, or an error from per_ticker
         return None
-
-    def column(slot: int) -> tuple[object, bool]:
-        return settled[slot], False
-
-    return slot_of, column
+    return slot_of, settled, set()
 
 
 def _read_rows(path, wanted: set[str] | None, start_date: dt.date, per_ticker=None):
     """Read any prices file row by row; raise a TscnetError at the first bad
-    line, naming the file and the line.
+    line, naming the file and the line, or, once the file is read, that of
+    ``per_ticker`` for the first ticker in ascending order it refuses.
 
-    Returns (slot_of, column): ``slot_of`` maps each stripped ticker symbol
-    in the file, in order of first appearance, to its slot, or to -1 when
-    the filter drops it; ``column(slot)``, called once per slot, frees the
-    slot's rows and gives (what ``_settle`` makes of its closes in date
-    order, whether a date repeated).
+    Returns (slot_of, settled, repeated): ``slot_of`` maps each stripped
+    ticker symbol in the file, in order of first appearance, to its slot,
+    or to -1 when the filter drops it; ``settled`` maps a slot to what
+    ``_settle`` made of its closes in date order, and a slot with no kept
+    row to nothing; ``repeated`` holds the slots in which a date repeated.
     """
     # date field as read -> ordinal, or -1 before start_date
     ordinal_of: dict[str, int] = {}
@@ -283,10 +300,12 @@ def _read_rows(path, wanted: set[str] | None, start_date: dt.date, per_ticker=No
     prices: list[array] = []
 
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        # a byte that is not UTF-8 reads as a lone surrogate, which every
+        # check of a row refuses, so it is named at its line
+        fh = open(path, "r", encoding="utf-8", errors="surrogateescape", newline="")
     except OSError as exc:
         raise TscnetError(f"cannot open {path}: {exc}") from exc
-    with fh, reading_utf8(path):
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -295,6 +314,8 @@ def _read_rows(path, wanted: set[str] | None, start_date: dt.date, per_ticker=No
         except csv.Error as exc:
             raise TscnetError(f"{path} line 1: {exc}") from None
         if header != PRICES_HEADER:
+            if (reason := _not_utf8(header)) is not None:
+                raise TscnetError(f"{path} line 1: not UTF-8 text ({reason})")
             raise TscnetError(f"{path}: bad header {header!r}, expected {PRICES_HEADER!r}")
         try:
             # a row's first physical line; a quoted field may span several
@@ -321,47 +342,45 @@ def _read_rows(path, wanted: set[str] | None, start_date: dt.date, per_ticker=No
                 symbol = field.strip()
                 slot = slot_of.get(symbol)
                 if slot is None:
-                    _check_ticker(symbol, lineno)
-                    slot = -1
-                    if wanted is None or symbol in wanted:
-                        # a slot even if every row is before start_date, so
-                        # the exclusion warning can name it
-                        slot = len(days)
-                        names.append(symbol)
+                    slot = _slot(symbol, lineno, wanted, slot_of, names)
+                    if slot >= 0:
+                        # columns even if every row is before start_date, so
+                        # the exclusion warning can name the ticker
                         days.append(array("i"))
                         prices.append(array("d"))
-                    slot_of[symbol] = slot
                 if slot >= 0 and day >= 0:
                     days[slot].append(day)
                     prices[slot].append(close)
         except csv.Error as exc:
             raise TscnetError(f"{path} line {reader.line_num}: {exc}") from None
         except TscnetError as exc:
+            if (reason := _not_utf8(row)) is not None:
+                raise TscnetError(f"{path} line {lineno}: not UTF-8 text ({reason})") from None
             raise TscnetError(f"{path} {exc}") from None
 
-    def column(slot: int) -> tuple[object, bool]:
-        ordered, repeated = _in_date_order(days[slot], prices[slot])
+    settled: dict[int, object] = {}
+    repeated: set[int] = set()
+    for symbol in sorted(names):
+        slot = slot_of[symbol]
+        ordered, repeats = _in_date_order(days[slot], prices[slot])
         # free each ticker's columns once done, so they and the output do
         # not all live at once
         days[slot] = prices[slot] = None
-        return _settle(per_ticker, names[slot], ordered), repeated
-
-    return slot_of, column
+        if repeats:
+            repeated.add(slot)
+        settled[slot] = _settle(per_ticker, symbol, ordered)
+    return slot_of, settled, repeated
 
 
 def _settle(per_ticker, ticker: str, closes: np.ndarray):
     """What the table keeps of a ticker's closes in date order: None when
     they are fewer than MIN_ROWS, else the closes when ``per_ticker`` is
-    None, else ``per_ticker(ticker, closes)``, or the TscnetError that
-    raised, held without its traceback so that it holds no closes."""
+    None, else ``per_ticker(ticker, closes)``."""
     if len(closes) < MIN_ROWS:
         return None
     if per_ticker is None:
         return closes
-    try:
-        return per_ticker(ticker, closes)
-    except TscnetError as exc:
-        return exc.with_traceback(None)
+    return per_ticker(ticker, closes)
 
 
 def load_price_table(
@@ -384,29 +403,25 @@ def load_price_table(
     With ``per_ticker``, each kept ticker maps to ``per_ticker(ticker,
     closes)`` instead, and its closes are not kept: the clean-file reader
     calls it as soon as it has read the ticker's last row, so only one
-    ticker's closes are alive at a time. A TscnetError it raises is held;
-    once every read error, the warnings and NoData are settled, that of the
-    first such ticker in ascending order is raised.
+    ticker's closes are alive at a time. A TscnetError it raises makes the
+    row reader read the file: so a bad line in the file is raised first,
+    else the error of the first such ticker in ascending order.
     """
     wanted = set(tickers) if tickers is not None else None
-    slot_of, column = (_read_clean(path, wanted, start_date, per_ticker)
-                       or _read_rows(path, wanted, start_date, per_ticker))
+    slot_of, settled, repeated = (_read_clean(path, wanted, start_date, per_ticker)
+                                  or _read_rows(path, wanted, start_date, per_ticker))
 
     warnings = [f"{t}: excluded, not in ticker filter" for t, slot in slot_of.items() if slot < 0]
     short = []
     table = {}
-    held = None
     for ticker, slot in sorted(slot_of.items()):
         if slot < 0:
             continue
-        value, repeated = column(slot)
-        if repeated:
+        if slot in repeated:
             warnings.append(f"{ticker}: duplicate (ticker, date) rows, kept last occurrence")
+        value = settled.get(slot)
         if value is None:
             short.append(f"{ticker}: excluded, fewer than {MIN_ROWS} usable rows")
-        elif isinstance(value, TscnetError):
-            if held is None:
-                held = value
         else:
             table[ticker] = value
     warnings += short
@@ -414,8 +429,6 @@ def load_price_table(
     if wanted is not None:
         for t in sorted(wanted - slot_of.keys()):
             warnings.append(f"{t}: excluded, no rows in file")
-    if held is not None:
-        raise held
     if not table:
         raise NoData(f"{path}: no ticker with at least {MIN_ROWS} usable rows", warnings)
     return table, warnings

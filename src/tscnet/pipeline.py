@@ -113,7 +113,7 @@ def load_table(
     tickers = None
     if tickers_path is not None:
         with reading_utf8(tickers_path), naming(tickers_path):
-            tickers = ingest.parse_ticker_list(Path(tickers_path).read_text(encoding="utf-8"))
+            tickers = ingest.parse_ticker_list(Path(tickers_path).read_text(encoding="utf-8-sig"))
     start = start_date if start_date is not None else dt.date.min
 
     def feature_row(ticker, closes):

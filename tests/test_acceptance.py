@@ -143,7 +143,7 @@ def test_criterion_04_gradient_check():
         if relu_kink_margin(net, acts) < 1e-3:
             rejected += 1
             continue
-        analytic = [g for pair in net.views(backward(net, acts, y, ws)) for g in pair]
+        analytic = [g for m in net.matrices(backward(net, acts, y, ws)) for g in (m[:, :-1], m[:, -1])]
         numeric = numeric_gradients(net, X, y, eps=1e-5)
         for a, n in zip(analytic, numeric):
             if not np.all(np.abs(a - n) <= np.maximum(1e-4 * np.abs(n), 1e-7)):

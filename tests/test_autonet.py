@@ -96,7 +96,7 @@ def training_pass(net, X):
 
 def flat_gradients(net, X, y):
     _, acts, ws = training_pass(net, X)
-    return [g for pair in net.views(backward(net, acts, y, ws)) for g in pair]
+    return [g for m in net.matrices(backward(net, acts, y, ws)) for g in (m[:, :-1], m[:, -1])]
 
 
 def reference_sigmoid(z):
@@ -412,15 +412,15 @@ class TestBackward:
         out, acts, ws = training_pass(net, X)
         grad = backward(net, acts, out.copy(), ws)
         assert grad.shape == net.theta.shape
-        for dw, db in net.views(grad):
-            assert np.all(dw == 0.0)
-            assert np.all(db == 0.0)
+        for m in net.matrices(grad):
+            assert np.all(m == 0.0)
 
     def test_single_linear_layer_closed_form(self):
         w, b, x, y = 0.7, -0.3, 1.9, 0.25
         net = DenseNetwork([LayerSpec(1, 1, "linear")], [w, b])
         _, acts, ws = training_pass(net, [[x]])
-        (dw, db), = net.views(backward(net, acts, [[y]], ws))
+        (m,) = net.matrices(backward(net, acts, [[y]], ws))
+        dw, db = m[:, :-1], m[:, -1]
         err = w * x + b - y
         assert dw[0][0] == pytest.approx(2.0 * err * x, rel=1e-14)
         assert db[0] == pytest.approx(2.0 * err, rel=1e-14)
@@ -539,6 +539,42 @@ class TestBackward:
         _, reference = peak(lambda: reference_forward(net, X))
         hidden = 100 * 8 * n
         assert max(with_ws, backward_with_ws) < hidden < reference
+
+
+class TestWorkspaceFit:
+    """A training pass refuses a workspace that does not fit its network
+    and rows."""
+
+    def test_too_many_rows(self):
+        net = build_autoencoder(seed=7)
+        with pytest.raises(TscnetError, match=r"^a pass of 5 rows does not fit a workspace of 4 rows$"):
+            forward(net, np.zeros((5, 2)), Workspace(net, 4))
+
+    def test_another_networks_layers(self):
+        net = build_autoencoder(seed=7)
+        ws = Workspace(build_autoencoder(latent_width=3, seed=7), 4)
+        with pytest.raises(TscnetError, match=r"^the workspace was built for other layers than the network's$"):
+            forward(net, np.zeros((4, 2)), ws)
+
+    def test_another_dtype(self):
+        net = build_autoencoder(seed=7)
+        ws = Workspace(DenseNetwork(net.specs, net.theta.astype(np.float32)), 4)
+        with pytest.raises(TscnetError, match=r"^a float64 network does not fit a float32 workspace$"):
+            forward(net, np.zeros((4, 2)), ws)
+
+    def test_equal_layers_fit(self):
+        # specs equal to the workspace's, in another tuple, give the same bits
+        net = build_autoencoder(seed=7)
+        ws = Workspace(build_autoencoder(seed=8), 4)
+        assert ws.specs is not net.specs
+        X = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 2))
+        assert forward(net, X, ws)[0].tobytes() == forward(net, X)[0].tobytes()
+
+    def test_backward_with_too_few_rows(self):
+        net = build_autoencoder(seed=7)
+        _, acts = forward(net, np.zeros((5, 2)), Workspace(net, 5))
+        with pytest.raises(TscnetError, match=r"^a pass of 5 rows does not fit a workspace of 4 rows$"):
+            backward(net, acts, np.zeros((5, 1)), Workspace(net, 4))
 
 
 class TestAdam:

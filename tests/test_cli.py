@@ -698,9 +698,11 @@ class TestRun:
         prices.write_bytes(workdir["prices"].read_bytes())
         config = write_config(tmp_path / "run.cfg", prices, tmp_path / "out")
         bad = {"prices": prices, "config": config}[corrupt]
+        # a prices file's bad byte is named at its line
+        where = {"prices": f" line {len(prices.read_bytes().splitlines()) + 1}", "config": ""}[corrupt]
         bad.write_bytes(bad.read_bytes() + b"\xff\xfe\n")
         _, stderr = run_cli(capsys, ["run", str(config)], expect=1)
-        assert stderr.startswith("error: ") and f"{bad}: not UTF-8" in stderr
+        assert stderr.startswith("error: ") and f"{bad}{where}: not UTF-8" in stderr
         assert len(stderr.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 

@@ -437,16 +437,38 @@ class TestCleanFileReader:
         path = tmp_path / "prices.csv"
         path.write_bytes(GOOD_CSV.encode() + row)
         assert ingest._read_clean(path, None, dt.date.min) is None
-        assert _outcome(path) == ("error", f"{path}: not UTF-8 text (invalid start byte)")
+        assert _outcome(path) == ("error", f"{path} line 8: not UTF-8 text (invalid start byte)")
+
+    def test_non_utf8_header(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(b"ticker,d\xe2te,adj_close\n" + GOOD_CSV.encode().split(b"\n", 1)[1])
+        assert _outcome(path) == ("error", f"{path} line 1: not UTF-8 text (invalid continuation byte)")
+
+    def test_an_error_from_per_ticker_is_raised_by_the_row_reader(self, tmp_path, monkeypatch):
+        # a TscnetError from per_ticker is one more doubt: the clean-file
+        # reader gives the file up, and the row reader raises that of the
+        # first failing ticker in ascending order once it has read the file
+        path = _write(tmp_path, GOOD_CSV)
+
+        def per_ticker(ticker, closes):
+            raise TscnetError(f"{ticker}: refused")
+
+        assert ingest._read_clean(path, None, dt.date.min, per_ticker) is None
+        readers = []
+        real_reader = csv.reader
+        monkeypatch.setattr(csv, "reader", lambda *args: readers.append(args) or real_reader(*args))
+        with pytest.raises(TscnetError, match=r"^AAA: refused$"):
+            load_price_table(path, per_ticker=per_ticker)
+        assert readers
 
     @pytest.mark.parametrize("at, message", [
-        (2_000, "not UTF-8 text (invalid start byte)"),
+        (2_000, "line 3: bad price 'abc'"),
         (12_000, "line 3: bad price 'abc'"),
         (100_000, "line 3: bad price 'abc'"),
     ])
     def test_first_error_does_not_depend_on_read_ahead(self, tmp_path, at, message):
-        # which of a bad row and a later non-UTF-8 byte is reported depends
-        # only on the row reader's own decoding, not on how far the
+        # the first bad line in the file is reported, wherever the decoder's
+        # read-ahead reaches a later non-UTF-8 byte, and however far the
         # clean-file reader read before it gave up
         text = "ticker,date,adj_close\nAAA,2019-01-02,1\nAAA,2019-01-03,abc\n"
         day = dt.date(2000, 1, 1)
@@ -455,8 +477,7 @@ class TestCleanFileReader:
             day += dt.timedelta(days=1)
         path = tmp_path / "prices.csv"
         path.write_bytes(text.encode() + b"CCC,2019-01-02,\xff\n")
-        sep = ":" if message.startswith("not") else ""
-        assert _outcome(path) == ("error", f"{path}{sep} {message}")
+        assert _outcome(path) == ("error", f"{path} {message}")
 
     def test_closes_are_arrays_freed_with_the_table(self, tmp_path, monkeypatch):
         # 64-byte chunks cut BBB's rows after its first and CCC's after its

@@ -683,6 +683,13 @@ class TestLoadTable:
         with pytest.raises(TscnetError, match=r"keep\.txt: not UTF-8 text \(invalid start byte\)$"):
             load_table(blob_prices_csv, keep, None)
 
+    def test_ticker_file_with_a_byte_order_mark(self, tmp_path, blob_prices_csv):
+        keep = tmp_path / "keep.txt"
+        keep.write_text("\ufeffT000\nT001\n", encoding="utf-8")
+        tickers, _, warnings = load_table(blob_prices_csv, keep, None)
+        assert tickers == ("T000", "T001")
+        assert not [w for w in warnings if "no rows in file" in w]
+
     @pytest.mark.parametrize("runs, keep, start, chunk_rows", [
         ([("AAA", range(2, 12)), ("BBB", range(2, 5))], None, None, [4, 4, 4, 1]),
         ([("AAA", range(2, 6)), ("BBB", range(2, 6)), ("CCC", range(2, 5))], None, None, [4, 4, 3]),
