@@ -465,18 +465,23 @@ class TestCleanFileReader:
         (2_000, "line 3: bad price 'abc'"),
         (12_000, "line 3: bad price 'abc'"),
         (100_000, "line 3: bad price 'abc'"),
+        pytest.param(2_000, "line 3: not UTF-8 text (invalid start byte)",
+                     id="2000-not UTF-8 text (invalid start byte)"),
     ])
     def test_first_error_does_not_depend_on_read_ahead(self, tmp_path, at, message):
         # the first bad line in the file is reported, wherever the decoder's
-        # read-ahead reaches a later non-UTF-8 byte, and however far the
-        # clean-file reader read before it gave up
-        text = "ticker,date,adj_close\nAAA,2019-01-02,1\nAAA,2019-01-03,abc\n"
+        # read-ahead reaches a later fault, and however far the clean-file
+        # reader read before it gave up: a bad price on line 3 with a
+        # non-UTF-8 byte past it, or a non-UTF-8 byte on line 3 with a bad
+        # price past it
+        first, later = (b"abc", b"\xff") if "price" in message else (b"\xff", b"abc")
+        data = bytearray(b"ticker,date,adj_close\nAAA,2019-01-02,1\nAAA,2019-01-03," + first + b"\n")
         day = dt.date(2000, 1, 1)
-        while len(text) < at:
-            text += f"BBB,{day.isoformat()},2\n"
+        while len(data) < at:
+            data += f"BBB,{day.isoformat()},2\n".encode()
             day += dt.timedelta(days=1)
         path = tmp_path / "prices.csv"
-        path.write_bytes(text.encode() + b"CCC,2019-01-02,\xff\n")
+        path.write_bytes(bytes(data) + b"CCC,2019-01-02," + later + b"\n")
         assert _outcome(path) == ("error", f"{path} {message}")
 
     def test_closes_are_arrays_freed_with_the_table(self, tmp_path, monkeypatch):
